@@ -4,7 +4,7 @@
 // The pool uses identical A100 slots so that per-job results are
 // byte-identical across pool sizes (warp width changes FP reduction order
 // between vendors); every outcome is fingerprint-checked against a serial
-// run of the same registry handler on a fresh device.
+// core::Run of the same spec on a fresh device.
 //
 // The simulator executes kernels on the host, so host CPU time — not the
 // modeled GPU time — is what a wall-clock throughput bench measures.  To
@@ -118,8 +118,10 @@ int Main(int argc, char** argv) {
   vgpu::Device serial_device(vgpu::A100Config());
   auto serial_start = Clock::now();
   for (size_t i = 0; i < jobs.size(); ++i) {
-    const auto& handler = serve::GetHandler(jobs[i].algorithm());
-    auto payload = handler.run(&serial_device, jobs[i], nullptr).value();
+    auto payload = core::Run(&serial_device,
+                             core::AlgoSpec{jobs[i].algorithm()},
+                             *jobs[i].graph, jobs[i].params)
+                       .value();
     serial_fp[i] = serve::FingerprintPayload(payload);
     serial_device.ResetCounters();
   }
@@ -199,8 +201,9 @@ int Main(int argc, char** argv) {
     spec.graph = g;
     spec.params = o;
     spec.tag = "repeat" + std::to_string(i);
-    const auto& handler = serve::GetHandler(spec.algorithm());
-    auto payload = handler.run(&serial_device, spec, nullptr).value();
+    auto payload = core::Run(&serial_device, core::AlgoSpec{spec.algorithm()},
+                             *spec.graph, spec.params)
+                       .value();
     repeat_fp.push_back(serve::FingerprintPayload(payload));
     serial_device.ResetCounters();
     repeat_jobs.push_back(std::move(spec));
@@ -431,9 +434,10 @@ int Main(int argc, char** argv) {
     spec.graph = g;
     spec.params = net::BuildJobParams(job.algo, job.kv, g->num_vertices())
                       .value();
-    const auto& handler = serve::GetHandler(job.algo);
     job.serial_fp = serve::FingerprintPayload(
-        handler.run(&serial_device, spec, nullptr).value());
+        core::Run(&serial_device, core::AlgoSpec{job.algo}, *spec.graph,
+                  spec.params)
+            .value());
     serial_device.ResetCounters();
   }
 

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "prof/server_stats.h"
@@ -44,6 +45,8 @@ Result<std::pair<int, int>> MakeWakePipe() {
   }
   return std::make_pair(fds[0], fds[1]);
 }
+
+constexpr uint64_t kMaxVertex = std::numeric_limits<graph::vid_t>::max();
 
 }  // namespace
 
@@ -164,6 +167,18 @@ void Server::RegisterMetrics() {
       "malformed, oversized or out-of-order request lines");
   metric_live_sessions_ = registry->GetGauge("adgraph_net_live_sessions",
                                              "currently open TCP sessions");
+  metric_lines_oversized_ = registry->GetCounter(
+      "adgraph_net_lines_oversized_total",
+      "request lines over the line cap (each also a protocol error)");
+  metric_submits_rejected_scheduler_ = registry->GetCounter(
+      "adgraph_net_submits_rejected_scheduler_total",
+      "SUBMIT requests past tenant quotas that the scheduler refused");
+  metric_jobs_orphaned_ = registry->GetCounter(
+      "adgraph_net_jobs_orphaned_total",
+      "charged jobs handed to the orphan reaper (disconnect or cancel)");
+  metric_mutations_applied_ = registry->GetCounter(
+      "adgraph_net_mutations_applied_total",
+      "effective edge updates applied by MUTATE");
 }
 
 Server::TenantMetrics* Server::MetricsFor(const std::string& tenant) {
@@ -219,16 +234,20 @@ void Server::Shutdown() {
 
 ServerCounters Server::Counters() const {
   ServerCounters counters;
-  counters.sessions_opened = sessions_opened_.load();
-  counters.sessions_closed = sessions_closed_.load();
-  counters.requests = requests_.load();
-  counters.protocol_errors = protocol_errors_.load();
-  counters.lines_oversized = lines_oversized_.load();
-  counters.submits_accepted = submits_accepted_.load();
-  counters.submits_rejected_quota = submits_rejected_quota_.load();
-  counters.submits_rejected_scheduler = submits_rejected_scheduler_.load();
-  counters.jobs_orphaned = jobs_orphaned_.load();
-  counters.mutations_applied = mutations_applied_.load();
+  counters.sessions_opened = metric_sessions_opened_->Value();
+  counters.sessions_closed = metric_sessions_closed_->Value();
+  counters.requests = metric_requests_->Value();
+  counters.protocol_errors = metric_protocol_errors_->Value();
+  counters.lines_oversized = metric_lines_oversized_->Value();
+  counters.submits_rejected_scheduler =
+      metric_submits_rejected_scheduler_->Value();
+  counters.jobs_orphaned = metric_jobs_orphaned_->Value();
+  counters.mutations_applied = metric_mutations_applied_->Value();
+  std::lock_guard<std::mutex> lock(tenant_metrics_mutex_);
+  for (const auto& [tenant, metrics] : tenant_metrics_) {
+    counters.submits_accepted += metrics.accepted->Value();
+    counters.submits_rejected_quota += metrics.rejected_quota->Value();
+  }
   return counters;
 }
 
@@ -262,7 +281,6 @@ void Server::AcceptLoop() {
         close(fd);
         continue;
       }
-      sessions_opened_.fetch_add(1);
       metric_sessions_opened_->Increment();
       metric_live_sessions_->Set(
           static_cast<double>(live_sessions_.fetch_add(1) + 1));
@@ -395,8 +413,7 @@ void Server::ProcessBufferedLines(Connection* conn) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
     if (line.size() > options_.max_line_bytes) {
-      lines_oversized_.fetch_add(1);
-      protocol_errors_.fetch_add(1);
+      metric_lines_oversized_->Increment();
       metric_protocol_errors_->Increment();
       conn->outbuf +=
           ErrorResponse("resource_exhausted",
@@ -416,8 +433,7 @@ void Server::ProcessBufferedLines(Connection* conn) {
   // A partial line longer than the cap can never complete into a legal
   // request — reject it now instead of buffering a slow-loris feed forever.
   if (!conn->drop_after_flush && conn->inbuf.size() > options_.max_line_bytes) {
-    lines_oversized_.fetch_add(1);
-    protocol_errors_.fetch_add(1);
+    metric_lines_oversized_->Increment();
     metric_protocol_errors_->Increment();
     conn->inbuf.clear();
     conn->outbuf +=
@@ -431,7 +447,6 @@ void Server::ProcessBufferedLines(Connection* conn) {
 }
 
 Json Server::HandleRequest(Connection* conn, const std::string& line) {
-  requests_.fetch_add(1);
   metric_requests_->Increment();
   if (trace::Enabled() && conn->trace_track == 0) {
     conn->trace_track =
@@ -444,7 +459,6 @@ Json Server::HandleRequest(Connection* conn, const std::string& line) {
   Result<Json> parsed = Json::Parse(line);
   parse_span.End();
   if (!parsed.ok()) {
-    protocol_errors_.fetch_add(1);
     metric_protocol_errors_->Increment();
     return ErrorResponse(parsed.status());
   }
@@ -468,7 +482,6 @@ Json Server::HandleRequest(Connection* conn, const std::string& line) {
   } else if (op == "INSPECT") {
     response = HandleInspect(conn, request);
   } else {
-    protocol_errors_.fetch_add(1);
     metric_protocol_errors_->Increment();
     response = ErrorResponse("invalid_argument", "unknown op '" + op + "'");
   }
@@ -479,7 +492,6 @@ Json Server::HandleRequest(Connection* conn, const std::string& line) {
 
 Json Server::HandleHello(Connection* conn, const Json& request) {
   if (conn->hello_done) {
-    protocol_errors_.fetch_add(1);
     metric_protocol_errors_->Increment();
     return ErrorResponse("already_exists", "session already started");
   }
@@ -495,7 +507,6 @@ Json Server::HandleHello(Connection* conn, const Json& request) {
     const TenantConfig* config = tenants_.Find(tenant);
     if (config == nullptr) {
       // Unknown tenant is an authorization failure: respond, then close.
-      protocol_errors_.fetch_add(1);
       metric_protocol_errors_->Increment();
       conn->drop_after_flush = true;
       return ErrorResponse("not_found", "unknown tenant '" + tenant + "'");
@@ -523,7 +534,6 @@ Json Server::HandleHello(Connection* conn, const Json& request) {
 
 Json Server::HandleSubmit(Connection* conn, const Json& request) {
   if (!conn->hello_done) {
-    protocol_errors_.fetch_add(1);
     metric_protocol_errors_->Increment();
     return ErrorResponse("invalid_argument", "HELLO must come first");
   }
@@ -565,8 +575,10 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
   // Out-of-core streaming (DESIGN.md §2.13): a job over the device budget
   // is admitted through the streamed tier instead of rejected.
   spec.allow_streamed = request.GetBool("ooc", false);
-  spec.ooc_shard_bytes =
-      static_cast<uint64_t>(request.GetNumber("shard_bytes", 0));
+  auto shard_bytes =
+      CheckedInteger("shard_bytes", request.GetNumber("shard_bytes", 0));
+  if (!shard_bytes.ok()) return ErrorResponse(shard_bytes.status());
+  spec.ooc_shard_bytes = *shard_bytes;
   // Incremental recompute (DESIGN.md §2.12): warm-start from the newest
   // stored result of this algorithm on this mutable graph.
   const bool incremental = request.GetBool("incremental", false);
@@ -619,7 +631,6 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
     QuotaReject reason = QuotaReject::kNone;
     Status quota = tenants_.Admit(conn->tenant, estimate, &reason);
     if (!quota.ok()) {
-      submits_rejected_quota_.fetch_add(1);
       MetricsFor(conn->tenant)->rejected_quota->Increment();
       Json response = ErrorResponse(quota);
       response.Set("reason", std::string(QuotaRejectName(reason)));
@@ -630,7 +641,7 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
   admit_span.End();
   if (!submitted.ok()) {
     if (conn->quotas_enforced) tenants_.Release(conn->tenant, estimate);
-    submits_rejected_scheduler_.fetch_add(1);
+    metric_submits_rejected_scheduler_->Increment();
     return ErrorResponse(submitted.status());
   }
   PendingJob pending;
@@ -643,7 +654,6 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
   pending.incremental_requested = incremental;
   pending.cold_warm_start = cold_warm_start;
   conn->jobs.emplace(job_id, std::move(pending));
-  submits_accepted_.fetch_add(1);
   MetricsFor(conn->tenant)->accepted->Increment();
 
   Json response = Json::MakeObject();
@@ -698,11 +708,12 @@ void Server::RefreshPendingJob(Connection* conn, uint64_t job_id,
 
 Json Server::HandlePoll(Connection* conn, const Json& request) {
   if (!conn->hello_done) {
-    protocol_errors_.fetch_add(1);
     metric_protocol_errors_->Increment();
     return ErrorResponse("invalid_argument", "HELLO must come first");
   }
-  const uint64_t job_id = static_cast<uint64_t>(request.GetNumber("job", 0));
+  auto parsed_id = CheckedInteger("job", request.GetNumber("job", 0));
+  if (!parsed_id.ok()) return ErrorResponse(parsed_id.status());
+  const uint64_t job_id = *parsed_id;
   auto it = conn->jobs.find(job_id);
   if (it == conn->jobs.end()) {
     return ErrorResponse("not_found",
@@ -718,7 +729,7 @@ Json Server::HandlePoll(Connection* conn, const Json& request) {
     // races the worker/reaper.  A still-charged future is handed to the
     // orphan reaper so the tenant's quota releases when it resolves.
     if (!job.done && job.charged) {
-      jobs_orphaned_.fetch_add(1);
+      metric_jobs_orphaned_->Increment();
       conn->shard->orphans.push_back(
           OrphanJob{conn->tenant, job.charged_bytes, std::move(job.future)});
       job.charged = false;
@@ -760,11 +771,12 @@ Json Server::HandlePoll(Connection* conn, const Json& request) {
 
 Json Server::HandleCancel(Connection* conn, const Json& request) {
   if (!conn->hello_done) {
-    protocol_errors_.fetch_add(1);
     metric_protocol_errors_->Increment();
     return ErrorResponse("invalid_argument", "HELLO must come first");
   }
-  const uint64_t job_id = static_cast<uint64_t>(request.GetNumber("job", 0));
+  auto parsed_id = CheckedInteger("job", request.GetNumber("job", 0));
+  if (!parsed_id.ok()) return ErrorResponse(parsed_id.status());
+  const uint64_t job_id = *parsed_id;
   auto it = conn->jobs.find(job_id);
   if (it == conn->jobs.end()) {
     return ErrorResponse("not_found", "unknown job " + std::to_string(job_id));
@@ -784,7 +796,6 @@ Json Server::HandleCancel(Connection* conn, const Json& request) {
 
 Json Server::HandleMutate(Connection* conn, const Json& request) {
   if (!conn->hello_done) {
-    protocol_errors_.fetch_add(1);
     metric_protocol_errors_->Increment();
     return ErrorResponse("invalid_argument", "HELLO must come first");
   }
@@ -822,8 +833,13 @@ Json Server::HandleMutate(Connection* conn, const Json& request) {
                              "update op must be add or del, got '" + kind +
                                  "'");
       }
-      update.u = static_cast<graph::vid_t>(item.GetNumber("u", 0));
-      update.v = static_cast<graph::vid_t>(item.GetNumber("v", 0));
+      // Checked before anything is applied: one bad id rejects the batch.
+      auto u = CheckedInteger("u", item.GetNumber("u", 0), kMaxVertex);
+      if (!u.ok()) return ErrorResponse(u.status());
+      auto v = CheckedInteger("v", item.GetNumber("v", 0), kMaxVertex);
+      if (!v.ok()) return ErrorResponse(v.status());
+      update.u = static_cast<graph::vid_t>(*u);
+      update.v = static_cast<graph::vid_t>(*v);
       update.w = item.GetNumber("w", 1);
       updates.push_back(update);
     }
@@ -860,7 +876,7 @@ Json Server::HandleMutate(Connection* conn, const Json& request) {
     // Doom resident copies of older epochs of this family on every worker
     // so no post-mutation job is served a stale device graph (§2.12).
     scheduler_->InvalidateResidency(fingerprint, version);
-    mutations_applied_.fetch_add(applied);
+    metric_mutations_applied_->Increment(applied);
   }
 
   Json response = Json::MakeObject();
@@ -934,11 +950,13 @@ Json Server::HandleInspect(Connection* conn, const Json& request) {
   // "sched_job_id" = the scheduler's id, "trace_id" = the hex trace id.
   // With none of them, list every retained record (without span trees —
   // a follow-up INSPECT with an id fetches one tree).
-  const uint64_t wire_id = static_cast<uint64_t>(request.GetNumber("job", 0));
-  const uint64_t sched_id =
-      static_cast<uint64_t>(request.GetNumber("sched_job_id", 0));
+  auto wire_id = CheckedInteger("job", request.GetNumber("job", 0));
+  if (!wire_id.ok()) return ErrorResponse(wire_id.status());
+  auto sched_id =
+      CheckedInteger("sched_job_id", request.GetNumber("sched_job_id", 0));
+  if (!sched_id.ok()) return ErrorResponse(sched_id.status());
   const std::string trace_hex = request.GetString("trace_id", "");
-  if (wire_id == 0 && sched_id == 0 && trace_hex.empty()) {
+  if (*wire_id == 0 && *sched_id == 0 && trace_hex.empty()) {
     Json records = Json::MakeArray();
     for (const auto& record : recorder->Records()) {
       records.PushBack(JobRecordToJson(*record, /*with_spans=*/false));
@@ -949,10 +967,10 @@ Json Server::HandleInspect(Connection* conn, const Json& request) {
     return response;
   }
   std::shared_ptr<const serve::FlightRecorder::JobRecord> record;
-  if (wire_id != 0) {
-    record = recorder->FindByWireId(wire_id);
-  } else if (sched_id != 0) {
-    record = recorder->FindBySchedId(sched_id);
+  if (*wire_id != 0) {
+    record = recorder->FindByWireId(*wire_id);
+  } else if (*sched_id != 0) {
+    record = recorder->FindBySchedId(*sched_id);
   } else {
     const uint64_t trace_id = trace::ParseTraceIdHex(trace_hex);
     if (trace_id == 0) {
@@ -981,7 +999,7 @@ void Server::DropConnection(Shard* shard, std::unique_ptr<Connection> conn) {
       // The session died before its outcome: hand the quota charge to the
       // orphan reaper so it is released when the scheduler finishes the
       // job — reserved admission bytes never leak with the session.
-      jobs_orphaned_.fetch_add(1);
+      metric_jobs_orphaned_->Increment();
       shard->orphans.push_back(
           OrphanJob{conn->tenant, job.charged_bytes, std::move(job.future)});
     }
@@ -992,7 +1010,6 @@ void Server::DropConnection(Shard* shard, std::unique_ptr<Connection> conn) {
     trace::EmitInstant(conn->trace_track, "session-close", "net");
   }
   close(conn->fd);
-  sessions_closed_.fetch_add(1);
   metric_sessions_closed_->Increment();
   metric_live_sessions_->Set(
       static_cast<double>(live_sessions_.fetch_sub(1) - 1));

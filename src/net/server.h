@@ -57,8 +57,9 @@ struct ServerOptions {
   std::vector<TenantConfig> tenants;
 };
 
-/// Aggregate request counters (atomics snapshot; also exported as obs
-/// series on the scheduler's registry).
+/// Aggregate request counters, read from the server's obs series on the
+/// scheduler's registry (the accepted and quota-rejected submits summed
+/// over their per-tenant series), so they always match a scrape.
 struct ServerCounters {
   uint64_t sessions_opened = 0;
   uint64_t sessions_closed = 0;
@@ -247,25 +248,18 @@ class Server {
   std::atomic<uint64_t> next_session_id_{1};
   std::atomic<size_t> live_sessions_{0};
 
-  // Counters (relaxed atomics; snapshot via Counters()).
-  std::atomic<uint64_t> sessions_opened_{0};
-  std::atomic<uint64_t> sessions_closed_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> lines_oversized_{0};
-  std::atomic<uint64_t> submits_accepted_{0};
-  std::atomic<uint64_t> submits_rejected_quota_{0};
-  std::atomic<uint64_t> submits_rejected_scheduler_{0};
-  std::atomic<uint64_t> jobs_orphaned_{0};
-  std::atomic<uint64_t> mutations_applied_{0};
-
-  // obs handles on the scheduler's registry (stable pointers).
+  // obs handles on the scheduler's registry (stable pointers) — the only
+  // store of the server's counts; Counters() reads them back.
   obs::Counter* metric_sessions_opened_ = nullptr;
   obs::Counter* metric_sessions_closed_ = nullptr;
   obs::Counter* metric_requests_ = nullptr;
   obs::Counter* metric_protocol_errors_ = nullptr;
+  obs::Counter* metric_lines_oversized_ = nullptr;
+  obs::Counter* metric_submits_rejected_scheduler_ = nullptr;
+  obs::Counter* metric_jobs_orphaned_ = nullptr;
+  obs::Counter* metric_mutations_applied_ = nullptr;
   obs::Gauge* metric_live_sessions_ = nullptr;
-  std::mutex tenant_metrics_mutex_;
+  mutable std::mutex tenant_metrics_mutex_;
   std::map<std::string, TenantMetrics> tenant_metrics_;
 };
 

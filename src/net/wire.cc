@@ -1,7 +1,9 @@
 #include "net/wire.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "core/subgraph.h"
 
@@ -20,7 +22,26 @@ Result<double> ParseNumericValue(const std::string& key,
   return v;
 }
 
+constexpr uint64_t kMaxVertex = std::numeric_limits<graph::vid_t>::max();
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+
 }  // namespace
+
+Result<uint64_t> CheckedInteger(std::string_view key, double value,
+                                uint64_t max) {
+  // 0x1p64 is the first double past every uint64_t; a `max` of
+  // UINT64_MAX rounds up to it, so the explicit bound keeps the cast
+  // below defined.
+  if (!(value >= 0) || value >= 0x1p64 ||
+      value > static_cast<double>(max) || value != std::floor(value)) {
+    char shown[32];
+    std::snprintf(shown, sizeof(shown), "%.17g", value);
+    return Status::InvalidArgument("'" + std::string(key) +
+                                   "' wants an integer in [0, " +
+                                   std::to_string(max) + "], got " + shown);
+  }
+  return static_cast<uint64_t>(value);
+}
 
 std::string_view WireStatusName(StatusCode code) {
   switch (code) {
@@ -58,10 +79,18 @@ Result<serve::JobParams> BuildJobParams(
     if (it == kv.end()) return dflt;
     return ParseNumericValue(key, it->second);
   };
+  auto get_integer = [&](const char* key, uint64_t dflt,
+                         uint64_t max) -> Result<uint64_t> {
+    auto it = kv.find(key);
+    if (it == kv.end()) return dflt;
+    ADGRAPH_ASSIGN_OR_RETURN(double value, ParseNumericValue(key, it->second));
+    return CheckedInteger(key, value, max);
+  };
   switch (algo) {
     case serve::Algorithm::kBfs: {
       core::BfsOptions o;
-      ADGRAPH_ASSIGN_OR_RETURN(double source, get_number("source", 0));
+      ADGRAPH_ASSIGN_OR_RETURN(uint64_t source,
+                               get_integer("source", 0, kMaxVertex));
       ADGRAPH_ASSIGN_OR_RETURN(double symmetric, get_number("symmetric", 0));
       o.source = static_cast<graph::vid_t>(source);
       o.assume_symmetric = symmetric != 0;
@@ -69,14 +98,15 @@ Result<serve::JobParams> BuildJobParams(
     }
     case serve::Algorithm::kSssp: {
       core::SsspOptions o;
-      ADGRAPH_ASSIGN_OR_RETURN(double source, get_number("source", 0));
+      ADGRAPH_ASSIGN_OR_RETURN(uint64_t source,
+                               get_integer("source", 0, kMaxVertex));
       o.source = static_cast<graph::vid_t>(source);
       return serve::JobParams(o);
     }
     case serve::Algorithm::kPageRank: {
       core::PageRankOptions o;
-      ADGRAPH_ASSIGN_OR_RETURN(double iters,
-                               get_number("iters", o.max_iterations));
+      ADGRAPH_ASSIGN_OR_RETURN(
+          uint64_t iters, get_integer("iters", o.max_iterations, kMaxU32));
       o.max_iterations = static_cast<uint32_t>(iters);
       return serve::JobParams(o);
     }
@@ -90,7 +120,7 @@ Result<serve::JobParams> BuildJobParams(
       return serve::JobParams(core::CcOptions{});
     case serve::Algorithm::kKCore: {
       core::KCoreOptions o;
-      ADGRAPH_ASSIGN_OR_RETURN(double k, get_number("k", 3));
+      ADGRAPH_ASSIGN_OR_RETURN(uint64_t k, get_integer("k", 3, kMaxU32));
       o.k = static_cast<uint32_t>(k);
       return serve::JobParams(o);
     }
@@ -98,7 +128,8 @@ Result<serve::JobParams> BuildJobParams(
       return serve::JobParams(core::JaccardOptions{});
     case serve::Algorithm::kWidestPath: {
       core::WidestPathOptions o;
-      ADGRAPH_ASSIGN_OR_RETURN(double source, get_number("source", 0));
+      ADGRAPH_ASSIGN_OR_RETURN(uint64_t source,
+                               get_integer("source", 0, kMaxVertex));
       o.source = static_cast<graph::vid_t>(source);
       return serve::JobParams(o);
     }
@@ -107,14 +138,16 @@ Result<serve::JobParams> BuildJobParams(
     case serve::Algorithm::kEsbv: {
       core::EsbvOptions o;
       ADGRAPH_ASSIGN_OR_RETURN(double fraction, get_number("fraction", 0.5));
-      ADGRAPH_ASSIGN_OR_RETURN(double seed, get_number("seed", 7));
-      o.vertices = core::SelectPseudoCluster(num_vertices, fraction,
-                                             static_cast<uint64_t>(seed));
+      ADGRAPH_ASSIGN_OR_RETURN(
+          uint64_t seed,
+          get_integer("seed", 7, std::numeric_limits<uint64_t>::max()));
+      o.vertices = core::SelectPseudoCluster(num_vertices, fraction, seed);
       return serve::JobParams(o);
     }
     case serve::Algorithm::kBetweenness: {
       core::BcOptions o;
-      ADGRAPH_ASSIGN_OR_RETURN(double source, get_number("source", 0));
+      ADGRAPH_ASSIGN_OR_RETURN(uint64_t source,
+                               get_integer("source", 0, kMaxVertex));
       o.source = static_cast<graph::vid_t>(source);
       return serve::JobParams(o);
     }

@@ -11,6 +11,7 @@
 /// loopback bench).
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -39,11 +40,21 @@ std::string_view WireStatusName(StatusCode code);
 /// byte-identity checks compare across transports.
 std::string FingerprintHex(uint64_t fingerprint);
 
+/// Range-checked conversion of a client-supplied number to an integer
+/// field with maximum `max`: NaN, infinities, fractions, negatives and
+/// values above `max` are kInvalidArgument naming `key` (a bare cast of
+/// such a double is undefined behaviour).  Every integer the wire accepts
+/// goes through here.
+Result<uint64_t> CheckedInteger(
+    std::string_view key, double value,
+    uint64_t max = std::numeric_limits<uint64_t>::max());
+
 /// Builds the per-algorithm params variant from string key/values (the
 /// `ALGO key=value...` job-file vocabulary: source, iters, k, orient,
 /// symmetric, fraction, seed).  Unknown keys are ignored for forward
-/// compatibility; malformed numeric values are kInvalidArgument — never an
-/// exception, this parses untrusted socket input.
+/// compatibility; malformed numeric values, and integer params that fail
+/// CheckedInteger, are kInvalidArgument — never an exception or a silent
+/// wrap, this parses untrusted socket input.
 Result<serve::JobParams> BuildJobParams(
     serve::Algorithm algo, const std::map<std::string, std::string>& kv,
     graph::vid_t num_vertices);

@@ -26,14 +26,7 @@ struct DeviceStats {
   // Graph residency cache (DESIGN.md §2.6) — this worker's private cache.
   uint64_t cache_hits = 0;            ///< Acquire() served from residency
   uint64_t cache_misses = 0;          ///< Acquire() had to build + upload
-  uint64_t cache_evictions = 0;       ///< entries evicted (LRU / for space)
-  uint64_t cache_bytes_evicted = 0;   ///< device bytes freed by eviction
   uint64_t cache_resident_bytes = 0;  ///< device bytes currently cached
-  uint64_t cache_stale_invalidated = 0;  ///< stale epochs dropped (§2.12)
-  // Gang (multi-device partitioned) jobs this worker drove (DESIGN.md §2.7).
-  uint64_t gang_jobs = 0;             ///< gang jobs completed OK
-  uint64_t exchange_bytes = 0;        ///< interconnect bytes those jobs moved
-  uint64_t exchange_rounds = 0;       ///< bulk-synchronous exchange rounds
 };
 
 /// \brief Per-tenant slice of a serving-pool snapshot (multi-tenant QoS,
@@ -49,12 +42,16 @@ struct TenantStats {
   /// Shed with kDeadlineExceeded: queue-wait passed the job's deadline
   /// before a worker could take it.
   uint64_t jobs_shed_deadline = 0;
-  double queue_wait_ms_total = 0; ///< summed queue wait of dequeued jobs
+  /// Summed queue wait of dequeued jobs (the adgraph_tenant_queue_wait_ms
+  /// histogram sum).
+  double queue_wait_ms_total = 0;
 };
 
 /// \brief Point-in-time snapshot of a serving pool (`serve::Scheduler`),
 /// shaped like the summary block a production inference/analytics server
-/// exports to its metrics endpoint.
+/// exports to its metrics endpoint.  Every count is read from the pool's
+/// obs::Registry series (DESIGN.md §2.9), so this struct and a Prometheus
+/// scrape report the same numbers.
 ///
 /// Defined in prof (not serve) so the report layer can format it without a
 /// dependency cycle: serve fills it, prof renders it.

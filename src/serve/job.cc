@@ -1,35 +1,10 @@
 #include "serve/job.h"
 
-#include <cmath>
-#include <cstring>
 #include <type_traits>
 
 namespace adgraph::serve {
 
 namespace {
-
-// JobParams / JobPayload alternatives must line up with enum Algorithm:
-// JobSpec::algorithm() is the variant index.
-template <typename Variant, Algorithm A, typename T>
-constexpr bool AlternativeMatches() {
-  return std::is_same_v<std::variant_alternative_t<static_cast<size_t>(A),
-                                                   Variant>,
-                        T>;
-}
-static_assert(AlternativeMatches<JobParams, Algorithm::kBfs,
-                                 core::BfsOptions>());
-static_assert(AlternativeMatches<JobParams, Algorithm::kEsbv,
-                                 core::EsbvOptions>());
-static_assert(AlternativeMatches<JobPayload, Algorithm::kBfs,
-                                 core::BfsResult>());
-static_assert(AlternativeMatches<JobPayload, Algorithm::kEsbv,
-                                 core::EsbvResult>());
-static_assert(AlternativeMatches<JobParams, Algorithm::kBetweenness,
-                                 core::BcOptions>());
-static_assert(AlternativeMatches<JobPayload, Algorithm::kBetweenness,
-                                 core::BcResult>());
-static_assert(std::variant_size_v<JobParams> ==
-              std::variant_size_v<JobPayload>);
 
 /// Incremental FNV-1a over raw bytes.  Doubles are hashed via their bit
 /// pattern, so "byte-identical" means exactly that.
@@ -59,10 +34,6 @@ class Fnv1a {
 };
 
 }  // namespace
-
-double PayloadTimeMs(const JobPayload& payload) {
-  return core::ResultTimeMs(payload);
-}
 
 uint64_t FingerprintPayload(const JobPayload& payload) {
   Fnv1a h;

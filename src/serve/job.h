@@ -157,12 +157,11 @@ struct JobOutcome {
   /// True when the job's staged graph was served from the worker's
   /// residency cache rather than built + uploaded.
   bool cache_hit = false;
-  /// Aggregated kernel profile of exactly this job's launches.
-  prof::AlgoProfile profile;
-  /// Compact Table 6–style attribution of the same window (derived ratios
-  /// plus top kernels by cycles) — what POLL serializes under "profile"
-  /// and the adgraph_job_* histograms observe.  Populated iff status.ok()
-  /// and the pool's job_profiles option is on (the default).
+  /// Compact Table 6–style attribution of exactly this job's kernel
+  /// launches (derived ratios plus top kernels by cycles) — what POLL
+  /// serializes under "profile" and the adgraph_job_* histograms observe.
+  /// Populated iff status.ok() and the pool's job_profiles option is on
+  /// (the default).
   prof::JobProfile job_profile;
   // --- Gang execution (gang_devices > 1 in the spec) --------------------
   uint32_t gang_devices = 1;      ///< devices the job actually ran on
@@ -187,10 +186,6 @@ struct JobOutcome {
   /// the one published at submit).
   uint64_t result_version = 0;
 };
-
-/// Modeled device time carried inside the payload (the per-algorithm
-/// `time_ms` field).
-double PayloadTimeMs(const JobPayload& payload);
 
 /// Order-sensitive FNV-1a digest of the payload's *result content* (levels,
 /// distances, ranks, counts, subgraph arrays, ...; modeled times excluded).

@@ -25,14 +25,6 @@ const Options& Params(const JobSpec& spec) {
   return std::get<Options>(spec.params);
 }
 
-/// The uniform execution path: every handler dispatches through the
-/// engine-backed `core::Run` entry point (src/engine/run.cc), so the serve
-/// layer never touches a per-algorithm core/ signature.
-Result<JobPayload> RunViaEngine(vgpu::Device* d, const JobSpec& s,
-                                core::GraphResidency* res) {
-  return core::Run(d, core::AlgoSpec{s.algorithm()}, *s.graph, s.params, res);
-}
-
 /// graph_variant for the algorithms whose staged layout doesn't depend on
 /// the job parameters (everything except triangle counting).
 std::function<core::GraphVariant(const JobSpec&)> Always(
@@ -43,13 +35,10 @@ std::function<core::GraphVariant(const JobSpec&)> Always(
 std::vector<AlgorithmHandler> BuildRegistry() {
   std::vector<AlgorithmHandler> reg(std::variant_size_v<JobParams>);
   auto add = [&reg](AlgorithmHandler h) {
-    h.name = AlgorithmName(h.algo);
     reg[static_cast<size_t>(h.algo)] = std::move(h);
   };
 
   add({.algo = Algorithm::kBfs,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kAsIs),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -61,8 +50,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kSssp,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kAsIs),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -74,8 +61,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kPageRank,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kPullTranspose),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -88,8 +73,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kTriangleCount,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant =
            [](const JobSpec& s) {
              return Params<core::TcOptions>(s).orient
@@ -108,8 +91,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kConnectedComponents,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kSymSimple),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -120,8 +101,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kKCore,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kSymSimple),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -133,8 +112,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kJaccard,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kAsIs),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -145,8 +122,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kWidestPath,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kAsIs),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -157,8 +132,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kColoring,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kSymSimple),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -169,8 +142,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            }});
 
   add({.algo = Algorithm::kEsbv,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kCscWeighted),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -187,8 +158,6 @@ std::vector<AlgorithmHandler> BuildRegistry() {
        .requires_weights = true});
 
   add({.algo = Algorithm::kBetweenness,
-       .name = {},
-       .run = RunViaEngine,
        .graph_variant = Always(core::GraphVariant::kSymSimple),
        .estimate_device_bytes =
            [](const JobSpec& s) {
@@ -233,7 +202,7 @@ Status ValidateJobSpec(const JobSpec& spec) {
   const AlgorithmHandler& handler = GetHandler(spec.algorithm());
   if (handler.requires_weights && !spec.graph->has_weights()) {
     return Status::InvalidArgument(
-        std::string(handler.name) +
+        std::string(AlgorithmName(handler.algo)) +
         " requires edge weights (attach them with WithUniformWeights or "
         "graph::AttachRandomWeights before submitting)");
   }
@@ -242,7 +211,7 @@ Status ValidateJobSpec(const JobSpec& spec) {
     if (algo != Algorithm::kBfs && algo != Algorithm::kPageRank) {
       return Status::InvalidArgument(
           "gang execution supports bfs and pagerank, not " +
-          std::string(handler.name));
+          std::string(AlgorithmName(algo)));
     }
     if (algo == Algorithm::kBfs &&
         std::get<core::BfsOptions>(spec.params).compute_parents) {

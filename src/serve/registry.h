@@ -3,33 +3,20 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "core/residency.h"
 #include "serve/job.h"
 #include "util/status.h"
-#include "vgpu/device.h"
 
 namespace adgraph::serve {
 
-/// \brief One registry row: everything the scheduler needs to serve an
-/// algorithm without knowing its concrete core/ signature.
-///
-/// `run` wraps the core entry point behind the uniform
-/// `JobSpec -> Result<JobPayload>` shape; `estimate_device_bytes` is the
-/// admission-control model of the job's peak device working set.
+/// \brief One registry row: what the scheduler needs to admit an
+/// algorithm's jobs (execution itself goes through `core::Run`).
+/// `estimate_device_bytes` is the admission-control model of the job's
+/// peak device working set.
 struct AlgorithmHandler {
   Algorithm algo;
-  std::string_view name;
-
-  /// Executes the job's algorithm on `device` (graph staging included) and
-  /// returns the result payload.  Propagates core/ errors unchanged.  The
-  /// residency provider is the worker's graph cache, or null for the
-  /// upload-per-run behavior (results are byte-identical either way).
-  std::function<Result<JobPayload>(vgpu::Device*, const JobSpec&,
-                                   core::GraphResidency*)>
-      run;
 
   /// The device-graph variant the algorithm stages (cache key half; for
   /// admission's residency discount and the scheduler's pre-admission pin).

@@ -177,15 +177,15 @@ void Scheduler::RegisterMetrics() {
     const obs::LabelSet id = {{"worker", std::to_string(i)},
                               {"device", worker.arch_name}};
     WorkerMetricHandles& m = worker.metrics;
-    m.jobs_completed = registry_.GetCounter(
+    m.jobs[kCompleted] = registry_.GetCounter(
         "adgraph_jobs_completed_total", "Jobs finished OK.", id);
-    m.jobs_failed = registry_.GetCounter(
+    m.jobs[kFailed] = registry_.GetCounter(
         "adgraph_jobs_failed_total", "Jobs that ended with a non-OK status.",
         id);
-    m.jobs_rejected = registry_.GetCounter(
+    m.jobs[kRejectedAdmission] = registry_.GetCounter(
         "adgraph_jobs_rejected_admission_total",
         "Jobs rejected by memory-aware admission control.", id);
-    m.jobs_shed = registry_.GetCounter(
+    m.jobs[kShedDeadline] = registry_.GetCounter(
         "adgraph_jobs_shed_deadline_total",
         "Jobs shed at dequeue: queue-wait exceeded their deadline.", id);
     m.admission_headroom_bytes = registry_.GetGauge(
@@ -201,11 +201,20 @@ void Scheduler::RegisterMetrics() {
     m.cache_evictions = registry_.GetCounter(
         "adgraph_cache_evictions_total",
         "Graph residency cache: entries evicted (LRU / for space).", id);
+    m.cache_evicted_bytes = registry_.GetCounter(
+        "adgraph_cache_evicted_bytes_total",
+        "Graph residency cache: device bytes freed by eviction.", id);
+    m.cache_stale_invalidated = registry_.GetCounter(
+        "adgraph_cache_stale_invalidated_total",
+        "Graph residency cache: stale epochs dropped after a mutation.", id);
     m.cache_resident_bytes = registry_.GetGauge(
         "adgraph_cache_resident_bytes",
         "Graph residency cache: device bytes currently cached.", id);
     m.busy_wall_ms = registry_.GetGauge(
         "adgraph_worker_busy_ms", "Wall time spent executing jobs.", id);
+    m.modeled_ms = registry_.GetGauge(
+        "adgraph_worker_modeled_ms",
+        "Modeled device time of every job this worker ran.", id);
     m.utilization = registry_.GetGauge(
         "adgraph_worker_utilization",
         "busy_wall_ms / uptime, clamped to [0,1].", id);
@@ -219,6 +228,8 @@ void Scheduler::RegisterMetrics() {
                                      "L2 hits of completed jobs.", id);
     m.l2_misses = registry_.GetCounter("adgraph_device_l2_misses_total",
                                        "L2 misses of completed jobs.", id);
+    m.gang_jobs = registry_.GetCounter(
+        "adgraph_gang_jobs_total", "Gang jobs this worker drove to OK.", id);
     m.exchange_bytes = registry_.GetCounter(
         "adgraph_exchange_bytes_total",
         "Interconnect bytes moved by gang jobs this worker drove.", id);
@@ -284,7 +295,6 @@ Result<std::future<JobOutcome>> Scheduler::Submit(JobSpec spec) {
   if (shutdown_) return Status::Unavailable("scheduler is shut down");
   if (queue_.size() >= options_.queue_capacity) {
     if (options_.overflow == OverflowPolicy::kReject) {
-      rejected_backpressure_ += 1;
       metric_rejected_backpressure_->Increment();
       return Status::ResourceExhausted(
           "submission queue full (" +
@@ -313,14 +323,12 @@ Result<std::future<JobOutcome>> Scheduler::Submit(JobSpec spec) {
   }
   job.enqueued_at = Clock::now();
   job.tenant = TenantStateLocked(job.spec);
-  job.tenant->submitted += 1;
   job.tenant->metric_submitted->Increment();
   // An idle tenant re-enters the fair-share race at the pool's current
   // virtual time — no banked credit from its quiet period.
   job.tenant->vtime = std::max(job.tenant->vtime, vtime_floor_);
   std::future<JobOutcome> future = job.promise.get_future();
   queue_.push_back(std::move(job));
-  submitted_ += 1;
   metric_submitted_->Increment();
   // Live (not just sampler-refreshed) queue depth, so saturation alert
   // rules see spikes between Snapshot() calls.
@@ -362,35 +370,34 @@ size_t Scheduler::FindRunnableLocked(const Worker& worker) const {
 }
 
 Scheduler::TenantState* Scheduler::TenantStateLocked(const JobSpec& spec) {
-  auto [it, inserted] = tenants_.try_emplace(spec.tenant);
+  // Keyed by the series label, so each tenant state owns its series alone.
+  // "-" stands in for the anonymous tenant: a label value is never empty.
+  const std::string name = spec.tenant.empty() ? "-" : spec.tenant;
+  auto [it, inserted] = tenants_.try_emplace(name);
   TenantState& state = it->second;
   state.priority = spec.priority;
   if (inserted) {
-    // Prometheus-style identity: one label per series.  "-" stands in for
-    // the anonymous tenant so the label value is never empty.
-    const obs::LabelSet id = {
-        {"tenant", spec.tenant.empty() ? "-" : spec.tenant}};
+    const obs::LabelSet id = {{"tenant", name}};
     state.metric_submitted = registry_.GetCounter(
         "adgraph_tenant_jobs_submitted_total",
         "Jobs this tenant got accepted into the queue.", id);
-    state.metric_completed = registry_.GetCounter(
+    state.metric_jobs[kCompleted] = registry_.GetCounter(
         "adgraph_tenant_jobs_completed_total",
         "Jobs this tenant finished OK.", id);
-    state.metric_failed = registry_.GetCounter(
+    state.metric_jobs[kFailed] = registry_.GetCounter(
         "adgraph_tenant_jobs_failed_total",
         "Jobs this tenant ended with a non-OK status.", id);
-    state.metric_rejected = registry_.GetCounter(
+    state.metric_jobs[kRejectedAdmission] = registry_.GetCounter(
         "adgraph_tenant_jobs_rejected_total",
         "Jobs this tenant lost to memory-aware admission control.", id);
-    state.metric_shed = registry_.GetCounter(
+    state.metric_jobs[kShedDeadline] = registry_.GetCounter(
         "adgraph_tenant_jobs_shed_total",
         "Jobs this tenant had shed for a missed deadline.", id);
     state.metric_queue_wait = registry_.GetHistogram(
         "adgraph_tenant_queue_wait_ms",
         "Queue wait before execution (or shedding), per tenant and "
         "priority class.",
-        {{"priority", std::to_string(spec.priority)},
-         {"tenant", spec.tenant.empty() ? "-" : spec.tenant}},
+        {{"priority", std::to_string(spec.priority)}, {"tenant", name}},
         LatencyBuckets());
   }
   return &state;
@@ -518,19 +525,17 @@ void Scheduler::WorkerLoop(Worker* worker) {
     outcome.wire_job_id = wire_job_id;
 
     // Registry updates first — lock-free, and outside mutex_ so a
-    // concurrent scrape never waits on the stats bookkeeping below.
+    // concurrent scrape never waits on the bookkeeping below.
+    const Verdict verdict = Classify(outcome.status);
     WorkerMetricHandles& m = worker->metrics;
     m.queue_wait->Observe(outcome.queue_wall_ms);
-    if (outcome.status.ok()) {
-      m.jobs_completed->Increment();
+    m.busy_wall_ms->Add(outcome.exec_wall_ms);
+    m.modeled_ms->Add(outcome.modeled_ms);
+    if (verdict == kCompleted) {
       m.modeled_latency->Observe(outcome.modeled_ms);
       m.wall_latency->Observe(outcome.queue_wall_ms + outcome.exec_wall_ms);
-      const vgpu::KernelCounters& kc = outcome.profile.counters;
-      m.warp_inst->Increment(kc.warp_inst_issued);
-      m.dram_bytes->Increment(kc.dram_read_bytes + kc.dram_write_bytes);
-      m.l2_hits->Increment(kc.l2_hits);
-      m.l2_misses->Increment(kc.l2_misses);
       if (gang_size > 1) {
+        m.gang_jobs->Increment();
         m.exchange_bytes->Increment(outcome.exchange_bytes);
         m.exchange_rounds->Increment(outcome.exchange_rounds);
       }
@@ -577,25 +582,10 @@ void Scheduler::WorkerLoop(Worker* worker) {
         pit->second.l2_hit->Observe(jp.l2_hit_rate);
         pit->second.occupancy->Observe(jp.achieved_occupancy);
       }
-    } else if (outcome.status.IsResourceExhausted()) {
-      m.jobs_rejected->Increment();
-    } else if (outcome.status.IsDeadlineExceeded()) {
-      m.jobs_shed->Increment();
-    } else {
-      m.jobs_failed->Increment();
     }
-    // Per-tenant series (same classification), plus the queue-wait
-    // histogram alert rules watch per priority class.
+    // The queue-wait histogram alert rules watch per priority class; its
+    // sum over the tenant's dequeued jobs is also the tenant's mean wait.
     tenant->metric_queue_wait->Observe(outcome.queue_wall_ms);
-    if (outcome.status.ok()) {
-      tenant->metric_completed->Increment();
-    } else if (outcome.status.IsResourceExhausted()) {
-      tenant->metric_rejected->Increment();
-    } else if (outcome.status.IsDeadlineExceeded()) {
-      tenant->metric_shed->Increment();
-    } else {
-      tenant->metric_failed->Increment();
-    }
     // Live saturation signal: free device bytes right after the job (the
     // graph cache's resident entries count as used until evicted).
     m.admission_headroom_bytes->Set(
@@ -605,6 +595,10 @@ void Scheduler::WorkerLoop(Worker* worker) {
       m.cache_hits->Increment(cs.hits - published_cache.hits);
       m.cache_misses->Increment(cs.misses - published_cache.misses);
       m.cache_evictions->Increment(cs.evictions - published_cache.evictions);
+      m.cache_evicted_bytes->Increment(cs.bytes_evicted -
+                                       published_cache.bytes_evicted);
+      m.cache_stale_invalidated->Increment(cs.stale_invalidated -
+                                           published_cache.stale_invalidated);
       m.cache_resident_bytes->Set(static_cast<double>(cs.resident_bytes));
       published_cache = cs;
     }
@@ -632,54 +626,27 @@ void Scheduler::WorkerLoop(Worker* worker) {
       }
       flight_recorder_->Record(std::move(record));
     }
-    if (capture != nullptr && capture->dropped() > 0) {
-      capture_dropped_total_.fetch_add(capture->dropped(),
-                                       std::memory_order_relaxed);
+    if (capture != nullptr) {
+      metric_trace_dropped_capture_->Increment(capture->dropped());
     }
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
       running_ -= 1;
+      // The job's verdict is counted in the same critical section that
+      // stops counting it as running, so Snapshot() never sees it as both
+      // or neither.
+      m.jobs[verdict]->Increment();
+      tenant->metric_jobs[verdict]->Increment();
       if (gang_size > 1) {
         gang_reserved_ -= gang_size - 1;
         // Freed slots may unblock queued jobs (including other gangs).
         queue_cv_.notify_all();
       }
-      worker->busy_wall_ms += outcome.exec_wall_ms;
-      worker->modeled_ms += outcome.modeled_ms;
-      const GraphCache::Stats& cs = cache.stats();
-      worker->cache_hits = cs.hits;
-      worker->cache_misses = cs.misses;
-      worker->cache_evictions = cs.evictions;
-      worker->cache_bytes_evicted = cs.bytes_evicted;
-      worker->cache_resident_bytes = cs.resident_bytes;
-      worker->cache_stale_invalidated = cs.stale_invalidated;
-      if (gang_size > 1 && outcome.status.ok()) {
-        worker->gang_jobs += 1;
-        worker->exchange_bytes += outcome.exchange_bytes;
-        worker->exchange_rounds += outcome.exchange_rounds;
-      }
       // A finished job frees a slot, which can make a queued gang runnable
       // for *other* idle workers — availability is part of their wait
       // predicate now, so they must be re-woken.
       if (!queue_.empty()) queue_cv_.notify_all();
-      tenant->queue_wait_ms_total += outcome.queue_wall_ms;
-      if (outcome.status.ok()) {
-        completed_ += 1;
-        worker->jobs_completed += 1;
-        tenant->completed += 1;
-      } else if (outcome.status.IsResourceExhausted()) {
-        rejected_admission_ += 1;
-        worker->jobs_rejected += 1;
-        tenant->rejected += 1;
-      } else if (outcome.status.IsDeadlineExceeded()) {
-        shed_deadline_ += 1;
-        tenant->shed_deadline += 1;
-      } else {
-        failed_ += 1;
-        worker->jobs_failed += 1;
-        tenant->failed += 1;
-      }
       if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
     }
     promise.set_value(std::move(outcome));
@@ -772,7 +739,6 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
     return outcome;
   }
 
-  const AlgorithmHandler& handler = GetHandler(job.spec.algorithm());
   prof::Session session(device);
   double modeled_before = device->elapsed_ms();
   double transfer_before = device->transfer_ms();
@@ -825,12 +791,13 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
       }
     }
   } else {
-    payload = handler.run(device, job.spec, residency);
+    payload = core::Run(device, core::AlgoSpec{job.spec.algorithm()},
+                        *job.spec.graph, job.spec.params, residency);
   }
   outcome.modeled_ms = device->elapsed_ms() - modeled_before;
   outcome.modeled_transfer_ms = device->transfer_ms() - transfer_before;
   outcome.cache_hit = cache != nullptr && cache->stats().hits > hits_before;
-  outcome.profile = session.Finish();
+  const prof::AlgoProfile profile = session.Finish();
   if (payload.ok()) {
     outcome.status = Status::OK();
     outcome.payload = std::move(payload).value();
@@ -849,9 +816,17 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
   // Per-job attribution (DESIGN.md §2.14): fold this job's kernel window
   // into the compact JobProfile *before* the counter reset below wipes the
   // log.  The window is exactly [session.start_index(), log.size()).
-  if (options_.job_profiles && outcome.status.ok()) {
-    outcome.job_profile = prof::BuildJobProfile(
-        outcome.profile, device->kernel_log(), session.start_index());
+  if (outcome.status.ok()) {
+    const vgpu::KernelCounters& kc = profile.counters;
+    WorkerMetricHandles& m = worker->metrics;
+    m.warp_inst->Increment(kc.warp_inst_issued);
+    m.dram_bytes->Increment(kc.dram_read_bytes + kc.dram_write_bytes);
+    m.l2_hits->Increment(kc.l2_hits);
+    m.l2_misses->Increment(kc.l2_misses);
+    if (options_.job_profiles) {
+      outcome.job_profile = prof::BuildJobProfile(
+          profile, device->kernel_log(), session.start_index());
+    }
   }
 
   // Fresh profiling state for the next request; live allocations were
@@ -983,24 +958,21 @@ std::vector<trace::TraceEvent> Scheduler::TraceEvents() const {
   return trace_collector_->Events();
 }
 
+Scheduler::Verdict Scheduler::Classify(const Status& status) {
+  if (status.ok()) return kCompleted;
+  if (status.IsResourceExhausted()) return kRejectedAdmission;
+  if (status.IsDeadlineExceeded()) return kShedDeadline;
+  return kFailed;
+}
+
 prof::ServerStats Scheduler::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   prof::ServerStats stats;
-  stats.jobs_submitted = submitted_;
-  stats.jobs_completed = completed_;
-  stats.jobs_failed = failed_;
-  stats.jobs_rejected_admission = rejected_admission_;
-  stats.jobs_rejected_backpressure = rejected_backpressure_;
-  stats.jobs_shed_deadline = shed_deadline_;
+  stats.jobs_submitted = metric_submitted_->Value();
+  stats.jobs_rejected_backpressure = metric_rejected_backpressure_->Value();
   stats.jobs_queued = queue_.size();
   stats.jobs_running = running_;
   stats.uptime_ms = MsBetween(started_at_, Clock::now());
-  // Guard the rates against a zero/near-zero uptime (an immediate snapshot
-  // after Create()): 0, not inf/NaN or an absurd spike.
-  stats.jobs_per_sec = stats.uptime_ms >= kMinUptimeMs
-                           ? 1000.0 * static_cast<double>(completed_) /
-                                 stats.uptime_ms
-                           : 0;
   // Pool-wide percentiles: merge the per-worker latency histograms
   // (identical bucket layouts) and interpolate.  Fixed memory regardless
   // of job count, at the price of bucket-resolution estimates — the trade
@@ -1008,9 +980,51 @@ prof::ServerStats Scheduler::Snapshot() const {
   obs::HistogramSnapshot modeled_merged;
   obs::HistogramSnapshot wall_merged;
   for (const auto& worker : workers_) {
-    modeled_merged.Merge(worker->metrics.modeled_latency->Snapshot());
-    wall_merged.Merge(worker->metrics.wall_latency->Snapshot());
+    const WorkerMetricHandles& m = worker->metrics;
+    modeled_merged.Merge(m.modeled_latency->Snapshot());
+    wall_merged.Merge(m.wall_latency->Snapshot());
+    prof::DeviceStats d;
+    d.name = worker->arch_name;
+    d.vendor = worker->slot.arch->vendor;
+    d.jobs_completed = m.jobs[kCompleted]->Value();
+    d.jobs_failed = m.jobs[kFailed]->Value();
+    d.jobs_rejected = m.jobs[kRejectedAdmission]->Value();
+    d.busy_wall_ms = m.busy_wall_ms->Value();
+    d.modeled_ms = m.modeled_ms->Value();
+    // Clamped: busy time is measured with a different clock granularity
+    // than uptime, so the raw ratio can poke past 1.0 on short windows.
+    d.utilization =
+        stats.uptime_ms >= kMinUptimeMs
+            ? std::clamp(d.busy_wall_ms / stats.uptime_ms, 0.0, 1.0)
+            : 0;
+    m.utilization->Set(d.utilization);
+    d.memory_capacity_bytes = worker->memory_capacity_bytes;
+    d.cache_hits = m.cache_hits->Value();
+    d.cache_misses = m.cache_misses->Value();
+    d.cache_resident_bytes =
+        static_cast<uint64_t>(m.cache_resident_bytes->Value());
+    stats.jobs_completed += d.jobs_completed;
+    stats.jobs_failed += d.jobs_failed;
+    stats.jobs_rejected_admission += d.jobs_rejected;
+    stats.jobs_shed_deadline += m.jobs[kShedDeadline]->Value();
+    stats.cache_hits += d.cache_hits;
+    stats.cache_misses += d.cache_misses;
+    stats.cache_evictions += m.cache_evictions->Value();
+    stats.cache_bytes_evicted += m.cache_evicted_bytes->Value();
+    stats.cache_resident_bytes += d.cache_resident_bytes;
+    stats.cache_stale_invalidated += m.cache_stale_invalidated->Value();
+    stats.gang_jobs_completed += m.gang_jobs->Value();
+    stats.exchange_bytes_total += m.exchange_bytes->Value();
+    stats.exchange_rounds_total += m.exchange_rounds->Value();
+    stats.devices.push_back(std::move(d));
   }
+  // Guard the rates against a zero/near-zero uptime (an immediate snapshot
+  // after Create()): 0, not inf/NaN or an absurd spike.
+  stats.jobs_per_sec =
+      stats.uptime_ms >= kMinUptimeMs
+          ? 1000.0 * static_cast<double>(stats.jobs_completed) /
+                stats.uptime_ms
+          : 0;
   stats.p50_modeled_ms = modeled_merged.Quantile(0.50);
   stats.p95_modeled_ms = modeled_merged.Quantile(0.95);
   stats.p99_modeled_ms = modeled_merged.Quantile(0.99);
@@ -1023,9 +1037,10 @@ prof::ServerStats Scheduler::Snapshot() const {
   metric_jobs_running_->Set(static_cast<double>(stats.jobs_running));
   metric_uptime_ms_->Set(stats.uptime_ms);
   metric_jobs_per_sec_->Set(stats.jobs_per_sec);
-  // Dropped-span totals per sink.  The sources are absolute (and the
-  // global ring's resets on every trace::Start()), so publish deltas
-  // against the last-seen mirrors — counters must only ever go up.
+  // Dropped-span totals of the global ring and the session collector.  The
+  // sources are absolute (and the global ring's resets on every
+  // trace::Start()), so publish deltas against the last-seen mirrors —
+  // counters must only ever go up.
   {
     const uint64_t global_now = trace::GlobalDropped();
     if (global_now < published_trace_dropped_global_) {
@@ -1041,63 +1056,20 @@ prof::ServerStats Scheduler::Snapshot() const {
           session_now - published_trace_dropped_session_);
       published_trace_dropped_session_ = session_now;
     }
-    const uint64_t capture_now =
-        capture_dropped_total_.load(std::memory_order_relaxed);
-    metric_trace_dropped_capture_->Increment(capture_now -
-                                             published_trace_dropped_capture_);
-    published_trace_dropped_capture_ = capture_now;
-  }
-  for (const auto& worker : workers_) {
-    prof::DeviceStats d;
-    d.name = worker->arch_name;
-    d.vendor = worker->slot.arch->vendor;
-    d.jobs_completed = worker->jobs_completed;
-    d.jobs_failed = worker->jobs_failed;
-    d.jobs_rejected = worker->jobs_rejected;
-    d.busy_wall_ms = worker->busy_wall_ms;
-    d.modeled_ms = worker->modeled_ms;
-    // Clamped: busy time is measured with a different clock granularity
-    // than uptime, so the raw ratio can poke past 1.0 on short windows.
-    d.utilization =
-        stats.uptime_ms >= kMinUptimeMs
-            ? std::clamp(worker->busy_wall_ms / stats.uptime_ms, 0.0, 1.0)
-            : 0;
-    worker->metrics.busy_wall_ms->Set(worker->busy_wall_ms);
-    worker->metrics.utilization->Set(d.utilization);
-    d.memory_capacity_bytes = worker->memory_capacity_bytes;
-    d.cache_hits = worker->cache_hits;
-    d.cache_misses = worker->cache_misses;
-    d.cache_evictions = worker->cache_evictions;
-    d.cache_bytes_evicted = worker->cache_bytes_evicted;
-    d.cache_resident_bytes = worker->cache_resident_bytes;
-    d.cache_stale_invalidated = worker->cache_stale_invalidated;
-    d.gang_jobs = worker->gang_jobs;
-    d.exchange_bytes = worker->exchange_bytes;
-    d.exchange_rounds = worker->exchange_rounds;
-    stats.cache_hits += d.cache_hits;
-    stats.cache_misses += d.cache_misses;
-    stats.cache_evictions += d.cache_evictions;
-    stats.cache_bytes_evicted += d.cache_bytes_evicted;
-    stats.cache_resident_bytes += d.cache_resident_bytes;
-    stats.cache_stale_invalidated += d.cache_stale_invalidated;
-    stats.gang_jobs_completed += d.gang_jobs;
-    stats.exchange_bytes_total += d.exchange_bytes;
-    stats.exchange_rounds_total += d.exchange_rounds;
-    stats.devices.push_back(std::move(d));
   }
   // Tenant table — only when tenancy is in play; an all-anonymous run keeps
   // the pre-tenancy report output byte-for-byte.
-  if (!(tenants_.size() == 1 && tenants_.begin()->first.empty())) {
+  if (!(tenants_.size() == 1 && tenants_.begin()->first == "-")) {
     for (const auto& [name, t] : tenants_) {
       prof::TenantStats ts;
-      ts.name = name.empty() ? "-" : name;
+      ts.name = name;
       ts.priority = t.priority;
-      ts.jobs_submitted = t.submitted;
-      ts.jobs_completed = t.completed;
-      ts.jobs_failed = t.failed;
-      ts.jobs_rejected = t.rejected;
-      ts.jobs_shed_deadline = t.shed_deadline;
-      ts.queue_wait_ms_total = t.queue_wait_ms_total;
+      ts.jobs_submitted = t.metric_submitted->Value();
+      ts.jobs_completed = t.metric_jobs[kCompleted]->Value();
+      ts.jobs_failed = t.metric_jobs[kFailed]->Value();
+      ts.jobs_rejected = t.metric_jobs[kRejectedAdmission]->Value();
+      ts.jobs_shed_deadline = t.metric_jobs[kShedDeadline]->Value();
+      ts.queue_wait_ms_total = t.metric_queue_wait->Snapshot().sum;
       stats.tenants.push_back(std::move(ts));
     }
   }
@@ -1121,7 +1093,7 @@ std::map<std::string, double> Scheduler::PollMetrics() {
   values["trace_dropped_spans"] =
       static_cast<double>(trace::GlobalDropped() +
                           (trace_collector_ ? trace_collector_->dropped() : 0) +
-                          capture_dropped_total_.load(std::memory_order_relaxed));
+                          metric_trace_dropped_capture_->Value());
   double utilization = 0;
   for (const prof::DeviceStats& d : stats.devices) {
     utilization += d.utilization;

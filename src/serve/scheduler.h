@@ -1,6 +1,7 @@
 #ifndef ADGRAPH_SERVE_SCHEDULER_H_
 #define ADGRAPH_SERVE_SCHEDULER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -136,7 +137,11 @@ class Scheduler {
   /// ones with kUnavailable.  Idempotent; the destructor calls it.
   void Shutdown();
 
-  /// Point-in-time statistics snapshot (thread-safe).
+  /// Point-in-time statistics snapshot (thread-safe): a view of the
+  /// metrics_registry() series plus the queue and running-job state, so it
+  /// cannot disagree with a scrape.  Taken under mutex_, the lock Submit()
+  /// and the post-job bookkeeping also count under, so submitted == queued
+  /// + running + completed + failed + rejected_admission + shed_deadline.
   prof::ServerStats Snapshot() const;
 
   /// Spans collected by the session sink so far (oldest first); empty when
@@ -145,8 +150,9 @@ class Scheduler {
 
   /// The live metric registry (always populated: per-worker job/cache/
   /// kernel-counter series, latency histograms, build_info).  Thread-safe
-  /// to Scrape() at any time; gauges are refreshed by Snapshot(), so call
-  /// that first for up-to-the-instant gauge values.
+  /// to Scrape() at any time; the uptime, throughput, running-job and
+  /// utilization gauges are refreshed by Snapshot(), so call that first
+  /// for up-to-the-instant values of those.
   const obs::Registry& metrics_registry() const { return registry_; }
   /// Mutable registry access for co-located layers (the net front door
   /// registers its per-tenant session/quota series here so one scrape
@@ -188,22 +194,34 @@ class Scheduler {
     TenantState* tenant = nullptr;
   };
 
+  /// How a finished job is counted; Classify() in scheduler.cc maps a
+  /// status here, and the value indexes the verdict counter arrays below.
+  enum Verdict : size_t {
+    kCompleted,
+    kRejectedAdmission,
+    kShedDeadline,
+    kFailed,
+    kNumVerdicts
+  };
+
   /// Registry handles of one worker's labeled series, resolved once in
   /// Create() (labels {worker=i, device=arch}); updates afterwards are
-  /// lock-free atomics on the worker thread.
+  /// lock-free atomics.  These series are the only store of the worker's
+  /// counts: Snapshot() reads them back.
   struct WorkerMetricHandles {
-    obs::Counter* jobs_completed = nullptr;
-    obs::Counter* jobs_failed = nullptr;
-    obs::Counter* jobs_rejected = nullptr;
-    obs::Counter* jobs_shed = nullptr;
+    /// Indexed by Verdict; bumped under mutex_ together with running_.
+    std::array<obs::Counter*, kNumVerdicts> jobs{};
     /// Live admission headroom: device free bytes after the last job — the
     /// saturation signal tenant alert rules watch (DESIGN.md §2.10).
     obs::Gauge* admission_headroom_bytes = nullptr;
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_misses = nullptr;
     obs::Counter* cache_evictions = nullptr;
+    obs::Counter* cache_evicted_bytes = nullptr;
+    obs::Counter* cache_stale_invalidated = nullptr;
     obs::Gauge* cache_resident_bytes = nullptr;
     obs::Gauge* busy_wall_ms = nullptr;
+    obs::Gauge* modeled_ms = nullptr;
     obs::Gauge* utilization = nullptr;
     // Per-job aggregated kernel counters (vgpu::KernelCounters), the
     // instruction-rate surface of paper Table 6.
@@ -211,7 +229,8 @@ class Scheduler {
     obs::Counter* dram_bytes = nullptr;
     obs::Counter* l2_hits = nullptr;
     obs::Counter* l2_misses = nullptr;
-    // Partitioned-exchange interconnect traffic of gang jobs.
+    // Gang jobs completed OK and their partitioned-exchange traffic.
+    obs::Counter* gang_jobs = nullptr;
     obs::Counter* exchange_bytes = nullptr;
     obs::Counter* exchange_rounds = nullptr;
     /// Warm-started jobs that fell back to full recompute (§2.12) — the
@@ -233,55 +252,33 @@ class Scheduler {
     WorkerMetricHandles metrics; ///< fixed at Create(); atomically updated
     std::thread thread;
     // --- owned by mutex_ ---
-    uint64_t jobs_completed = 0;
-    uint64_t jobs_failed = 0;
-    uint64_t jobs_rejected = 0;
-    double busy_wall_ms = 0;
-    double modeled_ms = 0;
     uint64_t memory_capacity_bytes = 0;
-    /// Mirror of the worker-thread-owned GraphCache::Stats, refreshed
-    /// under mutex_ after every job so Snapshot() can read it safely.
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    uint64_t cache_evictions = 0;
-    uint64_t cache_bytes_evicted = 0;
-    uint64_t cache_resident_bytes = 0;
-    uint64_t cache_stale_invalidated = 0;
     /// Residency invalidations queued by InvalidateResidency(), drained on
     /// the worker thread before the next dequeue (cache is thread-owned).
     std::vector<std::pair<uint64_t, uint64_t>> pending_invalidations;
-    // Gang execution (DESIGN.md §2.7), updated after each gang job.
-    uint64_t gang_jobs = 0;
-    uint64_t exchange_bytes = 0;
-    uint64_t exchange_rounds = 0;
   };
 
-  /// Per-tenant accounting + fair-share state (multi-tenant QoS,
-  /// DESIGN.md §2.10).  Counts and vtime are owned by mutex_; the obs
-  /// handles are registered once (first Submit naming the tenant) and
-  /// updated lock-free from worker threads afterwards.
+  /// Per-tenant fair-share state (multi-tenant QoS, DESIGN.md §2.10).
+  /// priority and vtime are owned by mutex_; the obs handles, which hold
+  /// the tenant's counts, are registered once (first Submit naming the
+  /// tenant) and updated lock-free from worker threads afterwards.
   struct TenantState {
     uint32_t priority = 0;
     /// Weighted-fair-queue virtual time: bumped by 1/weight per dequeued
     /// job, floored at the pool's vtime floor on (re-)arrival so an idle
     /// tenant cannot bank unbounded credit.
     double vtime = 0;
-    uint64_t submitted = 0;
-    uint64_t completed = 0;
-    uint64_t failed = 0;
-    uint64_t rejected = 0;
-    uint64_t shed_deadline = 0;
-    double queue_wait_ms_total = 0;
     // Registered lazily in Submit(); stable for the scheduler's lifetime.
     obs::Counter* metric_submitted = nullptr;
-    obs::Counter* metric_completed = nullptr;
-    obs::Counter* metric_failed = nullptr;
-    obs::Counter* metric_rejected = nullptr;
-    obs::Counter* metric_shed = nullptr;
+    /// Indexed by Verdict; bumped under mutex_ like the worker's array.
+    std::array<obs::Counter*, kNumVerdicts> metric_jobs{};
     obs::Histogram* metric_queue_wait = nullptr;
   };
 
   explicit Scheduler(Options options);
+
+  /// The one status-to-verdict mapping every job count goes through.
+  static Verdict Classify(const Status& status);
 
   void WorkerLoop(Worker* worker);
   /// Runs one job on the worker's device (admission + execution +
@@ -340,13 +337,10 @@ class Scheduler {
   std::atomic<uint64_t> alerts_track_{0};
   /// Slow-job flight recorder (DESIGN.md §2.14); always non-null.
   std::unique_ptr<FlightRecorder> flight_recorder_;
-  /// Spans dropped by per-job SpanCaptures (bounded buffers), summed over
-  /// all finished jobs; feeds adgraph_trace_dropped_spans_total{track=
-  /// "capture"}.
-  std::atomic<uint64_t> capture_dropped_total_{0};
   // Dropped-span counters per sink ("track" label: global / session /
-  // capture).  The sources are absolute totals, so Snapshot() publishes
-  // deltas against the mirrors below (owned by mutex_).
+  // capture).  Workers bump the capture series directly; the global and
+  // session sources are absolute totals inside trace/, so Snapshot()
+  // publishes their deltas against the mirrors below (owned by mutex_).
   obs::Counter* metric_trace_dropped_global_ = nullptr;
   obs::Counter* metric_trace_dropped_session_ = nullptr;
   obs::Counter* metric_trace_dropped_capture_ = nullptr;
@@ -364,17 +358,9 @@ class Scheduler {
   // from Snapshot(): publishing is observable side bookkeeping, not state.
   mutable uint64_t published_trace_dropped_global_ = 0;
   mutable uint64_t published_trace_dropped_session_ = 0;
-  mutable uint64_t published_trace_dropped_capture_ = 0;
 
-  // Aggregate stats (owned by mutex_).
-  uint64_t submitted_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t failed_ = 0;
-  uint64_t rejected_admission_ = 0;
-  uint64_t rejected_backpressure_ = 0;
-  uint64_t shed_deadline_ = 0;
-  uint64_t running_ = 0;
-  /// Tenant accounting, keyed by tenant name ("" = anonymous).  Node
+  uint64_t running_ = 0;  ///< jobs dequeued and not yet counted (mutex_)
+  /// Tenant accounting, keyed by tenant label ("-" = anonymous).  Node
   /// pointers are handed to PendingJob (std::map nodes are stable), so the
   /// map itself is only mutated under mutex_.
   std::map<std::string, TenantState> tenants_;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include "graph/csr.h"
 #include "graph/generate.h"
+#include "obs/registry.h"
 #include "ooc/ooc_csr.h"
 #include "net/client.h"
 #include "net/json.h"
@@ -212,6 +214,53 @@ TEST(WireTest, BuildJobParamsRejectsMalformedNumbers) {
   EXPECT_TRUE(BuildJobParams(params, kv, 100).ok());
 }
 
+TEST(WireTest, CheckedIntegerRejectsWhatACastWouldMangle) {
+  const uint64_t u32 = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(CheckedInteger("k", 0, u32).value(), 0u);
+  EXPECT_EQ(CheckedInteger("k", 4294967295.0, u32).value(), u32);
+  for (double bad : {4294967296.0, 1e300, 2.9, -3.0, -0.5,
+                     std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(CheckedInteger("k", bad, u32).status().IsInvalidArgument())
+        << bad;
+  }
+  // UINT64_MAX rounds up to 2^64 as a double; 2^64 itself must not pass.
+  const uint64_t u64 = std::numeric_limits<uint64_t>::max();
+  EXPECT_TRUE(CheckedInteger("job", 0x1p64, u64).status().IsInvalidArgument());
+  EXPECT_EQ(CheckedInteger("job", 0x1p63, u64).value(), uint64_t{1} << 63);
+}
+
+TEST(WireTest, BuildJobParamsRejectsOutOfRangeIntegers) {
+  // Each of these used to be cast unchecked: 2^32, 1e300 and nan ran BFS
+  // from vertex 0, 2.9 from vertex 2, and iters=-3 / 1e12 wrapped to
+  // billions of PageRank iterations.
+  for (const char* source : {"4294967296", "1e300", "nan", "2.9", "-1"}) {
+    EXPECT_TRUE(BuildJobParams(serve::Algorithm::kBfs, {{"source", source}},
+                               100)
+                    .status()
+                    .IsInvalidArgument())
+        << source;
+  }
+  for (const char* iters : {"-3", "1e12", "inf", "0.5"}) {
+    EXPECT_TRUE(BuildJobParams(serve::Algorithm::kPageRank,
+                               {{"iters", iters}}, 100)
+                    .status()
+                    .IsInvalidArgument())
+        << iters;
+  }
+  EXPECT_TRUE(BuildJobParams(serve::Algorithm::kKCore, {{"k", "-2"}}, 100)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(BuildJobParams(serve::Algorithm::kEsbv, {{"seed", "7.5"}}, 100)
+                  .status()
+                  .IsInvalidArgument());
+  auto iters =
+      BuildJobParams(serve::Algorithm::kPageRank, {{"iters", "3"}}, 100);
+  ASSERT_TRUE(iters.ok());
+  EXPECT_EQ(std::get<core::PageRankOptions>(*iters).max_iterations, 3u);
+}
+
 TEST(WireTest, JobParamsFromJsonAcceptsNumbersStringsBools) {
   auto request = Json::Parse(R"({"source":5,"symmetric":true})").value();
   auto params =
@@ -269,8 +318,8 @@ TEST(ServerTest, SubmitOverTcpMatchesInProcessFingerprint) {
   EXPECT_EQ(done.GetString("status", ""), "ok");
   EXPECT_EQ(done.GetString("tag", ""), "t1");
 
-  // In-process reference: identical params through the same registry
-  // handler on a fresh device must fingerprint-match the wire result.
+  // In-process reference: identical params through core::Run on a fresh
+  // device must fingerprint-match the wire result.
   serve::JobSpec spec;
   spec.graph = g;
   spec.params = BuildJobParams(serve::Algorithm::kBfs,
@@ -279,7 +328,8 @@ TEST(ServerTest, SubmitOverTcpMatchesInProcessFingerprint) {
                     .value();
   vgpu::Device device(vgpu::A100Config());
   auto payload =
-      serve::GetHandler(serve::Algorithm::kBfs).run(&device, spec, nullptr)
+      core::Run(&device, core::AlgoSpec{serve::Algorithm::kBfs}, *g,
+                spec.params)
           .value();
   EXPECT_EQ(done.GetString("fingerprint", ""),
             FingerprintHex(serve::FingerprintPayload(payload)));
@@ -501,6 +551,43 @@ TEST(ServerTest, PollAfterCancelIsDeterministicTerminal) {
   EXPECT_EQ(usage.inflight_bytes, 0u);
 }
 
+TEST(ServerTest, OutOfRangeIntegersAreInvalidArgumentSessionSurvives) {
+  auto live = StartServer(TestGraph());
+  auto client = Client::Connect("127.0.0.1", live.server->port()).value();
+  ASSERT_TRUE(client.Hello("x").ok());
+  const char* requests[] = {
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":4294967296}})",
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":1e300}})",
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":"nan"}})",
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":2.9}})",
+      R"({"op":"SUBMIT","algo":"pagerank","params":{"iters":-3}})",
+      R"({"op":"SUBMIT","algo":"pagerank","params":{"iters":1e12}})",
+      R"({"op":"SUBMIT","algo":"bfs","shard_bytes":-1})",
+      R"({"op":"SUBMIT","algo":"bfs","shard_bytes":1.5})",
+      R"({"op":"POLL","job":-1})",
+      R"({"op":"POLL","job":2.5})",
+      R"({"op":"CANCEL","job":1e300})",
+      R"({"op":"INSPECT","job":-7})",
+      R"({"op":"INSPECT","sched_job_id":0.25})",
+  };
+  for (const char* text : requests) {
+    auto response = client.Call(Json::Parse(text).value()).value();
+    EXPECT_FALSE(response.GetBool("ok", true)) << text;
+    EXPECT_EQ(response.GetString("code", ""), "invalid_argument")
+        << text << " -> " << response.Dump();
+  }
+  EXPECT_EQ(live.scheduler->Snapshot().jobs_submitted, 0u)
+      << "no rejected request may reach the scheduler";
+  // The session is still usable: a well-formed job runs to completion.
+  auto ok = client.Call(Json::Parse(
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":3}})").value())
+      .value();
+  ASSERT_TRUE(ok.GetBool("ok", false)) << ok.Dump();
+  auto done =
+      client.WaitJob(static_cast<uint64_t>(ok.GetNumber("job", 0))).value();
+  EXPECT_EQ(done.GetString("status", ""), "ok") << done.Dump();
+}
+
 // --- MUTATE (dynamic graphs) ----------------------------------------------
 
 TEST(ServerTest, MutateThenSubmitSeesFreshGraph) {
@@ -577,6 +664,33 @@ TEST(ServerTest, MutateErrorsAreStructured) {
                   .value()
                   .GetBool("ok", false))
       << "the session must survive a rejected mutation";
+}
+
+TEST(ServerTest, MutateRejectsOutOfRangeIdsBeforeApplyingAny) {
+  auto live = StartServer(TestGraph());
+  auto client = Client::Connect("127.0.0.1", live.server->port()).value();
+  ASSERT_TRUE(client.Hello("x").ok());
+  auto before = client.Mutate("default", Json::MakeArray()).value();
+  // u=2^32 used to wrap to vertex 0 and silently mutate edge (0, v); the
+  // valid update ahead of it in the batch must not be applied either.
+  for (const char* bad : {R"({"u":4294967296,"v":5})", R"({"u":1,"v":-1})",
+                          R"({"u":1.5,"v":5})", R"({"u":1,"v":1e300})"}) {
+    Json updates = Json::MakeArray();
+    updates.PushBack(Json::Parse(R"({"op":"add","u":1,"v":61})").value());
+    updates.PushBack(Json::Parse(bad).value());
+    Json request = Json::MakeObject();
+    request.Set("op", "MUTATE");
+    request.Set("updates", std::move(updates));
+    auto response = client.Call(request).value();
+    EXPECT_FALSE(response.GetBool("ok", true)) << bad;
+    EXPECT_EQ(response.GetString("code", ""), "invalid_argument")
+        << bad << " -> " << response.Dump();
+  }
+  auto after = client.Mutate("default", Json::MakeArray()).value();
+  EXPECT_EQ(after.GetNumber("version", -1), before.GetNumber("version", -2));
+  EXPECT_EQ(after.GetNumber("num_edges", -1),
+            before.GetNumber("num_edges", -2));
+  EXPECT_EQ(live.server->Counters().mutations_applied, 0u);
 }
 
 TEST(ServerTest, MutateCompactFoldsTheDelta) {
@@ -657,8 +771,8 @@ TEST(ServerTest, OocSubmitStreamsOnWireAndMatchesInMemory) {
 
   // Byte-identical to the in-memory path on a full-size device.
   vgpu::Device roomy(vgpu::A100Config());
-  auto payload = serve::GetHandler(serve::Algorithm::kPageRank)
-                     .run(&roomy, probe, nullptr)
+  auto payload = core::Run(&roomy, core::AlgoSpec{serve::Algorithm::kPageRank},
+                           *probe.graph, probe.params)
                      .value();
   EXPECT_EQ(done.GetString("fingerprint", ""),
             FingerprintHex(serve::FingerprintPayload(payload)));
@@ -854,6 +968,84 @@ TEST(ServerTest, GoldenSubmitPollAndStatsKeySets) {
                 "sessions_open", "sessions_opened", "requests",
                 "protocol_errors", "submits_accepted",
                 "submits_rejected_quota", "mutations_applied"}));
+}
+
+/// Sum over every series of a counter or gauge family in `registry`.
+double ScrapeSum(const obs::Registry& registry, const std::string& name) {
+  double total = 0;
+  for (const auto& family : registry.Scrape()) {
+    if (family.name != name) continue;
+    for (const auto& series : family.series) total += series.value;
+  }
+  return total;
+}
+
+// STATS and the Prometheus scrape read the same registry series, so after
+// a loopback run with quota rejections, sheds, protocol errors and a
+// mutation every "jobs" and "server" number must equal its scrape sum.
+TEST(ServerTest, StatsMatchesScrapeAfterLoopbackRun) {
+  auto live = StartServer(TestGraph(),
+                          {{.name = "alpha", .max_concurrent = 1},
+                           {.name = "beta"}},
+                          /*floor_ms=*/20);
+  auto alpha = Client::Connect("127.0.0.1", live.server->port()).value();
+  auto beta = Client::Connect("127.0.0.1", live.server->port()).value();
+  ASSERT_TRUE(alpha.Hello("alpha").ok());
+  ASSERT_TRUE(beta.Hello("beta").ok());
+  auto bfs = Json::Parse(
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":0}})").value();
+  auto first = alpha.Call(bfs).value();
+  ASSERT_TRUE(first.GetBool("ok", false)) << first.Dump();
+  EXPECT_FALSE(alpha.Call(bfs).value().GetBool("ok", true))
+      << "alpha's second concurrent job is over quota";
+  auto shed = beta.Call(Json::Parse(
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":1},)"
+      R"("deadline_ms":1})").value()).value();
+  ASSERT_TRUE(shed.GetBool("ok", false)) << shed.Dump();
+  ASSERT_TRUE(beta.SendLine("{not json").ok());
+  ASSERT_TRUE(beta.ReadLine().ok());
+  Json updates = Json::MakeArray();
+  updates.PushBack(Json::Parse(R"({"op":"add","u":2,"v":70})").value());
+  ASSERT_TRUE(beta.Mutate("default", std::move(updates)).ok());
+  ASSERT_TRUE(
+      alpha.WaitJob(static_cast<uint64_t>(first.GetNumber("job", 0))).ok());
+  auto shed_done =
+      beta.WaitJob(static_cast<uint64_t>(shed.GetNumber("job", 0))).value();
+  EXPECT_EQ(shed_done.GetString("status", ""), "deadline_exceeded");
+
+  auto stats = alpha.Call(Json::Parse(R"({"op":"STATS"})").value()).value();
+  ASSERT_TRUE(stats.GetBool("ok", false)) << stats.Dump();
+  const obs::Registry& registry = live.scheduler->metrics_registry();
+  const Json& jobs = *stats.Find("jobs");
+  EXPECT_EQ(jobs.GetNumber("submitted", -1), 2);
+  EXPECT_EQ(jobs.GetNumber("shed_deadline", -1), 1);
+  for (const auto& [key, family] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"submitted", "adgraph_jobs_submitted_total"},
+           {"completed", "adgraph_jobs_completed_total"},
+           {"failed", "adgraph_jobs_failed_total"},
+           {"rejected_admission", "adgraph_jobs_rejected_admission_total"},
+           {"rejected_backpressure",
+            "adgraph_jobs_rejected_backpressure_total"},
+           {"shed_deadline", "adgraph_jobs_shed_deadline_total"}}) {
+    EXPECT_EQ(jobs.GetNumber(key, -1), ScrapeSum(registry, family)) << key;
+  }
+  const Json& server = *stats.Find("server");
+  EXPECT_EQ(server.GetNumber("submits_rejected_quota", -1), 1);
+  EXPECT_EQ(server.GetNumber("protocol_errors", -1), 1);
+  EXPECT_EQ(server.GetNumber("mutations_applied", -1), 1);
+  for (const auto& [key, family] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"sessions_open", "adgraph_net_live_sessions"},
+           {"sessions_opened", "adgraph_net_sessions_opened_total"},
+           {"requests", "adgraph_net_requests_total"},
+           {"protocol_errors", "adgraph_net_protocol_errors_total"},
+           {"submits_accepted", "adgraph_net_submits_accepted_total"},
+           {"submits_rejected_quota",
+            "adgraph_net_submits_rejected_quota_total"},
+           {"mutations_applied", "adgraph_net_mutations_applied_total"}}) {
+    EXPECT_EQ(server.GetNumber(key, -1), ScrapeSum(registry, family)) << key;
+  }
 }
 
 // Regression: the wire job id used to be minted *after* Scheduler::Submit,

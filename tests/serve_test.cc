@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <future>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -97,7 +100,7 @@ TEST(RegistryTest, EstimatesCoverTheGraphUpload) {
       case Algorithm::kBetweenness: spec.params = core::BcOptions{}; break;
     }
     EXPECT_GE(EstimateJobDeviceBytes(spec), g->DeviceFootprintBytes() / 2)
-        << handler.name;
+        << AlgorithmName(handler.algo);
   }
 }
 
@@ -130,7 +133,7 @@ TEST(SchedulerTest, SingleJobMatchesDirectExecution) {
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.device_name, "A100");
   EXPECT_GT(outcome.modeled_ms, 0);
-  EXPECT_GT(outcome.profile.num_kernels, 0u);
+  EXPECT_GT(outcome.job_profile.num_kernels, 0u);
 
   const auto& result = std::get<core::BfsResult>(outcome.payload);
   auto expected = core::host_ref::BfsLevels(*g, 0);
@@ -222,8 +225,8 @@ TEST(SchedulerTest, ConcurrentSubmissionMatchesSerial) {
     ASSERT_TRUE(outcome.status.ok())
         << "job " << i << ": " << outcome.status.ToString();
     JobSpec spec = make_job(i);
-    auto serial =
-        GetHandler(spec.algorithm()).run(&serial_device, spec, nullptr);
+    auto serial = core::Run(&serial_device, core::AlgoSpec{spec.algorithm()},
+                            *spec.graph, spec.params);
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(FingerprintPayload(outcome.payload),
               FingerprintPayload(*serial))
@@ -874,12 +877,24 @@ TEST(SchedulerTest, GangLargerThanPoolRejected) {
 
 // ------------------------------------------- out-of-core streamed serving
 
-/// Sum of every series of one counter family in `registry`.
-double CounterTotal(const obs::Registry& registry, const std::string& name) {
+/// Sum of every series of one family in `registry`, or only of those
+/// carrying `label` when it is set; histograms contribute their
+/// observation sum.
+double SeriesTotal(const obs::Registry& registry, const std::string& name,
+                   const std::pair<std::string, std::string>& label = {}) {
   double total = 0;
   for (const auto& family : registry.Scrape()) {
     if (family.name != name) continue;
-    for (const auto& series : family.series) total += series.value;
+    for (const auto& series : family.series) {
+      if (!label.first.empty() &&
+          std::find(series.labels.begin(), series.labels.end(), label) ==
+              series.labels.end()) {
+        continue;
+      }
+      total += family.kind == obs::MetricKind::kHistogram
+                   ? series.histogram.sum
+                   : series.value;
+    }
   }
   return total;
 }
@@ -1025,8 +1040,8 @@ TEST(SchedulerTest, OverBudgetJobStreamsWhenAllowedAndMatchesInMemory) {
           .value();
   EXPECT_EQ(FingerprintPayload(outcome.payload), FingerprintPayload(direct));
 
-  EXPECT_GE(CounterTotal(scheduler->metrics_registry(),
-                         "adgraph_streamed_jobs_total"),
+  EXPECT_GE(SeriesTotal(scheduler->metrics_registry(),
+                        "adgraph_streamed_jobs_total"),
             1.0);
 }
 
@@ -1149,8 +1164,8 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
   auto full = core::RunBfs(&direct, *snap1, bfs).value();
   EXPECT_EQ(std::get<core::BfsResult>(incremental.payload).levels,
             full.levels);
-  EXPECT_EQ(CounterTotal(scheduler->metrics_registry(),
-                         "adgraph_incremental_fallbacks_total"),
+  EXPECT_EQ(SeriesTotal(scheduler->metrics_registry(),
+                        "adgraph_incremental_fallbacks_total"),
             0.0);
 
   // A deletion forces the fall back to full recompute — and unlike the old
@@ -1176,8 +1191,8 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
   auto full2 = core::RunBfs(&direct, *snap2, bfs).value();
   EXPECT_EQ(std::get<core::BfsResult>(fallback.payload).levels,
             full2.levels);
-  EXPECT_EQ(CounterTotal(scheduler->metrics_registry(),
-                         "adgraph_incremental_fallbacks_total"),
+  EXPECT_EQ(SeriesTotal(scheduler->metrics_registry(),
+                        "adgraph_incremental_fallbacks_total"),
             1.0);
 }
 
@@ -1416,6 +1431,223 @@ TEST(FlightRecorderTest, SchedulerRetainsSpanTreeAfterGlobalRingWrap) {
       scheduler->flight_recorder()->FindByTraceId(records[0]->trace_id);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->sched_job_id, records[0]->sched_job_id);
+}
+
+// ------------------------------------- one source of truth for counts
+
+/// The monotonic counts of a snapshot, flattened by a stable key.
+std::map<std::string, double> MonotonicCounts(const prof::ServerStats& s) {
+  std::map<std::string, double> counts = {
+      {"submitted", double(s.jobs_submitted)},
+      {"completed", double(s.jobs_completed)},
+      {"failed", double(s.jobs_failed)},
+      {"rejected_admission", double(s.jobs_rejected_admission)},
+      {"rejected_backpressure", double(s.jobs_rejected_backpressure)},
+      {"shed_deadline", double(s.jobs_shed_deadline)},
+      {"cache_hits", double(s.cache_hits)},
+      {"cache_misses", double(s.cache_misses)},
+      {"cache_evictions", double(s.cache_evictions)},
+      {"cache_bytes_evicted", double(s.cache_bytes_evicted)},
+      {"cache_stale_invalidated", double(s.cache_stale_invalidated)},
+      {"gang_jobs", double(s.gang_jobs_completed)},
+      {"exchange_bytes", double(s.exchange_bytes_total)},
+      {"exchange_rounds", double(s.exchange_rounds_total)}};
+  for (size_t i = 0; i < s.devices.size(); ++i) {
+    const prof::DeviceStats& d = s.devices[i];
+    const std::string key = "device" + std::to_string(i) + ".";
+    counts[key + "completed"] = double(d.jobs_completed);
+    counts[key + "failed"] = double(d.jobs_failed);
+    counts[key + "rejected"] = double(d.jobs_rejected);
+    counts[key + "busy_ms"] = d.busy_wall_ms;
+    counts[key + "modeled_ms"] = d.modeled_ms;
+    counts[key + "cache_hits"] = double(d.cache_hits);
+    counts[key + "cache_misses"] = double(d.cache_misses);
+  }
+  for (const prof::TenantStats& t : s.tenants) {
+    const std::string key = "tenant." + t.name + ".";
+    counts[key + "submitted"] = double(t.jobs_submitted);
+    counts[key + "completed"] = double(t.jobs_completed);
+    counts[key + "failed"] = double(t.jobs_failed);
+    counts[key + "rejected"] = double(t.jobs_rejected);
+    counts[key + "shed"] = double(t.jobs_shed_deadline);
+    counts[key + "queue_wait_ms"] = t.queue_wait_ms_total;
+  }
+  return counts;
+}
+
+// ROADMAP aim 4: STATS and the scrape cannot disagree.  Four submitters
+// across two tenants produce every verdict (OK, admission reject, deadline
+// shed, failure, backpressure, one 2-device gang) while a reader loops
+// Snapshot() + Scrape(); every snapshot must satisfy the job identity and
+// never move a count backwards, and after Drain() every count must equal
+// the sum of its registry series.
+TEST(SchedulerTest, SnapshotAndScrapeAgreeUnderConcurrentLoad) {
+  auto g = TestGraph(8);
+  JobSpec esbv{.graph = g, .params = core::EsbvOptions{}};
+  std::get<core::EsbvOptions>(esbv.params).vertices =
+      core::SelectPseudoCluster(g->num_vertices(), 0.6, 7);
+  const uint64_t upload = g->DeviceFootprintBytes();
+  const uint64_t esbv_estimate = EstimateJobDeviceBytes(esbv);
+  ASSERT_GT(esbv_estimate, upload);
+  Scheduler::DeviceSlot slot =
+      BudgetedSlot(upload + (esbv_estimate - upload) / 2);
+  Scheduler::Options options;
+  options.devices = {slot, slot};
+  options.queue_capacity = 2;
+  options.overflow = Scheduler::OverflowPolicy::kReject;
+  options.device_occupancy_floor_ms = 5;
+  auto scheduler = Scheduler::Create(std::move(options)).value();
+
+  auto make_job = [&](int thread, int i) {
+    JobSpec spec = BfsJob(g, static_cast<graph::vid_t>(thread * 7 + i));
+    spec.tenant = thread < 2 ? "alpha" : "beta";
+    switch (i) {
+      case 1:  // estimate above device memory
+        spec.params = esbv.params;
+        break;
+      case 2:  // any queue wait misses a 1 ns deadline
+        spec.deadline_ms = 1e-6;
+        break;
+      case 3:  // engine rejects the source vertex
+        std::get<core::BfsOptions>(spec.params).source = g->num_vertices() + 5;
+        break;
+      case 5:
+        if (thread == 0) {
+          spec.gang_devices = 2;
+          std::get<core::BfsOptions>(spec.params).direction_optimizing = false;
+        }
+        break;
+    }
+    return spec;
+  };
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::map<std::string, double> last;
+    while (!done.load()) {
+      const prof::ServerStats s = scheduler->Snapshot();
+      (void)scheduler->metrics_registry().Scrape();
+      ASSERT_EQ(s.jobs_submitted, s.jobs_queued + s.jobs_running +
+                                      s.jobs_completed + s.jobs_failed +
+                                      s.jobs_rejected_admission +
+                                      s.jobs_shed_deadline);
+      for (const auto& [key, value] : MonotonicCounts(s)) {
+        ASSERT_GE(value, last[key]) << key;
+        last[key] = value;
+      }
+    }
+  });
+
+  constexpr int kThreads = 4;
+  constexpr int kJobsPerThread = 6;
+  std::atomic<uint64_t> backpressure{0};
+  std::mutex mu;
+  std::map<StatusCode, uint64_t> verdicts;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<JobOutcome>> futures;
+      for (int i = 0; i < kJobsPerThread; ++i) {
+        for (;;) {
+          auto submitted = scheduler->Submit(make_job(t, i));
+          if (submitted.ok()) {
+            futures.push_back(std::move(submitted).value());
+            break;
+          }
+          ASSERT_TRUE(submitted.status().IsResourceExhausted())
+              << submitted.status().ToString();
+          backpressure.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      for (auto& future : futures) {
+        const StatusCode code = future.get().status.code();
+        std::lock_guard<std::mutex> lock(mu);
+        verdicts[code] += 1;
+      }
+    });
+  }
+  for (auto& thread : submitters) thread.join();
+  scheduler->Drain();
+  done.store(true);
+  reader.join();
+
+  const prof::ServerStats stats = scheduler->Snapshot();
+  auto sum = [&](const std::string& name,
+                 const std::pair<std::string, std::string>& label = {}) {
+    return SeriesTotal(scheduler->metrics_registry(), name, label);
+  };
+  // Every verdict happened, exactly as the submitters saw it.
+  EXPECT_EQ(stats.jobs_submitted, uint64_t{kThreads * kJobsPerThread});
+  EXPECT_EQ(stats.jobs_completed, verdicts[StatusCode::kOk]);
+  EXPECT_EQ(stats.jobs_rejected_admission,
+            verdicts[StatusCode::kResourceExhausted]);
+  EXPECT_EQ(stats.jobs_shed_deadline, verdicts[StatusCode::kDeadlineExceeded]);
+  EXPECT_EQ(stats.jobs_failed, verdicts[StatusCode::kInvalidArgument]);
+  EXPECT_EQ(stats.jobs_rejected_backpressure, backpressure.load());
+  EXPECT_GT(stats.jobs_completed, 0u);
+  EXPECT_EQ(stats.jobs_rejected_admission, uint64_t{kThreads});
+  EXPECT_EQ(stats.jobs_shed_deadline, uint64_t{kThreads});
+  EXPECT_EQ(stats.jobs_failed, uint64_t{kThreads});
+  EXPECT_GT(stats.jobs_rejected_backpressure, 0u);
+  EXPECT_EQ(stats.gang_jobs_completed, 1u);
+
+  // ServerStats is the registry, summed.
+  EXPECT_EQ(stats.jobs_submitted, sum("adgraph_jobs_submitted_total"));
+  EXPECT_EQ(stats.jobs_completed, sum("adgraph_jobs_completed_total"));
+  EXPECT_EQ(stats.jobs_failed, sum("adgraph_jobs_failed_total"));
+  EXPECT_EQ(stats.jobs_rejected_admission,
+            sum("adgraph_jobs_rejected_admission_total"));
+  EXPECT_EQ(stats.jobs_rejected_backpressure,
+            sum("adgraph_jobs_rejected_backpressure_total"));
+  EXPECT_EQ(stats.jobs_shed_deadline, sum("adgraph_jobs_shed_deadline_total"));
+  EXPECT_EQ(stats.cache_hits, sum("adgraph_cache_hits_total"));
+  EXPECT_EQ(stats.cache_misses, sum("adgraph_cache_misses_total"));
+  EXPECT_EQ(stats.cache_evictions, sum("adgraph_cache_evictions_total"));
+  EXPECT_EQ(stats.cache_bytes_evicted,
+            sum("adgraph_cache_evicted_bytes_total"));
+  EXPECT_EQ(stats.cache_resident_bytes, sum("adgraph_cache_resident_bytes"));
+  EXPECT_EQ(stats.cache_stale_invalidated,
+            sum("adgraph_cache_stale_invalidated_total"));
+  EXPECT_EQ(stats.gang_jobs_completed, sum("adgraph_gang_jobs_total"));
+  EXPECT_EQ(stats.exchange_bytes_total, sum("adgraph_exchange_bytes_total"));
+  EXPECT_EQ(stats.exchange_rounds_total, sum("adgraph_exchange_rounds_total"));
+  ASSERT_EQ(stats.devices.size(), 2u);
+  for (size_t i = 0; i < stats.devices.size(); ++i) {
+    const prof::DeviceStats& d = stats.devices[i];
+    const std::pair<std::string, std::string> worker = {"worker",
+                                                        std::to_string(i)};
+    EXPECT_EQ(d.jobs_completed, sum("adgraph_jobs_completed_total", worker));
+    EXPECT_EQ(d.jobs_failed, sum("adgraph_jobs_failed_total", worker));
+    EXPECT_EQ(d.jobs_rejected,
+              sum("adgraph_jobs_rejected_admission_total", worker));
+    EXPECT_EQ(d.busy_wall_ms, sum("adgraph_worker_busy_ms", worker));
+    EXPECT_EQ(d.modeled_ms, sum("adgraph_worker_modeled_ms", worker));
+    EXPECT_EQ(d.cache_hits, sum("adgraph_cache_hits_total", worker));
+    EXPECT_EQ(d.cache_misses, sum("adgraph_cache_misses_total", worker));
+    EXPECT_EQ(d.cache_resident_bytes,
+              sum("adgraph_cache_resident_bytes", worker));
+  }
+  ASSERT_EQ(stats.tenants.size(), 2u);
+  uint64_t tenant_submitted = 0;
+  for (const prof::TenantStats& t : stats.tenants) {
+    const std::pair<std::string, std::string> tenant = {"tenant", t.name};
+    EXPECT_EQ(t.jobs_submitted,
+              sum("adgraph_tenant_jobs_submitted_total", tenant));
+    EXPECT_EQ(t.jobs_completed,
+              sum("adgraph_tenant_jobs_completed_total", tenant));
+    EXPECT_EQ(t.jobs_failed, sum("adgraph_tenant_jobs_failed_total", tenant));
+    EXPECT_EQ(t.jobs_rejected,
+              sum("adgraph_tenant_jobs_rejected_total", tenant));
+    EXPECT_EQ(t.jobs_shed_deadline,
+              sum("adgraph_tenant_jobs_shed_total", tenant));
+    EXPECT_EQ(t.queue_wait_ms_total,
+              sum("adgraph_tenant_queue_wait_ms", tenant));
+    EXPECT_EQ(t.jobs_submitted, t.jobs_completed + t.jobs_failed +
+                                    t.jobs_rejected + t.jobs_shed_deadline);
+    tenant_submitted += t.jobs_submitted;
+  }
+  EXPECT_EQ(tenant_submitted, stats.jobs_submitted);
 }
 
 TEST(ServerStatsTest, FormatMentionsDevicesAndLatency) {
