@@ -12,7 +12,7 @@
 #include <string>
 
 #include "bench/bench_common.h"
-#include "core/bfs.h"
+#include "core/api.h"
 #include "core/triangle_count.h"
 #include "graph/generate.h"
 #include "util/table.h"
@@ -70,8 +70,8 @@ int Main(int argc, char** argv) {
           options.source = source;
           options.assume_symmetric = true;
           options.direction_optimizing = dir_opt;
-          ADGRAPH_ASSIGN_OR_RETURN(auto r,
-                                   core::RunBfs(device, sym, options));
+          ADGRAPH_ASSIGN_OR_RETURN(
+              auto r, core::Run<core::Algo::kBfs>(device, sym, options));
           return r.time_ms;
         },
         dir_opt ? "nvGRAPH's bottom-up switch" : "frontier expansion only");

@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/bfs.h"
+#include "core/api.h"
 #include "core/subgraph.h"
 #include "core/triangle_count.h"
 #include "graph/generate.h"
@@ -69,7 +69,8 @@ Result<std::array<double, 3>> RunAll(const vgpu::ArchConfig& arch,
   core::BfsOptions bfs;
   bfs.source = w.source;
   bfs.assume_symmetric = true;
-  ADGRAPH_ASSIGN_OR_RETURN(auto b, core::RunBfs(&device, w.symmetric, bfs));
+  ADGRAPH_ASSIGN_OR_RETURN(
+      auto b, core::Run<core::Algo::kBfs>(&device, w.symmetric, bfs));
   times[0] = b.time_ms;
 
   ADGRAPH_ASSIGN_OR_RETURN(auto dag,

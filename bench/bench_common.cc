@@ -5,7 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "core/subgraph.h"
 #include "core/triangle_count.h"
 #include "graph/generate.h"
@@ -174,7 +174,8 @@ Result<CellResult> CellRunner::Compute(vgpu::Device* device,
       core::BfsOptions options;
       options.source = bundle.bfs_source;
       options.assume_symmetric = true;
-      auto result = core::RunBfs(device, bundle.symmetric, options);
+      auto result =
+          core::Run<core::Algo::kBfs>(device, bundle.symmetric, options);
       if (!result.ok()) {
         if (result.status().IsOutOfMemory()) {
           cell.oom = true;

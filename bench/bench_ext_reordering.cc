@@ -11,7 +11,7 @@
 #include <string>
 
 #include "bench/bench_common.h"
-#include "core/bfs.h"
+#include "core/api.h"
 #include "core/triangle_count.h"
 #include "graph/reorder.h"
 #include "prof/session.h"
@@ -71,7 +71,8 @@ int Main(int argc, char** argv) {
       core::BfsOptions bfs_options;
       bfs_options.source = source;
       bfs_options.assume_symmetric = true;
-      auto bfs = core::RunBfs(&device, layout.symmetric, bfs_options);
+      auto bfs = core::Run<core::Algo::kBfs>(&device, layout.symmetric,
+                                             bfs_options);
       if (!bfs.ok()) {
         std::cerr << bfs.status().ToString() << "\n";
         return 1;

@@ -1,9 +1,9 @@
 // Modeled strong scaling of partitioned execution (DESIGN.md §2.7): BFS and
 // PageRank on Table 4 dataset proxies across 1/2/4/8 simulated A100 devices
 // linked by NVLink.  The single-device column is the library's own top-down
-// RunBfs (direction-optimizing off — the partitioned driver is top-down
-// only), and every multi-device BFS is checked byte-identical against it,
-// so the scaling numbers never come at the cost of correctness.
+// BFS through core::Run (direction-optimizing off — the partitioned driver
+// is top-down only), and every multi-device BFS is checked byte-identical
+// against it, so the scaling numbers never come at the cost of correctness.
 //
 // Usage:
 //   bench_part_scaling [--smoke] [--datasets=...] [--extra-divisor=F]
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/bfs.h"
+#include "core/api.h"
 #include "graph/generate.h"
 #include "part/engine.h"
 #include "part/part_bfs.h"
@@ -103,7 +103,8 @@ int Main(int argc, char** argv) {
     core::BfsOptions ref_options;
     ref_options.source = source;
     ref_options.direction_optimizing = false;
-    auto reference = core::RunBfs(&reference_device, *symmetric, ref_options);
+    auto reference = core::Run<core::Algo::kBfs>(&reference_device,
+                                                 *symmetric, ref_options);
     if (!reference.ok()) {
       std::cerr << spec.name << ": " << reference.status().ToString() << "\n";
       return 1;

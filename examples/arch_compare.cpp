@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "graph/csr.h"
 #include "graph/generate.h"
 #include "prof/metrics.h"
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     core::BfsOptions options;
     options.source = source;
     options.assume_symmetric = true;
-    auto bfs = core::RunBfs(&device, g, options);
+    auto bfs = core::Run<core::Algo::kBfs>(&device, g, options);
     if (!bfs.ok()) {
       std::fprintf(stderr, "%s: %s\n", device.name().c_str(),
                    bfs.status().ToString().c_str());

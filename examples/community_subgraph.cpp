@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/conn_components.h"
+#include "core/api.h"
 #include "core/kcore.h"
 #include "core/subgraph.h"
 #include "core/triangle_count.h"
@@ -80,7 +80,9 @@ int main(int argc, char** argv) {
               tc.time_ms);
 
   // 3. Cohesion: connected components of the community.
-  auto cc = core::RunConnectedComponents(&device, community, {}).value();
+  auto cc =
+      core::Run<core::Algo::kConnectedComponents>(&device, community, {})
+          .value();
   std::printf("components: %llu across %u vertices (%.3f ms)\n",
               static_cast<unsigned long long>(cc.num_components),
               community.num_vertices(), cc.time_ms);

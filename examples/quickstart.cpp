@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "graph/builder.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
@@ -43,11 +43,13 @@ int main() {
               device.arch().vendor.c_str(), device.arch().warp_width,
               device.arch().num_sms);
 
-  // 3. Run BFS from vertex 0.  The graph is uploaded, the traversal runs
-  //    as simulated GPU kernels, and levels come back to the host.
+  // 3. Run BFS from vertex 0 through core::Run, the one entry point every
+  //    algorithm and the serving layer share.  The graph is uploaded, the
+  //    traversal runs as simulated GPU kernels, and levels come back to the
+  //    host.
   core::BfsOptions options;
   options.source = 0;
-  auto bfs = core::RunBfs(&device, g, options);
+  auto bfs = core::Run<core::Algo::kBfs>(&device, g, options);
   if (!bfs.ok()) {
     std::fprintf(stderr, "BFS failed: %s\n", bfs.status().ToString().c_str());
     return 1;

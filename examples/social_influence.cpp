@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/pagerank.h"
+#include "core/api.h"
 #include "graph/csr.h"
 #include "graph/generate.h"
 #include "graph/stats.h"
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   options.alpha = 0.85;
   options.max_iterations = 60;
   options.tolerance = 1e-8;
-  auto pr = core::RunPageRank(&device, g, options);
+  auto pr = core::Run<core::Algo::kPageRank>(&device, g, options);
   if (!pr.ok()) {
     std::fprintf(stderr, "PageRank failed: %s\n",
                  pr.status().ToString().c_str());

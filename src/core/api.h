@@ -100,13 +100,34 @@ class GraphResidency;
 ///
 /// Fails with kInvalidArgument when `spec.algo` does not match
 /// `params.index()`.  BFS, SSSP, PageRank, CC, widest-path, and betweenness
-/// run on the frontier/operator engine (src/engine/, DESIGN.md §2.11); the
+/// run on the frontier/operator engine (src/engine/, DESIGN.md §2.11),
+/// whose drivers are their only single-device implementations; the
 /// remaining algorithms dispatch to their core implementations on the same
 /// signature.  Defined in src/engine/run.cc — callers link adgraph_engine
 /// (every in-tree consumer already does).
 Result<AlgoResult> Run(vgpu::Device* device, const AlgoSpec& spec,
                        const graph::CsrGraph& g, const Params& params,
                        GraphResidency* residency = nullptr);
+
+/// The Params / AlgoResult alternative of algorithm `A`.
+template <Algo A>
+using ParamsOf = std::variant_alternative_t<static_cast<size_t>(A), Params>;
+template <Algo A>
+using ResultOf = std::variant_alternative_t<static_cast<size_t>(A), AlgoResult>;
+
+/// Typed form of Run for callers that name the algorithm statically:
+/// `core::Run<Algo::kBfs>(&device, g, options)` yields the BfsResult.
+template <Algo A>
+Result<ResultOf<A>> Run(vgpu::Device* device, const graph::CsrGraph& g,
+                        const ParamsOf<A>& params,
+                        GraphResidency* residency = nullptr) {
+  constexpr size_t kIndex = static_cast<size_t>(A);
+  ADGRAPH_ASSIGN_OR_RETURN(
+      AlgoResult result,
+      Run(device, AlgoSpec{A}, g, Params(std::in_place_index<kIndex>, params),
+          residency));
+  return std::get<kIndex>(std::move(result));
+}
 
 }  // namespace adgraph::core
 

@@ -4,17 +4,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/device_graph.h"
-#include "graph/csr.h"
-#include "util/status.h"
-#include "vgpu/device.h"
+#include "graph/types.h"
 
 namespace adgraph::core {
 
 /// Level value of vertices the traversal never reached.
 inline constexpr uint32_t kUnreachedLevel = 0xFFFFFFFFu;
 
-/// Options of the GPU breadth-first search.
+/// Options of the GPU breadth-first search (`core::Run` with Algo::kBfs;
+/// the driver is engine::RunBfs).  BFS follows out-edges; benchmark callers
+/// symmetrize beforehand for undirected-traversal semantics, as
+/// Graph500-style BFS studies do.
 struct BfsOptions {
   graph::vid_t source = 0;
   /// Direction-optimizing traversal (Beamer-style, as nvGRAPH's
@@ -51,20 +51,6 @@ struct BfsResult {
   /// paper reports on-device algorithm runtimes).
   double time_ms = 0;
 };
-
-class GraphResidency;
-
-/// Runs BFS from `options.source` on `g` (uploads the graph first, or
-/// reuses a resident copy when `residency` is provided).
-/// BFS follows out-edges; benchmark callers symmetrize beforehand for
-/// undirected-traversal semantics, as Graph500-style BFS studies do.
-Result<BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
-                         const BfsOptions& options,
-                         GraphResidency* residency = nullptr);
-
-/// Same, on a graph already resident on `device`.
-Result<BfsResult> RunBfsOnDevice(vgpu::Device* device, const DeviceCsr& g,
-                                 const BfsOptions& options);
 
 }  // namespace adgraph::core
 

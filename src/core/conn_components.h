@@ -4,12 +4,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.h"
-#include "util/status.h"
-#include "vgpu/device.h"
+#include "graph/types.h"
 
 namespace adgraph::core {
 
+/// Options of weakly connected components via min-label propagation on
+/// the symmetrized graph (`core::Run` with Algo::kConnectedComponents; the
+/// driver is engine::RunConnectedComponents).
 struct CcOptions {
   uint32_t block_size = 256;
 };
@@ -21,15 +22,6 @@ struct CcResult {
   uint32_t iterations = 0;
   double time_ms = 0;
 };
-
-/// Weakly connected components via min-label propagation on the
-/// symmetrized graph (iterated AtomicMin sweeps until fixpoint).
-class GraphResidency;
-
-Result<CcResult> RunConnectedComponents(vgpu::Device* device,
-                                        const graph::CsrGraph& g,
-                                        const CcOptions& options,
-                                        GraphResidency* residency = nullptr);
 
 }  // namespace adgraph::core
 

@@ -1,19 +1,12 @@
-#include "core/pagerank.h"
-
-#include <cmath>
-
-#include "core/device_graph.h"
 #include "core/pagerank_kernels.h"
-#include "core/residency.h"
-#include "core/spmv.h"
-#include "trace/trace.h"
+
 #include "vgpu/ctx.h"
 #include "vgpu/kernel.h"
 
 namespace adgraph::core {
-// Kernel definitions live in core::detail (declared in
-// core/pagerank_kernels.h) so the partitioned driver in src/part/ can apply
-// the identical per-shard update.
+// The PageRank update kernels, shared by the single-device driver
+// (engine/pagerank.cc), the partitioned driver (part/) and the streamed
+// driver (ooc/), which do not link the engine.
 namespace detail {
 
 using graph::eid_t;
@@ -64,105 +57,5 @@ KernelTask DanglingSumKernel(Ctx& c, DevPtr<eid_t> row, DevPtr<double> ranks,
 }
 
 }  // namespace detail
-
-namespace {
-
-using detail::ApplyDampingKernel;
-using detail::DanglingSumKernel;
-using graph::eid_t;
-using graph::vid_t;
-using vgpu::Ctx;
-
-}  // namespace
-
-Result<PageRankResult> RunPageRank(vgpu::Device* device,
-                                   const graph::CsrGraph& g,
-                                   const PageRankOptions& options,
-                                   GraphResidency* residency) {
-  const vid_t n = g.num_vertices();
-  if (n == 0) return Status::InvalidArgument("PageRank on empty graph");
-  if (options.alpha <= 0 || options.alpha >= 1) {
-    return Status::InvalidArgument("damping factor must be in (0,1)");
-  }
-
-  trace::Span algo_span(device->trace_track(), "algo:pagerank", "algo");
-  algo_span.ArgNum("num_vertices", static_cast<uint64_t>(n));
-  algo_span.ArgNum("max_iterations",
-                   static_cast<uint64_t>(options.max_iterations));
-
-  // Pull formulation: next = A_norm^T * ranks where the edge (v <- u)
-  // carries 1/outdeg(u) (BuildHostVariant's kPullTranspose).
-  ADGRAPH_ASSIGN_OR_RETURN(
-      ResidentCsr staged,
-      Stage(residency, device, g, GraphVariant::kPullTranspose));
-  const DeviceCsr& d_gt = *staged;
-  // Original row offsets, for the dangling-mass pass.
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto d_row, rt::DeviceBuffer<eid_t>::FromHost(device, g.row_offsets()));
-  ADGRAPH_ASSIGN_OR_RETURN(auto ranks,
-                           rt::DeviceBuffer<double>::Create(device, n));
-  ADGRAPH_ASSIGN_OR_RETURN(auto next,
-                           rt::DeviceBuffer<double>::Create(device, n));
-  ADGRAPH_ASSIGN_OR_RETURN(auto scalars,
-                           rt::DeviceBuffer<double>::Create(device, 2));
-
-  rt::DeviceTimer timer(device);
-  ADGRAPH_RETURN_NOT_OK(
-      primitives::Fill<double>(device, ranks.ptr(), n, 1.0 / n));
-
-  PageRankResult result;
-  SpmvOptions spmv_options;
-  spmv_options.semiring = Semiring::kPlusTimes;
-  spmv_options.block_size = options.block_size;
-
-  for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
-    trace::Span sweep(device->trace_track(), "pagerank.iteration", "phase");
-    sweep.ArgNum("iteration", static_cast<uint64_t>(iter + 1));
-    // Dangling mass of the current ranks.
-    ADGRAPH_RETURN_NOT_OK(
-        primitives::SetElement<double>(device, scalars.ptr(), 0, 0.0));
-    ADGRAPH_RETURN_NOT_OK(
-        device
-            ->Launch("pagerank_dangling",
-                     rt::CoverThreads(n, options.block_size),
-                     [&](Ctx& c) {
-                       return DanglingSumKernel(c, d_row.ptr(), ranks.ptr(),
-                                                scalars.ptr(), n);
-                     })
-            .status());
-    ADGRAPH_ASSIGN_OR_RETURN(
-        double dangling,
-        primitives::GetElement<double>(device, scalars.ptr(), 0));
-
-    ADGRAPH_RETURN_NOT_OK(RunSpmvOnDevice(device, d_gt, ranks.ptr(),
-                                          next.ptr(), spmv_options));
-
-    double base = (1.0 - options.alpha) / n +
-                  options.alpha * dangling / static_cast<double>(n);
-    ADGRAPH_RETURN_NOT_OK(
-        primitives::SetElement<double>(device, scalars.ptr(), 1, 0.0));
-    ADGRAPH_RETURN_NOT_OK(
-        device
-            ->Launch("pagerank_damping",
-                     rt::CoverThreads(n, options.block_size),
-                     [&](Ctx& c) {
-                       return ApplyDampingKernel(c, next.ptr(), ranks.ptr(),
-                                                 scalars.ptr() + 1, base,
-                                                 options.alpha, n);
-                     })
-            .status());
-    ADGRAPH_ASSIGN_OR_RETURN(
-        result.l1_delta,
-        primitives::GetElement<double>(device, scalars.ptr(), 1));
-
-    std::swap(ranks, next);
-    result.iterations = iter + 1;
-    if (options.tolerance > 0 && result.l1_delta < options.tolerance) break;
-  }
-
-  result.time_ms = timer.ElapsedMs();
-  ADGRAPH_ASSIGN_OR_RETURN(result.ranks, ranks.ToHost());
-  return result;
-}
 
 }  // namespace adgraph::core

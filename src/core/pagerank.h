@@ -4,12 +4,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.h"
-#include "util/status.h"
-#include "vgpu/device.h"
-
 namespace adgraph::core {
 
+/// Options of semiring-SpMV-based PageRank (pull formulation; `core::Run`
+/// with Algo::kPageRank, driver engine::RunPageRank): each round is one
+/// plus-times SpMV over the 1/out-degree-normalized transpose, plus the
+/// damping/dangling correction — the linear-algebra style the paper
+/// describes for nvGRAPH (§3.2.1).
 struct PageRankOptions {
   double alpha = 0.85;          ///< damping factor
   uint32_t max_iterations = 50;
@@ -23,17 +24,6 @@ struct PageRankResult {
   double l1_delta = 0;  ///< last iteration's L1 change
   double time_ms = 0;
 };
-
-/// Semiring-SpMV-based PageRank (pull formulation): each round is one
-/// plus-times SpMV over the 1/out-degree-normalized transpose, plus the
-/// damping/dangling correction — the linear-algebra style the paper
-/// describes for nvGRAPH (§3.2.1).
-class GraphResidency;
-
-Result<PageRankResult> RunPageRank(vgpu::Device* device,
-                                   const graph::CsrGraph& g,
-                                   const PageRankOptions& options,
-                                   GraphResidency* residency = nullptr);
 
 }  // namespace adgraph::core
 

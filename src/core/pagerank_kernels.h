@@ -10,9 +10,8 @@
 namespace adgraph::core::detail {
 
 /// ranks_next = base + alpha * ranks_next (applied after the pull SpMV) and
-/// accumulates |next - prev| into *delta.  Defined in pagerank.cc; exposed
-/// so the partitioned PageRank driver (src/part/) applies the identical
-/// update per shard.
+/// accumulates |next - prev| into *delta.  Defined in pagerank.cc; shared
+/// by the single-device, partitioned and streamed drivers.
 vgpu::KernelTask ApplyDampingKernel(vgpu::Ctx& c, vgpu::DevPtr<double> next,
                                     vgpu::DevPtr<double> prev,
                                     vgpu::DevPtr<double> delta, double base,

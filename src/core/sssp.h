@@ -4,22 +4,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.h"
-#include "util/status.h"
-#include "vgpu/device.h"
+#include "graph/types.h"
 
 namespace adgraph::core {
 
+/// Options of frontier-based Bellman-Ford single-source shortest paths
+/// (`core::Run` with Algo::kSssp; the driver is engine::RunSssp): each
+/// round is a min-plus relaxation of the vertices whose distance changed
+/// last round (the tropical-semiring iteration nvGRAPH's SSSP is built on).
+/// Unweighted edges count as 1.  Negative weights are rejected.
 struct SsspOptions {
   graph::vid_t source = 0;
   uint32_t block_size = 256;
   /// Safety bound on relaxation rounds (0 = num_vertices - 1).
   uint32_t max_rounds = 0;
-  /// Active-set optimization: each round relaxes only vertices whose
-  /// distance changed last round instead of the whole vertex set (the
-  /// standard frontier-based Bellman-Ford refinement).  Results are
-  /// identical; work usually is not.
-  bool use_frontier = true;
 };
 
 struct SsspResult {
@@ -28,16 +26,6 @@ struct SsspResult {
   uint32_t rounds = 0;
   double time_ms = 0;
 };
-
-/// Bellman-Ford single-source shortest paths: each round is a min-plus
-/// relaxation sweep (the tropical-semiring iteration nvGRAPH's SSSP is
-/// built on), with an on-device change flag for early termination.
-/// Unweighted edges count as 1.  Negative weights are rejected.
-class GraphResidency;
-
-Result<SsspResult> RunSssp(vgpu::Device* device, const graph::CsrGraph& g,
-                           const SsspOptions& options,
-                           GraphResidency* residency = nullptr);
 
 }  // namespace adgraph::core
 

@@ -4,12 +4,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.h"
-#include "util/status.h"
-#include "vgpu/device.h"
+#include "graph/types.h"
 
 namespace adgraph::core {
 
+/// Options of single-source widest (bottleneck / max-min) path — one of
+/// nvGRAPH's semiring-SpMV algorithms: iterated (max, min) relaxations
+/// (`core::Run` with Algo::kWidestPath; the driver is
+/// engine::RunWidestPath).  Requires non-negative weights (unweighted edges
+/// count as capacity 1).
 struct WidestPathOptions {
   graph::vid_t source = 0;
   uint32_t block_size = 256;
@@ -25,17 +28,6 @@ struct WidestPathResult {
   uint32_t rounds = 0;
   double time_ms = 0;
 };
-
-/// Single-source widest (bottleneck / max-min) path — one of nvGRAPH's
-/// semiring-SpMV algorithms: iterated (max, min) relaxations with an
-/// on-device change flag.  Requires non-negative weights (unweighted
-/// edges count as capacity 1).
-class GraphResidency;
-
-Result<WidestPathResult> RunWidestPath(vgpu::Device* device,
-                                       const graph::CsrGraph& g,
-                                       const WidestPathOptions& options,
-                                       GraphResidency* residency = nullptr);
 
 }  // namespace adgraph::core
 

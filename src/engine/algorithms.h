@@ -1,6 +1,8 @@
 #ifndef ADGRAPH_ENGINE_ALGORITHMS_H_
 #define ADGRAPH_ENGINE_ALGORITHMS_H_
 
+#include <vector>
+
 #include "core/api.h"
 #include "engine/engine.h"
 #include "graph/csr.h"
@@ -9,23 +11,23 @@
 
 namespace adgraph::engine {
 
-/// \brief The engine-ported algorithms (DESIGN.md §2.11).
+/// \brief The single-device drivers of the frontier-based algorithms
+/// (DESIGN.md §2.11).
 ///
 /// Each is a short driver over the shared Frontier/Advance/Filter
-/// operators; `core::Run` dispatches here.  Outputs are byte-identical to
-/// the seed `core::Run*` implementations wherever the paper's comparisons
-/// depend on them (golden_test):
+/// operators; `core::Run` dispatches here, and they are the only
+/// single-device implementations of these algorithms.  golden_test freezes
+/// each driver's results and modeled kernel counters on the bundled
+/// proxies and checks the results against core/host_ref:
 ///
-///  * BFS replays the seed's kernel codegen and direction heuristic
-///    operation for operation — levels, parents, depth, and iteration
-///    counts all match.
+///  * BFS's digests are the ones Tables 5/6 were built from: its codegen,
+///    device allocations and direction heuristic must not drift.
 ///  * SSSP / CC / widest-path converge to the unique semiring fixpoint
-///    (min-plus, min-label, max-min), so the result arrays are bitwise
-///    equal even though the engine schedules work frontier-first; round
-///    counts may differ.
-///  * PageRank is floating-point-order sensitive, so the engine keeps the
-///    seed's exact kernel sequence (dangling sum, pull SpMV, damping) as a
-///    dense pull advance — ranks and iteration count match bitwise.
+///    (min-plus, min-label, max-min), so the result arrays equal the host
+///    reference bitwise.
+///  * PageRank is floating-point-order sensitive: its kernel sequence
+///    (dangling sum, pull SpMV, damping) is fixed, so ranks and iteration
+///    count are bit-stable run to run.
 ///
 /// `report`, when non-null, receives the per-run direction statistics.
 
@@ -42,11 +44,15 @@ Result<core::SsspResult> RunSssp(vgpu::Device* device,
                                  const EngineOptions& engine = {},
                                  EngineReport* report = nullptr);
 
+/// `warm_start`, when non-null, holds one rank per vertex to iterate from
+/// instead of 1/n: the incremental path's delta-PageRank
+/// (core::RunIncremental).
 Result<core::PageRankResult> RunPageRank(
     vgpu::Device* device, const graph::CsrGraph& g,
     const core::PageRankOptions& options,
     core::GraphResidency* residency = nullptr, const EngineOptions& engine = {},
-    EngineReport* report = nullptr);
+    EngineReport* report = nullptr,
+    const std::vector<double>* warm_start = nullptr);
 
 Result<core::CcResult> RunConnectedComponents(
     vgpu::Device* device, const graph::CsrGraph& g,

@@ -1,9 +1,9 @@
 #include <string>
+#include <utility>
 
 #include "core/bfs.h"
 #include "core/residency.h"
 #include "engine/algorithms.h"
-#include "engine/frontier.h"
 #include "engine/operators.h"
 #include "trace/trace.h"
 #include "vgpu/ctx.h"
@@ -21,7 +21,7 @@ using vgpu::Lanes;
 
 /// The BFS visit as a push-advance functor: claim v's level with a CAS;
 /// freshly claimed vertices enter the next frontier (and record their
-/// parent).  Identical instruction stream to the seed TopDownKernel body.
+/// parent).
 struct BfsPushOp {
   DevPtr<uint32_t> levels;
   DevPtr<vid_t> parents;
@@ -40,8 +40,7 @@ struct BfsPushOp {
 };
 
 /// The BFS bottom-up step as a pull-advance functor: an unreached vertex
-/// adopts the first neighbor found on the previous level.  Identical
-/// instruction stream to the seed BottomUpKernel body.
+/// adopts the first neighbor found on the previous level.
 struct BfsPullOp {
   DevPtr<uint32_t> levels;
   DevPtr<vid_t> parents;
@@ -95,15 +94,23 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
   algo_span.ArgNum("num_vertices", static_cast<uint64_t>(n));
   algo_span.ArgNum("source", static_cast<uint64_t>(options.source));
 
+  // BFS never reads frontier flags, so it keeps bare queues: levels, two
+  // n-entry queues and one count cell, then parents.  Allocation order
+  // fixes the device addresses and with them every cache counter, which
+  // Tables 5/6 are built from.
   ADGRAPH_ASSIGN_OR_RETURN(auto levels,
                            rt::DeviceBuffer<uint32_t>::Create(device, n));
+  ADGRAPH_ASSIGN_OR_RETURN(auto cur,
+                           rt::DeviceBuffer<vid_t>::Create(device, n));
+  ADGRAPH_ASSIGN_OR_RETURN(auto next,
+                           rt::DeviceBuffer<vid_t>::Create(device, n));
+  ADGRAPH_ASSIGN_OR_RETURN(auto count,
+                           rt::DeviceBuffer<uint32_t>::Create(device, 1));
   rt::DeviceBuffer<vid_t> parents;
   if (options.compute_parents) {
     ADGRAPH_ASSIGN_OR_RETURN(parents,
                              rt::DeviceBuffer<vid_t>::Create(device, n));
   }
-  ADGRAPH_ASSIGN_OR_RETURN(Frontier cur, Frontier::Create(device, n));
-  ADGRAPH_ASSIGN_OR_RETURN(Frontier next, Frontier::Create(device, n));
 
   rt::DeviceTimer timer(device);
 
@@ -111,18 +118,20 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
       device, levels.ptr(), n, core::kUnreachedLevel));
   ADGRAPH_RETURN_NOT_OK(core::primitives::SetElement<uint32_t>(
       device, levels.ptr(), options.source, 0));
+  ADGRAPH_RETURN_NOT_OK(core::primitives::SetElement<vid_t>(
+      device, cur.ptr(), 0, options.source));
   if (options.compute_parents) {
     ADGRAPH_RETURN_NOT_OK(core::primitives::Fill<vid_t>(
         device, parents.ptr(), n, graph::kInvalidVertex));
   }
-  ADGRAPH_RETURN_NOT_OK(cur.InitSource(options.source, options.block_size));
 
   CsrView view = MakeView(d);
   DevPtr<vid_t> parents_ptr =
       options.compute_parents ? parents.ptr() : DevPtr<vid_t>{};
 
-  // BFS byte-identity pins the gather to thread-per-vertex (the seed's
-  // codegen); kAuto resolves there, an explicit kWarpPerVertex is honored.
+  // BFS pins the gather to thread-per-vertex, the codegen the paper tables
+  // were frozen with; kAuto resolves there, an explicit kWarpPerVertex is
+  // honored.
   const bool warp_gather = engine.load_balance == LoadBalance::kWarpPerVertex;
 
   DirectionHeuristic heuristic;
@@ -139,7 +148,7 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
 
   while (frontier_size > 0) {
     ADGRAPH_RETURN_NOT_OK(
-        core::primitives::SetElement<uint32_t>(device, next.count(), 0, 0));
+        core::primitives::SetElement<uint32_t>(device, count.ptr(), 0, 0));
     ADGRAPH_ASSIGN_OR_RETURN(Direction dir,
                              director.Choose(frontier_size, n, level));
 
@@ -153,7 +162,7 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
               ->Launch("bfs_bottom_up",
                        rt::CoverThreads(n, options.block_size),
                        [&](Ctx& c) {
-                         return PullAdvanceKernel(c, view, next.count(), op);
+                         return PullAdvanceKernel(c, view, count.ptr(), op);
                        })
               .status());
       result.bottom_up_iterations += 1;
@@ -165,22 +174,22 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
       if (!frontier_is_queue) {
         // Returning from pull: Filter the level-1 vertices into a queue.
         ADGRAPH_RETURN_NOT_OK(core::primitives::SetElement<uint32_t>(
-            device, next.count(), 0, 0));
+            device, count.ptr(), 0, 0));
         LevelEqPred pred{levels.ptr(), level - 1};
         ADGRAPH_RETURN_NOT_OK(
             device
                 ->Launch("bfs_levels_to_queue",
                          rt::CoverThreads(n, options.block_size),
                          [&](Ctx& c) {
-                           return FilterToQueueKernel(c, n, cur.queue(),
-                                                      next.count(), pred);
+                           return FilterToQueueKernel(c, n, cur.ptr(),
+                                                      count.ptr(), pred);
                          })
                 .status());
         ADGRAPH_ASSIGN_OR_RETURN(frontier_size,
                                  core::primitives::GetElement<uint32_t>(
-                                     device, next.count(), 0));
+                                     device, count.ptr(), 0));
         ADGRAPH_RETURN_NOT_OK(core::primitives::SetElement<uint32_t>(
-            device, next.count(), 0, 0));
+            device, count.ptr(), 0, 0));
         frontier_is_queue = true;
         director.RecordConversion(Frontier::Rep::kDense,
                                   Frontier::Rep::kSparse);
@@ -196,9 +205,10 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
                          rt::CoverThreads(warp_threads, options.block_size,
                                           StageSharedBytes()),
                          [&](Ctx& c) {
-                           return PushAdvanceWarpKernel(
-                               c, view, cur.queue(), frontier_size,
-                               next.queue(), next.count(), op);
+                           return PushAdvanceWarpKernel(c, view, cur.ptr(),
+                                                        frontier_size,
+                                                        next.ptr(),
+                                                        count.ptr(), op);
                          })
                 .status());
       } else {
@@ -208,9 +218,10 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
                          rt::CoverThreads(frontier_size, options.block_size,
                                           StageSharedBytes()),
                          [&](Ctx& c) {
-                           return PushAdvanceSparseKernel(
-                               c, view, cur.queue(), frontier_size,
-                               next.queue(), next.count(), op);
+                           return PushAdvanceSparseKernel(c, view, cur.ptr(),
+                                                          frontier_size,
+                                                          next.ptr(),
+                                                          count.ptr(), op);
                          })
                 .status());
       }
@@ -219,12 +230,12 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
 
     ADGRAPH_ASSIGN_OR_RETURN(
         uint32_t produced,
-        core::primitives::GetElement<uint32_t>(device, next.count(), 0));
+        core::primitives::GetElement<uint32_t>(device, count.ptr(), 0));
     if (dir == Direction::kPull) {
       // Stay implicit; `produced` counts newly visited vertices.
       frontier_size = produced;
     } else {
-      swap(cur, next);
+      std::swap(cur, next);
       frontier_size = produced;
       frontier_is_queue = true;
     }

@@ -100,7 +100,7 @@ Result<core::CcResult> RunConnectedComponents(vgpu::Device* device,
   core::CcResult result;
   uint32_t frontier_size = n;
   // Min-label propagation converges within the graph diameter; n rounds is
-  // the safe ceiling (matches the seed's bound).
+  // the safe ceiling.
   for (uint32_t round = 0; round < n; ++round) {
     trace::Span sweep(device->trace_track(), "cc.propagate_round", "phase");
     sweep.ArgNum("round", static_cast<uint64_t>(round + 1));

@@ -21,8 +21,8 @@ Result<Direction> DirectionEngine::Choose(uint32_t frontier_size,
       dir = Direction::kPull;
       break;
     case DirectionPolicy::kAuto: {
-      // The seed BFS switch, verbatim: bottom-up while the frontier holds
-      // more than n/alpha vertices (and clears the absolute floor).
+      // Beamer's switch: bottom-up while the frontier holds more than
+      // n/alpha vertices (and clears the absolute floor).
       const bool pull =
           can_pull_ && frontier_size > heuristic_.min_pull_frontier &&
           static_cast<double>(frontier_size) > num_vertices / heuristic_.alpha;

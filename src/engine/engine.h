@@ -23,17 +23,17 @@ enum class DirectionPolicy {
   kPullOnly,  ///< always pull; fails when the algorithm cannot pull
 };
 
-/// The frontier-density switch thresholds.  Defaults equal the seed BFS
-/// (BfsOptions alpha/beta and its hard-coded 64-entry floor), so an
-/// engine-ported traversal makes the identical mode decision every round.
+/// The frontier-density switch thresholds.  Defaults equal BfsOptions
+/// alpha/beta plus a 64-entry floor, the decisions the golden BFS digests
+/// were frozen with.
 struct DirectionHeuristic {
   /// Pull when frontier_size > n / alpha.
   double alpha = 16.0;
   /// Return-to-push threshold (newly visited < n / beta).  Recorded for
-  /// parity with BfsOptions; like the seed, the switch back is decided by
-  /// re-evaluating the alpha condition on the shrunken frontier.
+  /// parity with BfsOptions; the switch back is decided by re-evaluating
+  /// the alpha condition on the shrunken frontier.
   double beta = 64.0;
-  /// Never pull below this frontier size (seed BFS's `frontier_size > 64`).
+  /// Never pull below this frontier size.
   uint32_t min_pull_frontier = 64;
 };
 

@@ -14,23 +14,6 @@ using vgpu::Ctx;
 using vgpu::DevPtr;
 using vgpu::KernelTask;
 
-/// Compacts set flags into a queue.  Positions come from an atomic ticket,
-/// which the simulator serves in thread order — reproducible.
-KernelTask FlagsToQueueKernel(Ctx& c, DevPtr<uint32_t> flags,
-                              DevPtr<vid_t> queue, DevPtr<uint32_t> count,
-                              uint32_t n) {
-  auto v = c.GlobalThreadId();
-  c.If(c.Lt(v, n), [&](Ctx& c) {
-    auto set = c.Load(flags, v);
-    c.If(c.Eq(set, 1u), [&](Ctx& c) {
-      auto pos =
-          c.AtomicAdd(count, c.Splat<uint32_t>(0), c.Splat<uint32_t>(1));
-      c.Store(queue, pos, v);
-    });
-  });
-  co_return;
-}
-
 /// Scatters queue entries into the flag array.
 KernelTask QueueToFlagsKernel(Ctx& c, DevPtr<vid_t> queue,
                               DevPtr<uint32_t> flags, uint32_t size) {
@@ -145,56 +128,6 @@ Status Frontier::Clear(uint32_t block_size) {
       core::primitives::SetElement<uint32_t>(device_, count_.ptr(), 0, 0));
   size_ = 0;
   rep_ = Rep::kSparse;
-  return Status::OK();
-}
-
-Status Frontier::EnsureSparse(uint32_t block_size) {
-  if (device_ == nullptr) {
-    return Status::FailedPrecondition("frontier not created");
-  }
-  if (rep_ == Rep::kSparse) return Status::OK();
-  ADGRAPH_RETURN_NOT_OK(
-      core::primitives::SetElement<uint32_t>(device_, count_.ptr(), 0, 0));
-  const uint32_t n = n_;
-  auto flags = flags_.ptr();
-  auto queue = queue_.ptr();
-  auto count = count_.ptr();
-  ADGRAPH_RETURN_NOT_OK(
-      device_
-          ->Launch("frontier_flags_to_queue", rt::CoverThreads(n, block_size),
-                   [&](Ctx& c) {
-                     return FlagsToQueueKernel(c, flags, queue, count, n);
-                   })
-          .status());
-  ADGRAPH_RETURN_NOT_OK(RefreshCount());
-  rep_ = Rep::kSparse;
-  return Status::OK();
-}
-
-Status Frontier::EnsureDense(uint32_t block_size) {
-  if (device_ == nullptr) {
-    return Status::FailedPrecondition("frontier not created");
-  }
-  if (rep_ == Rep::kDense) return Status::OK();
-  // The flags are maintained alongside the queue by every producer
-  // (advance ops dedup through them), so densifying is a rescatter: clear
-  // then replay the queue.
-  ADGRAPH_RETURN_NOT_OK(
-      core::primitives::Fill<uint32_t>(device_, flags_.ptr(), n_, 0));
-  const uint32_t size = size_;
-  if (size > 0) {
-    auto queue = queue_.ptr();
-    auto flags = flags_.ptr();
-    ADGRAPH_RETURN_NOT_OK(
-        device_
-            ->Launch("frontier_queue_to_flags",
-                     rt::CoverThreads(size, block_size),
-                     [&](Ctx& c) {
-                       return QueueToFlagsKernel(c, queue, flags, size);
-                     })
-            .status());
-  }
-  rep_ = Rep::kDense;
   return Status::OK();
 }
 

@@ -15,21 +15,20 @@ namespace adgraph::engine {
 /// \brief The engine's unit of traversal state: the set of active vertices
 /// of one round (DESIGN.md §2.11).
 ///
-/// A frontier keeps two device representations of the same set:
+/// A frontier keeps two device representations of the same set, both
+/// maintained by every producer (the advance operators claim an output
+/// flag before enqueueing):
 ///
 ///  * **sparse** — a compact queue of vertex ids (`queue`, `count` valid).
 ///    Work launched over it is proportional to the frontier, the win when
 ///    the set is small.
 ///  * **dense** — a per-vertex 0/1 flag array (`flags`).  Constant-size
-///    kernels, sequential memory traffic, and the only representation a
-///    pull (bottom-up) advance can consume — the win when the set is a
+///    kernels and sequential memory traffic — the win when the set is a
 ///    large fraction of all vertices.
 ///
-/// `EnsureSparse`/`EnsureDense` convert between them on demand with one
-/// kernel launch; `Advance` picks the launch shape from the current
-/// representation and the direction engine's density heuristic.  The
-/// conversion kernels use thread-ordered atomic ticketing, so on the
-/// deterministic vgpu simulator every conversion is reproducible.
+/// `rep` records which one the next round launches over; the drivers pick
+/// it from the direction engine's density heuristic, so switching is a
+/// relabel, not a conversion kernel.
 class Frontier {
  public:
   enum class Rep { kSparse, kDense };
@@ -56,12 +55,6 @@ class Frontier {
 
   /// Resets to the empty set (flags cleared, count 0, sparse).
   Status Clear(uint32_t block_size = 256);
-
-  /// Materializes the queue from the flags (no-op when already sparse).
-  Status EnsureSparse(uint32_t block_size = 256);
-
-  /// Materializes the flags from the queue (no-op when already dense).
-  Status EnsureDense(uint32_t block_size = 256);
 
   /// Re-reads the device count cell into the host mirror.
   Status RefreshCount();

@@ -7,10 +7,8 @@
 
 #include "core/bfs.h"
 #include "core/conn_components.h"
-#include "core/pagerank.h"
-#include "core/pagerank_kernels.h"
 #include "core/residency.h"
-#include "core/spmv.h"
+#include "engine/algorithms.h"
 #include "engine/frontier.h"
 #include "engine/operators.h"
 #include "trace/trace.h"
@@ -221,96 +219,6 @@ Result<core::CcResult> RunCcDelta(vgpu::Device* device,
   return result;
 }
 
-// Delta-PageRank: the exact full-recompute kernel sequence (dangling sum ->
-// pull SpMV over the normalized transpose -> damping; engine/pagerank.cc),
-// warm-started from the previous rank vector instead of 1/n.  Small deltas
-// leave the previous ranks near the new fixpoint, so the tolerance check
-// trips after far fewer iterations (cf. katana's PagerankDelta).
-Result<core::PageRankResult> RunPageRankDelta(
-    vgpu::Device* device, const graph::CsrGraph& g,
-    const core::PageRankOptions& options,
-    const core::PageRankResult& previous,
-    core::GraphResidency* residency) {
-  const vid_t n = g.num_vertices();
-  if (options.alpha <= 0 || options.alpha >= 1) {
-    return Status::InvalidArgument("damping factor must be in (0,1)");
-  }
-  trace::Span algo_span(device->trace_track(), "algo:pagerank_delta", "algo");
-  algo_span.ArgNum("num_vertices", static_cast<uint64_t>(n));
-
-  ADGRAPH_ASSIGN_OR_RETURN(
-      core::ResidentCsr staged,
-      core::Stage(residency, device, g, core::GraphVariant::kPullTranspose));
-  const core::DeviceCsr& d_gt = *staged;
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto d_row, rt::DeviceBuffer<eid_t>::FromHost(device, g.row_offsets()));
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto ranks, rt::DeviceBuffer<double>::FromHost(device, previous.ranks));
-  ADGRAPH_ASSIGN_OR_RETURN(auto next,
-                           rt::DeviceBuffer<double>::Create(device, n));
-  ADGRAPH_ASSIGN_OR_RETURN(auto scalars,
-                           rt::DeviceBuffer<double>::Create(device, 2));
-
-  rt::DeviceTimer timer(device);
-  core::PageRankResult result;
-  core::SpmvOptions spmv_options;
-  spmv_options.semiring = core::Semiring::kPlusTimes;
-  spmv_options.block_size = options.block_size;
-
-  for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
-    trace::Span sweep(device->trace_track(), "pagerank_delta.iteration",
-                      "phase");
-    sweep.ArgNum("iteration", static_cast<uint64_t>(iter + 1));
-    ADGRAPH_RETURN_NOT_OK(
-        core::primitives::SetElement<double>(device, scalars.ptr(), 0, 0.0));
-    ADGRAPH_RETURN_NOT_OK(
-        device
-            ->Launch("pagerank_dangling",
-                     rt::CoverThreads(n, options.block_size),
-                     [&](Ctx& c) {
-                       return core::detail::DanglingSumKernel(
-                           c, d_row.ptr(), ranks.ptr(), scalars.ptr(), n);
-                     })
-            .status());
-    ADGRAPH_ASSIGN_OR_RETURN(
-        double dangling,
-        core::primitives::GetElement<double>(device, scalars.ptr(), 0));
-
-    ADGRAPH_RETURN_NOT_OK(core::RunSpmvOnDevice(device, d_gt, ranks.ptr(),
-                                                next.ptr(), spmv_options));
-
-    double base = (1.0 - options.alpha) / n +
-                  options.alpha * dangling / static_cast<double>(n);
-    ADGRAPH_RETURN_NOT_OK(
-        core::primitives::SetElement<double>(device, scalars.ptr(), 1, 0.0));
-    ADGRAPH_RETURN_NOT_OK(
-        device
-            ->Launch("pagerank_damping",
-                     rt::CoverThreads(n, options.block_size),
-                     [&](Ctx& c) {
-                       return core::detail::ApplyDampingKernel(
-                           c, next.ptr(), ranks.ptr(), scalars.ptr() + 1, base,
-                           options.alpha, n);
-                     })
-            .status());
-    ADGRAPH_ASSIGN_OR_RETURN(
-        result.l1_delta,
-        core::primitives::GetElement<double>(device, scalars.ptr(), 1));
-    // Convergence trajectory on the span tree: an inspected warm-start job
-    // shows how close the previous ranks already were.
-    sweep.ArgNum("l1_delta", result.l1_delta);
-
-    std::swap(ranks, next);
-    result.iterations = iter + 1;
-    if (options.tolerance > 0 && result.l1_delta < options.tolerance) break;
-  }
-
-  result.time_ms = timer.ElapsedMs();
-  ADGRAPH_ASSIGN_OR_RETURN(result.ranks, ranks.ToHost());
-  algo_span.ArgNum("iterations", static_cast<uint64_t>(result.iterations));
-  return result;
-}
-
 bool HasDeletion(const std::vector<graph::EdgeUpdate>& ups) {
   return std::any_of(ups.begin(), ups.end(),
                      [](const graph::EdgeUpdate& up) { return !up.insert; });
@@ -408,9 +316,14 @@ Result<AlgoResult> RunIncremental(vgpu::Device* device, const AlgoSpec& spec,
         return fallback("previous ranks do not match the vertex count");
       }
       out->incremental = true;
+      // Delta-PageRank: the full-recompute loop warm-started from the
+      // previous ranks instead of 1/n.  Small deltas leave those ranks near
+      // the new fixpoint, so the tolerance check trips after far fewer
+      // iterations (cf. katana's PagerankDelta).
       ADGRAPH_ASSIGN_OR_RETURN(
           PageRankResult r,
-          engine::RunPageRankDelta(device, g, pr_options, prev, residency));
+          engine::RunPageRank(device, g, pr_options, residency, {}, nullptr,
+                              &prev.ranks));
       return AlgoResult{std::move(r)};
     }
     default:

@@ -19,11 +19,9 @@ namespace adgraph::engine {
 ///     (pull), applying a per-edge functor;
 ///   * **Filter** — compact a predicate over the vertex set into a queue.
 ///
-/// The push kernels replicate the seed BFS top-down codegen operation for
-/// operation (shared-memory staging, one flush atomic per block), so an
-/// algorithm whose functor issues the same per-edge instructions as its
-/// hand-rolled predecessor produces bit-identical outputs on the
-/// deterministic vgpu simulator — the golden-suite gate.
+/// The push kernels share one codegen (shared-memory staging, one flush
+/// atomic per block) — the BFS top-down expansion whose modeled counters
+/// the golden digests freeze (tests/golden_test.cc).
 ///
 /// Functor concepts:
 ///
@@ -66,13 +64,12 @@ inline CsrView MakeView(const core::DeviceCsr& d) {
 /// How a push advance maps frontier entries to execution resources.
 enum class LoadBalance {
   kAuto,             ///< warp-per-vertex when mean degree >= 2*warp width
-  kThreadPerVertex,  ///< one thread per frontier entry (seed BFS codegen)
+  kThreadPerVertex,  ///< one thread per frontier entry (BFS's codegen)
   kWarpPerVertex,    ///< one warp per entry; lanes stride the adjacency
 };
 
-/// Shared-memory staging queue capacity (entries per block); same value as
-/// the seed BFS so the staged/overflow split — and therefore the output
-/// queue order — is preserved.
+/// Shared-memory staging queue capacity (entries per block).  It sets the
+/// staged/overflow split and therefore the output queue order.
 inline constexpr uint32_t kStageCapacity = 2048;
 /// Shared layout: [0] staging counter, [1] flush base, [2..] staged ids.
 inline constexpr uint32_t kStageHeaderWords = 2;
@@ -91,8 +88,7 @@ using vgpu::LaneMask;
 using vgpu::Lanes;
 using vgpu::SmemPtr;
 
-/// Stages v into shared memory, overflowing to the global output queue —
-/// byte-for-byte the seed top-down enqueue path.
+/// Stages v into shared memory, overflowing to the global output queue.
 template <typename EdgeOp>
 void StageEnqueue(Ctx& c, SmemPtr<vid_t> stage, SmemPtr<uint32_t> counter,
                   const Lanes<uint32_t>& zero_idx,
@@ -117,13 +113,12 @@ void StageEnqueue(Ctx& c, SmemPtr<vid_t> stage, SmemPtr<uint32_t> counter,
 // The staging prologue/epilogue around the per-source expansion contains
 // block barriers (co_await), which cannot be factored into a helper
 // coroutine — KernelTask is not awaitable — so the three push kernels
-// below share it textually, exactly as the seed BFS wrote it.
+// below share it textually.
 
 }  // namespace detail
 
-/// Push advance over a sparse (queue) frontier, one thread per entry.
-/// Instruction-for-instruction the seed BFS TopDownKernel with the BFS
-/// visit inlined as `op`.
+/// Push advance over a sparse (queue) frontier, one thread per entry: the
+/// BFS top-down kernel with the visit supplied as `op`.
 template <typename EdgeOp>
 vgpu::KernelTask PushAdvanceSparseKernel(vgpu::Ctx& c, CsrView g,
                                          vgpu::DevPtr<graph::vid_t> in_queue,
@@ -325,8 +320,8 @@ vgpu::KernelTask PushAdvanceWarpKernel(vgpu::Ctx& c, CsrView g,
 /// Pull (bottom-up) advance: every vertex passing `Eligible` scans its
 /// adjacency for an admitting neighbor, early-exiting on the first hit;
 /// newly admitted vertices are tallied into `out_count` with one warp
-/// reduction + atomic.  Instruction-for-instruction the seed BFS
-/// BottomUpKernel with the level test inlined as `op`.
+/// reduction + atomic: the BFS bottom-up kernel with the level test
+/// supplied as `op`.
 template <typename PullOp>
 vgpu::KernelTask PullAdvanceKernel(vgpu::Ctx& c, CsrView g,
                                    vgpu::DevPtr<uint32_t> out_count,
@@ -362,8 +357,8 @@ vgpu::KernelTask PullAdvanceKernel(vgpu::Ctx& c, CsrView g,
 }
 
 /// Filter: compacts the vertices passing `pred` into `out_queue` with
-/// thread-ordered atomic ticketing.  Instruction-for-instruction the seed
-/// BFS LevelsToQueueKernel with the level test inlined as `pred`.
+/// thread-ordered atomic ticketing (BFS's queue rebuild after a pull
+/// round, with the level test supplied as `pred`).
 template <typename Pred>
 vgpu::KernelTask FilterToQueueKernel(vgpu::Ctx& c, uint32_t n,
                                      vgpu::DevPtr<graph::vid_t> out_queue,

@@ -1,11 +1,11 @@
 #include <utility>
+#include <vector>
 
 #include "core/pagerank.h"
 #include "core/pagerank_kernels.h"
 #include "core/residency.h"
 #include "core/spmv.h"
 #include "engine/algorithms.h"
-#include "engine/frontier.h"
 #include "engine/operators.h"
 #include "trace/trace.h"
 #include "vgpu/ctx.h"
@@ -20,18 +20,18 @@ using vgpu::Ctx;
 
 }  // namespace
 
-// PageRank is floating-point-order sensitive, so the engine port does not
-// re-derive the iteration from advance functors: it drives the seed's exact
-// kernel sequence (dangling sum -> pull SpMV over the normalized transpose
-// -> damping) as one dense pull advance per round.  Ranks, iteration count,
-// and l1_delta are bitwise identical to core::RunPageRank; the engine's
-// contribution is the direction arbitration and per-round decision record.
-Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
-                                         const graph::CsrGraph& g,
-                                         const core::PageRankOptions& options,
-                                         core::GraphResidency* residency,
-                                         const EngineOptions& engine,
-                                         EngineReport* report) {
+// PageRank is floating-point-order sensitive, so the engine does not
+// re-derive the iteration from advance functors: each round is the fixed
+// kernel sequence dangling sum -> pull SpMV over the normalized transpose
+// -> damping, run as one dense pull advance.  The golden digests freeze
+// ranks, iteration count, l1_delta and every kernel's counters.  Cold runs
+// start from 1/n; the incremental path passes the previous ranks as
+// `warm_start`, uploaded before the timer starts.
+Result<core::PageRankResult> RunPageRank(
+    vgpu::Device* device, const graph::CsrGraph& g,
+    const core::PageRankOptions& options, core::GraphResidency* residency,
+    const EngineOptions& engine, EngineReport* report,
+    const std::vector<double>* warm_start) {
   const vid_t n = g.num_vertices();
   if (n == 0) return Status::InvalidArgument("PageRank on empty graph");
   if (options.alpha <= 0 || options.alpha >= 1) {
@@ -43,7 +43,14 @@ Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
         "(it is a pull/SpMV algorithm)");
   }
 
-  trace::Span algo_span(device->trace_track(), "algo:pagerank", "algo");
+  if (warm_start != nullptr && warm_start->size() != n) {
+    return Status::InvalidArgument("warm-start ranks do not match the graph");
+  }
+
+  trace::Span algo_span(device->trace_track(),
+                        warm_start != nullptr ? "algo:pagerank_delta"
+                                              : "algo:pagerank",
+                        "algo");
   algo_span.ArgNum("num_vertices", static_cast<uint64_t>(n));
   algo_span.ArgNum("max_iterations",
                    static_cast<uint64_t>(options.max_iterations));
@@ -54,16 +61,24 @@ Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
   const core::DeviceCsr& d_gt = *staged;
   ADGRAPH_ASSIGN_OR_RETURN(
       auto d_row, rt::DeviceBuffer<eid_t>::FromHost(device, g.row_offsets()));
-  ADGRAPH_ASSIGN_OR_RETURN(auto ranks,
-                           rt::DeviceBuffer<double>::Create(device, n));
+  rt::DeviceBuffer<double> ranks;
+  if (warm_start != nullptr) {
+    ADGRAPH_ASSIGN_OR_RETURN(
+        ranks, rt::DeviceBuffer<double>::FromHost(device, *warm_start));
+  } else {
+    ADGRAPH_ASSIGN_OR_RETURN(ranks,
+                             rt::DeviceBuffer<double>::Create(device, n));
+  }
   ADGRAPH_ASSIGN_OR_RETURN(auto next,
                            rt::DeviceBuffer<double>::Create(device, n));
   ADGRAPH_ASSIGN_OR_RETURN(auto scalars,
                            rt::DeviceBuffer<double>::Create(device, 2));
 
   rt::DeviceTimer timer(device);
-  ADGRAPH_RETURN_NOT_OK(
-      core::primitives::Fill<double>(device, ranks.ptr(), n, 1.0 / n));
+  if (warm_start == nullptr) {
+    ADGRAPH_RETURN_NOT_OK(
+        core::primitives::Fill<double>(device, ranks.ptr(), n, 1.0 / n));
+  }
 
   // Every vertex pulls every round: the frontier is dense and full-width
   // for the entire run, and the direction engine records a pull per round.
@@ -116,6 +131,9 @@ Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
     ADGRAPH_ASSIGN_OR_RETURN(
         result.l1_delta,
         core::primitives::GetElement<double>(device, scalars.ptr(), 1));
+    // Convergence trajectory on the span tree: an inspected warm-start job
+    // shows how close the previous ranks already were.
+    sweep.ArgNum("l1_delta", result.l1_delta);
 
     std::swap(ranks, next);
     result.iterations = iter + 1;
@@ -124,6 +142,7 @@ Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
 
   result.time_ms = timer.ElapsedMs();
   ADGRAPH_ASSIGN_OR_RETURN(result.ranks, ranks.ToHost());
+  algo_span.ArgNum("iterations", static_cast<uint64_t>(result.iterations));
   if (report != nullptr) report->direction = director.stats();
   return result;
 }

@@ -56,15 +56,6 @@ struct FlagSetPred {
   }
 };
 
-/// use_frontier=false: every vertex with a finite distance expands
-/// (the seed's non-frontier Bellman-Ford sweep).
-struct FiniteDistPred {
-  DevPtr<double> dist;
-  LaneMask operator()(Ctx& c, const Lanes<vid_t>& v) {
-    return c.Lt(c.Load(dist, v), kInf);
-  }
-};
-
 }  // namespace
 
 Result<core::SsspResult> RunSssp(vgpu::Device* device,
@@ -131,19 +122,7 @@ Result<core::SsspResult> RunSssp(vgpu::Device* device,
     (void)dir;  // always push; Choose validates policy and keeps stats
 
     SsspPushOp op{view.weights, dist.ptr(), next.flags(), {}};
-    if (!options.use_frontier) {
-      FiniteDistPred pred{dist.ptr()};
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("sssp_relax_dense",
-                       rt::CoverThreads(n, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceDenseKernel(c, view, next.queue(),
-                                                       next.count(), pred, op);
-                       })
-              .status());
-    } else if (cur.rep() == Frontier::Rep::kDense) {
+    if (cur.rep() == Frontier::Rep::kDense) {
       FlagSetPred pred{cur.flags()};
       ADGRAPH_RETURN_NOT_OK(
           device

@@ -198,7 +198,7 @@ class ShardPipeline {
 /// lo+t.  Levels are canonical (a vertex's level is its BFS distance no
 /// matter which expansion order discovered it), so sharding the expansion
 /// cannot change the output — the AtomicCas claim is the same one the
-/// in-memory TopDownKernel performs.
+/// in-memory BFS push advance performs.
 KernelTask BfsShardKernel(Ctx& c, DevPtr<eid_t> row, DevPtr<vid_t> col,
                           DevPtr<uint32_t> levels, DevPtr<uint32_t> produced,
                           uint32_t num_rows, vid_t lo, uint32_t level) {

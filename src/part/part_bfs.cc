@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/bfs.h"
-#include "core/bfs_kernels.h"
 #include "core/device_graph.h"
 #include "runtime/runtime.h"
 #include "trace/trace.h"
@@ -16,8 +15,6 @@
 namespace adgraph::part {
 namespace {
 
-using core::detail::BfsDeviceState;
-using core::detail::StageSharedBytes;
 using core::kUnreachedLevel;
 using graph::eid_t;
 using graph::vid_t;
@@ -27,14 +24,27 @@ using vgpu::KernelTask;
 using vgpu::Lanes;
 using vgpu::SmemPtr;
 
-/// Shared staging mirror of core::detail::TopDownKernel's layout (same
-/// capacity, same header) — see core/bfs.cc.
+/// Shared-memory staging queue of the expand kernel: the single-device
+/// push advance's capacity and header (engine/operators.h), so owned
+/// discoveries stage and overflow exactly as they do there.
 constexpr uint32_t kStageCapacity = 2048;
 constexpr uint32_t kStageHeaderWords = 2;
+constexpr uint32_t kStageSharedBytes =
+    (kStageCapacity + kStageHeaderWords) * sizeof(uint32_t);
+
+/// Device arrays of one shard's expand launch.
+struct ExpandState {
+  DevPtr<eid_t> row;
+  DevPtr<vid_t> col;
+  DevPtr<uint32_t> levels;
+  DevPtr<vid_t> frontier;
+  DevPtr<vid_t> next_frontier;
+  DevPtr<uint32_t> next_size;
+};
 
 /// Fused top-down expansion + owner routing: the single per-round compute
 /// launch of each shard.  Identical discovery semantics to the
-/// single-device TopDownKernel (same CAS, same level assignment — that is
+/// single-device push advance (same CAS, same level assignment — that is
 /// what keeps partitioned levels byte-identical); the only difference is
 /// where a winner is appended: owned ids ([lo, hi)) go through the
 /// shared-memory staging queue into the local next frontier, remote ids
@@ -42,7 +52,7 @@ constexpr uint32_t kStageHeaderWords = 2;
 /// the expansion keeps the per-round launch count (and the modeled fixed
 /// launch overhead with it) at parity with the single-device driver, which
 /// is what lets strong scaling show through on the Table 4 proxies.
-KernelTask ExpandKernel(Ctx& c, BfsDeviceState s, uint32_t frontier_size,
+KernelTask ExpandKernel(Ctx& c, ExpandState s, uint32_t frontier_size,
                         uint32_t level, vid_t lo, vid_t hi,
                         DevPtr<vid_t> remote, DevPtr<uint32_t> remote_size) {
   SmemPtr<uint32_t> counter{0};
@@ -221,11 +231,10 @@ Result<PartBfsResult> RunPartitionedBfs(PartitionedEngine* engine,
       ADGRAPH_RETURN_NOT_OK(s.counters.Upload(zeros, kNumCounters));
       if (s.frontier_size == 0) continue;
 
-      BfsDeviceState state;
+      ExpandState state;
       state.row = s.csr.row_offsets.ptr();
       state.col = s.csr.col_indices.ptr();
       state.levels = s.levels.ptr();
-      state.parents = DevPtr<vid_t>{};
       state.frontier = s.frontier.ptr();
       state.next_frontier = s.owned_queue.ptr();
       state.next_size = s.counters.ptr() + kOwnedSize;
@@ -233,7 +242,7 @@ Result<PartBfsResult> RunPartitionedBfs(PartitionedEngine* engine,
       ADGRAPH_RETURN_NOT_OK(
           dev->Launch("part_bfs_expand",
                       rt::CoverThreads(frontier_size, options.block_size,
-                                       StageSharedBytes()),
+                                       kStageSharedBytes),
                       [&](Ctx& c) {
                         return ExpandKernel(c, state, frontier_size, level,
                                             plan.lo(d), plan.hi(d),

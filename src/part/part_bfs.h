@@ -17,7 +17,7 @@ struct PartBfsOptions {
 };
 
 /// Outcome of a partitioned BFS.  `levels` is byte-identical to a
-/// single-device top-down RunBfs of the same graph and source: the
+/// single-device top-down BFS of the same graph and source: the
 /// bulk-synchronous rounds coincide exactly with BFS levels, so splitting
 /// the frontier across shards cannot change any vertex's level.
 struct PartBfsResult {
@@ -37,7 +37,7 @@ struct PartBfsResult {
 /// \brief Top-down BFS over a vertex-range-partitioned graph.
 ///
 /// Each round: every device runs ONE fused kernel launch (the
-/// single-device TopDownKernel's CAS discovery plus owner routing — owned
+/// single-device push advance's CAS discovery plus owner routing — owned
 /// discoveries to the local next frontier, remote ones to a per-device
 /// outbox), then the host routes outboxes to their owners over the
 /// interconnect and applies the arrivals — first arrival wins, duplicates

@@ -6,11 +6,20 @@ namespace adgraph::serve {
 
 namespace {
 
+/// Device bytes one allocation of `bytes` occupies: the vgpu allocator
+/// rounds every request, zero-byte ones included, up to 256 bytes.
+uint64_t Alloc(uint64_t bytes) {
+  constexpr uint64_t kAlignment = 256;
+  return (std::max<uint64_t>(bytes, 1) + kAlignment - 1) / kAlignment *
+         kAlignment;
+}
+
 /// Device footprint of uploading a CSR graph as-is (DeviceCsr::Upload):
 /// 64-bit row offsets, 32-bit column indices, FP64 weights when present.
 uint64_t UploadBytes(uint64_t n, uint64_t m, bool weighted) {
-  return (n + 1) * sizeof(graph::eid_t) + m * sizeof(graph::vid_t) +
-         (weighted ? m * sizeof(graph::weight_t) : 0);
+  return Alloc((n + 1) * sizeof(graph::eid_t)) +
+         Alloc(m * sizeof(graph::vid_t)) +
+         (weighted ? Alloc(m * sizeof(graph::weight_t)) : 0);
 }
 
 /// Footprint after host-side symmetrization (make_undirected at most
@@ -18,6 +27,11 @@ uint64_t UploadBytes(uint64_t n, uint64_t m, bool weighted) {
 /// bound).
 uint64_t SymUploadBytes(uint64_t n, uint64_t m, bool weighted) {
   return UploadBytes(n, 2 * m, weighted);
+}
+
+/// One engine Frontier (engine/frontier.h): queue, flags, count cell.
+uint64_t FrontierBytes(uint64_t n) {
+  return 2 * Alloc(n * sizeof(uint32_t)) + Alloc(sizeof(uint32_t));
 }
 
 template <typename Options>
@@ -44,9 +58,11 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            [](const JobSpec& s) {
              const auto& g = *s.graph;
              uint64_t n = g.num_vertices();
-             // levels + frontier + next frontier + parents + flag.
-             return UploadBytes(n, g.num_edges(), g.has_weights()) + 16 * n +
-                    256;
+             // levels + two queues + count cell (+ parents).
+             const uint64_t parents =
+                 Params<core::BfsOptions>(s).compute_parents ? 1 : 0;
+             return UploadBytes(n, g.num_edges(), g.has_weights()) +
+                    (3 + parents) * Alloc(4 * n) + Alloc(4);
            }});
 
   add({.algo = Algorithm::kSssp,
@@ -55,9 +71,9 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            [](const JobSpec& s) {
              const auto& g = *s.graph;
              uint64_t n = g.num_vertices();
-             // distances (f64) + two frontier masks + change flag.
-             return UploadBytes(n, g.num_edges(), g.has_weights()) + 16 * n +
-                    256;
+             // distances (f64) + two frontiers.
+             return UploadBytes(n, g.num_edges(), g.has_weights()) +
+                    Alloc(8 * n) + 2 * FrontierBytes(n);
            }});
 
   add({.algo = Algorithm::kPageRank,
@@ -67,9 +83,10 @@ std::vector<AlgorithmHandler> BuildRegistry() {
              const auto& g = *s.graph;
              uint64_t n = g.num_vertices();
              // Normalized transpose (always weighted) + out-degree offsets
-             // + two rank vectors + reduction cell.
+             // + two rank vectors + two reduction cells.
              return UploadBytes(n, g.num_edges(), /*weighted=*/true) +
-                    (n + 1) * sizeof(graph::eid_t) + 16 * n + 256;
+                    Alloc((n + 1) * sizeof(graph::eid_t)) + 2 * Alloc(8 * n) +
+                    Alloc(16);
            }});
 
   add({.algo = Algorithm::kTriangleCount,
@@ -96,8 +113,10 @@ std::vector<AlgorithmHandler> BuildRegistry() {
            [](const JobSpec& s) {
              const auto& g = *s.graph;
              uint64_t n = g.num_vertices();
-             return SymUploadBytes(n, g.num_edges(), /*weighted=*/false) +
-                    4 * n + 256;
+             // The symmetrized copy keeps the weights; labels + two
+             // frontiers.
+             return SymUploadBytes(n, g.num_edges(), g.has_weights()) +
+                    Alloc(4 * n) + 2 * FrontierBytes(n);
            }});
 
   add({.algo = Algorithm::kKCore,
@@ -126,9 +145,10 @@ std::vector<AlgorithmHandler> BuildRegistry() {
        .estimate_device_bytes =
            [](const JobSpec& s) {
              const auto& g = *s.graph;
-             return UploadBytes(g.num_vertices(), g.num_edges(),
-                                g.has_weights()) +
-                    8 * static_cast<uint64_t>(g.num_vertices()) + 256;
+             uint64_t n = g.num_vertices();
+             // widths (f64) + two frontiers.
+             return UploadBytes(n, g.num_edges(), g.has_weights()) +
+                    Alloc(8 * n) + 2 * FrontierBytes(n);
            }});
 
   add({.algo = Algorithm::kColoring,

@@ -24,8 +24,9 @@ struct AlgorithmHandler {
 
   /// Conservative upper bound on the bytes of device memory the job will
   /// have live at its peak, mirroring the actual Alloc sequence of the
-  /// core/ implementation (graph upload + working arrays + conservative
-  /// intermediates).  Used by admission control: a job whose estimate
+  /// driver `core::Run` dispatches to (graph upload + working arrays +
+  /// conservative intermediates, each rounded to the allocator's 256-byte
+  /// granularity).  Used by admission control: a job whose estimate
   /// exceeds device RAM is rejected with kResourceExhausted instead of
   /// being allowed to die mid-run with kOutOfMemory.
   std::function<uint64_t(const JobSpec&)> estimate_device_bytes;

@@ -4,16 +4,9 @@
 #include <cmath>
 #include <limits>
 
-#include "core/bfs.h"
-#include "core/coloring.h"
-#include "core/conn_components.h"
+#include "core/api.h"
 #include "core/host_ref.h"
-#include "core/jaccard.h"
-#include "core/kcore.h"
-#include "core/pagerank.h"
 #include "core/spmv.h"
-#include "core/sssp.h"
-#include "core/widest_path.h"
 #include "graph/builder.h"
 #include "graph/generate.h"
 #include "util/random.h"
@@ -103,7 +96,7 @@ TEST(PageRankTest, UniformOnRegularRing) {
   const vid_t n = 64;
   for (vid_t v = 0; v < n; ++v) b.AddEdge(v, (v + 1) % n);
   Device dev(A100Config());
-  auto result = RunPageRank(&dev, b.Build().value(), {}).value();
+  auto result = core::Run<Algo::kPageRank>(&dev, b.Build().value(), {}).value();
   for (double r : result.ranks) EXPECT_NEAR(r, 1.0 / n, 1e-9);
 }
 
@@ -113,7 +106,7 @@ TEST(PageRankTest, MatchesHostReference) {
   PageRankOptions options;
   options.max_iterations = 25;
   options.tolerance = 0;  // fixed iteration count, same as the reference
-  auto result = RunPageRank(&dev, g, options).value();
+  auto result = core::Run<Algo::kPageRank>(&dev, g, options).value();
   auto expected = host_ref::PageRank(g, options.alpha, options.max_iterations);
   ASSERT_EQ(result.ranks.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -125,7 +118,7 @@ TEST(PageRankTest, RanksSumToOneWithDanglingVertices) {
   GraphBuilder b(50);  // vertices 40..49 are dangling
   for (vid_t v = 0; v < 40; ++v) b.AddEdge(v, (v * 7 + 1) % 50);
   Device dev(A100Config());
-  auto result = RunPageRank(&dev, b.Build().value(), {}).value();
+  auto result = core::Run<Algo::kPageRank>(&dev, b.Build().value(), {}).value();
   double sum = 0;
   for (double r : result.ranks) sum += r;
   EXPECT_NEAR(sum, 1.0, 1e-6);
@@ -137,7 +130,7 @@ TEST(PageRankTest, ConvergesEarlyWithTolerance) {
   PageRankOptions options;
   options.max_iterations = 200;
   options.tolerance = 1e-6;
-  auto result = RunPageRank(&dev, g, options).value();
+  auto result = core::Run<Algo::kPageRank>(&dev, g, options).value();
   EXPECT_LT(result.iterations, 200u);
   EXPECT_LT(result.l1_delta, 1e-6);
 }
@@ -147,7 +140,7 @@ TEST(PageRankTest, HubOutranksLeaves) {
   for (vid_t v = 1; v <= 30; ++v) b.AddEdge(v, 0);  // everyone points at 0
   b.AddEdge(0, 1);
   Device dev(A100Config());
-  auto result = RunPageRank(&dev, b.Build().value(), {}).value();
+  auto result = core::Run<Algo::kPageRank>(&dev, b.Build().value(), {}).value();
   for (vid_t v = 2; v <= 30; ++v) {
     EXPECT_GT(result.ranks[0], result.ranks[v]);
   }
@@ -158,7 +151,7 @@ TEST(PageRankTest, ValidatesAlpha) {
   auto g = RandomGraph(8, 4, 58);
   PageRankOptions options;
   options.alpha = 1.5;
-  EXPECT_FALSE(RunPageRank(&dev, g, options).ok());
+  EXPECT_FALSE(core::Run<Algo::kPageRank>(&dev, g, options).ok());
 }
 
 // ----------------------------------------------------------------- SSSP
@@ -168,7 +161,7 @@ TEST(SsspTest, MatchesHostReferenceWeighted) {
   auto g = RandomGraph(9, 6, 59, /*weighted=*/true);
   SsspOptions options;
   options.source = 0;
-  auto result = RunSssp(&dev, g, options).value();
+  auto result = core::Run<Algo::kSssp>(&dev, g, options).value();
   auto expected = host_ref::Sssp(g, 0);
   ASSERT_EQ(result.distances.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -183,7 +176,7 @@ TEST(SsspTest, MatchesHostReferenceWeighted) {
 TEST(SsspTest, UnweightedDistancesEqualBfsLevels) {
   Device dev(Z100LConfig());
   auto g = RandomGraph(9, 8, 60);
-  auto result = RunSssp(&dev, g, {.source = 5}).value();
+  auto result = core::Run<Algo::kSssp>(&dev, g, {.source = 5}).value();
   auto levels = host_ref::BfsLevels(g, 5);
   for (size_t v = 0; v < levels.size(); ++v) {
     if (levels[v] == kUnreachedLevel) {
@@ -198,64 +191,18 @@ TEST(SsspTest, RejectsNegativeWeights) {
   GraphBuilder b;
   b.AddEdge(0, 1, -2.0);
   Device dev(A100Config());
-  EXPECT_FALSE(RunSssp(&dev, b.Build().value(), {.source = 0}).ok());
+  EXPECT_FALSE(core::Run<Algo::kSssp>(
+      &dev, b.Build().value(), {.source = 0}).ok());
 }
 
 TEST(SsspTest, ChainDistancesAccumulateWeights) {
   GraphBuilder b;
   b.AddEdge(0, 1, 1.5).AddEdge(1, 2, 2.5).AddEdge(2, 3, 3.0);
   Device dev(A100Config());
-  auto result = RunSssp(&dev, b.Build().value(), {.source = 0}).value();
+  auto result = core::Run<Algo::kSssp>(
+      &dev, b.Build().value(), {.source = 0}).value();
   EXPECT_DOUBLE_EQ(result.distances[3], 7.0);
   EXPECT_LE(result.rounds, 4u);
-}
-
-
-TEST(SsspTest, FrontierAndFullSweepAgree) {
-  Device dev(A100Config());
-  auto g = RandomGraph(9, 8, 94, /*weighted=*/true);
-  SsspOptions frontier;
-  frontier.source = 2;
-  frontier.use_frontier = true;
-  SsspOptions full;
-  full.source = 2;
-  full.use_frontier = false;
-  auto a = RunSssp(&dev, g, frontier).value();
-  auto b = RunSssp(&dev, g, full).value();
-  ASSERT_EQ(a.distances.size(), b.distances.size());
-  for (size_t v = 0; v < a.distances.size(); ++v) {
-    if (std::isinf(b.distances[v])) {
-      EXPECT_TRUE(std::isinf(a.distances[v]));
-    } else {
-      EXPECT_DOUBLE_EQ(a.distances[v], b.distances[v]);
-    }
-  }
-}
-
-TEST(SsspTest, FrontierDoesLessWorkOnChains) {
-  // A long chain: the full sweep touches all n vertices each round; the
-  // frontier touches one.  Compare per-round VALU work, not time.
-  GraphBuilder b;
-  for (vid_t v = 0; v + 1 < 512; ++v) b.AddEdge(v, v + 1, 1.0);
-  auto g = b.Build().value();
-  auto work = [&](bool use_frontier) {
-    Device dev(A100Config());
-    size_t mark = dev.kernel_log().size();
-    SsspOptions options;
-    options.source = 0;
-    options.use_frontier = use_frontier;
-    RunSssp(&dev, g, options).value();
-    uint64_t loads = 0;
-    for (size_t i = mark; i < dev.kernel_log().size(); ++i) {
-      const auto& s = dev.kernel_log()[i];
-      if (s.kernel_name == "sssp_relax") {
-        loads += s.counters.global_load_inst;
-      }
-    }
-    return loads;
-  };
-  EXPECT_LT(work(true), work(false) / 2)
-      << "the active-set sweep must touch far fewer vertices";
 }
 
 // ------------------------------------------------------------------- CC
@@ -265,7 +212,8 @@ TEST(CcTest, CountsComponents) {
   b.AddEdge(0, 1).AddEdge(1, 2);   // component {0,1,2}
   b.AddEdge(4, 5);                 // component {4,5}
   Device dev(A100Config());
-  auto result = RunConnectedComponents(&dev, b.Build().value(), {}).value();
+  auto result = core::Run<Algo::kConnectedComponents>(
+      &dev, b.Build().value(), {}).value();
   // {0,1,2}, {4,5}, and singletons 3,6,7,8,9.
   EXPECT_EQ(result.num_components, 7u);
   EXPECT_EQ(result.labels[0], result.labels[2]);
@@ -278,7 +226,7 @@ TEST(CcTest, MatchesHostReference) {
   // Sparse graph so multiple components exist.
   auto coo = graph::GenerateErdosRenyi(2000, 1500, 61).value();
   auto g = CsrGraph::FromCoo(coo).value();
-  auto result = RunConnectedComponents(&dev, g, {}).value();
+  auto result = core::Run<Algo::kConnectedComponents>(&dev, g, {}).value();
   auto expected = host_ref::ConnectedComponents(g);
   EXPECT_EQ(result.labels, expected);
 }
@@ -287,7 +235,8 @@ TEST(CcTest, DirectionIgnored) {
   GraphBuilder b(4);
   b.AddEdge(1, 0).AddEdge(2, 3);  // only "incoming" edges for 0 and 3
   Device dev(A100Config());
-  auto result = RunConnectedComponents(&dev, b.Build().value(), {}).value();
+  auto result = core::Run<Algo::kConnectedComponents>(
+      &dev, b.Build().value(), {}).value();
   EXPECT_EQ(result.labels[0], result.labels[1]);
   EXPECT_EQ(result.labels[2], result.labels[3]);
   EXPECT_EQ(result.num_components, 2u);
@@ -328,7 +277,7 @@ TEST(WidestPathTest, MatchesHostReferenceWeighted) {
   auto g = RandomGraph(9, 6, 71, /*weighted=*/true);
   WidestPathOptions options;
   options.source = 0;
-  auto result = RunWidestPath(&dev, g, options).value();
+  auto result = core::Run<Algo::kWidestPath>(&dev, g, options).value();
   auto expected = host_ref::WidestPath(g, 0);
   ASSERT_EQ(result.widths.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -346,7 +295,8 @@ TEST(WidestPathTest, BottleneckOnHandGraph) {
   b.AddEdge(0, 1, 5.0).AddEdge(1, 3, 1.0);
   b.AddEdge(0, 2, 2.0).AddEdge(2, 3, 4.0);
   Device dev(A100Config());
-  auto result = RunWidestPath(&dev, b.Build().value(), {.source = 0}).value();
+  auto result = core::Run<Algo::kWidestPath>(
+      &dev, b.Build().value(), {.source = 0}).value();
   EXPECT_TRUE(std::isinf(result.widths[0]));
   EXPECT_DOUBLE_EQ(result.widths[1], 5.0);
   EXPECT_DOUBLE_EQ(result.widths[2], 2.0);
@@ -357,11 +307,13 @@ TEST(WidestPathTest, UnreachableIsZeroAndNegativeRejected) {
   GraphBuilder b(3);
   b.AddEdge(0, 1, 3.0);
   Device dev(A100Config());
-  auto result = RunWidestPath(&dev, b.Build().value(), {.source = 0}).value();
+  auto result = core::Run<Algo::kWidestPath>(
+      &dev, b.Build().value(), {.source = 0}).value();
   EXPECT_DOUBLE_EQ(result.widths[2], 0.0);
   GraphBuilder bad;
   bad.AddEdge(0, 1, -1.0);
-  EXPECT_FALSE(RunWidestPath(&dev, bad.Build().value(), {.source = 0}).ok());
+  EXPECT_FALSE(core::Run<Algo::kWidestPath>(
+      &dev, bad.Build().value(), {.source = 0}).ok());
 }
 
 TEST(SpmvTest, OrAndMatchesReference) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "core/host_ref.h"
 #include "graph/builder.h"
 #include "graph/datasets.h"
@@ -33,7 +33,7 @@ void ExpectBfsMatchesReference(Device* dev, const CsrGraph& g,
   BfsOptions options;
   options.source = source;
   options.assume_symmetric = assume_symmetric;
-  auto result = RunBfs(dev, g, options);
+  auto result = core::Run<Algo::kBfs>(dev, g, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto expected = host_ref::BfsLevels(g, source);
   ASSERT_EQ(result->levels.size(), expected.size());
@@ -49,7 +49,7 @@ TEST(BfsTest, ChainGraphLevels) {
   auto g = b.Build().value();
   BfsOptions options;
   options.source = 0;
-  auto result = RunBfs(&dev, g, options).value();
+  auto result = core::Run<Algo::kBfs>(&dev, g, options).value();
   for (uint32_t v = 0; v < 10; ++v) EXPECT_EQ(result.levels[v], v);
   EXPECT_EQ(result.depth, 9u);
   EXPECT_EQ(result.vertices_visited, 10u);
@@ -59,7 +59,8 @@ TEST(BfsTest, DisconnectedVerticesUnreached) {
   GraphBuilder b(6);
   b.AddEdge(0, 1).AddEdge(1, 2);
   Device dev(A100Config());
-  auto result = RunBfs(&dev, b.Build().value(), {.source = 0}).value();
+  auto result = core::Run<Algo::kBfs>(
+      &dev, b.Build().value(), {.source = 0}).value();
   EXPECT_EQ(result.levels[3], kUnreachedLevel);
   EXPECT_EQ(result.levels[5], kUnreachedLevel);
   EXPECT_EQ(result.vertices_visited, 3u);
@@ -69,7 +70,8 @@ TEST(BfsTest, StarGraphOneLevel) {
   GraphBuilder b;
   for (graph::vid_t v = 1; v <= 100; ++v) b.AddEdge(0, v);
   Device dev(A100Config());
-  auto result = RunBfs(&dev, b.Build().value(), {.source = 0}).value();
+  auto result = core::Run<Algo::kBfs>(
+      &dev, b.Build().value(), {.source = 0}).value();
   EXPECT_EQ(result.depth, 1u);
   EXPECT_EQ(result.vertices_visited, 101u);
 }
@@ -78,7 +80,7 @@ TEST(BfsTest, SourceValidation) {
   GraphBuilder b(3);
   b.AddEdge(0, 1);
   Device dev(A100Config());
-  auto result = RunBfs(&dev, b.Build().value(), {.source = 99});
+  auto result = core::Run<Algo::kBfs>(&dev, b.Build().value(), {.source = 99});
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
@@ -121,11 +123,11 @@ TEST(BfsTest, TopDownOnlyAgreesWithDirectionOptimizing) {
   BfsOptions td_only;
   td_only.source = source;
   td_only.direction_optimizing = false;
-  auto a = RunBfs(&dev, g, td_only).value();
+  auto a = core::Run<Algo::kBfs>(&dev, g, td_only).value();
   BfsOptions dir_opt;
   dir_opt.source = source;
   dir_opt.assume_symmetric = true;
-  auto b = RunBfs(&dev, g, dir_opt).value();
+  auto b = core::Run<Algo::kBfs>(&dev, g, dir_opt).value();
   EXPECT_EQ(a.levels, b.levels);
   EXPECT_EQ(a.bottom_up_iterations, 0u);
   EXPECT_GT(b.bottom_up_iterations, 0u)
@@ -145,7 +147,7 @@ TEST(BfsTest, BottomUpUsedOnDenseFrontiers) {
   options.source = 0;
   options.alpha = 16;
   options.assume_symmetric = true;
-  auto result = RunBfs(&dev, g, options).value();
+  auto result = core::Run<Algo::kBfs>(&dev, g, options).value();
   EXPECT_GT(result.bottom_up_iterations, 0u);
   EXPECT_EQ(result.vertices_visited, 600u);
 }
@@ -160,7 +162,7 @@ TEST(BfsTest, ParentsFormValidShortestPathTree) {
   options.source = 0;
   options.assume_symmetric = true;
   options.compute_parents = true;
-  auto result = RunBfs(&dev, g, options).value();
+  auto result = core::Run<Algo::kBfs>(&dev, g, options).value();
   ASSERT_EQ(result.parents.size(), g.num_vertices());
   EXPECT_EQ(result.parents[0], graph::kInvalidVertex) << "source";
   for (graph::vid_t v = 0; v < g.num_vertices(); ++v) {
@@ -183,7 +185,8 @@ TEST(BfsTest, ParentsOffByDefault) {
   GraphBuilder b;
   b.AddEdge(0, 1);
   Device dev(A100Config());
-  auto result = RunBfs(&dev, b.Build().value(), {.source = 0}).value();
+  auto result = core::Run<Algo::kBfs>(
+      &dev, b.Build().value(), {.source = 0}).value();
   EXPECT_TRUE(result.parents.empty());
 }
 
@@ -195,8 +198,8 @@ TEST(BfsTest, DeviceTimeNonzeroAndOrdered) {
                    .value();
   auto gs = Symmetrize(CsrGraph::FromCoo(small).value());
   auto gl = Symmetrize(CsrGraph::FromCoo(large).value());
-  auto rs = RunBfs(&dev, gs, {.source = 0}).value();
-  auto rl = RunBfs(&dev, gl, {.source = 0}).value();
+  auto rs = core::Run<Algo::kBfs>(&dev, gs, {.source = 0}).value();
+  auto rl = core::Run<Algo::kBfs>(&dev, gl, {.source = 0}).value();
   EXPECT_GT(rs.time_ms, 0.0);
   EXPECT_GT(rl.time_ms, rs.time_ms) << "16x more edges must cost more time";
 }

@@ -63,39 +63,6 @@ TEST(FrontierTest, InitAllVerticesIsDenseFullSet) {
   }
 }
 
-TEST(FrontierTest, SparseDenseRoundTripPreservesSet) {
-  Device dev(A100Config());
-  auto f = Frontier::Create(&dev, 257).value();
-  ASSERT_TRUE(f.InitSource(200).ok());
-  ASSERT_TRUE(f.EnsureDense().ok());
-  EXPECT_EQ(f.rep(), Frontier::Rep::kDense);
-  EXPECT_EQ(core::primitives::GetElement(&dev, f.flags(), 200).value(), 1u);
-  // Back to sparse: the queue is rebuilt from the flags.
-  ASSERT_TRUE(f.EnsureSparse().ok());
-  EXPECT_EQ(f.rep(), Frontier::Rep::kSparse);
-  ASSERT_TRUE(f.RefreshCount().ok());
-  EXPECT_EQ(f.size(), 1u);
-  EXPECT_EQ(core::primitives::GetElement(&dev, f.queue(), 0).value(), 200u);
-}
-
-TEST(FrontierTest, DenseToSparseMaterializesFullQueue) {
-  Device dev(A100Config());
-  auto f = Frontier::Create(&dev, 300).value();
-  ASSERT_TRUE(f.InitAllVertices().ok());
-  ASSERT_TRUE(f.EnsureSparse().ok());
-  ASSERT_TRUE(f.RefreshCount().ok());
-  EXPECT_EQ(f.size(), 300u);
-  // The conversion uses atomic ticketing; on the deterministic simulator
-  // the queue is a permutation of 0..n-1 — verify via a seen-set.
-  std::vector<bool> seen(300, false);
-  for (uint32_t i = 0; i < 300; ++i) {
-    vid_t v = core::primitives::GetElement(&dev, f.queue(), i).value();
-    ASSERT_LT(v, 300u);
-    EXPECT_FALSE(seen[v]) << "duplicate " << v;
-    seen[v] = true;
-  }
-}
-
 TEST(FrontierTest, ClearEmptiesBothRepresentations) {
   Device dev(A100Config());
   auto f = Frontier::Create(&dev, 50).value();

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "core/host_ref.h"
 #include "core/subgraph.h"
 #include "core/triangle_count.h"
@@ -15,7 +15,6 @@ namespace {
 
 using core::BfsOptions;
 using core::EsbvOptions;
-using core::RunBfs;
 using core::RunTriangleCount;
 using graph::CsrGraph;
 using vgpu::Device;
@@ -41,6 +40,12 @@ class IntegrationTest : public ::testing::Test {
     sym_graph_ = nullptr;
   }
 
+  /// Direction-optimizing BFS from vertex 0 over the symmetric proxy.
+  static Result<core::BfsResult> SymBfs(Device* dev) {
+    return core::Run<core::Algo::kBfs>(
+        dev, *sym_graph_, {.source = 0, .assume_symmetric = true});
+  }
+
   static CsrGraph* graph_;
   static CsrGraph* sym_graph_;
 };
@@ -54,7 +59,7 @@ TEST_F(IntegrationTest, AllFourGpusAgreeOnBfs) {
   auto expected = core::host_ref::BfsLevels(*sym_graph_, 0);
   for (const auto* arch : vgpu::PaperGpus()) {
     Device dev(*arch);
-    auto result = RunBfs(&dev, *sym_graph_, {.source = 0, .assume_symmetric = true});
+    auto result = SymBfs(&dev);
     ASSERT_TRUE(result.ok()) << arch->name;
     EXPECT_EQ(result->levels, expected) << arch->name;
     EXPECT_GT(result->time_ms, 0.0) << arch->name;
@@ -94,7 +99,7 @@ TEST_F(IntegrationTest, ProfilingSessionsYieldBothMetricViews) {
   Device z100l(vgpu::Z100LConfig());
   for (Device* dev : {&a100, &z100l}) {
     prof::Session session(dev);
-    ASSERT_TRUE(RunBfs(dev, *sym_graph_, {.source = 0, .assume_symmetric = true}).ok());
+    ASSERT_TRUE(SymBfs(dev).ok());
     auto profile = session.Finish();
     EXPECT_GT(profile.num_kernels, 0u);
     EXPECT_GT(profile.total_ms, 0.0);
@@ -123,10 +128,10 @@ TEST_F(IntegrationTest, SharedMemoryMetricFavorsIndependentLds) {
   Device a100(vgpu::A100Config());
   Device z100l(vgpu::Z100LConfig());
   prof::Session sa(&a100);
-  ASSERT_TRUE(RunBfs(&a100, *sym_graph_, {.source = 0, .assume_symmetric = true}).ok());
+  ASSERT_TRUE(SymBfs(&a100).ok());
   auto pa = sa.Finish();
   prof::Session sz(&z100l);
-  ASSERT_TRUE(RunBfs(&z100l, *sym_graph_, {.source = 0, .assume_symmetric = true}).ok());
+  ASSERT_TRUE(SymBfs(&z100l).ok());
   auto pz = sz.Finish();
   auto ca = prof::ComputeCoarse(pa, rt::Platform::kCuda, a100.arch(),
                                 vgpu::DefaultTimingParams());
@@ -140,8 +145,8 @@ TEST_F(IntegrationTest, SharedMemoryMetricFavorsIndependentLds) {
 TEST_F(IntegrationTest, Z100LFasterThanZ100) {
   Device z100(vgpu::Z100Config());
   Device z100l(vgpu::Z100LConfig());
-  auto t_old = RunBfs(&z100, *sym_graph_, {.source = 0, .assume_symmetric = true}).value().time_ms;
-  auto t_new = RunBfs(&z100l, *sym_graph_, {.source = 0, .assume_symmetric = true}).value().time_ms;
+  auto t_old = SymBfs(&z100).value().time_ms;
+  auto t_new = SymBfs(&z100l).value().time_ms;
   EXPECT_LT(t_new, t_old);
 }
 
@@ -151,7 +156,7 @@ TEST_F(IntegrationTest, NoDeviceMemoryLeakAcrossRuns) {
   Device dev(vgpu::A100Config());
   uint64_t baseline = dev.memory_used_bytes();
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(RunBfs(&dev, *sym_graph_, {.source = 0, .assume_symmetric = true}).ok());
+    ASSERT_TRUE(SymBfs(&dev).ok());
     ASSERT_TRUE(RunTriangleCount(&dev, *graph_, {}).ok());
     EXPECT_EQ(dev.memory_used_bytes(), baseline) << "round " << round;
   }

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "core/api.h"
-#include "core/bfs.h"
-#include "core/pagerank.h"
 #include "core/residency.h"
 #include "graph/csr.h"
 #include "graph/datasets.h"
@@ -261,7 +259,7 @@ TEST(StreamedTest, DiskBackedRunMatchesInMemory) {
 
   vgpu::Device roomy(vgpu::A100Config());
   core::PageRankOptions options;
-  auto want = core::RunPageRank(&roomy, *g, options).value();
+  auto want = core::Run<core::Algo::kPageRank>(&roomy, *g, options).value();
 
   vgpu::Device small = SmallDevice(*g, 24 << 10);
   auto got = RunStreamedPageRank(&small, disk_pull, g->row_offsets(), options,
@@ -287,7 +285,7 @@ TEST(StreamedTest, ZeroEdgeShardsStillWriteIdentity) {
 
   vgpu::Device roomy(vgpu::A100Config());
   core::PageRankOptions options;
-  auto want = core::RunPageRank(&roomy, *g, options).value();
+  auto want = core::Run<core::Algo::kPageRank>(&roomy, *g, options).value();
 
   vgpu::Device device(vgpu::A100Config());
   OocOptions ooc;

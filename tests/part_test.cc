@@ -12,8 +12,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/bfs.h"
-#include "core/pagerank.h"
+#include "core/api.h"
 #include "graph/csr.h"
 #include "graph/generate.h"
 #include "part/engine.h"
@@ -272,7 +271,7 @@ core::BfsResult ReferenceBfs(const CsrGraph& g, vid_t source) {
   core::BfsOptions options;
   options.source = source;
   options.direction_optimizing = false;
-  return core::RunBfs(&device, g, options).value();
+  return core::Run<core::Algo::kBfs>(&device, g, options).value();
 }
 
 TEST(PartBfsTest, ByteIdenticalAcrossShardCountsAndStrategies) {
@@ -373,7 +372,8 @@ TEST(PartPageRankTest, MatchesSingleDeviceWithinReassociationError) {
   ref_options.max_iterations = 20;
   ref_options.tolerance = 0;  // fixed iteration count on both sides
   vgpu::Device reference_device(vgpu::A100Config());
-  auto reference = core::RunPageRank(&reference_device, g, ref_options);
+  auto reference = core::Run<core::Algo::kPageRank>(&reference_device, g,
+                                                    ref_options);
   ASSERT_TRUE(reference.ok());
 
   for (uint32_t num_devices : {2u, 3u, 8u}) {
@@ -413,7 +413,8 @@ TEST(PartPageRankTest, EmptyShardsAreHarmless) {
   ref_options.max_iterations = 10;
   ref_options.tolerance = 0;
   vgpu::Device reference_device(vgpu::A100Config());
-  auto reference = core::RunPageRank(&reference_device, g, ref_options);
+  auto reference = core::Run<core::Algo::kPageRank>(&reference_device, g,
+                                                    ref_options);
   ASSERT_TRUE(reference.ok());
 
   PartitionedEngine::Options options;

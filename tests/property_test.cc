@@ -8,7 +8,7 @@
 #include <numeric>
 #include <tuple>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "core/host_ref.h"
 #include "core/spmv.h"
 #include "core/subgraph.h"
@@ -63,7 +63,7 @@ TEST_P(AlgoConsistencyTest, BfsMatchesHostReference) {
   vgpu::Device dev(ArchByName(arch_name));
   core::BfsOptions options;
   options.source = static_cast<graph::vid_t>(seed % g.num_vertices());
-  auto result = core::RunBfs(&dev, g, options);
+  auto result = core::Run<core::Algo::kBfs>(&dev, g, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->levels, core::host_ref::BfsLevels(g, options.source));
 }
@@ -118,7 +118,7 @@ TEST_P(DeterminismTest, RepeatedRunsAreBitIdentical) {
   CsrGraph g = MakeGraph("rmat", 3);
   auto run = [&]() {
     vgpu::Device dev(arch);
-    auto r = core::RunBfs(&dev, g, {.source = 0}).value();
+    auto r = core::Run<core::Algo::kBfs>(&dev, g, {.source = 0}).value();
     const auto& k = dev.kernel_log().back();
     return std::make_tuple(r.levels, r.time_ms,
                            k.counters.warp_inst_issued, k.counters.l1_hits);

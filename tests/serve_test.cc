@@ -21,6 +21,7 @@
 #include "core/host_ref.h"
 #include "core/residency.h"
 #include "graph/csr.h"
+#include "graph/datasets.h"
 #include "graph/delta.h"
 #include "graph/generate.h"
 #include "obs/registry.h"
@@ -104,6 +105,41 @@ TEST(RegistryTest, EstimatesCoverTheGraphUpload) {
   }
 }
 
+TEST(RegistryTest, EstimatesCoverColdRunPeakOnGoldenProxies) {
+  // Admission must never let a job die mid-run with OOM, so the estimate
+  // bounds the peak device bytes of a cold core::Run on a fresh device.
+  const auto& datasets = graph::PaperDatasets();
+  for (size_t d = 0; d < 3; ++d) {
+    auto directed = graph::Materialize(datasets[d], 32.0).value();
+    auto coo = directed.ToCoo();
+    graph::AttachRandomWeights(&coo, 0.1, 1.0, 1000 + d);
+    core::BfsOptions parents;
+    parents.compute_parents = true;
+    for (auto g : {std::make_shared<const CsrGraph>(std::move(directed)),
+                   std::make_shared<const CsrGraph>(
+                       CsrGraph::FromCoo(coo).value())}) {
+      for (const JobParams& params : {JobParams(core::BfsOptions{}),
+                                      JobParams(parents),
+                                      JobParams(core::SsspOptions{}),
+                                      JobParams(core::PageRankOptions{
+                                          .max_iterations = 2}),
+                                      JobParams(core::CcOptions{}),
+                                      JobParams(core::WidestPathOptions{})}) {
+        JobSpec spec{.graph = g, .params = params};
+        vgpu::Device dev(vgpu::A100Config());
+        ASSERT_TRUE(core::Run(&dev, {spec.algorithm()}, *g, params).ok());
+        const bool with_parents =
+            spec.algorithm() == Algorithm::kBfs &&
+            std::get<core::BfsOptions>(params).compute_parents;
+        EXPECT_GE(EstimateJobDeviceBytes(spec), dev.memory_peak_bytes())
+            << datasets[d].name << " " << AlgorithmName(spec.algorithm())
+            << (with_parents ? " with parents" : "")
+            << (g->has_weights() ? ", weighted" : ", unweighted");
+      }
+    }
+  }
+}
+
 TEST(RegistryTest, EsbvRequiresWeights) {
   auto coo = graph::GenerateRmat({.scale = 6, .edge_factor = 4.0, .seed = 1})
                  .value();
@@ -143,7 +179,8 @@ TEST(SchedulerTest, SingleJobMatchesDirectExecution) {
   core::BfsOptions bfs_options;
   bfs_options.source = 0;
   bfs_options.assume_symmetric = true;
-  auto direct_result = core::RunBfs(&direct, *g, bfs_options).value();
+  auto direct_result =
+      core::Run<core::Algo::kBfs>(&direct, *g, bfs_options).value();
   EXPECT_EQ(FingerprintPayload(outcome.payload),
             FingerprintPayload(JobPayload(std::move(direct_result))));
 }
@@ -1161,7 +1198,7 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
 
   // The incremental fixpoint agrees with a cold full recompute.
   vgpu::Device direct(vgpu::A100Config());
-  auto full = core::RunBfs(&direct, *snap1, bfs).value();
+  auto full = core::Run<core::Algo::kBfs>(&direct, *snap1, bfs).value();
   EXPECT_EQ(std::get<core::BfsResult>(incremental.payload).levels,
             full.levels);
   EXPECT_EQ(SeriesTotal(scheduler->metrics_registry(),
@@ -1188,7 +1225,7 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
   EXPECT_NE(fallback.fallback_reason.find("deletion"), std::string::npos)
       << fallback.fallback_reason;
   EXPECT_EQ(fallback.result_version, delta.version());
-  auto full2 = core::RunBfs(&direct, *snap2, bfs).value();
+  auto full2 = core::Run<core::Algo::kBfs>(&direct, *snap2, bfs).value();
   EXPECT_EQ(std::get<core::BfsResult>(fallback.payload).levels,
             full2.levels);
   EXPECT_EQ(SeriesTotal(scheduler->metrics_registry(),

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "graph/builder.h"
 #include "graph/generate.h"
 #include "prof/report.h"
@@ -229,7 +229,8 @@ TEST(TraceTest, KernelSpansCarryCycleBreakdown) {
   adgraph::vgpu::Device device(adgraph::vgpu::A100Config());
   adgraph::core::BfsOptions bfs;
   bfs.source = 0;
-  ASSERT_TRUE(adgraph::core::RunBfs(&device, g, bfs).ok());
+  ASSERT_TRUE(
+      adgraph::core::Run<adgraph::core::Algo::kBfs>(&device, g, bfs).ok());
   ASSERT_TRUE(adgraph::trace::Stop().ok());
 
   auto events = ParseTraceFile(path);
