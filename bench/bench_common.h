@@ -1,16 +1,14 @@
 #ifndef ADGRAPH_BENCH_BENCH_COMMON_H_
 #define ADGRAPH_BENCH_BENCH_COMMON_H_
 
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/triangle_count.h"
 #include "graph/csr.h"
 #include "graph/datasets.h"
 #include "prof/metrics.h"
-#include "util/flags.h"
 #include "util/status.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
@@ -20,15 +18,14 @@ namespace adgraph::bench {
 /// The three paper benchmark algorithms (Table 5 row groups).
 enum class Algo { kBfs, kTc, kEsbv };
 
-std::string AlgoName(Algo algo);              // "BFS" / "TC" / "ESBV"
-std::string AlgoLongName(Algo algo);          // paper's long names
+std::string AlgoName(Algo algo);  // "BFS" / "TC" / "ESBV"
 
-/// Command-line configuration shared by every paper-reproduction bench.
+/// Command-line configuration shared by adgraph_repro and the smoke benches.
 struct BenchConfig {
   /// Extra uniform shrink on top of each dataset's scale_divisor (quick
   /// runs: --extra-divisor=8).  Device RAM shrinks by the same factor.
   double extra_divisor = 1.0;
-  /// Directory for result CSVs and the cross-binary cell cache.
+  /// Directory for result CSVs.
   std::string out_dir = "bench_results";
   /// Restrict to a subset of datasets (--datasets=web-Google,twitter-mpi).
   std::vector<std::string> datasets;
@@ -41,7 +38,8 @@ struct BenchConfig {
   std::vector<graph::DatasetSpec> SelectedDatasets() const;
 };
 
-/// One Table 5 cell: one algorithm on one dataset on one GPU.
+/// One cell: one algorithm on one dataset on one GPU.  Table 5 reads the
+/// runtime; Table 6 and Figures 7-8 read the profile of the same run.
 struct CellResult {
   bool oom = false;
   double time_ms = 0;
@@ -51,12 +49,8 @@ struct CellResult {
   /// empty BFS frontier); mteps is 0.0 and the table cell prints "skipped"
   /// instead of a fake 0.00 rate.
   bool skipped = false;
-};
-
-/// One profiling cell (Table 6 / Figures 7-8): fine-grained counts and
-/// coarse metrics under the GPU's native tool view.
-struct ProfileCell {
-  double time_ms = 0;
+  /// Fine-grained counts and coarse metrics of the cell's kernel launches
+  /// under the GPU's native tool view (zero when oom).
   prof::FineGrainedCounts fine;
   prof::CoarseMetrics coarse;
 };
@@ -65,55 +59,39 @@ struct ProfileCell {
 /// every GPU; preprocessing is not part of the measured runtimes).
 struct DatasetBundle {
   graph::DatasetSpec spec;
+  /// Total shrink: spec.scale_divisor x the extra divisor.  Device RAM
+  /// shrinks by the same factor (MakeDevice).
+  double divisor = 1;
   graph::CsrGraph directed;   ///< deduplicated directed proxy
-  graph::CsrGraph symmetric;  ///< BFS input (undirected interpretation)
-  graph::CsrGraph oriented;   ///< TC input (degree-ordered DAG)
+  graph::CsrGraph symmetric;  ///< BFS and TC input (undirected, simple)
   graph::CsrGraph weighted;   ///< ESBV input (FP64 random weights)
   std::vector<graph::vid_t> esbv_vertices;  ///< pseudo-cluster (60%)
   graph::vid_t bfs_source = 0;              ///< max-degree vertex
 };
 
-/// \brief Runs Table 5 cells with a cross-binary disk cache, so the figure
-/// benches (4/5/6) can reuse the sweep the Table 5 bench already ran —
-/// exactly as the paper derives its figures from Table 5.
-class CellRunner {
- public:
-  explicit CellRunner(BenchConfig config);
+/// Materializes `spec` at `extra_divisor` and builds every form above.
+Result<DatasetBundle> BuildBundle(const graph::DatasetSpec& spec,
+                                  double extra_divisor);
 
-  /// Computes (or loads from cache) one performance cell.
-  Result<CellResult> Run(const vgpu::ArchConfig& gpu,
-                         const graph::DatasetSpec& spec, Algo algo);
+/// A fresh device for `bundle`'s dataset: uniform world scaling, so GPU RAM
+/// shrinks by the same factor as the dataset, preserving the paper's
+/// capacity phenomena (ESBV OOM).
+std::unique_ptr<vgpu::Device> MakeDevice(const vgpu::ArchConfig& gpu,
+                                         const DatasetBundle& bundle);
 
-  /// Computes (or loads) one profiling cell; `gpu` must be A100 or Z100L
-  /// (the paper profiles only those, §4.6).
-  Result<ProfileCell> RunProfiled(const vgpu::ArchConfig& gpu,
-                                  const graph::DatasetSpec& spec, Algo algo);
+/// Runs one cell on a fresh device inside one prof::Session.  Device OOM is
+/// a result (cell.oom), not an error.
+Result<CellResult> RunCell(const vgpu::ArchConfig& gpu,
+                           const DatasetBundle& bundle, Algo algo);
 
-  const BenchConfig& config() const { return config_; }
+/// First vertex of maximum degree.
+graph::vid_t MaxDegreeVertex(const graph::CsrGraph& g);
 
- private:
-  Result<const DatasetBundle*> Bundle(const graph::DatasetSpec& spec);
-  std::unique_ptr<vgpu::Device> MakeDevice(const vgpu::ArchConfig& gpu,
-                                           const graph::DatasetSpec& spec);
-  Result<CellResult> Compute(vgpu::Device* device, const DatasetBundle& b,
-                             Algo algo);
-
-  void LoadCache();
-  void SaveCache() const;
-  static std::string CellKey(const std::string& gpu, const std::string& ds,
-                             Algo algo, double extra);
-
-  BenchConfig config_;
-  std::map<std::string, DatasetBundle> bundles_;
-  std::map<std::string, CellResult> cell_cache_;
-  std::map<std::string, ProfileCell> profile_cache_;
-  bool cache_dirty_ = false;
-};
-
-/// Per-dataset TC sampled-simulation factor (twitter-mpi's proxy has ~3
-/// billion wedges; exact functional simulation is not affordable — see
-/// EXPERIMENTS.md "Sampled simulation").
-uint32_t TcSampleFor(const graph::DatasetSpec& spec);
+/// TC as the paper's nvGRAPH runs it: unoriented (Bisson-Fatica)
+/// full-adjacency counting with a 2048-entry shared set.  At the proxies'
+/// scale that fallback boundary splits the datasets exactly as the
+/// paper-scale degrees split nvGRAPH's shared-memory capacity.
+core::TcOptions BissonFaticaTc();
 
 /// Formats a CellResult for a Table 5-style cell ("OOM" or fixed-point).
 std::string FormatTimeCell(const CellResult& cell);
@@ -121,16 +99,6 @@ std::string FormatMtepsCell(const CellResult& cell);
 
 /// Ensures config.out_dir exists; best-effort.
 void EnsureOutDir(const BenchConfig& config);
-
-/// Shared driver of the Figure 4/5/6 speedup benches: per algorithm and
-/// dataset, speedup = time(`baseline`) / time(`target`), i.e. how much
-/// faster `target` is than `baseline` (the paper's "acceleration ratio").
-/// Prints per-dataset series plus the per-algorithm averages the paper
-/// quotes, and writes `<csv_name>.csv`.
-int RunSpeedupFigure(int argc, const char* const* argv,
-                     const vgpu::ArchConfig& target,
-                     const vgpu::ArchConfig& baseline,
-                     const std::string& title, const std::string& csv_name);
 
 }  // namespace adgraph::bench
 

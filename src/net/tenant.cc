@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <cmath>
+#include <limits>
 #include <sstream>
+
+#include "net/wire.h"
 
 namespace adgraph::net {
 
@@ -73,34 +76,40 @@ Result<std::vector<TenantConfig>> ParseTenantConfigs(const std::string& text) {
       }
       std::string key = token.substr(0, eq);
       std::string value = token.substr(eq + 1);
-      auto parse_double = [&](double* out) -> Status {
-        char* end = nullptr;
-        double v = std::strtod(value.c_str(), &end);
-        if (end != value.c_str() + value.size()) {
-          return Status::InvalidArgument("tenants line " +
-                                         std::to_string(number) + ": '" + key +
-                                         "' wants a number, got '" + value +
-                                         "'");
-        }
-        *out = v;
-        return Status::OK();
+      auto fail = [&](const Status& status) {
+        return Status::InvalidArgument("tenants line " +
+                                       std::to_string(number) + ": " +
+                                       status.message());
       };
-      if (key == "rate") {
-        ADGRAPH_RETURN_NOT_OK(parse_double(&config.rate_per_sec));
-      } else if (key == "burst") {
-        ADGRAPH_RETURN_NOT_OK(parse_double(&config.burst));
-      } else if (key == "weight") {
-        ADGRAPH_RETURN_NOT_OK(parse_double(&config.weight));
-      } else if (key == "deadline_ms") {
-        ADGRAPH_RETURN_NOT_OK(parse_double(&config.default_deadline_ms));
-      } else if (key == "concurrent") {
-        double v = 0;
-        ADGRAPH_RETURN_NOT_OK(parse_double(&v));
-        config.max_concurrent = static_cast<uint32_t>(v);
-      } else if (key == "priority") {
-        double v = 0;
-        ADGRAPH_RETURN_NOT_OK(parse_double(&v));
-        config.priority = static_cast<uint32_t>(v);
+      auto parse = [&]() -> Result<double> {
+        auto parsed = ParseNumericValue(key, value);
+        if (!parsed.ok()) return fail(parsed.status());
+        return parsed;
+      };
+      if (key == "rate" || key == "burst" || key == "weight" ||
+          key == "deadline_ms") {
+        // A NaN rate or burst would switch the token bucket off (no
+        // comparison with NaN holds), and the scheduler rejects every job
+        // of a tenant whose weight or deadline is out of range.
+        ADGRAPH_ASSIGN_OR_RETURN(double v, parse());
+        const bool weight = key == "weight";
+        if (!std::isfinite(v) || (weight ? v <= 0 : v < 0)) {
+          return fail(Status::InvalidArgument(
+              "'" + key + "' wants a finite number " +
+              (weight ? "> 0" : ">= 0") + ", got '" + value + "'"));
+        }
+        double* field = key == "rate"    ? &config.rate_per_sec
+                        : key == "burst" ? &config.burst
+                        : weight         ? &config.weight
+                                         : &config.default_deadline_ms;
+        *field = v;
+      } else if (key == "concurrent" || key == "priority") {
+        ADGRAPH_ASSIGN_OR_RETURN(double v, parse());
+        auto checked =
+            CheckedInteger(key, v, std::numeric_limits<uint32_t>::max());
+        if (!checked.ok()) return fail(checked.status());
+        (key == "concurrent" ? config.max_concurrent : config.priority) =
+            static_cast<uint32_t>(*checked);
       } else if (key == "bytes") {
         ADGRAPH_ASSIGN_OR_RETURN(config.max_inflight_bytes,
                                  ParseByteSize(value));

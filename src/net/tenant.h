@@ -56,7 +56,9 @@ Result<uint64_t> ParseByteSize(std::string_view text);
 ///   `NAME [rate=F] [burst=F] [concurrent=N] [bytes=SIZE] [priority=N]
 ///         [weight=F] [deadline_ms=F]`
 /// with `#` comments and blank lines skipped.  Unknown keys and duplicate
-/// tenant names are errors (a typo must not silently become "no quota").
+/// tenant names are errors (a typo must not silently become "no quota"),
+/// as are non-integer or out-of-range `concurrent`/`priority`
+/// (CheckedInteger), and a non-finite or negative number (weight: <= 0).
 Result<std::vector<TenantConfig>> ParseTenantConfigs(const std::string& text);
 
 /// Why Admit() said no — the metric label and the wire `reason` field.

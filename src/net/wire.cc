@@ -6,11 +6,16 @@
 #include <limits>
 
 #include "core/subgraph.h"
+#include "vgpu/interconnect.h"
 
 namespace adgraph::net {
 namespace {
 
-/// strtod-based number parse of an untrusted kv value; no exceptions.
+constexpr uint64_t kMaxVertex = std::numeric_limits<graph::vid_t>::max();
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+
+}  // namespace
+
 Result<double> ParseNumericValue(const std::string& key,
                                  const std::string& value) {
   char* end = nullptr;
@@ -21,11 +26,6 @@ Result<double> ParseNumericValue(const std::string& key,
   }
   return v;
 }
-
-constexpr uint64_t kMaxVertex = std::numeric_limits<graph::vid_t>::max();
-constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
-
-}  // namespace
 
 Result<uint64_t> CheckedInteger(std::string_view key, double value,
                                 uint64_t max) {
@@ -153,6 +153,41 @@ Result<serve::JobParams> BuildJobParams(
     }
   }
   return Status::InvalidArgument("unknown algorithm");
+}
+
+Result<serve::JobSpec> BuildJobSpec(
+    serve::Algorithm algo, const std::map<std::string, std::string>& kv,
+    std::shared_ptr<const graph::CsrGraph> graph) {
+  serve::JobSpec spec;
+  ADGRAPH_ASSIGN_OR_RETURN(spec.params,
+                           BuildJobParams(algo, kv, graph->num_vertices()));
+  spec.graph = std::move(graph);
+  for (const auto& [key, value] : kv) {
+    if (key == "arch") {
+      spec.arch_preference = value;
+    } else if (key == "tag") {
+      spec.tag = value;
+    } else if (key == "tenant") {
+      spec.tenant = value;
+    } else if (key == "interconnect") {
+      auto preset = vgpu::InterconnectPresetByName(value);
+      if (!preset.ok()) {
+        return Status::InvalidArgument(preset.status().message());
+      }
+      spec.gang_interconnect = *preset;
+    } else if (key == "devices" || key == "priority") {
+      ADGRAPH_ASSIGN_OR_RETURN(double number, ParseNumericValue(key, value));
+      ADGRAPH_ASSIGN_OR_RETURN(uint64_t checked,
+                               CheckedInteger(key, number, kMaxU32));
+      (key == "devices" ? spec.gang_devices : spec.priority) =
+          static_cast<uint32_t>(checked);
+    } else if (key == "weight") {
+      ADGRAPH_ASSIGN_OR_RETURN(spec.fair_weight, ParseNumericValue(key, value));
+    } else if (key == "deadline_ms") {
+      ADGRAPH_ASSIGN_OR_RETURN(spec.deadline_ms, ParseNumericValue(key, value));
+    }
+  }
+  return spec;
 }
 
 Result<serve::JobParams> JobParamsFromJson(serve::Algorithm algo,

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -40,6 +41,12 @@ std::string_view WireStatusName(StatusCode code);
 /// byte-identity checks compare across transports.
 std::string FingerprintHex(uint64_t fingerprint);
 
+/// strtod parse of an untrusted `key=value` value: the whole of `value`
+/// must be a number (NaN and infinities included — callers range-check),
+/// else kInvalidArgument naming `key`.  Never throws.
+Result<double> ParseNumericValue(const std::string& key,
+                                 const std::string& value);
+
 /// Range-checked conversion of a client-supplied number to an integer
 /// field with maximum `max`: NaN, infinities, fractions, negatives and
 /// values above `max` are kInvalidArgument naming `key` (a bare cast of
@@ -58,6 +65,17 @@ Result<uint64_t> CheckedInteger(
 Result<serve::JobParams> BuildJobParams(
     serve::Algorithm algo, const std::map<std::string, std::string>& kv,
     graph::vid_t num_vertices);
+
+/// Maps one `ALGO key=value...` job-file line to a JobSpec over `graph`:
+/// the params (BuildJobParams) plus the scheduling keys `arch`, `devices`
+/// (gang size), `interconnect` (preset name), `tag`, `tenant`, `priority`,
+/// `weight` and `deadline_ms`.  `devices` and `priority` go through
+/// CheckedInteger; every malformed value is kInvalidArgument.  Ranges the
+/// scheduler owns (a positive finite weight, a non-negative deadline) are
+/// left to ValidateJobSpec at Submit.
+Result<serve::JobSpec> BuildJobSpec(
+    serve::Algorithm algo, const std::map<std::string, std::string>& kv,
+    std::shared_ptr<const graph::CsrGraph> graph);
 
 /// SUBMIT-request form of BuildJobParams: `params` is a JSON object with
 /// number/string/bool values (null = no params).  Same keys, same defaults.

@@ -63,11 +63,12 @@ struct JobSpec {
   uint32_t priority = 0;
   /// Fair-share weight within the priority class: a tenant with weight 2
   /// dequeues twice as often as a weight-1 tenant when both are backlogged.
-  /// Values <= 0 are treated as 1.
+  /// Must be finite and > 0 (ValidateJobSpec).
   double fair_weight = 1.0;
   /// Deadline budget, milliseconds from Submit().  When > 0 and the job's
   /// queue-wait alone already exceeds it at dequeue time, the job is shed
-  /// with kDeadlineExceeded instead of occupying a device.  0 = no deadline.
+  /// with kDeadlineExceeded instead of occupying a device.  0 = no deadline;
+  /// must be finite and >= 0 (ValidateJobSpec).
   double deadline_ms = 0;
   /// Gang execution (DESIGN.md §2.7): > 1 runs the job on a partitioned
   /// engine of this many simulated devices of the executing worker's arch.
@@ -160,8 +161,7 @@ struct JobOutcome {
   /// Compact Table 6–style attribution of exactly this job's kernel
   /// launches (derived ratios plus top kernels by cycles) — what POLL
   /// serializes under "profile" and the adgraph_job_* histograms observe.
-  /// Populated iff status.ok() and the pool's job_profiles option is on
-  /// (the default).
+  /// Populated iff status.ok().
   prof::JobProfile job_profile;
   // --- Gang execution (gang_devices > 1 in the spec) --------------------
   uint32_t gang_devices = 1;      ///< devices the job actually ran on

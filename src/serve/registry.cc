@@ -1,6 +1,7 @@
 #include "serve/registry.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace adgraph::serve {
 
@@ -218,6 +219,16 @@ Status ValidateJobSpec(const JobSpec& spec) {
   }
   if (spec.graph->num_vertices() == 0) {
     return Status::InvalidArgument("job graph is empty");
+  }
+  // NaN would poison the tenant's fair-share virtual time (every vtime
+  // comparison false); a negative deadline sheds every job.
+  if (!(std::isfinite(spec.fair_weight) && spec.fair_weight > 0)) {
+    return Status::InvalidArgument("fair_weight must be finite and > 0, got " +
+                                   std::to_string(spec.fair_weight));
+  }
+  if (!(std::isfinite(spec.deadline_ms) && spec.deadline_ms >= 0)) {
+    return Status::InvalidArgument("deadline_ms must be finite and >= 0, got " +
+                                   std::to_string(spec.deadline_ms));
   }
   const AlgorithmHandler& handler = GetHandler(spec.algorithm());
   if (handler.requires_weights && !spec.graph->has_weights()) {

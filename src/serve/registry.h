@@ -49,6 +49,7 @@ uint64_t EstimateJobDeviceBytes(const JobSpec& spec);
 core::GraphVariant GraphVariantFor(const JobSpec& spec);
 
 /// Validates a spec independent of any device: non-null non-empty graph,
+/// a finite positive fair-share weight, a finite non-negative deadline,
 /// source vertices in range, ESBV weight requirement.  The scheduler calls
 /// this at Submit() so obviously-broken jobs fail fast.
 Status ValidateJobSpec(const JobSpec& spec);

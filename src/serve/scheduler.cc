@@ -549,7 +549,7 @@ void Scheduler::WorkerLoop(Worker* worker) {
         it = by_algo.emplace(algo, counter).first;
       }
       it->second->Increment();
-      if (options_.job_profiles && outcome.job_profile.num_kernels > 0) {
+      if (outcome.job_profile.num_kernels > 0) {
         auto key = std::make_pair(algo, tenant_name);
         auto pit = by_profile.find(key);
         if (pit == by_profile.end()) {
@@ -823,10 +823,8 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
     m.dram_bytes->Increment(kc.dram_read_bytes + kc.dram_write_bytes);
     m.l2_hits->Increment(kc.l2_hits);
     m.l2_misses->Increment(kc.l2_misses);
-    if (options_.job_profiles) {
-      outcome.job_profile = prof::BuildJobProfile(
-          profile, device->kernel_log(), session.start_index());
-    }
+    outcome.job_profile = prof::BuildJobProfile(
+        profile, device->kernel_log(), session.start_index());
   }
 
   // Fresh profiling state for the next request; live allocations were

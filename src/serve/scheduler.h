@@ -89,12 +89,6 @@ class Scheduler {
     /// sampler thread, its time-series ring, the alert-rule engine and the
     /// shutdown export only exist when `metrics.enabled`.
     obs::SamplerOptions metrics;
-    /// Per-job deep observability (DESIGN.md §2.14).  When on (the
-    /// default), every completed job's kernel window is aggregated into a
-    /// compact prof::JobProfile on its JobOutcome and rolled into the
-    /// adgraph_job_* histograms.  The off switch exists for the throughput
-    /// bench's overhead gate, not for production.
-    bool job_profiles = true;
     /// Slow-job flight recorder: retains the K worst jobs per trigger
     /// class (latency / non-OK status / alert firing) with their full span
     /// tree and JobProfile — see FlightRecorder::Options.

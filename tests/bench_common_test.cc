@@ -42,12 +42,10 @@ TEST(CellRunnerTest, ZeroEdgeProxyIsSkippedNotNan) {
   spec.scale_divisor = 1000;
   spec.recipe.seed = 7;
 
-  BenchConfig config;
-  config.out_dir = ::testing::TempDir() + "bench_common_test";
-  EnsureOutDir(config);
-  CellRunner runner(config);
+  auto bundle = BuildBundle(spec, /*extra_divisor=*/1.0);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
 
-  auto cell = runner.Run(vgpu::A100Config(), spec, Algo::kBfs);
+  auto cell = RunCell(vgpu::A100Config(), *bundle, Algo::kBfs);
   ASSERT_TRUE(cell.ok()) << cell.status().ToString();
   EXPECT_TRUE(cell->skipped);
   EXPECT_DOUBLE_EQ(cell->mteps, 0.0);
@@ -58,13 +56,11 @@ TEST(CellRunnerTest, ZeroEdgeProxyIsSkippedNotNan) {
 
 TEST(CellRunnerTest, NormalProxyIsNotSkipped) {
   graph::DatasetSpec spec = graph::FindDataset("web-Stanford").value();
-  BenchConfig config;
-  config.extra_divisor = 16;  // keep the unit test fast
-  config.out_dir = ::testing::TempDir() + "bench_common_test";
-  EnsureOutDir(config);
-  CellRunner runner(config);
+  // Extra divisor 16 keeps the unit test fast.
+  auto bundle = BuildBundle(spec, /*extra_divisor=*/16.0);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
 
-  auto cell = runner.Run(vgpu::A100Config(), spec, Algo::kBfs);
+  auto cell = RunCell(vgpu::A100Config(), *bundle, Algo::kBfs);
   ASSERT_TRUE(cell.ok()) << cell.status().ToString();
   EXPECT_FALSE(cell->skipped);
   EXPECT_GT(cell->mteps, 0.0);

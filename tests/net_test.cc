@@ -9,12 +9,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <future>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/api.h"
 #include "graph/csr.h"
 #include "graph/generate.h"
 #include "obs/registry.h"
@@ -24,6 +28,7 @@
 #include "net/server.h"
 #include "net/tenant.h"
 #include "net/wire.h"
+#include "prof/metrics.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "trace/trace.h"
@@ -141,6 +146,30 @@ TEST(TenantTest, ParseTenantConfigs) {
   EXPECT_FALSE(ParseTenantConfigs("alpha turbo=9").ok());  // unknown key
   EXPECT_FALSE(ParseTenantConfigs("a rate=1\na rate=2").ok());  // duplicate
   EXPECT_FALSE(ParseTenantConfigs("a rate=fast").ok());
+}
+
+TEST(TenantTest, ParseTenantConfigsRejectsWhatACastWouldMangle) {
+  // priority and concurrent were strtod output cast straight to uint32_t:
+  // undefined for each of these.  A non-finite or non-positive weight, or
+  // a negative deadline, would fail every one of the tenant's jobs; a NaN
+  // rate or burst switched the token bucket off.
+  for (const char* key : {"priority", "concurrent"}) {
+    for (const char* value : {"-1", "1e300", "nan", "2.5", "4294967296"}) {
+      const std::string line = std::string("a ") + key + "=" + value;
+      auto configs = ParseTenantConfigs(line);
+      EXPECT_TRUE(configs.status().IsInvalidArgument()) << line;
+    }
+  }
+  for (const char* line : {"a weight=nan", "a weight=0", "a weight=-1",
+                           "a weight=inf", "a deadline_ms=-1",
+                           "a deadline_ms=nan", "a rate=nan", "a rate=-1",
+                           "a rate=1 burst=nan", "a rate=1 burst=inf"}) {
+    EXPECT_TRUE(ParseTenantConfigs(line).status().IsInvalidArgument())
+        << line;
+  }
+  auto ok = ParseTenantConfigs("a priority=4294967295 concurrent=0");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ((*ok)[0].priority, 4294967295u);
 }
 
 TEST(TenantTest, TokenBucketRefillsLazily) {
@@ -261,6 +290,64 @@ TEST(WireTest, BuildJobParamsRejectsOutOfRangeIntegers) {
   EXPECT_EQ(std::get<core::PageRankOptions>(*iters).max_iterations, 3u);
 }
 
+TEST(WireTest, BuildJobSpecMapsEveryJobFileKey) {
+  auto g = TestGraph();
+  auto spec = BuildJobSpec(
+      serve::Algorithm::kBfs,
+      {{"source", "3"}, {"arch", "A100"}, {"devices", "2"},
+       {"interconnect", "pcie"}, {"tag", "t"}, {"tenant", "gold"},
+       {"priority", "1"}, {"weight", "2.5"}, {"deadline_ms", "40"}},
+      g);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->graph, g);
+  EXPECT_EQ(std::get<core::BfsOptions>(spec->params).source, 3u);
+  EXPECT_EQ(spec->arch_preference, "A100");
+  EXPECT_EQ(spec->gang_devices, 2u);
+  EXPECT_EQ(spec->gang_interconnect.name, "pcie");
+  EXPECT_EQ(spec->tag, "t");
+  EXPECT_EQ(spec->tenant, "gold");
+  EXPECT_EQ(spec->priority, 1u);
+  EXPECT_EQ(spec->fair_weight, 2.5);
+  EXPECT_EQ(spec->deadline_ms, 40);
+  EXPECT_TRUE(serve::ValidateJobSpec(*spec).ok());
+}
+
+TEST(WireTest, BuildJobSpecRejectsWhatACastWouldMangle) {
+  // serve-batch used to parse these with std::stoll / std::atoi: "abc"
+  // threw out of the CLI, 4294967298 truncated to a 2-device gang, and
+  // priority -1 became class 4294967295.
+  auto g = TestGraph();
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"devices", "abc"},
+           {"devices", "4294967298"},
+           {"devices", "1.5"},
+           {"priority", "-1"},
+           {"priority", "nan"},
+           {"weight", "heavy"},
+           {"deadline_ms", "soon"},
+           {"interconnect", "carrier-pigeon"}}) {
+    EXPECT_TRUE(BuildJobSpec(serve::Algorithm::kBfs, {{key, value}}, g)
+                    .status()
+                    .IsInvalidArgument())
+        << key << "=" << value;
+  }
+  // A NaN weight parses, but Submit's validation refuses it: NaN fed into
+  // the fair-share virtual time made every comparison false.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"weight", "nan"},
+           {"weight", "0"},
+           {"weight", "-2"},
+           {"deadline_ms", "-1"},
+           {"deadline_ms", "nan"}}) {
+    auto spec = BuildJobSpec(serve::Algorithm::kBfs, {{key, value}}, g);
+    ASSERT_TRUE(spec.ok()) << key << "=" << value;
+    EXPECT_TRUE(serve::ValidateJobSpec(*spec).IsInvalidArgument())
+        << key << "=" << value;
+  }
+}
+
 TEST(WireTest, JobParamsFromJsonAcceptsNumbersStringsBools) {
   auto request = Json::Parse(R"({"source":5,"symmetric":true})").value();
   auto params =
@@ -341,6 +428,195 @@ TEST(ServerTest, SubmitOverTcpMatchesInProcessFingerprint) {
   auto repoll = client.Call(poll).value();
   EXPECT_FALSE(repoll.GetBool("ok", true));
   EXPECT_EQ(repoll.GetString("code", ""), "not_found");
+}
+
+// A mixed-tenant workload replayed straight into Scheduler::Submit and
+// over loopback TCP with one session per tenant: four tenants in two
+// priority classes, one of them ("capped") held to a tight token bucket.
+// The front door must keep pace with in-process submission, shed the capped
+// tenant's excess without stretching the compliant tenants' queue waits,
+// and return results fingerprint-identical to a serial run.
+TEST(ServerTest, FrontDoorKeepsPaceAndIsolatesCompliantTenants) {
+  using Clock = std::chrono::steady_clock;
+  auto ms_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
+  auto g = TestGraph(8);
+  const std::vector<TenantConfig> tenants{
+      {.name = "gold-a", .priority = 0, .weight = 2.0},
+      {.name = "gold-b", .priority = 0, .weight = 1.0},
+      {.name = "silver", .priority = 1, .weight = 1.0},
+      {.name = "capped", .rate_per_sec = 40.0, .burst = 4.0, .priority = 1,
+       .weight = 1.0}};
+  constexpr size_t kCapped = 3;
+
+  struct Job {
+    size_t tenant = 0;
+    serve::Algorithm algo = serve::Algorithm::kBfs;
+    std::map<std::string, std::string> kv;
+    serve::JobParams params;
+    std::string fingerprint;  ///< serial reference
+  };
+  std::vector<Job> jobs(48);
+  vgpu::Device serial(vgpu::A100Config());
+  const auto serial_start = Clock::now();
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    Job& job = jobs[i];
+    job.tenant = i % tenants.size();
+    switch (i % 3) {
+      case 0:
+        job.kv = {{"source", std::to_string((i * 97) % g->num_vertices())},
+                  {"symmetric", "1"}};
+        break;
+      case 1:
+        job.algo = serve::Algorithm::kTriangleCount;
+        break;
+      default:
+        job.algo = serve::Algorithm::kEsbv;
+        job.kv = {{"fraction", "0.3"}, {"seed", std::to_string(i)}};
+        break;
+    }
+    job.params = BuildJobParams(job.algo, job.kv, g->num_vertices()).value();
+    job.fingerprint = FingerprintHex(serve::FingerprintPayload(
+        core::Run(&serial, core::AlgoSpec{job.algo}, *g, job.params)
+            .value()));
+    serial.ResetCounters();
+  }
+  // Each job holds its device for at least 4x its mean serial host cost,
+  // so the floor, not host simulation, sets the wall time.
+  const double floor_ms =
+      std::max(4.0, 4.0 * ms_since(serial_start) / jobs.size());
+  auto make_scheduler = [&] {
+    serve::Scheduler::Options options;
+    options.devices.assign(4, {.arch = &vgpu::A100Config(), .options = {}});
+    options.queue_capacity = jobs.size();
+    options.device_occupancy_floor_ms = floor_ms;
+    return serve::Scheduler::Create(std::move(options)).value();
+  };
+
+  // In-process baseline: same jobs and tenant QoS fields, no socket.
+  double inproc_jobs_per_s = 0;
+  {
+    auto scheduler = make_scheduler();
+    const auto start = Clock::now();
+    std::vector<std::future<serve::JobOutcome>> futures;
+    for (const Job& job : jobs) {
+      const TenantConfig& tenant = tenants[job.tenant];
+      serve::JobSpec spec;
+      spec.graph = g;
+      spec.params = job.params;
+      spec.tenant = tenant.name;
+      spec.priority = tenant.priority;
+      spec.fair_weight = tenant.weight;
+      futures.push_back(scheduler->Submit(std::move(spec)).value());
+    }
+    for (auto& future : futures) ASSERT_TRUE(future.get().status.ok());
+    inproc_jobs_per_s = 1e3 * jobs.size() / ms_since(start);
+  }
+
+  // Socket replay: one session per tenant on its own thread; each submits
+  // all of its jobs, then polls every accepted one to completion.
+  struct TenantRun {
+    int rejected_quota = 0;
+    int not_ok = 0;
+    int mismatched = 0;
+    std::vector<double> queue_ms;
+  };
+  struct SocketRun {
+    double jobs_per_s = 0;
+    std::vector<TenantRun> tenants;
+    std::vector<double> CompliantQueueMs() const {
+      std::vector<double> all;
+      for (size_t t = 0; t < tenants.size(); ++t) {
+        if (t == kCapped) continue;
+        all.insert(all.end(), tenants[t].queue_ms.begin(),
+                   tenants[t].queue_ms.end());
+      }
+      return all;
+    }
+  };
+  auto run_socket = [&](bool with_capped) {
+    auto scheduler = make_scheduler();
+    ServerOptions server_options;
+    server_options.tenants = tenants;
+    Server::GraphMap graphs;
+    graphs["default"] = g;
+    auto server =
+        Server::Start(scheduler.get(), std::move(graphs), server_options)
+            .value();
+    SocketRun run;
+    run.tenants.resize(tenants.size());
+    const auto start = Clock::now();
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < tenants.size(); ++t) {
+      if (t == kCapped && !with_capped) continue;
+      threads.emplace_back([&, t] {
+        TenantRun& mine = run.tenants[t];  // this thread's slot only
+        auto client = Client::Connect("127.0.0.1", server->port()).value();
+        ASSERT_TRUE(client.Hello(tenants[t].name).ok());
+        std::vector<std::pair<uint64_t, const Job*>> accepted;
+        for (const Job& job : jobs) {
+          if (job.tenant != t) continue;
+          Json request = Json::MakeObject();
+          request.Set("op", "SUBMIT");
+          request.Set("algo", std::string(serve::AlgorithmName(job.algo)));
+          Json params = Json::MakeObject();
+          for (const auto& [key, value] : job.kv) params.Set(key, value);
+          request.Set("params", std::move(params));
+          Json response = client.Call(request).value();
+          if (!response.GetBool("ok", false)) {
+            EXPECT_EQ(response.GetString("code", ""), "resource_exhausted");
+            ++mine.rejected_quota;
+            continue;
+          }
+          accepted.emplace_back(
+              static_cast<uint64_t>(response.GetNumber("job", 0)), &job);
+        }
+        for (const auto& [id, job] : accepted) {
+          Json done = client.WaitJob(id).value();
+          if (done.GetString("status", "") != "ok") {
+            ++mine.not_ok;
+            continue;
+          }
+          mine.queue_ms.push_back(done.GetNumber("queue_ms", 0));
+          if (done.GetString("fingerprint", "") != job->fingerprint) {
+            ++mine.mismatched;
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    const double wall_ms = ms_since(start);
+    size_t completed = 0;
+    for (const TenantRun& t : run.tenants) completed += t.queue_ms.size();
+    run.jobs_per_s = 1e3 * completed / wall_ms;
+    server->Shutdown();
+    return run;
+  };
+  const SocketRun solo = run_socket(/*with_capped=*/false);
+  const SocketRun full = run_socket(/*with_capped=*/true);
+
+  for (const SocketRun* run : {&solo, &full}) {
+    for (size_t t = 0; t < tenants.size(); ++t) {
+      EXPECT_EQ(run->tenants[t].mismatched, 0) << tenants[t].name;
+      EXPECT_EQ(run->tenants[t].not_ok, 0) << tenants[t].name;
+      if (t != kCapped) {
+        EXPECT_EQ(run->tenants[t].rejected_quota, 0) << tenants[t].name;
+      }
+    }
+  }
+  EXPECT_GE(full.tenants[kCapped].rejected_quota, 1);
+
+  const double pace = full.jobs_per_s / inproc_jobs_per_s;
+  const double solo_p99 = prof::Percentile(solo.CompliantQueueMs(), 0.99);
+  const double full_p99 = prof::Percentile(full.CompliantQueueMs(), 0.99);
+  const double isolation = full_p99 / std::max(solo_p99, 1e-9);
+  std::printf("front door: floor %.1f ms, TCP/in-process jobs/s %.3f, "
+              "compliant p99 queue wait %.2f / %.2f ms solo = %.3fx\n",
+              floor_ms, pace, full_p99, solo_p99, isolation);
+  EXPECT_GE(pace, 0.8) << full.jobs_per_s << " vs " << inproc_jobs_per_s;
+  EXPECT_LE(isolation, 1.5) << full_p99 << " vs " << solo_p99;
 }
 
 TEST(ServerTest, HelloRejectsUnknownTenantAndDropsSession) {

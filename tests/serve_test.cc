@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <future>
 #include <map>
@@ -159,6 +160,19 @@ TEST(SchedulerTest, SubmitValidation) {
                   .IsInvalidArgument());
   auto g = TestGraph();
   EXPECT_TRUE(scheduler->Submit(BfsJob(g, 0, "H100")).status().IsNotFound());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double weight : {nan, 0.0, -1.0}) {
+    JobSpec spec = BfsJob(g, 0);
+    spec.fair_weight = weight;
+    EXPECT_TRUE(scheduler->Submit(spec).status().IsInvalidArgument())
+        << "weight " << weight;
+  }
+  for (double deadline : {nan, -1.0}) {
+    JobSpec spec = BfsJob(g, 0);
+    spec.deadline_ms = deadline;
+    EXPECT_TRUE(scheduler->Submit(spec).status().IsInvalidArgument())
+        << "deadline " << deadline;
+  }
 }
 
 TEST(SchedulerTest, SingleJobMatchesDirectExecution) {
@@ -1306,15 +1320,61 @@ TEST(JobProfileTest, OutcomeCarriesKernelAttribution) {
   EXPECT_LE(launches, p.num_kernels);
 }
 
-TEST(JobProfileTest, DisabledOptionYieldsEmptyProfile) {
+// The metrics sampler, per-job profiles and the flight recorder are host
+// bookkeeping: they must not move the modeled clock by a single bit.
+TEST(JobProfileTest, ObservabilityLeavesModeledTimeBitIdentical) {
   auto g = TestGraph();
-  Scheduler::Options options;
-  options.devices = {{.arch = &vgpu::A100Config(), .options = {}}};
-  options.job_profiles = false;
-  auto scheduler = Scheduler::Create(std::move(options)).value();
-  JobOutcome outcome = scheduler->Submit(BfsJob(g, 0)).value().get();
-  ASSERT_TRUE(outcome.status.ok());
-  EXPECT_EQ(outcome.job_profile.num_kernels, 0u);
+  std::vector<JobSpec> jobs;
+  for (uint32_t i = 0; i < 16; ++i) {
+    jobs.push_back(BfsJob(g, (i * 131) % g->num_vertices()));
+  }
+  auto run = [&](bool observed) {
+    Scheduler::Options options;
+    options.devices = {{.arch = &vgpu::A100Config(), .options = {}}};
+    options.queue_capacity = jobs.size();
+    // 16 jobs x 2 ms spans several 10 ms sampler ticks.
+    options.device_occupancy_floor_ms = 2;
+    options.metrics.enabled = observed;
+    options.metrics.interval_ms = 10;
+    options.metrics.quiet = true;
+    options.flight_recorder.enabled = observed;
+    auto scheduler = Scheduler::Create(std::move(options)).value();
+    std::vector<std::future<JobOutcome>> futures;
+    for (const JobSpec& job : jobs) {
+      futures.push_back(scheduler->Submit(job).value());
+    }
+    std::vector<JobOutcome> outcomes;
+    for (auto& future : futures) outcomes.push_back(future.get());
+    scheduler->Drain();
+    EXPECT_EQ(!scheduler->MetricsBatches().empty(), observed);
+    EXPECT_EQ(!scheduler->flight_recorder()->Records().empty(), observed);
+    return outcomes;
+  };
+  const std::vector<JobOutcome> quiet = run(false);
+  const std::vector<JobOutcome> observed = run(true);
+  ASSERT_EQ(quiet.size(), jobs.size());
+  ASSERT_EQ(observed.size(), jobs.size());
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(quiet[i].status.ok()) << quiet[i].status.ToString();
+    ASSERT_TRUE(observed[i].status.ok()) << observed[i].status.ToString();
+    EXPECT_GT(observed[i].job_profile.num_kernels, 0u) << "job " << i;
+    EXPECT_EQ(bits(quiet[i].modeled_ms), bits(observed[i].modeled_ms))
+        << "job " << i;
+    EXPECT_EQ(bits(quiet[i].modeled_transfer_ms),
+              bits(observed[i].modeled_transfer_ms))
+        << "job " << i;
+
+    vgpu::Device fresh(vgpu::A100Config());
+    auto direct = core::Run(&fresh, core::AlgoSpec{jobs[i].algorithm()}, *g,
+                            jobs[i].params)
+                      .value();
+    EXPECT_EQ(FingerprintPayload(observed[i].payload),
+              FingerprintPayload(direct))
+        << "job " << i;
+    EXPECT_EQ(FingerprintPayload(quiet[i].payload), FingerprintPayload(direct))
+        << "job " << i;
+  }
 }
 
 namespace {

@@ -692,57 +692,19 @@ int ServeBatch(const Flags& flags) {
   int submit_failures = 0;
   for (const ParsedJobLine& line : lines) {
     if (g_shutdown_signal.load() != 0) break;
-    serve::JobSpec spec;
-    spec.graph = shared;
-    auto params =
-        net::BuildJobParams(line.algo, line.kv, shared->num_vertices());
-    if (!params.ok()) {
+    // Same key vocabulary as the TCP protocol (§2.10); `devices=N` on a
+    // bfs/pagerank line runs it as a gang over N same-arch devices.
+    auto spec = net::BuildJobSpec(line.algo, line.kv, shared);
+    if (!spec.ok()) {
       std::fprintf(stderr, "jobs line %d: %s\n", line.line_number,
-                   params.status().ToString().c_str());
+                   spec.status().ToString().c_str());
       return 1;
     }
-    spec.params = std::move(*params);
-    auto arch_it = line.kv.find("arch");
-    if (arch_it != line.kv.end()) spec.arch_preference = arch_it->second;
-    // `devices=N` on a bfs/pagerank job line runs it as a gang over N
-    // same-arch devices; the scheduler reserves that many worker slots.
-    auto devices_it = line.kv.find("devices");
-    if (devices_it != line.kv.end()) {
-      spec.gang_devices =
-          static_cast<uint32_t>(std::stoll(devices_it->second));
+    if (spec->tag.empty()) {
+      spec->tag = "line" + std::to_string(line.line_number);
     }
-    auto ic_it = line.kv.find("interconnect");
-    if (ic_it != line.kv.end()) {
-      auto preset = vgpu::InterconnectPresetByName(ic_it->second);
-      if (!preset.ok()) {
-        std::fprintf(stderr, "jobs line %d: %s\n", line.line_number,
-                     preset.status().ToString().c_str());
-        return 1;
-      }
-      spec.gang_interconnect = *preset;
-    }
-    auto tag_it = line.kv.find("tag");
-    spec.tag = tag_it != line.kv.end()
-                   ? tag_it->second
-                   : "line" + std::to_string(line.line_number);
-    // Tenant QoS keys, same vocabulary as the TCP protocol (§2.10).
-    auto tenant_it = line.kv.find("tenant");
-    if (tenant_it != line.kv.end()) spec.tenant = tenant_it->second;
-    auto priority_it = line.kv.find("priority");
-    if (priority_it != line.kv.end()) {
-      spec.priority =
-          static_cast<uint32_t>(std::atoi(priority_it->second.c_str()));
-    }
-    auto weight_it = line.kv.find("weight");
-    if (weight_it != line.kv.end()) {
-      spec.fair_weight = std::atof(weight_it->second.c_str());
-    }
-    auto deadline_it = line.kv.find("deadline_ms");
-    if (deadline_it != line.kv.end()) {
-      spec.deadline_ms = std::atof(deadline_it->second.c_str());
-    }
-    std::string tag = spec.tag;
-    auto submitted = scheduler.Submit(std::move(spec));
+    std::string tag = spec->tag;
+    auto submitted = scheduler.Submit(std::move(*spec));
     if (!submitted.ok()) {
       std::printf("%-12s %-8s REJECTED AT SUBMIT: %s\n",
                   ("[" + tag + "]").c_str(),
