@@ -633,8 +633,12 @@ Status Run(const BenchConfig& config) {
 }  // namespace adgraph::bench
 
 int main(int argc, char** argv) {
-  auto status = adgraph::bench::Run(
-      adgraph::bench::BenchConfig::FromArgs(argc, argv));
+  auto config = adgraph::bench::BenchConfig::FromArgs(argc, argv);
+  if (!config.ok()) {
+    std::cerr << "adgraph_repro: " << config.status().ToString() << "\n";
+    return 2;
+  }
+  auto status = adgraph::bench::Run(*config);
   if (!status.ok()) {
     std::cerr << "adgraph_repro: " << status.ToString() << "\n";
     return 1;

@@ -2,6 +2,9 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include "core/api.h"
@@ -82,18 +85,36 @@ std::string AlgoName(Algo algo) {
   return "?";
 }
 
-BenchConfig BenchConfig::FromArgs(int argc, const char* const* argv) {
-  BenchConfig config;
-  auto flags = Flags::Parse(argc, argv);
-  if (!flags.ok()) {
-    ADGRAPH_LOG(Warning) << "flag parse error: "
-                         << flags.status().ToString();
-    return config;
+Result<BenchConfig> BenchConfig::FromArgs(
+    int argc, const char* const* argv,
+    std::initializer_list<std::string_view> extra_flags) {
+  ADGRAPH_ASSIGN_OR_RETURN(Flags flags, Flags::Parse(argc, argv));
+  if (!flags.positional().empty()) {
+    return Status::InvalidArgument("unexpected argument '" +
+                                   flags.positional().front() + "'");
   }
-  config.extra_divisor = flags->GetDouble("extra-divisor", 1.0);
-  config.out_dir = flags->GetString("out-dir", "bench_results");
-  config.skip_twitter = flags->GetBool("skip-twitter", false);
-  std::string list = flags->GetString("datasets", "");
+  for (const std::string& key : flags.keys()) {
+    const bool shared = key == "extra-divisor" || key == "out-dir" ||
+                        key == "skip-twitter" || key == "datasets";
+    if (!shared && std::find(extra_flags.begin(), extra_flags.end(), key) ==
+                       extra_flags.end()) {
+      return Status::InvalidArgument("unknown flag --" + key);
+    }
+  }
+  BenchConfig config;
+  if (flags.Has("extra-divisor")) {
+    const std::string text = flags.GetString("extra-divisor", "");
+    char* end = nullptr;
+    config.extra_divisor = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(config.extra_divisor) ||
+        config.extra_divisor < 1) {
+      return Status::InvalidArgument(
+          "--extra-divisor wants a number >= 1, got '" + text + "'");
+    }
+  }
+  config.out_dir = flags.GetString("out-dir", "bench_results");
+  config.skip_twitter = flags.GetBool("skip-twitter", false);
+  std::string list = flags.GetString("datasets", "");
   std::stringstream ss(list);
   std::string item;
   while (std::getline(ss, item, ',')) {

@@ -1,8 +1,10 @@
 #ifndef ADGRAPH_BENCH_BENCH_COMMON_H_
 #define ADGRAPH_BENCH_BENCH_COMMON_H_
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/triangle_count.h"
@@ -32,7 +34,13 @@ struct BenchConfig {
   /// Drop the twitter-mpi row entirely (--skip-twitter) for quick runs.
   bool skip_twitter = false;
 
-  static BenchConfig FromArgs(int argc, const char* const* argv);
+  /// Parses the shared flags above plus the binary's own `extra_flags`
+  /// (which the binary reads itself).  Any other flag, a positional
+  /// argument, or an --extra-divisor that is not a number >= 1 is
+  /// kInvalidArgument: a typo must not fall back to a full-scale run.
+  static Result<BenchConfig> FromArgs(
+      int argc, const char* const* argv,
+      std::initializer_list<std::string_view> extra_flags = {});
 
   /// The Table 4 dataset list after filters.
   std::vector<graph::DatasetSpec> SelectedDatasets() const;

@@ -90,7 +90,12 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const Flags& flags = *flags_result;
-  BenchConfig config = BenchConfig::FromArgs(argc, argv);
+  auto parsed = BenchConfig::FromArgs(argc, argv, {"smoke"});
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
+    return 2;
+  }
+  BenchConfig config = *parsed;
   const bool smoke = flags.GetBool("smoke", false);
   if (config.datasets.empty()) {
     config.datasets = smoke

@@ -48,7 +48,12 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const Flags& flags = *flags_result;
-  BenchConfig config = BenchConfig::FromArgs(argc, argv);
+  auto parsed = BenchConfig::FromArgs(argc, argv, {"smoke"});
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
+    return 2;
+  }
+  BenchConfig config = *parsed;
   const bool smoke = flags.GetBool("smoke", false);
   if (smoke) {
     // A pull round only amortizes on proxies dense enough that a large

@@ -3,8 +3,8 @@
 //
 // For each dataset proxy the device is shrunk (memory_scale) until the
 // whole-graph PageRank working set no longer fits — today's hard
-// kResourceExhausted — and BFS + PageRank run through ooc::RunStreamed
-// instead, double-buffering vertex-range shards on two streams.
+// kResourceExhausted — and BFS + PageRank run in core::Run's streamed
+// placement instead, double-buffering vertex-range shards on two streams.
 //
 // This is the CI acceptance gate for the out-of-core tentpole.  Exit
 // status 1 unless, on every proxy:
@@ -29,7 +29,6 @@
 #include "graph/csr.h"
 #include "graph/datasets.h"
 #include "ooc/ooc_csr.h"
-#include "ooc/streamed.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "vgpu/arch.h"
@@ -63,7 +62,12 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const Flags& flags = *flags_result;
-  BenchConfig config = BenchConfig::FromArgs(argc, argv);
+  auto parsed = BenchConfig::FromArgs(argc, argv, {"smoke"});
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
+    return 2;
+  }
+  BenchConfig config = *parsed;
   const bool smoke = flags.GetBool("smoke", false);
   if (config.datasets.empty()) {
     config.datasets = smoke ? std::vector<std::string>{"web-Google"}
@@ -109,9 +113,8 @@ int Main(int argc, char** argv) {
     // streamed one (memory_scale divides capacity).
     const uint64_t full_bytes = FullPageRankBytes(*g);
     const uint64_t shard_bytes = std::max<uint64_t>(full_bytes / 8, 4 << 10);
-    auto streamed_bytes =
-        ooc::EstimateStreamedBytes(core::Algo::kPageRank, g->num_vertices(),
-                                   g->has_weights(), shard_bytes);
+    auto streamed_bytes = ooc::EstimateStreamedBytes(
+        core::Params(pr), g->num_vertices(), shard_bytes);
     if (!streamed_bytes.ok()) {
       std::cerr << streamed_bytes.status().ToString() << "\n";
       return 1;
@@ -131,15 +134,13 @@ int Main(int argc, char** argv) {
     const bool over_budget =
         !core::Run(&device, {core::Algo::kPageRank}, *g, pr).ok();
 
-    ooc::OocOptions ooc_options;
-    ooc_options.shard_bytes = shard_bytes;
-    ooc::StreamedStats bfs_stats;
-    auto bfs_ooc = ooc::RunStreamed(&device, core::Algo::kBfs, g,
-                                    core::Params(bfs), ooc_options,
-                                    &bfs_stats);
-    ooc::StreamedStats pr_stats;
-    auto pr_ooc = ooc::RunStreamed(&device, core::Algo::kPageRank, g,
-                                   core::Params(pr), ooc_options, &pr_stats);
+    const core::Placement streamed = core::Placement::Streamed(shard_bytes);
+    auto bfs_ooc =
+        core::Run(&device, {core::Algo::kBfs, streamed}, *g, bfs);
+    core::RunReport pr_report;
+    auto pr_ooc = core::Run(&device, {core::Algo::kPageRank, streamed}, *g,
+                            pr, /*residency=*/nullptr, &pr_report);
+    const core::StagingStats& pr_stats = pr_report.staging;
     if (!bfs_ooc.ok() || !pr_ooc.ok()) {
       std::cerr << spec.name << ": streamed run failed: "
                 << (bfs_ooc.ok() ? pr_ooc.status() : bfs_ooc.status())

@@ -44,7 +44,13 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const Flags& flags = *flags_result;
-  BenchConfig config = BenchConfig::FromArgs(argc, argv);
+  auto parsed =
+      BenchConfig::FromArgs(argc, argv, {"smoke", "interconnect", "partition"});
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
+    return 2;
+  }
+  BenchConfig config = *parsed;
   const bool smoke = flags.GetBool("smoke", false);
   if (smoke) {
     config.skip_twitter = true;
@@ -60,10 +66,15 @@ int Main(int argc, char** argv) {
     return 2;
   }
   engine_options.interconnect = *preset;
-  engine_options.strategy =
-      flags.GetString("partition", "degree") == "uniform"
-          ? part::PartitionStrategy::kUniform
-          : part::PartitionStrategy::kDegreeBalanced;
+  const std::string strategy = flags.GetString("partition", "degree");
+  if (strategy != "degree" && strategy != "uniform") {
+    std::cerr << "--partition must be 'degree' or 'uniform', got '"
+              << strategy << "'\n";
+    return 2;
+  }
+  const part::PartitionStrategy partition =
+      strategy == "uniform" ? part::PartitionStrategy::kUniform
+                            : part::PartitionStrategy::kDegreeBalanced;
   const vgpu::ArchConfig& arch = vgpu::A100Config();
 
   std::vector<graph::DatasetSpec> datasets = config.SelectedDatasets();
@@ -126,16 +137,17 @@ int Main(int argc, char** argv) {
         return 1;
       }
       auto plan = part::MakePartitionPlan(*symmetric, num_devices,
-                                          engine_options.strategy);
+                                          partition);
       if (!plan.ok()) {
         std::cerr << plan.status().ToString() << "\n";
         return 1;
       }
 
-      part::PartBfsOptions bfs_options;
+      core::BfsOptions bfs_options;
       bfs_options.source = source;
+      core::ExchangeStats bfs_exchange;
       auto bfs = part::RunPartitionedBfs(engine->get(), *symmetric, *plan,
-                                         bfs_options);
+                                         bfs_options, &bfs_exchange);
       if (!bfs.ok()) {
         std::cerr << spec.name << " bfs x" << num_devices << ": "
                   << bfs.status().ToString() << "\n";
@@ -148,24 +160,25 @@ int Main(int argc, char** argv) {
         bfs_row.byte_identical = false;
       }
       bfs_row.time_ms.push_back(bfs->time_ms);
-      bfs_row.exchange_mb.push_back(static_cast<double>(bfs->exchange_bytes) /
+      bfs_row.exchange_mb.push_back(static_cast<double>(bfs_exchange.bytes) /
                                     1e6);
 
       // PageRank at a fixed iteration count so every device count does the
       // same numeric work (tolerance-based early exit could stop shards at
       // different FP states).
-      part::PartPageRankOptions pr_options;
+      core::PageRankOptions pr_options;
       pr_options.max_iterations = smoke ? 5 : 20;
       pr_options.tolerance = 0;
+      core::ExchangeStats pr_exchange;
       auto pr = part::RunPartitionedPageRank(engine->get(), *symmetric, *plan,
-                                             pr_options);
+                                             pr_options, &pr_exchange);
       if (!pr.ok()) {
         std::cerr << spec.name << " pagerank x" << num_devices << ": "
                   << pr.status().ToString() << "\n";
         return 1;
       }
       pr_row.time_ms.push_back(pr->time_ms);
-      pr_row.exchange_mb.push_back(static_cast<double>(pr->exchange_bytes) /
+      pr_row.exchange_mb.push_back(static_cast<double>(pr_exchange.bytes) /
                                    1e6);
     }
 
@@ -187,7 +200,7 @@ int Main(int argc, char** argv) {
 
   std::cout << "=== Partitioned strong scaling: BFS (" << arch.name << " x "
             << link << ", "
-            << part::PartitionStrategyName(engine_options.strategy)
+            << part::PartitionStrategyName(partition)
             << " partition) ===\n";
   bfs_table.Print(std::cout);
   std::cout << "\n=== Partitioned strong scaling: PageRank ===\n";

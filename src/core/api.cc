@@ -1,5 +1,7 @@
 #include "core/api.h"
 
+#include <string>
+
 namespace adgraph::core {
 
 namespace {
@@ -69,6 +71,33 @@ Result<Algo> ParseAlgorithm(std::string_view name) {
     if (AlgorithmName(algo) == name) return algo;
   }
   return Status::NotFound("unknown algorithm: " + std::string(name));
+}
+
+Status CheckPlacement(const Placement& placement, const Params& params) {
+  if (placement.kind == Placement::Kind::kDevice) return Status::OK();
+  const bool gang = placement.kind == Placement::Kind::kGang;
+  if (gang) {
+    if (placement.gang_devices == 0 ||
+        placement.gang_devices > kMaxGangDevices) {
+      return Status::InvalidArgument(
+          "a gang has 1 to " + std::to_string(kMaxGangDevices) +
+          " devices, not " + std::to_string(placement.gang_devices));
+    }
+    ADGRAPH_RETURN_NOT_OK(
+        vgpu::ValidateInterconnectConfig(placement.interconnect));
+  }
+  const Algo algo = static_cast<Algo>(params.index());
+  const bool parents = algo == Algo::kBfs &&
+                       std::get<BfsOptions>(params).compute_parents;
+  if ((algo == Algo::kBfs && !parents) || algo == Algo::kPageRank) {
+    return Status::OK();
+  }
+  // Gang and streamed BFS report levels only: a parent is tie-broken by
+  // expansion order, which sharding changes.
+  return Status::FailedPrecondition(
+      std::string(gang ? "a gang" : "a stream") +
+      " runs bfs without parents and pagerank, not " +
+      std::string(AlgorithmName(algo)) + (parents ? " with parents" : ""));
 }
 
 double ResultTimeMs(const AlgoResult& result) {

@@ -12,6 +12,7 @@
 #include "core/jaccard.h"
 #include "core/kcore.h"
 #include "core/pagerank.h"
+#include "core/placement.h"
 #include "core/sssp.h"
 #include "core/subgraph.h"
 #include "core/triangle_count.h"
@@ -82,12 +83,22 @@ using AlgoResult =
                  KCoreResult, JaccardResult, WidestPathResult, ColoringResult,
                  EsbvResult, BcResult>;
 
-/// Which algorithm a Run call dispatches.  Kept as a struct (rather than
-/// a bare enum parameter) so future cross-algorithm knobs — deadlines,
-/// engine policy overrides — extend it without touching every caller.
+/// Which algorithm a Run call dispatches, and where.  Kept as a struct
+/// (rather than a bare enum parameter) so cross-algorithm knobs extend it
+/// without touching every caller.
 struct AlgoSpec {
   Algo algo = Algo::kBfs;
+  Placement placement = {};
 };
+
+/// \brief The one statement of which algorithms run in which placement:
+/// every algorithm runs on one device; a gang or a stream runs BFS without
+/// parents and PageRank.  Anything else is kFailedPrecondition.  A gang
+/// must also have 1 to kMaxGangDevices devices and a valid interconnect
+/// (kInvalidArgument).  `core::Run` checks it; so do the serving layer's
+/// validation and admission, and the CLI, before they commit to a
+/// placement.
+Status CheckPlacement(const Placement& placement, const Params& params);
 
 /// Modeled device time carried inside the payload (the per-algorithm
 /// `time_ms` field).
@@ -96,18 +107,24 @@ double ResultTimeMs(const AlgoResult& result);
 class GraphResidency;
 
 /// \brief The uniform algorithm entry point: dispatches `spec.algo` with
-/// the matching `params` alternative on `g`.
+/// the matching `params` alternative on `g`, in `spec.placement`.
 ///
 /// Fails with kInvalidArgument when `spec.algo` does not match
-/// `params.index()`.  BFS, SSSP, PageRank, CC, widest-path, and betweenness
-/// run on the frontier/operator engine (src/engine/, DESIGN.md §2.11),
-/// whose drivers are their only single-device implementations; the
-/// remaining algorithms dispatch to their core implementations on the same
-/// signature.  Defined in src/engine/run.cc — callers link adgraph_engine
-/// (every in-tree consumer already does).
+/// `params.index()`, and with CheckPlacement's status when the placement
+/// cannot run the request.  On one device, BFS, SSSP, PageRank, CC,
+/// widest-path, and betweenness run on the frontier/operator engine
+/// (src/engine/, DESIGN.md §2.11), whose drivers are their only
+/// single-device implementations; the remaining algorithms dispatch to
+/// their core implementations on the same signature.  A gang runs on a
+/// fresh part::PartitionedEngine of devices like `device` (§2.7); a stream
+/// runs on `device` through the ooc drivers (§2.13).  Neither uses
+/// `residency`.  `report`, when set, receives the gang's exchange or the
+/// stream's staging statistics.  Defined in src/engine/run.cc — callers
+/// link adgraph_engine (every in-tree consumer already does).
 Result<AlgoResult> Run(vgpu::Device* device, const AlgoSpec& spec,
                        const graph::CsrGraph& g, const Params& params,
-                       GraphResidency* residency = nullptr);
+                       GraphResidency* residency = nullptr,
+                       RunReport* report = nullptr);
 
 /// The Params / AlgoResult alternative of algorithm `A`.
 template <Algo A>

@@ -18,8 +18,6 @@ std::string_view GraphVariantName(GraphVariant variant) {
       return "pull-transpose";
     case GraphVariant::kCscWeighted:
       return "csc-weighted";
-    case GraphVariant::kStreamed:
-      return "streamed";
   }
   return "unknown";
 }
@@ -54,10 +52,6 @@ Result<graph::CsrGraph> BuildHostVariant(const graph::CsrGraph& base,
     }
     case GraphVariant::kCscWeighted:
       return base.Transpose();
-    case GraphVariant::kStreamed:
-      return Status::InvalidArgument(
-          "kStreamed is not a host layout: the out-of-core driver stages "
-          "shards itself and never materializes a whole-graph variant");
   }
   return Status::InvalidArgument("unknown graph variant");
 }

@@ -36,13 +36,6 @@ enum class GraphVariant : uint8_t {
   /// Weighted CSC (plain transpose, weights following their edge) — the
   /// library-native ESBV storage.
   kCscWeighted,
-  /// Out-of-core streamed execution: the graph is never whole-graph
-  /// resident; only the O(n) iteration state plus a double-buffered pair of
-  /// vertex-range shards occupy the device (DESIGN.md §2.13).  Not a host
-  /// layout — BuildHostVariant rejects it; it exists so admission and the
-  /// cache can key/charge the streamed working set instead of whole-graph
-  /// bytes.
-  kStreamed,
 };
 
 /// Stable lower-case name ("as-is", "sym", "tc-oriented", ...).

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
+#include <utility>
 
 #include "core/subgraph.h"
 #include "vgpu/interconnect.h"
@@ -188,6 +190,79 @@ Result<serve::JobSpec> BuildJobSpec(
     }
   }
   return spec;
+}
+
+Result<Json> BuildSubmitRequest(
+    serve::Algorithm algo, const std::map<std::string, std::string>& kv) {
+  Json request = Json::MakeObject();
+  request.Set("op", "SUBMIT");
+  request.Set("algo", std::string(serve::AlgorithmName(algo)));
+  Json params = Json::MakeObject();
+  for (const auto& [key, value] : kv) {
+    if (key == "devices" || key == "interconnect" || key == "tenant" ||
+        key == "priority" || key == "weight") {
+      return Status::InvalidArgument(
+          "'" + key + "' has no SUBMIT field: gangs do not run over the "
+          "wire, and HELLO's tenant contract sets tenant, priority, weight");
+    }
+    if (key == "graph" || key == "arch" || key == "tag") {
+      request.Set(key, value);
+    } else if (key == "deadline_ms") {
+      ADGRAPH_ASSIGN_OR_RETURN(double deadline, ParseNumericValue(key, value));
+      request.Set(key, deadline);
+    } else {
+      params.Set(key, value);
+    }
+  }
+  if (params.size() > 0) request.Set("params", std::move(params));
+  return request;
+}
+
+Status AppendEdgeUpdates(const std::string& specs, const std::string& op,
+                         bool allow_weight, Json* updates) {
+  std::istringstream list(specs);
+  std::string spec;
+  while (std::getline(list, spec, ',')) {
+    std::istringstream fields(spec);
+    std::string u, v, w;
+    std::getline(fields, u, ':');
+    std::getline(fields, v, ':');
+    std::getline(fields, w, ':');
+    if (!w.empty() && !allow_weight) {
+      return Status::InvalidArgument("edge spec '" + spec + "': " + op +
+                                     " takes no weight");
+    }
+    Json update = Json::MakeObject();
+    update.Set("op", op);
+    for (const auto& [key, text] : {std::pair{"u", u}, std::pair{"v", v}}) {
+      ADGRAPH_ASSIGN_OR_RETURN(double number, ParseNumericValue(key, text));
+      ADGRAPH_ASSIGN_OR_RETURN(uint64_t id,
+                               CheckedInteger(key, number, kMaxVertex));
+      update.Set(key, static_cast<double>(id));
+    }
+    if (!w.empty()) {
+      ADGRAPH_ASSIGN_OR_RETURN(double weight, ParseNumericValue("w", w));
+      update.Set("w", weight);
+    }
+    updates->PushBack(std::move(update));
+  }
+  return Status::OK();
+}
+
+Result<std::pair<std::string, uint16_t>> ParseEndpoint(
+    const std::string& endpoint) {
+  const size_t colon = endpoint.rfind(':');
+  if (colon == std::string::npos || colon == 0) {
+    return Status::InvalidArgument("endpoint wants HOST:PORT, got '" +
+                                   endpoint + "'");
+  }
+  ADGRAPH_ASSIGN_OR_RETURN(
+      double number, ParseNumericValue("port", endpoint.substr(colon + 1)));
+  ADGRAPH_ASSIGN_OR_RETURN(uint64_t port,
+                           CheckedInteger("port", number, 65535));
+  if (port == 0) return Status::InvalidArgument("'port' must be >= 1");
+  return std::make_pair(endpoint.substr(0, colon),
+                        static_cast<uint16_t>(port));
 }
 
 Result<serve::JobParams> JobParamsFromJson(serve::Algorithm algo,

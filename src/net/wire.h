@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "graph/csr.h"
 #include "net/json.h"
@@ -76,6 +77,31 @@ Result<serve::JobParams> BuildJobParams(
 Result<serve::JobSpec> BuildJobSpec(
     serve::Algorithm algo, const std::map<std::string, std::string>& kv,
     std::shared_ptr<const graph::CsrGraph> graph);
+
+/// Maps one `ALGO key=value...` job-file line to the SUBMIT request the
+/// `client` mode sends — BuildJobSpec's counterpart on the wire.  `graph`,
+/// `arch` and `tag` become request fields and `deadline_ms` a number
+/// (through ParseNumericValue); every other key is an algorithm param
+/// (BuildJobParams's vocabulary).  Keys SUBMIT cannot carry are
+/// kInvalidArgument naming the key: `devices` and `interconnect` (gangs do
+/// not run over the wire) and `tenant`, `priority` and `weight` (HELLO's
+/// tenant contract sets them).
+Result<Json> BuildSubmitRequest(serve::Algorithm algo,
+                                const std::map<std::string, std::string>& kv);
+
+/// Appends one MUTATE update object (`op`, `u`, `v`, optional `w`) per
+/// `U:V[:W]` spec of the comma-separated `specs` to the `updates` array.
+/// Vertex ids go through CheckedInteger and the weight through
+/// ParseNumericValue; a weight where `allow_weight` is false, or any
+/// malformed spec, is kInvalidArgument.
+Status AppendEdgeUpdates(const std::string& specs, const std::string& op,
+                         bool allow_weight, Json* updates);
+
+/// Splits a `HOST:PORT` endpoint (the CLI's --connect).  The host must be
+/// non-empty and the port an integer in [1, 65535]; anything else is
+/// kInvalidArgument.
+Result<std::pair<std::string, uint16_t>> ParseEndpoint(
+    const std::string& endpoint);
 
 /// SUBMIT-request form of BuildJobParams: `params` is a JSON object with
 /// number/string/bool values (null = no params).  Same keys, same defaults.

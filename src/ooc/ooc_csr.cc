@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 namespace adgraph::ooc {
 
@@ -10,10 +11,10 @@ using graph::vid_t;
 using graph::weight_t;
 
 Status OocCsr::Init(uint64_t shard_bytes) {
-  shard_bytes_ = shard_bytes == 0 ? kDefaultShardBytes : shard_bytes;
   ADGRAPH_ASSIGN_OR_RETURN(
-      plan_,
-      part::MakeByteBoundedPlan(row_offsets_, has_weights(), shard_bytes_));
+      plan_, part::MakeByteBoundedPlan(
+                 row_offsets_, has_weights(),
+                 shard_bytes == 0 ? kDefaultShardBytes : shard_bytes));
   max_shard_rows_ = 0;
   max_shard_edges_ = 0;
   for (uint32_t s = 0; s < plan_.num_shards(); ++s) {
@@ -30,17 +31,15 @@ uint64_t OocCsr::slot_bytes() const {
          (has_weights() ? max_shard_edges_ * sizeof(weight_t) : 0);
 }
 
-Result<OocCsr> OocCsr::FromMemory(std::shared_ptr<const graph::CsrGraph> g,
+Result<OocCsr> OocCsr::FromMemory(const graph::CsrGraph& g,
                                   uint64_t shard_bytes) {
-  if (g == nullptr) return Status::InvalidArgument("null graph");
-  if (g->num_vertices() == 0) {
+  if (g.num_vertices() == 0) {
     return Status::InvalidArgument("out-of-core wrap of an empty graph");
   }
   OocCsr csr;
-  csr.owned_ = std::move(g);
-  csr.row_offsets_ = csr.owned_->row_offsets();
-  csr.col_indices_ = csr.owned_->col_indices();
-  csr.weights_ = csr.owned_->weights();
+  csr.row_offsets_ = g.row_offsets();
+  csr.col_indices_ = g.col_indices();
+  csr.weights_ = g.weights();
   ADGRAPH_RETURN_NOT_OK(csr.Init(shard_bytes));
   return csr;
 }
@@ -53,6 +52,7 @@ Result<OocCsr> OocCsr::Open(const std::string& path, uint64_t shard_bytes) {
                                           "graph");
   }
   OocCsr csr;
+  csr.disk_backed_ = true;
   csr.mapped_ = std::move(mapped);
   csr.row_offsets_ = csr.mapped_.row_offsets();
   csr.col_indices_ = csr.mapped_.col_indices();
@@ -67,26 +67,21 @@ Result<OocCsr> OocCsr::Spill(const graph::CsrGraph& g, const std::string& path,
   return Open(path, shard_bytes);
 }
 
-Result<uint64_t> EstimateStreamedBytes(core::Algo algo, graph::vid_t n,
-                                       bool weighted, uint64_t shard_bytes) {
+Result<uint64_t> EstimateStreamedBytes(const core::Params& params,
+                                       graph::vid_t n, uint64_t shard_bytes) {
+  ADGRAPH_RETURN_NOT_OK(
+      core::CheckPlacement(core::Placement::Streamed(shard_bytes), params));
   const uint64_t slots =
       2 * (shard_bytes == 0 ? kDefaultShardBytes : shard_bytes);
   const uint64_t nn = n;
-  switch (algo) {
-    case core::Algo::kBfs:
-      // levels + produced counter; BFS stages rows+cols, never weights.
-      return nn * sizeof(uint32_t) + sizeof(uint32_t) + slots;
-    case core::Algo::kPageRank:
-      // base row offsets (dangling), ranks, next, 2 scalars, plus slots for
-      // the always-weighted pull-transpose shards.
-      (void)weighted;
-      return (nn + 1) * sizeof(eid_t) + 2 * nn * sizeof(double) +
-             2 * sizeof(double) + slots;
-    default:
-      return Status::FailedPrecondition(
-          "algorithm '" + std::string(core::AlgorithmName(algo)) +
-          "' has no out-of-core streamed path (BFS and PageRank only)");
+  if (std::holds_alternative<core::BfsOptions>(params)) {
+    // levels + produced counter; BFS stages rows+cols, never weights.
+    return nn * sizeof(uint32_t) + sizeof(uint32_t) + slots;
   }
+  // PageRank: base row offsets (dangling), ranks, next, 2 scalars, plus
+  // slots for the always-weighted pull-transpose shards.
+  return (nn + 1) * sizeof(eid_t) + 2 * nn * sizeof(double) +
+         2 * sizeof(double) + slots;
 }
 
 }  // namespace adgraph::ooc

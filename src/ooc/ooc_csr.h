@@ -2,7 +2,6 @@
 #define ADGRAPH_OOC_OOC_CSR_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -34,6 +33,7 @@ struct ShardView {
 /// Two backings share one interface:
 ///  - FromMemory borrows an in-memory CsrGraph (the serve path: the graph
 ///    already lives on the host; the *device* is what it does not fit).
+///    The caller keeps the graph alive while the OocCsr is in use.
 ///  - Open / Spill memory-map a binary CSR v2 file (graph/io MappedCsr), so
 ///    the adjacency pages live on disk and fault in per shard — the
 ///    device <-> host <-> disk tier.
@@ -46,8 +46,8 @@ class OocCsr {
  public:
   OocCsr() = default;
 
-  /// Wraps a host-resident graph.  Keeps a reference; no copies are made.
-  static Result<OocCsr> FromMemory(std::shared_ptr<const graph::CsrGraph> g,
+  /// Wraps a host-resident graph.  Borrows it; no copies are made.
+  static Result<OocCsr> FromMemory(const graph::CsrGraph& g,
                                    uint64_t shard_bytes);
 
   /// Memory-maps an existing binary CSR v2 file.
@@ -63,7 +63,7 @@ class OocCsr {
   }
   graph::eid_t num_edges() const { return row_offsets_.back(); }
   bool has_weights() const { return !weights_.empty(); }
-  bool disk_backed() const { return owned_ == nullptr; }
+  bool disk_backed() const { return disk_backed_; }
 
   std::span<const graph::eid_t> row_offsets() const { return row_offsets_; }
   std::span<const graph::vid_t> col_indices() const { return col_indices_; }
@@ -80,7 +80,6 @@ class OocCsr {
     return v;
   }
 
-  uint64_t shard_bytes_budget() const { return shard_bytes_; }
   /// Maxima over all shards — the double-buffer slots are sized from these
   /// (a hub row can legally exceed the byte budget; see MakeByteBoundedPlan).
   uint64_t max_shard_rows() const { return max_shard_rows_; }
@@ -91,27 +90,25 @@ class OocCsr {
  private:
   Status Init(uint64_t shard_bytes);
 
-  std::shared_ptr<const graph::CsrGraph> owned_;
+  bool disk_backed_ = false;
   graph::MappedCsr mapped_;
   std::span<const graph::eid_t> row_offsets_;
   std::span<const graph::vid_t> col_indices_;
   std::span<const graph::weight_t> weights_;
   part::PartitionPlan plan_;
-  uint64_t shard_bytes_ = 0;
   uint64_t max_shard_rows_ = 0;
   uint64_t max_shard_edges_ = 0;
 };
 
-/// O(1) device-byte estimate of the streamed working set for `algo` on an
-/// (n, m, weighted) graph: the O(n) iteration state plus two staging slots
-/// of at most `shard_bytes` each.  Admission charges this instead of
-/// whole-graph bytes for streamed jobs.  A single hub row larger than
-/// `shard_bytes` can push the true slot size past the estimate, in which
-/// case the run fails mid-stream with the scheduler's OOM-past-admission
-/// status.  Fails for algorithms without a streamed path (only BFS and
-/// PageRank stream today).
-Result<uint64_t> EstimateStreamedBytes(core::Algo algo, graph::vid_t n,
-                                       bool weighted, uint64_t shard_bytes);
+/// O(1) device-byte estimate of the streamed working set of `params` on an
+/// n-vertex graph: the O(n) iteration state plus two staging slots of at
+/// most `shard_bytes` each.  Admission charges this instead of whole-graph
+/// bytes for streamed jobs.  A single hub row larger than `shard_bytes`
+/// can push the true slot size past the estimate, in which case the run
+/// fails mid-stream with the scheduler's OOM-past-admission status.  Fails
+/// with core::CheckPlacement's status when the request does not stream.
+Result<uint64_t> EstimateStreamedBytes(const core::Params& params,
+                                       graph::vid_t n, uint64_t shard_bytes);
 
 /// Default per-slot staging budget when the caller passes 0.
 inline constexpr uint64_t kDefaultShardBytes = 32ull << 20;

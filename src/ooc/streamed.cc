@@ -1,17 +1,14 @@
 #include "ooc/streamed.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "core/bfs.h"
 #include "core/device_graph.h"
 #include "core/pagerank.h"
 #include "core/pagerank_kernels.h"
-#include "core/residency.h"
 #include "core/spmv.h"
 #include "runtime/runtime.h"
 #include "runtime/stream.h"
@@ -167,13 +164,15 @@ class ShardPipeline {
     return stage_weights_ ? weights_[slot].ptr() : DevPtr<weight_t>{};
   }
 
-  void FillStats(StreamedStats* stats) const {
+  /// The run's staging statistics, into `stats` (when set) and, so an
+  /// inspected streamed job shows its transfer burden, onto `algo_span`.
+  void Report(trace::Span* algo_span, core::StagingStats* stats) const {
+    algo_span->ArgNum("shards_staged", stage_count_);
+    algo_span->ArgNum("staged_bytes", copy_stream_.staged_bytes());
     if (stats == nullptr) return;
     stats->num_shards = g_->num_shards();
     stats->shards_staged = stage_count_;
     stats->staged_bytes = copy_stream_.staged_bytes();
-    stats->copy_ms = timeline_.copy_total;
-    stats->compute_ms = timeline_.compute_total + timeline_.serial_total;
     stats->serialized_ms = timeline_.serialized_ms();
     stats->overlapped_ms = timeline_.overlapped_ms();
   }
@@ -228,18 +227,13 @@ Result<core::BfsResult> RunStreamedBfs(vgpu::Device* device,
                                        const OocCsr& base,
                                        const core::BfsOptions& options,
                                        const OocOptions& ooc,
-                                       StreamedStats* stats) {
+                                       core::StagingStats* stats) {
   const vid_t n = base.num_vertices();
   if (n == 0) return Status::InvalidArgument("BFS on empty graph");
   if (options.source >= n) {
     return Status::InvalidArgument("BFS source " +
                                    std::to_string(options.source) +
                                    " out of range");
-  }
-  if (options.compute_parents) {
-    return Status::FailedPrecondition(
-        "streamed BFS does not compute parents: parent choice is tie-broken "
-        "by expansion order, which sharding reorders");
   }
 
   trace::Span algo_span(device->trace_track(), "algo:bfs_streamed", "algo");
@@ -300,14 +294,7 @@ Result<core::BfsResult> RunStreamedBfs(vgpu::Device* device,
   for (uint32_t lvl : result.levels) {
     if (lvl != core::kUnreachedLevel) result.vertices_visited += 1;
   }
-  // Staging summary on the root span, so an inspected streamed job shows
-  // its transfer burden without a separate stats query.
-  StreamedStats span_stats;
-  pipe.FillStats(&span_stats);
-  algo_span.ArgNum("shards_staged",
-                   static_cast<uint64_t>(span_stats.shards_staged));
-  algo_span.ArgNum("staged_bytes", span_stats.staged_bytes);
-  if (stats != nullptr) *stats = span_stats;
+  pipe.Report(&algo_span, stats);
   return result;
 }
 
@@ -315,7 +302,7 @@ Result<core::PageRankResult> RunStreamedPageRank(
     vgpu::Device* device, const OocCsr& pull,
     std::span<const eid_t> base_row_offsets,
     const core::PageRankOptions& options, const OocOptions& ooc,
-    StreamedStats* stats) {
+    core::StagingStats* stats) {
   const vid_t n = pull.num_vertices();
   if (n == 0) return Status::InvalidArgument("PageRank on empty graph");
   if (options.alpha <= 0 || options.alpha >= 1) {
@@ -420,94 +407,8 @@ Result<core::PageRankResult> RunStreamedPageRank(
 
   result.time_ms = timer.ElapsedMs();
   ADGRAPH_ASSIGN_OR_RETURN(result.ranks, ranks.ToHost());
-  StreamedStats span_stats;
-  pipe.FillStats(&span_stats);
-  algo_span.ArgNum("shards_staged",
-                   static_cast<uint64_t>(span_stats.shards_staged));
-  algo_span.ArgNum("staged_bytes", span_stats.staged_bytes);
-  if (stats != nullptr) *stats = span_stats;
+  pipe.Report(&algo_span, stats);
   return result;
-}
-
-Result<graph::CsrGraph> BuildPullTranspose(const OocCsr& base) {
-  const vid_t n = base.num_vertices();
-  const std::span<const eid_t> rows = base.row_offsets();
-  const std::span<const vid_t> cols = base.col_indices();
-
-  // Counting-sort transpose, step for step the CsrGraph::Transpose
-  // algorithm so the in-edge order within every destination row — and with
-  // it the streamed SpMV's accumulation order — matches what
-  // core::BuildHostVariant(kPullTranspose) produces.
-  std::vector<eid_t> t_rows(static_cast<size_t>(n) + 1, 0);
-  for (vid_t v : cols) t_rows[v + 1] += 1;
-  std::partial_sum(t_rows.begin(), t_rows.end(), t_rows.begin());
-  std::vector<vid_t> t_cols(cols.size());
-  std::vector<eid_t> cursor(t_rows.begin(), t_rows.end() - 1);
-  for (vid_t u = 0; u < n; ++u) {
-    for (eid_t e = rows[u]; e < rows[u + 1]; ++e) {
-      t_cols[cursor[cols[e]]++] = u;
-    }
-  }
-  std::vector<weight_t> w(t_cols.size());
-  for (eid_t e = 0; e < t_cols.size(); ++e) {
-    const vid_t u = t_cols[e];
-    w[e] = 1.0 / static_cast<double>(rows[u + 1] - rows[u]);
-  }
-  return graph::CsrGraph::FromArrays(n, std::move(t_rows), std::move(t_cols),
-                                     std::move(w));
-}
-
-Result<core::AlgoResult> RunStreamed(vgpu::Device* device, core::Algo algo,
-                                     std::shared_ptr<const graph::CsrGraph> base,
-                                     const core::Params& params,
-                                     const OocOptions& options,
-                                     StreamedStats* stats) {
-  if (base == nullptr) return Status::InvalidArgument("null graph");
-  if (static_cast<size_t>(algo) != params.index()) {
-    return Status::InvalidArgument(
-        "params alternative '" +
-        std::string(core::AlgorithmName(
-            static_cast<core::Algo>(params.index()))) +
-        "' does not match requested algorithm '" +
-        std::string(core::AlgorithmName(algo)) + "'");
-  }
-  switch (algo) {
-    case core::Algo::kBfs: {
-      if (base->num_vertices() == 0) {
-        return Status::InvalidArgument("BFS on empty graph");
-      }
-      ADGRAPH_ASSIGN_OR_RETURN(
-          OocCsr ooc_graph, OocCsr::FromMemory(base, options.shard_bytes));
-      ADGRAPH_ASSIGN_OR_RETURN(
-          core::BfsResult r,
-          RunStreamedBfs(device, ooc_graph, std::get<core::BfsOptions>(params),
-                         options, stats));
-      return core::AlgoResult(std::move(r));
-    }
-    case core::Algo::kPageRank: {
-      if (base->num_vertices() == 0) {
-        return Status::InvalidArgument("PageRank on empty graph");
-      }
-      ADGRAPH_ASSIGN_OR_RETURN(
-          graph::CsrGraph pull,
-          core::BuildHostVariant(*base, core::GraphVariant::kPullTranspose));
-      auto pull_shared =
-          std::make_shared<const graph::CsrGraph>(std::move(pull));
-      ADGRAPH_ASSIGN_OR_RETURN(
-          OocCsr ooc_pull,
-          OocCsr::FromMemory(std::move(pull_shared), options.shard_bytes));
-      ADGRAPH_ASSIGN_OR_RETURN(
-          core::PageRankResult r,
-          RunStreamedPageRank(device, ooc_pull, base->row_offsets(),
-                              std::get<core::PageRankOptions>(params), options,
-                              stats));
-      return core::AlgoResult(std::move(r));
-    }
-    default:
-      return Status::FailedPrecondition(
-          "algorithm '" + std::string(core::AlgorithmName(algo)) +
-          "' has no out-of-core streamed path (BFS and PageRank only)");
-  }
 }
 
 }  // namespace adgraph::ooc

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 
 #include "core/api.h"
@@ -26,65 +25,31 @@ struct OocOptions {
   std::function<Status(uint64_t stage, uint32_t shard)> copy_fault;
 };
 
-/// What the streamed run did and what the overlap bought (modeled time).
-struct StreamedStats {
-  uint32_t num_shards = 0;    ///< shards in the byte-bounded plan
-  uint64_t shards_staged = 0; ///< staged copies over the whole run
-  uint64_t staged_bytes = 0;  ///< host->device bytes streamed
-  double copy_ms = 0;         ///< modeled interconnect time of the staging
-  double compute_ms = 0;      ///< modeled kernel time (shards + full-width)
-  /// Modeled makespan with staging fully serialized against compute.
-  double serialized_ms = 0;
-  /// Modeled makespan with the double-buffered copy/compute pipeline:
-  /// shard k+1's copy overlaps shard k's compute, bounded by the two slots.
-  double overlapped_ms = 0;
-
-  double overlap_speedup() const {
-    return overlapped_ms > 0 ? serialized_ms / overlapped_ms : 1.0;
-  }
-};
-
 /// Top-down level-synchronous BFS over vertex-range shards of `base` (push
 /// orientation).  Only the O(n) level array plus the double buffer is
 /// device-resident; every level streams the shards through the two slots.
 /// Levels, depth, and vertices_visited are byte-identical to the in-memory
-/// path (levels are canonical).  compute_parents is rejected with
-/// kFailedPrecondition — parents are tie-broken by traversal order, which
-/// sharding would change.
+/// path (levels are canonical).  It computes no parents — parents are
+/// tie-broken by traversal order, which sharding would change, so
+/// core::CheckPlacement keeps such requests off the streamed tier.
 Result<core::BfsResult> RunStreamedBfs(vgpu::Device* device,
                                        const OocCsr& base,
                                        const core::BfsOptions& options,
                                        const OocOptions& ooc,
-                                       StreamedStats* stats = nullptr);
+                                       core::StagingStats* stats = nullptr);
 
 /// Pull PageRank over destination-range shards of `pull` (the
-/// 1/outdeg-weighted transpose; see BuildPullTranspose).  Each shard's rows
-/// keep their complete in-edge list, so per-row accumulation order — and
-/// therefore every rank, the L1 delta, and the iteration count — is
-/// bit-identical to the in-memory SpMV.  `base_row_offsets` is the
+/// 1/outdeg-weighted transpose, core::GraphVariant::kPullTranspose).  Each
+/// shard's rows keep their complete in-edge list, so per-row accumulation
+/// order — and therefore every rank, the L1 delta, and the iteration count
+/// — is bit-identical to the in-memory SpMV.  `base_row_offsets` is the
 /// *original* graph's offset array (n+1 entries), device-resident for the
 /// dangling-mass kernel.
 Result<core::PageRankResult> RunStreamedPageRank(
     vgpu::Device* device, const OocCsr& pull,
     std::span<const graph::eid_t> base_row_offsets,
     const core::PageRankOptions& options, const OocOptions& ooc,
-    StreamedStats* stats = nullptr);
-
-/// Host pull-transpose with 1/outdeg(u) weights built from an OocCsr's
-/// spans — array-identical to core::BuildHostVariant(base,
-/// kPullTranspose), but works for disk-backed operands too.
-Result<graph::CsrGraph> BuildPullTranspose(const OocCsr& base);
-
-/// One-call wrapper over a host-resident graph (the serve path): wraps
-/// `base` (and, for PageRank, its pull-transpose) in in-memory OocCsrs and
-/// dispatches.  Supports kBfs (without parents) and kPageRank; anything
-/// else is kFailedPrecondition.  Results are byte-identical to
-/// core::Run on the same inputs.
-Result<core::AlgoResult> RunStreamed(vgpu::Device* device, core::Algo algo,
-                                     std::shared_ptr<const graph::CsrGraph> base,
-                                     const core::Params& params,
-                                     const OocOptions& options,
-                                     StreamedStats* stats = nullptr);
+    core::StagingStats* stats = nullptr);
 
 }  // namespace adgraph::ooc
 

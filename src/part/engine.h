@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/placement.h"
 #include "part/partition.h"
 #include "util/status.h"
 #include "vgpu/arch.h"
@@ -29,7 +31,6 @@ class PartitionedEngine {
     /// Link model joining the pool (NVLink-class by default — the
     /// multi-GPU topology the paper's scale-out discussion assumes).
     vgpu::InterconnectConfig interconnect = vgpu::NvlinkPreset();
-    PartitionStrategy strategy = PartitionStrategy::kUniform;
   };
 
   /// Validates the arch (vgpu::ValidateArchConfig) and interconnect
@@ -45,25 +46,32 @@ class PartitionedEngine {
   }
   vgpu::Device* device(uint32_t i) { return devices_[i].get(); }
   vgpu::Interconnect& interconnect() { return *interconnect_; }
-  const vgpu::Interconnect& interconnect() const { return *interconnect_; }
-  const Options& options() const { return options_; }
 
-  /// Sum of elapsed_ms over the pool minus nothing — snapshot of each
-  /// device's modeled kernel clock, used by the drivers to compute a
-  /// round's max-over-devices compute time.
+  /// Each device's modeled kernel clock (elapsed_ms), in device order.
   std::vector<double> ElapsedSnapshot() const;
 
- private:
-  PartitionedEngine(Options options,
-                    std::vector<std::unique_ptr<vgpu::Device>> devices,
-                    std::unique_ptr<vgpu::Interconnect> interconnect)
-      : options_(std::move(options)),
-        devices_(std::move(devices)),
-        interconnect_(std::move(interconnect)) {}
+  /// Fails unless `plan` has one shard per device and covers [0, n).
+  Status CheckPlan(const PartitionPlan& plan, graph::vid_t n) const;
 
-  Options options_;
+  /// Starts a driver's bulk-synchronous rounds, after its staging: later
+  /// EndRound calls measure device clocks and interconnect bytes from here.
+  void StartRounds();
+
+  /// Closes one round, named `label` on the interconnect: adds the round,
+  /// its max-over-devices compute since the previous round, its exchange
+  /// time and the bytes moved since StartRounds to `stats`, and returns
+  /// the round's modeled time (compute + exchange).
+  double EndRound(const std::string& label, core::ExchangeStats* stats);
+
+ private:
+  PartitionedEngine(std::vector<std::unique_ptr<vgpu::Device>> devices,
+                    std::unique_ptr<vgpu::Interconnect> interconnect)
+      : devices_(std::move(devices)), interconnect_(std::move(interconnect)) {}
+
   std::vector<std::unique_ptr<vgpu::Device>> devices_;
   std::unique_ptr<vgpu::Interconnect> interconnect_;
+  std::vector<double> round_clock_;  ///< device clocks at the last round end
+  uint64_t round_bytes_ = 0;         ///< interconnect bytes at StartRounds
 };
 
 }  // namespace adgraph::part

@@ -141,10 +141,11 @@ struct ShardState {
 
 }  // namespace
 
-Result<PartBfsResult> RunPartitionedBfs(PartitionedEngine* engine,
-                                        const graph::CsrGraph& g,
-                                        const PartitionPlan& plan,
-                                        const PartBfsOptions& options) {
+Result<core::BfsResult> RunPartitionedBfs(PartitionedEngine* engine,
+                                          const graph::CsrGraph& g,
+                                          const PartitionPlan& plan,
+                                          const core::BfsOptions& options,
+                                          core::ExchangeStats* stats) {
   const vid_t n = g.num_vertices();
   if (n == 0) return Status::InvalidArgument("BFS on empty graph");
   if (options.source >= n) {
@@ -152,24 +153,14 @@ Result<PartBfsResult> RunPartitionedBfs(PartitionedEngine* engine,
                                    std::to_string(options.source) +
                                    " out of range");
   }
+  ADGRAPH_RETURN_NOT_OK(engine->CheckPlan(plan, n));
   const uint32_t P = engine->num_devices();
-  if (plan.num_shards() != P) {
-    return Status::InvalidArgument(
-        "partition plan is " + std::to_string(plan.num_shards()) +
-        "-way but the engine has " + std::to_string(P) + " devices");
-  }
-  if (plan.boundaries.back() != n) {
-    return Status::InvalidArgument(
-        "partition plan does not cover this graph's vertex range");
-  }
 
   vgpu::Interconnect& ic = engine->interconnect();
   trace::Span algo_span(ic.trace_track(), "algo:part_bfs", "algo");
   algo_span.ArgNum("num_vertices", static_cast<uint64_t>(n));
   algo_span.ArgNum("num_devices", static_cast<uint64_t>(P));
   algo_span.ArgNum("source", static_cast<uint64_t>(options.source));
-
-  const uint64_t ic_bytes_before = ic.total_bytes();
 
   // ---- Per-device setup (graph staging excluded from timing, as the
   // single-device drivers exclude upload). -------------------------------
@@ -206,10 +197,10 @@ Result<PartBfsResult> RunPartitionedBfs(PartitionedEngine* engine,
     s.frontier_size = 1;
   }
 
-  PartBfsResult result;
-  // Reset the modeled clocks so round deltas start from zero regardless of
-  // earlier work on these devices.
-  std::vector<double> clock_base = engine->ElapsedSnapshot();
+  core::BfsResult result;
+  core::ExchangeStats exchange_stats;
+  // Round deltas start here, whatever earlier work ran on these devices.
+  engine->StartRounds();
 
   uint32_t level = 1;
   uint64_t total_frontier = 1;
@@ -318,25 +309,13 @@ Result<PartBfsResult> RunPartitionedBfs(PartitionedEngine* engine,
       total_frontier += s.frontier_size;
     }
 
-    double round_compute = 0;
-    std::vector<double> clock_now = engine->ElapsedSnapshot();
-    for (uint32_t d = 0; d < P; ++d) {
-      round_compute = std::max(round_compute, clock_now[d] - clock_base[d]);
-    }
-    clock_base = std::move(clock_now);
-
-    vgpu::Interconnect::RoundStats exchange =
-        ic.EndRound("bfs:level=" + std::to_string(level));
-    result.compute_ms += round_compute;
-    result.exchange_ms += exchange.modeled_ms;
-    result.time_ms += round_compute + exchange.modeled_ms;
-    result.round_exchange_bytes.push_back(exchange.bytes);
-    result.rounds += 1;
+    result.time_ms += engine->EndRound(
+        "bfs:level=" + std::to_string(level), &exchange_stats);
     if (total_frontier > 0) result.depth = level;
     ++level;
   }
 
-  result.exchange_bytes = ic.total_bytes() - ic_bytes_before;
+  result.top_down_iterations = exchange_stats.rounds;
 
   // --- Owner gather: each shard's owned range is authoritative.
   result.levels.assign(n, kUnreachedLevel);
@@ -351,8 +330,9 @@ Result<PartBfsResult> RunPartitionedBfs(PartitionedEngine* engine,
     if (lvl != kUnreachedLevel) result.vertices_visited += 1;
   }
   algo_span.ArgNum("depth", static_cast<uint64_t>(result.depth));
-  algo_span.ArgNum("rounds", static_cast<uint64_t>(result.rounds));
-  algo_span.ArgNum("exchange_bytes", result.exchange_bytes);
+  algo_span.ArgNum("rounds", static_cast<uint64_t>(exchange_stats.rounds));
+  algo_span.ArgNum("exchange_bytes", exchange_stats.bytes);
+  if (stats != nullptr) *stats = exchange_stats;
   return result;
 }
 

@@ -59,31 +59,22 @@ struct ShardState {
 
 }  // namespace
 
-Result<PartPageRankResult> RunPartitionedPageRank(
+Result<core::PageRankResult> RunPartitionedPageRank(
     PartitionedEngine* engine, const graph::CsrGraph& g,
-    const PartitionPlan& plan, const PartPageRankOptions& options) {
+    const PartitionPlan& plan, const core::PageRankOptions& options,
+    core::ExchangeStats* stats) {
   const vid_t n = g.num_vertices();
   if (n == 0) return Status::InvalidArgument("PageRank on empty graph");
   if (options.alpha <= 0 || options.alpha >= 1) {
     return Status::InvalidArgument("damping factor must be in (0,1)");
   }
+  ADGRAPH_RETURN_NOT_OK(engine->CheckPlan(plan, n));
   const uint32_t P = engine->num_devices();
-  if (plan.num_shards() != P) {
-    return Status::InvalidArgument(
-        "partition plan is " + std::to_string(plan.num_shards()) +
-        "-way but the engine has " + std::to_string(P) + " devices");
-  }
-  if (plan.boundaries.back() != n) {
-    return Status::InvalidArgument(
-        "partition plan does not cover this graph's vertex range");
-  }
 
   vgpu::Interconnect& ic = engine->interconnect();
   trace::Span algo_span(ic.trace_track(), "algo:part_pagerank", "algo");
   algo_span.ArgNum("num_vertices", static_cast<uint64_t>(n));
   algo_span.ArgNum("num_devices", static_cast<uint64_t>(P));
-
-  const uint64_t ic_bytes_before = ic.total_bytes();
 
   // ---- Per-device setup (staging excluded from timing). ----------------
   std::vector<ShardState> shards(P);
@@ -117,12 +108,13 @@ Result<PartPageRankResult> RunPartitionedPageRank(
         core::primitives::Fill<double>(dev, s.ranks.ptr(), n, 1.0 / n));
   }
 
-  PartPageRankResult result;
+  core::PageRankResult result;
+  core::ExchangeStats exchange_stats;
   core::SpmvOptions spmv_options;
   spmv_options.semiring = core::Semiring::kPlusTimes;
   spmv_options.block_size = options.block_size;
 
-  std::vector<double> clock_base = engine->ElapsedSnapshot();
+  engine->StartRounds();
 
   for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
     trace::Span sweep(ic.trace_track(), "part_pagerank.iteration", "phase");
@@ -254,25 +246,14 @@ Result<PartPageRankResult> RunPartitionedPageRank(
     }
 
     // --- Close the iteration's exchange round and roll up modeled time.
-    double round_compute = 0;
-    std::vector<double> clock_now = engine->ElapsedSnapshot();
-    for (uint32_t d = 0; d < P; ++d) {
-      round_compute = std::max(round_compute, clock_now[d] - clock_base[d]);
-    }
-    clock_base = std::move(clock_now);
-    vgpu::Interconnect::RoundStats exchange =
-        ic.EndRound("pagerank:iter=" + std::to_string(iter + 1));
-    result.compute_ms += round_compute;
-    result.exchange_ms += exchange.modeled_ms;
-    result.time_ms += round_compute + exchange.modeled_ms;
+    result.time_ms += engine->EndRound(
+        "pagerank:iter=" + std::to_string(iter + 1), &exchange_stats);
 
     result.l1_delta = l1_delta;
     sweep.ArgNum("l1_delta", l1_delta);
     result.iterations = iter + 1;
     if (options.tolerance > 0 && result.l1_delta < options.tolerance) break;
   }
-
-  result.exchange_bytes = ic.total_bytes() - ic_bytes_before;
 
   // --- Owner gather of the final ranks.
   result.ranks.assign(n, 0.0);
@@ -284,7 +265,8 @@ Result<PartPageRankResult> RunPartitionedPageRank(
         shards[d].ranks.Download(result.ranks.data() + lo, count, lo));
   }
   algo_span.ArgNum("iterations", static_cast<uint64_t>(result.iterations));
-  algo_span.ArgNum("exchange_bytes", result.exchange_bytes);
+  algo_span.ArgNum("exchange_bytes", exchange_stats.bytes);
+  if (stats != nullptr) *stats = exchange_stats;
   return result;
 }
 

@@ -1,37 +1,14 @@
 #ifndef ADGRAPH_PART_PART_PAGERANK_H_
 #define ADGRAPH_PART_PART_PAGERANK_H_
 
-#include <cstdint>
-#include <vector>
-
+#include "core/pagerank.h"
+#include "core/placement.h"
 #include "graph/csr.h"
 #include "part/engine.h"
 #include "part/partition.h"
 #include "util/status.h"
 
 namespace adgraph::part {
-
-struct PartPageRankOptions {
-  double alpha = 0.85;       ///< damping factor
-  uint32_t max_iterations = 50;
-  double tolerance = 1e-7;   ///< L1 convergence threshold (0 = run all)
-  uint32_t block_size = 256;
-};
-
-/// Outcome of a partitioned PageRank.  Ranks match the single-device pull
-/// formulation to floating-point re-association error (the reduce-scatter
-/// sums shard contributions in a different order than one big SpMV; the
-/// property tests bound the difference at 1e-10).
-struct PartPageRankResult {
-  std::vector<double> ranks;
-  uint32_t iterations = 0;
-  double l1_delta = 0;
-  double time_ms = 0;            ///< sum over iterations of
-                                 ///< max-device-compute + exchange
-  double compute_ms = 0;
-  double exchange_ms = 0;
-  uint64_t exchange_bytes = 0;   ///< boundary rank contributions moved
-};
 
 /// \brief Pull-SpMV PageRank over a vertex-range-partitioned graph.
 ///
@@ -42,9 +19,15 @@ struct PartPageRankResult {
 /// vertex, a reduce-scatter of boundary contributions to owners, the
 /// damping update on owned ranges, and an all-gather of the updated
 /// segments — all boundary traffic billed to the engine's interconnect.
-Result<PartPageRankResult> RunPartitionedPageRank(
+/// Ranks match the single-device pull formulation to floating-point
+/// re-association error (the reduce-scatter sums shard contributions in a
+/// different order than one big SpMV; the property tests bound the
+/// difference at 1e-10).  time_ms is the per-iteration max-device compute
+/// plus exchange.
+Result<core::PageRankResult> RunPartitionedPageRank(
     PartitionedEngine* engine, const graph::CsrGraph& g,
-    const PartitionPlan& plan, const PartPageRankOptions& options);
+    const PartitionPlan& plan, const core::PageRankOptions& options,
+    core::ExchangeStats* stats = nullptr);
 
 }  // namespace adgraph::part
 

@@ -5,21 +5,15 @@
 #include <span>
 #include <vector>
 
+#include "core/placement.h"
 #include "graph/csr.h"
 #include "graph/types.h"
 #include "util/status.h"
 
 namespace adgraph::part {
 
-/// How MakePartitionPlan places the shard boundaries.
-enum class PartitionStrategy : uint8_t {
-  /// Equal vertex counts per shard (n / P each).
-  kUniform = 0,
-  /// Equal *edge* counts per shard: boundaries split the cumulative degree
-  /// (row-offset) curve at m / P steps, the standard 1-D load-balancing fix
-  /// for power-law degree skew.
-  kDegreeBalanced,
-};
+/// The strategy enum lives beside core::Placement, which carries it.
+using core::PartitionStrategy;
 
 /// Stable lower-case name ("uniform" / "degree-balanced").
 const char* PartitionStrategyName(PartitionStrategy strategy);

@@ -11,17 +11,12 @@ namespace adgraph::serve {
 namespace {
 
 /// The streamed working-set estimate for `spec`, or nullopt when the spec
-/// is not eligible: streaming must be requested, and the algorithm must
-/// have a streamed path (BFS without parents, PageRank).
+/// is not eligible: streaming must be requested, and the request must
+/// stream (EstimateStreamedBytes checks core::CheckPlacement).
 std::optional<uint64_t> StreamedEstimate(const JobSpec& spec) {
   if (!spec.allow_streamed || spec.gang_devices > 1) return std::nullopt;
-  if (spec.algorithm() == Algorithm::kBfs &&
-      std::get<core::BfsOptions>(spec.params).compute_parents) {
-    return std::nullopt;
-  }
   auto estimate = ooc::EstimateStreamedBytes(
-      spec.algorithm(), spec.graph->num_vertices(), spec.graph->has_weights(),
-      spec.ooc_shard_bytes);
+      spec.params, spec.graph->num_vertices(), spec.ooc_shard_bytes);
   if (!estimate.ok()) return std::nullopt;
   return *estimate;
 }

@@ -30,7 +30,7 @@ struct AdmissionDecision {
   /// Admitted via the out-of-core streamed path (spec.allow_streamed): the
   /// whole-graph working set did not fit even after eviction, but the
   /// streamed one — O(n) state plus two staging slots — does.  The job
-  /// runs through ooc::RunStreamed instead of the registry handler.
+  /// runs in core::Placement::Streamed.
   bool streamed = false;
   uint64_t streamed_bytes = 0;    ///< streamed working-set estimate
   std::string reason;             ///< human-readable rejection reason

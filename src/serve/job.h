@@ -11,7 +11,6 @@
 #include "core/api.h"
 #include "graph/csr.h"
 #include "graph/delta.h"
-#include "part/partition.h"
 #include "prof/metrics.h"
 #include "trace/trace.h"
 #include "util/status.h"
@@ -73,20 +72,19 @@ struct JobSpec {
   /// Gang execution (DESIGN.md §2.7): > 1 runs the job on a partitioned
   /// engine of this many simulated devices of the executing worker's arch.
   /// The scheduler reserves that many worker slots for the job's duration.
-  /// Only BFS (without compute_parents) and PageRank support gangs; other
-  /// algorithms fail validation.
+  /// Requests a gang cannot run (core::CheckPlacement) fail validation.
   uint32_t gang_devices = 1;
   /// Link model of the gang's interconnect (ignored when gang_devices <= 1).
   vgpu::InterconnectConfig gang_interconnect = vgpu::NvlinkPreset();
   /// How the gang shards the vertex range.
-  part::PartitionStrategy gang_strategy = part::PartitionStrategy::kUniform;
+  core::PartitionStrategy gang_strategy = core::PartitionStrategy::kUniform;
   // --- Out-of-core streaming (DESIGN.md §2.13) --------------------------
-  /// When true and the algorithm has a streamed path (BFS without parents,
-  /// PageRank), a job whose whole-graph working set fails admission is
-  /// admitted anyway iff the streamed working set — O(n) iteration state
-  /// plus two staging slots — fits, and runs via ooc::RunStreamed with
-  /// byte-identical results.  Evict-to-admit thereby becomes a
-  /// device<->host<->disk tiering decision instead of a hard reject.
+  /// When true and the request streams (core::CheckPlacement), a job whose
+  /// whole-graph working set fails admission is admitted anyway iff the
+  /// streamed working set — O(n) iteration state plus two staging slots —
+  /// fits, and runs in the streamed placement with byte-identical results.
+  /// Evict-to-admit thereby becomes a device<->host<->disk tiering decision
+  /// instead of a hard reject.
   bool allow_streamed = false;
   /// Per staging slot byte budget of the streamed path (0 = ooc default).
   uint64_t ooc_shard_bytes = 0;
@@ -125,6 +123,14 @@ struct JobSpec {
 
   Algorithm algorithm() const {
     return static_cast<Algorithm>(params.index());
+  }
+  /// The placement the spec asks for: its gang, or one device (admission
+  /// may still move a one-device job to the streamed tier).
+  core::Placement placement() const {
+    return gang_devices > 1 ? core::Placement::Gang(gang_devices,
+                                                    gang_interconnect,
+                                                    gang_strategy)
+                            : core::Placement{};
   }
 };
 
@@ -169,8 +175,8 @@ struct JobOutcome {
   uint64_t exchange_rounds = 0;   ///< bulk-synchronous exchange rounds
   double exchange_ms = 0;         ///< modeled interconnect time
   // --- Out-of-core streaming (spec.allow_streamed) ----------------------
-  /// True when the job ran via the double-buffered streamed path after the
-  /// whole-graph working set failed admission.
+  /// True when the job ran in the streamed placement after the whole-graph
+  /// working set failed admission.
   bool streamed = false;
   uint32_t ooc_shards = 0;         ///< shards in the byte-bounded plan
   uint64_t ooc_staged_bytes = 0;   ///< host->device bytes streamed

@@ -23,11 +23,11 @@ uint64_t UploadBytes(uint64_t n, uint64_t m, bool weighted) {
          (weighted ? Alloc(m * sizeof(graph::weight_t)) : 0);
 }
 
-/// Footprint after host-side symmetrization (make_undirected at most
-/// doubles the edge count; duplicates are removed, so this is an upper
-/// bound).
-uint64_t SymUploadBytes(uint64_t n, uint64_t m, bool weighted) {
-  return UploadBytes(n, 2 * m, weighted);
+/// Footprint of the kSymSimple variant (make_undirected at most doubles
+/// the edge count; duplicates are removed, so this is an upper bound).  The
+/// symmetrized copy keeps the input's weights.
+uint64_t SymUploadBytes(const graph::CsrGraph& g) {
+  return UploadBytes(g.num_vertices(), 2 * g.num_edges(), g.has_weights());
 }
 
 /// One engine Frontier (engine/frontier.h): queue, flags, count cell.
@@ -100,35 +100,34 @@ std::vector<AlgorithmHandler> BuildRegistry() {
        .estimate_device_bytes =
            [](const JobSpec& s) {
              const auto& g = *s.graph;
-             // Symmetrized (orient=false) or oriented-DAG (orient=true)
-             // upload, unweighted either way, + the counter cell.  The
-             // symmetrized bound covers both.
-             return SymUploadBytes(g.num_vertices(), g.num_edges(),
-                                   /*weighted=*/false) +
-                    256;
+             // The oriented DAG (orient=true) is unweighted and at most the
+             // symmetrized edge count; the symmetrized copy (orient=false,
+             // the Bisson-Fatica TC) keeps the weights.  Plus the counter.
+             const uint64_t staged =
+                 Params<core::TcOptions>(s).orient
+                     ? UploadBytes(g.num_vertices(), 2 * g.num_edges(),
+                                   /*weighted=*/false)
+                     : SymUploadBytes(g);
+             return staged + Alloc(8);
            }});
 
   add({.algo = Algorithm::kConnectedComponents,
        .graph_variant = Always(core::GraphVariant::kSymSimple),
        .estimate_device_bytes =
            [](const JobSpec& s) {
-             const auto& g = *s.graph;
-             uint64_t n = g.num_vertices();
-             // The symmetrized copy keeps the weights; labels + two
-             // frontiers.
-             return SymUploadBytes(n, g.num_edges(), g.has_weights()) +
-                    Alloc(4 * n) + 2 * FrontierBytes(n);
+             uint64_t n = s.graph->num_vertices();
+             // Labels + two frontiers.
+             return SymUploadBytes(*s.graph) + Alloc(4 * n) +
+                    2 * FrontierBytes(n);
            }});
 
   add({.algo = Algorithm::kKCore,
        .graph_variant = Always(core::GraphVariant::kSymSimple),
        .estimate_device_bytes =
            [](const JobSpec& s) {
-             const auto& g = *s.graph;
-             uint64_t n = g.num_vertices();
-             // degrees + membership + removal queue + flag.
-             return SymUploadBytes(n, g.num_edges(), /*weighted=*/false) +
-                    12 * n + 256;
+             uint64_t n = s.graph->num_vertices();
+             // Degrees + membership + the changed flag.
+             return SymUploadBytes(*s.graph) + 2 * Alloc(4 * n) + Alloc(4);
            }});
 
   add({.algo = Algorithm::kJaccard,
@@ -156,10 +155,9 @@ std::vector<AlgorithmHandler> BuildRegistry() {
        .graph_variant = Always(core::GraphVariant::kSymSimple),
        .estimate_device_bytes =
            [](const JobSpec& s) {
-             const auto& g = *s.graph;
-             uint64_t n = g.num_vertices();
-             return SymUploadBytes(n, g.num_edges(), /*weighted=*/false) +
-                    4 * n + 256;
+             uint64_t n = s.graph->num_vertices();
+             // Colors + the progress flag.
+             return SymUploadBytes(*s.graph) + Alloc(4 * n) + Alloc(4);
            }});
 
   add({.algo = Algorithm::kEsbv,
@@ -169,12 +167,19 @@ std::vector<AlgorithmHandler> BuildRegistry() {
              const auto& g = *s.graph;
              uint64_t n = g.num_vertices();
              uint64_t m = g.num_edges();
-             // The paper's capacity-killer (§4.4/§4.5): weighted CSC
-             // upload (8n + 12m) plus the conservatively-sized extraction
-             // intermediates — flag/renumber scans (~16n) and the COO
-             // rebuild working set (~32m) — lands near 44 bytes/edge.
-             return UploadBytes(n, m, /*weighted=*/true) + 16 * n + 32 * m +
-                    256;
+             const auto& selected = Params<core::EsbvOptions>(s).vertices;
+             // The paper's capacity-killer (§4.4/§4.5): the weighted CSC
+             // upload, then every buffer of ExtractSubgraphByVertex live at
+             // once, the output at its n-row, m-edge bound: the selection;
+             // two 32-bit row arrays (converted and output CSR); five
+             // 32-bit edge arrays (both CSRs' columns, the full-size COO's
+             // src and dst, its permutation) and three weight arrays;
+             // cursor, flags, renumber map and output cursor; the COO
+             // count; one scan's block sums (at most n bytes).
+             return UploadBytes(n, m, /*weighted=*/true) +
+                    Alloc(4 * selected.size()) + 2 * Alloc(4 * (n + 1)) +
+                    5 * Alloc(4 * m) + 3 * Alloc(8 * m) + 4 * Alloc(4 * n) +
+                    Alloc(4) + Alloc(n);
            },
        .requires_weights = true});
 
@@ -182,12 +187,10 @@ std::vector<AlgorithmHandler> BuildRegistry() {
        .graph_variant = Always(core::GraphVariant::kSymSimple),
        .estimate_device_bytes =
            [](const JobSpec& s) {
-             const auto& g = *s.graph;
-             uint64_t n = g.num_vertices();
-             // levels (4n) + sigma/delta (8n each) + two engine frontiers
-             // (queue + flags, 8n each) + count cells.
-             return SymUploadBytes(n, g.num_edges(), /*weighted=*/false) +
-                    36 * n + 256;
+             uint64_t n = s.graph->num_vertices();
+             // Levels + sigma + delta + two engine frontiers.
+             return SymUploadBytes(*s.graph) + Alloc(4 * n) +
+                    2 * Alloc(8 * n) + 2 * FrontierBytes(n);
            }});
 
   return reg;
@@ -237,22 +240,7 @@ Status ValidateJobSpec(const JobSpec& spec) {
         " requires edge weights (attach them with WithUniformWeights or "
         "graph::AttachRandomWeights before submitting)");
   }
-  if (spec.gang_devices > 1) {
-    const Algorithm algo = spec.algorithm();
-    if (algo != Algorithm::kBfs && algo != Algorithm::kPageRank) {
-      return Status::InvalidArgument(
-          "gang execution supports bfs and pagerank, not " +
-          std::string(AlgorithmName(algo)));
-    }
-    if (algo == Algorithm::kBfs &&
-        std::get<core::BfsOptions>(spec.params).compute_parents) {
-      return Status::InvalidArgument(
-          "gang bfs does not produce parents (partitioned traversal "
-          "reports levels only)");
-    }
-    ADGRAPH_RETURN_NOT_OK(
-        vgpu::ValidateInterconnectConfig(spec.gang_interconnect));
-  }
+  ADGRAPH_RETURN_NOT_OK(core::CheckPlacement(spec.placement(), spec.params));
   if (spec.warm_start != nullptr) {
     if (spec.delta == nullptr) {
       return Status::InvalidArgument(

@@ -50,7 +50,8 @@ core::GraphVariant GraphVariantFor(const JobSpec& spec);
 
 /// Validates a spec independent of any device: non-null non-empty graph,
 /// a finite positive fair-share weight, a finite non-negative deadline,
-/// source vertices in range, ESBV weight requirement.  The scheduler calls
+/// ESBV weight requirement, a gang core::CheckPlacement allows, and a warm
+/// start that does not ask for a gang.  The scheduler calls
 /// this at Submit() so obviously-broken jobs fail fast.
 Status ValidateJobSpec(const JobSpec& spec);
 

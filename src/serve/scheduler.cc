@@ -7,9 +7,6 @@
 
 #include "capi/adgraph.h"
 #include "core/incremental.h"
-#include "ooc/streamed.h"
-#include "part/engine.h"
-#include "part/run.h"
 #include "prof/metrics.h"
 #include "prof/session.h"
 #include "serve/admission.h"
@@ -681,63 +678,49 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
   job_span.ArgNum("job_id", job.id);
   if (!outcome.tag.empty()) job_span.Arg("tag", outcome.tag);
 
-  if (job.spec.gang_devices > 1) {
-    // Gang path: N fresh devices on this thread, no residency cache (each
-    // engine device stages its own shard) and no single-device admission
-    // estimate — a mid-run OOM still resolves gracefully below.
-    job_span.ArgNum("gang_devices",
-                    static_cast<uint64_t>(job.spec.gang_devices));
-    Status gang_status = RunGang(worker, job.spec, &outcome);
-    if (gang_status.ok()) {
-      outcome.status = Status::OK();
-    } else if (gang_status.IsOutOfMemory()) {
-      outcome.status = Status::ResourceExhausted(
-          "gang device OOM: " + gang_status.message());
-    } else {
-      outcome.status = gang_status;
-    }
-    outcome.exec_wall_ms = MsBetween(exec_start, Clock::now());
-    if (job_span.active()) {
-      job_span.Arg("status", outcome.status.ok()
-                                 ? "ok"
-                                 : std::string(StatusCodeToString(
-                                       outcome.status.code())));
-      job_span.ArgNum("modeled_ms", outcome.modeled_ms);
-      job_span.ArgNum("exchange_bytes", outcome.exchange_bytes);
-      job_span.ArgNum("exchange_rounds", outcome.exchange_rounds);
-    }
-    return outcome;
-  }
-
-  // Pin the job's own resident graph (if any) before admission, so that
-  // eviction-for-space can free every *other* unpinned entry but never the
-  // one this job is about to read.  Not a hit: Acquire re-pins and counts.
+  const JobSpec& spec = job.spec;
+  core::AlgoSpec algo_spec{spec.algorithm(), spec.placement()};
+  const bool gang = algo_spec.placement.kind == core::Placement::Kind::kGang;
   core::ResidentCsr self_pin;
-  if (cache != nullptr && cache->enabled()) {
-    self_pin =
-        cache->PinIfResident(*job.spec.graph, GraphVariantFor(job.spec));
-  }
-
   AdmissionDecision decision;
-  {
-    trace::Span admission_span(worker->trace_track, "admission", "serve");
-    decision =
-        CheckAdmission(*device, job.spec, options_.admission_headroom, cache);
-    admission_span.ArgNum("estimated_bytes", decision.estimated_bytes);
-    admission_span.ArgNum("resident_bytes", decision.resident_bytes);
-    admission_span.ArgNum("charged_bytes", decision.charged_bytes);
-    if (decision.evicted_bytes > 0) {
-      admission_span.ArgNum("evicted_bytes", decision.evicted_bytes);
+  if (gang) {
+    // A gang runs on fresh devices, not this worker's, so there is nothing
+    // to admit it against here; a mid-run OOM still resolves gracefully.
+    job_span.ArgNum("gang_devices", static_cast<uint64_t>(spec.gang_devices));
+  } else {
+    // Pin the job's own resident graph (if any) before admission, so that
+    // eviction-for-space can free every *other* unpinned entry but never
+    // the one this job is about to read.  Not a hit: Acquire re-pins and
+    // counts.
+    if (cache != nullptr && cache->enabled()) {
+      self_pin = cache->PinIfResident(*spec.graph, GraphVariantFor(spec));
     }
-    admission_span.Arg("admit", decision.admit ? "true" : "false");
+    {
+      trace::Span admission_span(worker->trace_track, "admission", "serve");
+      decision =
+          CheckAdmission(*device, spec, options_.admission_headroom, cache);
+      admission_span.ArgNum("estimated_bytes", decision.estimated_bytes);
+      admission_span.ArgNum("resident_bytes", decision.resident_bytes);
+      admission_span.ArgNum("charged_bytes", decision.charged_bytes);
+      if (decision.evicted_bytes > 0) {
+        admission_span.ArgNum("evicted_bytes", decision.evicted_bytes);
+      }
+      admission_span.Arg("admit", decision.admit ? "true" : "false");
+    }
+    outcome.estimated_bytes = decision.estimated_bytes;
+    if (!decision.admit) {
+      outcome.status = AdmissionError(decision);
+      job_span.Arg("status", "rejected_admission");
+      outcome.exec_wall_ms = MsBetween(exec_start, Clock::now());
+      return outcome;
+    }
+    // Out-of-core tier (DESIGN.md §2.13): the whole graph never becomes
+    // device-resident; admission charged only the streamed working set.
+    if (decision.streamed) {
+      algo_spec.placement = core::Placement::Streamed(spec.ooc_shard_bytes);
+    }
   }
-  outcome.estimated_bytes = decision.estimated_bytes;
-  if (!decision.admit) {
-    outcome.status = AdmissionError(decision);
-    job_span.Arg("status", "rejected_admission");
-    outcome.exec_wall_ms = MsBetween(exec_start, Clock::now());
-    return outcome;
-  }
+  const core::Placement& placement = algo_spec.placement;
 
   prof::Session session(device);
   double modeled_before = device->elapsed_ms();
@@ -745,66 +728,72 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
   uint64_t hits_before = cache != nullptr ? cache->stats().hits : 0;
   core::GraphResidency* residency =
       (cache != nullptr && cache->enabled()) ? cache : nullptr;
+  core::RunReport report;
   Result<JobPayload> payload = Status::Internal("job not dispatched");
-  if (decision.streamed) {
-    // Out-of-core tier (DESIGN.md §2.13): the whole graph never becomes
-    // device-resident — vertex-range shards double-buffer through two
-    // staging slots, prefetching shard k+1 while shard k computes.  The
-    // residency cache is bypassed; admission charged only the streamed
-    // working set.
-    ooc::StreamedStats streamed_stats;
-    ooc::OocOptions ooc_options;
-    ooc_options.shard_bytes = job.spec.ooc_shard_bytes;
-    payload = ooc::RunStreamed(device, job.spec.algorithm(), job.spec.graph,
-                               job.spec.params, ooc_options, &streamed_stats);
-    outcome.streamed = true;
-    outcome.ooc_shards = streamed_stats.num_shards;
-    outcome.ooc_staged_bytes = streamed_stats.staged_bytes;
-    outcome.ooc_overlap_speedup = streamed_stats.overlap_speedup();
-    worker->metrics.streamed_jobs->Increment();
-    job_span.ArgNum("ooc_shards",
-                    static_cast<uint64_t>(streamed_stats.num_shards));
-    job_span.ArgNum("ooc_staged_bytes", streamed_stats.staged_bytes);
-  } else if (job.spec.warm_start != nullptr) {
+  outcome.incremental_requested = spec.warm_start != nullptr;
+  if (outcome.incremental_requested &&
+      placement.kind == core::Placement::Kind::kDevice) {
     // Incremental recompute (DESIGN.md §2.12), serialized against MUTATEs
     // through the front door's per-graph mutex.  Whichever path runs —
     // delta re-expansion or one of the documented fallbacks to a full
     // recompute — the payload is usable; the fallback is made visible
     // instead of silent.
-    outcome.incremental_requested = true;
     core::IncrementalInfo info;
     std::unique_lock<std::mutex> delta_lock;
-    if (job.spec.delta_mutex != nullptr) {
-      delta_lock = std::unique_lock<std::mutex>(*job.spec.delta_mutex);
+    if (spec.delta_mutex != nullptr) {
+      delta_lock = std::unique_lock<std::mutex>(*spec.delta_mutex);
     }
     payload = core::RunIncremental(
-        device, core::AlgoSpec{job.spec.algorithm()}, *job.spec.delta,
-        job.spec.params, *job.spec.warm_start, job.spec.previous_version,
-        core::IncrementalOptions{}, residency, &info);
-    outcome.result_version = job.spec.delta->version();
+        device, algo_spec, *spec.delta, spec.params, *spec.warm_start,
+        spec.previous_version, core::IncrementalOptions{}, residency, &info);
+    outcome.result_version = spec.delta->version();
     outcome.incremental = info.incremental;
     outcome.fallback_reason = info.fallback_reason;
-    if (!info.incremental) {
-      worker->metrics.incremental_fallbacks->Increment();
-      if (!info.fallback_reason.empty()) {
-        job_span.Arg("fallback", info.fallback_reason);
-      }
-    }
   } else {
-    payload = core::Run(device, core::AlgoSpec{job.spec.algorithm()},
-                        *job.spec.graph, job.spec.params, residency);
+    if (outcome.incremental_requested) {
+      // Only one device warm-starts (a gang with a warm start fails
+      // validation), so a warm start the streamed tier absorbed is a full
+      // recompute of the submitted snapshot.
+      outcome.result_version = spec.graph->mutation_epoch();
+      outcome.fallback_reason =
+          "admitted to the streamed tier, which recomputes in full";
+    }
+    payload = core::Run(device, algo_spec, *spec.graph, spec.params,
+                        residency, &report);
   }
-  outcome.modeled_ms = device->elapsed_ms() - modeled_before;
+  if (outcome.incremental_requested && !outcome.incremental) {
+    worker->metrics.incremental_fallbacks->Increment();
+    if (!outcome.fallback_reason.empty()) {
+      job_span.Arg("fallback", outcome.fallback_reason);
+    }
+  }
+  // A gang's kernels run on its own devices, so its modeled time is the
+  // payload's (per-round max compute plus exchange), not this device's.
+  outcome.modeled_ms = gang ? (payload.ok() ? core::ResultTimeMs(*payload) : 0)
+                            : device->elapsed_ms() - modeled_before;
   outcome.modeled_transfer_ms = device->transfer_ms() - transfer_before;
   outcome.cache_hit = cache != nullptr && cache->stats().hits > hits_before;
+  if (gang) {
+    outcome.gang_devices = placement.gang_devices;
+    outcome.exchange_bytes = report.exchange.bytes;
+    outcome.exchange_rounds = report.exchange.rounds;
+    outcome.exchange_ms = report.exchange.exchange_ms;
+  } else if (placement.kind == core::Placement::Kind::kStreamed) {
+    outcome.streamed = true;
+    outcome.ooc_shards = report.staging.num_shards;
+    outcome.ooc_staged_bytes = report.staging.staged_bytes;
+    outcome.ooc_overlap_speedup = report.staging.overlap_speedup();
+    worker->metrics.streamed_jobs->Increment();
+  }
   const prof::AlgoProfile profile = session.Finish();
   if (payload.ok()) {
     outcome.status = Status::OK();
     outcome.payload = std::move(payload).value();
   } else if (payload.status().IsOutOfMemory()) {
-    // The admission estimate was too optimistic and the device allocator
-    // said no mid-run.  Still a graceful per-job verdict: buffers are
-    // RAII-freed, the device stays serviceable, the pool keeps going.
+    // The admission estimate was too optimistic (or, for a gang, there was
+    // none) and the device allocator said no mid-run.  Still a graceful
+    // per-job verdict: buffers are RAII-freed, the device stays
+    // serviceable, the pool keeps going.
     outcome.status = Status::ResourceExhausted(
         "device OOM past admission (estimate " +
         std::to_string(decision.estimated_bytes) + " bytes): " +
@@ -847,39 +836,15 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
     job_span.ArgNum("modeled_transfer_ms", outcome.modeled_transfer_ms);
     job_span.ArgNum("queue_wall_ms", outcome.queue_wall_ms);
     job_span.Arg("cache", outcome.cache_hit ? "hit" : "miss");
+    if (gang) {
+      job_span.ArgNum("exchange_bytes", outcome.exchange_bytes);
+      job_span.ArgNum("exchange_rounds", outcome.exchange_rounds);
+    } else if (outcome.streamed) {
+      job_span.ArgNum("ooc_shards", static_cast<uint64_t>(outcome.ooc_shards));
+      job_span.ArgNum("ooc_staged_bytes", outcome.ooc_staged_bytes);
+    }
   }
   return outcome;
-}
-
-Status Scheduler::RunGang(Worker* worker, const JobSpec& spec,
-                          JobOutcome* outcome) {
-  part::PartitionedEngine::Options engine_options;
-  engine_options.num_devices = spec.gang_devices;
-  engine_options.device_options = worker->slot.options;
-  engine_options.interconnect = spec.gang_interconnect;
-  engine_options.strategy = spec.gang_strategy;
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto engine,
-      part::PartitionedEngine::Create(*worker->slot.arch, engine_options));
-  ADGRAPH_ASSIGN_OR_RETURN(
-      part::PartitionPlan plan,
-      part::MakePartitionPlan(*spec.graph, spec.gang_devices,
-                              spec.gang_strategy));
-  outcome->gang_devices = spec.gang_devices;
-
-  // Uniform partitioned dispatch: part::RunPartitioned mirrors core::Run,
-  // so the scheduler needs no per-algorithm knowledge here either.
-  // ValidateJobSpec admitted only algorithms it supports.
-  ADGRAPH_ASSIGN_OR_RETURN(
-      part::PartRunResult r,
-      part::RunPartitioned(engine.get(), *spec.graph, plan,
-                           core::AlgoSpec{spec.algorithm()}, spec.params));
-  outcome->modeled_ms = r.time_ms;
-  outcome->exchange_bytes = r.exchange_bytes;
-  outcome->exchange_rounds = r.exchange_rounds;
-  outcome->exchange_ms = r.exchange_ms;
-  outcome->payload = std::move(r.payload);
-  return Status::OK();
 }
 
 void Scheduler::Drain() {

@@ -275,15 +275,11 @@ class Scheduler {
   static Verdict Classify(const Status& status);
 
   void WorkerLoop(Worker* worker);
-  /// Runs one job on the worker's device (admission + execution +
-  /// profiling); never throws, always returns a resolved outcome.
+  /// Runs one job in its placement (admission + one core::Run or
+  /// RunIncremental call + profiling); never throws, always returns a
+  /// resolved outcome.  A gang runs on fresh devices like the worker's.
   JobOutcome Execute(Worker* worker, vgpu::Device* device, GraphCache* cache,
                      PendingJob job);
-  /// Gang-execution path of Execute: builds a partitioned engine of
-  /// spec.gang_devices fresh devices (worker's arch) on the calling worker
-  /// thread, runs the partitioned driver, fills the payload and exchange
-  /// stats.  Returns the job-level verdict.
-  Status RunGang(Worker* worker, const JobSpec& spec, JobOutcome* outcome);
   /// Index of the queued job this worker should take next, or npos.  A job
   /// is *runnable* when its arch preference matches and its gang fits the
   /// unreserved workers; among runnable jobs the pick is by priority class

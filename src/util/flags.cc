@@ -37,6 +37,12 @@ Result<Flags> Flags::Parse(int argc, const char* const* argv) {
 
 bool Flags::Has(const std::string& key) const { return values_.count(key) > 0; }
 
+std::vector<std::string> Flags::keys() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : values_) out.push_back(key);
+  return out;
+}
+
 std::string Flags::GetString(const std::string& key,
                              const std::string& default_value) const {
   auto it = values_.find(key);

@@ -22,6 +22,8 @@ class Flags {
   static Result<Flags> Parse(int argc, const char* const* argv);
 
   bool Has(const std::string& key) const;
+  /// Every `--key` given, sorted.
+  std::vector<std::string> keys() const;
 
   /// Typed getters with defaults.
   std::string GetString(const std::string& key,

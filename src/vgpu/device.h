@@ -55,6 +55,7 @@ class Device {
   Device& operator=(const Device&) = delete;
 
   const ArchConfig& arch() const { return arch_; }
+  const Options& options() const { return options_; }
   const std::string& name() const { return arch_.name; }
 
   // ====================== Memory API ====================================

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "graph/datasets.h"
@@ -14,6 +16,46 @@
 
 namespace adgraph::bench {
 namespace {
+
+TEST(BenchConfigTest, ParsesTheSharedFlagsAndDeclaredExtras) {
+  const char* argv[] = {"bench", "--extra-divisor=8", "--out-dir=/tmp/q",
+                        "--skip-twitter", "--datasets=web-Google,cit-Patents",
+                        "--smoke"};
+  auto config = BenchConfig::FromArgs(6, argv, {"smoke"});
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_EQ(config->extra_divisor, 8.0);
+  EXPECT_EQ(config->out_dir, "/tmp/q");
+  EXPECT_TRUE(config->skip_twitter);
+  EXPECT_EQ(config->datasets,
+            (std::vector<std::string>{"web-Google", "cit-Patents"}));
+}
+
+TEST(BenchConfigTest, UnknownFlagIsAnError) {
+  // A misspelled flag used to be ignored, so `--extra-divisr=8` rewrote
+  // every paper CSV at full scale.
+  const char* misspelled[] = {"bench", "--extra-divisr=8"};
+  EXPECT_TRUE(
+      BenchConfig::FromArgs(2, misspelled).status().IsInvalidArgument());
+  // A binary's own flags are unknown to every other binary.
+  const char* smoke[] = {"bench", "--smoke"};
+  EXPECT_TRUE(BenchConfig::FromArgs(2, smoke).status().IsInvalidArgument());
+  EXPECT_TRUE(BenchConfig::FromArgs(2, smoke, {"smoke"}).ok());
+  const char* positional[] = {"bench", "8"};
+  EXPECT_TRUE(
+      BenchConfig::FromArgs(2, positional).status().IsInvalidArgument());
+}
+
+TEST(BenchConfigTest, MalformedExtraDivisorIsAnError) {
+  // A malformed value used to fall back to the default of 1: full scale.
+  for (const char* arg : {"--extra-divisor=abc", "--extra-divisor=8x",
+                          "--extra-divisor=", "--extra-divisor=0.5",
+                          "--extra-divisor=-8", "--extra-divisor=nan",
+                          "--extra-divisor=inf"}) {
+    const char* argv[] = {"bench", arg};
+    EXPECT_TRUE(BenchConfig::FromArgs(2, argv).status().IsInvalidArgument())
+        << arg;
+  }
+}
 
 TEST(CellFormatTest, SkippedAndOomMarkersWinOverNumbers) {
   CellResult cell;

@@ -348,6 +348,88 @@ TEST(WireTest, BuildJobSpecRejectsWhatACastWouldMangle) {
   }
 }
 
+TEST(WireTest, BuildSubmitRequestMapsTheClientJobLine) {
+  auto request = BuildSubmitRequest(
+      serve::Algorithm::kBfs, {{"source", "3"}, {"graph", "web"},
+                               {"arch", "A100"}, {"tag", "t1"},
+                               {"deadline_ms", "250"}});
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_EQ(request->GetString("op", ""), "SUBMIT");
+  EXPECT_EQ(request->GetString("algo", ""), "bfs");
+  EXPECT_EQ(request->GetString("graph", ""), "web");
+  EXPECT_EQ(request->GetString("arch", ""), "A100");
+  EXPECT_EQ(request->GetString("tag", ""), "t1");
+  EXPECT_EQ(request->GetNumber("deadline_ms", 0), 250);
+  const Json* params = request->Find("params");
+  ASSERT_NE(params, nullptr);
+  EXPECT_EQ(params->size(), 1u);
+  EXPECT_EQ(params->GetString("source", ""), "3");
+}
+
+TEST(WireTest, BuildSubmitRequestRejectsKeysSubmitCannotCarry) {
+  // The client used to send these as algorithm params, which the server
+  // ignores: `bfs source=0 devices=2` ran on one device over TCP, and
+  // `devices=abc` was accepted.
+  for (const char* key :
+       {"devices", "interconnect", "tenant", "priority", "weight"}) {
+    for (const char* value : {"2", "abc"}) {
+      auto request = BuildSubmitRequest(serve::Algorithm::kBfs,
+                                        {{"source", "0"}, {key, value}});
+      ASSERT_FALSE(request.ok()) << key << "=" << value;
+      EXPECT_TRUE(request.status().IsInvalidArgument());
+      EXPECT_NE(request.status().message().find(key), std::string::npos)
+          << request.status().ToString();
+    }
+  }
+}
+
+TEST(WireTest, BuildSubmitRequestChecksTheDeadline) {
+  // std::atof sent `deadline_ms=abc` as 0, which means no deadline.
+  for (const char* value : {"abc", "5ms", ""}) {
+    auto request =
+        BuildSubmitRequest(serve::Algorithm::kBfs, {{"deadline_ms", value}});
+    ASSERT_FALSE(request.ok()) << value;
+    EXPECT_NE(request.status().message().find("deadline_ms"),
+              std::string::npos);
+  }
+}
+
+TEST(WireTest, AppendEdgeUpdatesChecksEveryField) {
+  Json updates = Json::MakeArray();
+  ASSERT_TRUE(AppendEdgeUpdates("1:2:0.5,3:4", "add", true, &updates).ok());
+  ASSERT_EQ(updates.size(), 2u);
+  EXPECT_EQ(updates.items()[0].GetString("op", ""), "add");
+  EXPECT_EQ(updates.items()[0].GetNumber("u", -1), 1);
+  EXPECT_EQ(updates.items()[0].GetNumber("v", -1), 2);
+  EXPECT_EQ(updates.items()[0].GetNumber("w", -1), 0.5);
+  EXPECT_EQ(updates.items()[1].Find("w"), nullptr);
+  // std::atof made `--add=abc:5` the edge (0, 5).
+  for (const char* spec : {"abc:5", "1:", ":2", "1", "1:2x", "-1:2", "1.5:2",
+                           "1:4294967296", "1:2:heavy"}) {
+    Json rejected = Json::MakeArray();
+    EXPECT_TRUE(AppendEdgeUpdates(spec, "add", true, &rejected)
+                    .IsInvalidArgument())
+        << spec;
+  }
+  Json deletions = Json::MakeArray();
+  EXPECT_TRUE(
+      AppendEdgeUpdates("1:2:3", "del", false, &deletions).IsInvalidArgument())
+      << "deletions take no weight";
+}
+
+TEST(WireTest, ParseEndpointRejectsWhatAtoiAccepted) {
+  auto endpoint = ParseEndpoint("127.0.0.1:47392");
+  ASSERT_TRUE(endpoint.ok()) << endpoint.status().ToString();
+  EXPECT_EQ(endpoint->first, "127.0.0.1");
+  EXPECT_EQ(endpoint->second, 47392);
+  // std::atoi connected `127.0.0.1:47392x` to port 47392.
+  for (const char* bad : {"127.0.0.1:47392x", "127.0.0.1:", "127.0.0.1",
+                          ":80", "host:0", "host:65536", "host:-1",
+                          "host:80.5", "host:abc"}) {
+    EXPECT_TRUE(ParseEndpoint(bad).status().IsInvalidArgument()) << bad;
+  }
+}
+
 TEST(WireTest, JobParamsFromJsonAcceptsNumbersStringsBools) {
   auto request = Json::Parse(R"({"source":5,"symmetric":true})").value();
   auto params =
@@ -998,8 +1080,7 @@ TEST(ServerTest, OocSubmitStreamsOnWireAndMatchesInMemory) {
   probe.params = pr;
   const uint64_t full = serve::EstimateJobDeviceBytes(probe);
   const uint64_t streamed =
-      ooc::EstimateStreamedBytes(serve::Algorithm::kPageRank,
-                                 g->num_vertices(), g->has_weights(), 4096)
+      ooc::EstimateStreamedBytes(probe.params, g->num_vertices(), 4096)
           .value();
   const uint64_t budget =
       std::max<uint64_t>(full * 3 / 5, streamed + streamed / 4);

@@ -61,8 +61,8 @@ uint64_t FullPageRankBytes(const CsrGraph& g) {
 vgpu::Device SmallDevice(const CsrGraph& g, uint64_t shard_bytes) {
   const uint64_t full = FullPageRankBytes(g);
   const uint64_t streamed =
-      EstimateStreamedBytes(core::Algo::kPageRank, g.num_vertices(),
-                            g.has_weights(), shard_bytes)
+      EstimateStreamedBytes(core::PageRankOptions{}, g.num_vertices(),
+                            shard_bytes)
           .value();
   // Cap capacity at 60% of the whole-graph footprint, with at least 1.25x
   // the streamed estimate of headroom so staging slack never trips the test.
@@ -128,7 +128,7 @@ TEST(ByteBoundedPlanTest, RejectsZeroBudgetAndEmptyOffsets) {
 
 TEST(OocCsrTest, FromMemoryExposesShardsAndMaxima) {
   auto g = Shared(TestGraph());
-  OocCsr ooc = OocCsr::FromMemory(g, 4 << 10).value();
+  OocCsr ooc = OocCsr::FromMemory(*g, 4 << 10).value();
   EXPECT_FALSE(ooc.disk_backed());
   EXPECT_EQ(ooc.num_vertices(), g->num_vertices());
   EXPECT_EQ(ooc.num_edges(), g->num_edges());
@@ -172,10 +172,9 @@ TEST(OocCsrTest, TruncatedShardFileFailsStructured) {
 }
 
 TEST(EstimateStreamedBytesTest, OnlyBfsAndPageRankStream) {
-  EXPECT_TRUE(EstimateStreamedBytes(core::Algo::kBfs, 1000, false, 0).ok());
-  EXPECT_TRUE(
-      EstimateStreamedBytes(core::Algo::kPageRank, 1000, false, 0).ok());
-  auto tc = EstimateStreamedBytes(core::Algo::kTriangleCount, 1000, false, 0);
+  EXPECT_TRUE(EstimateStreamedBytes(core::BfsOptions{}, 1000, 0).ok());
+  EXPECT_TRUE(EstimateStreamedBytes(core::PageRankOptions{}, 1000, 0).ok());
+  auto tc = EstimateStreamedBytes(core::TcOptions{}, 1000, 0);
   ASSERT_FALSE(tc.ok());
   EXPECT_EQ(tc.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -208,12 +207,11 @@ TEST_P(StreamedIdentityTest, OverBudgetGraphMatchesInMemoryByteForByte) {
       << " full=" << FullPageRankBytes(*g)
       << " capacity=" << small.memory_capacity_bytes();
 
-  // ...but the streamed path completes, byte-identical.
-  OocOptions ooc;
-  ooc.shard_bytes = shard_bytes;
-  StreamedStats bfs_stats;
-  auto got_bfs = RunStreamed(&small, core::Algo::kBfs, g, bfs_options, ooc,
-                             &bfs_stats);
+  // ...but the streamed placement completes, byte-identical.
+  const core::Placement streamed = core::Placement::Streamed(shard_bytes);
+  core::RunReport bfs_report;
+  auto got_bfs = core::Run(&small, {core::Algo::kBfs, streamed}, *g,
+                           bfs_options, /*residency=*/nullptr, &bfs_report);
   ASSERT_TRUE(got_bfs.ok()) << got_bfs.status().message();
   const auto& want_bfs = std::get<core::BfsResult>(*ref_bfs);
   const auto& have_bfs = std::get<core::BfsResult>(*got_bfs);
@@ -223,11 +221,11 @@ TEST_P(StreamedIdentityTest, OverBudgetGraphMatchesInMemoryByteForByte) {
   EXPECT_EQ(have_bfs.depth, want_bfs.depth);
   EXPECT_EQ(have_bfs.vertices_visited, want_bfs.vertices_visited);
   EXPECT_EQ(have_bfs.top_down_iterations, want_bfs.top_down_iterations);
-  EXPECT_GE(bfs_stats.num_shards, 2u);
+  EXPECT_GE(bfs_report.staging.num_shards, 2u);
 
-  StreamedStats pr_stats;
-  auto got_pr = RunStreamed(&small, core::Algo::kPageRank, g, pr_options, ooc,
-                            &pr_stats);
+  core::RunReport pr_report;
+  auto got_pr = core::Run(&small, {core::Algo::kPageRank, streamed}, *g,
+                          pr_options, /*residency=*/nullptr, &pr_report);
   ASSERT_TRUE(got_pr.ok()) << got_pr.status().message();
   const auto& want_pr = std::get<core::PageRankResult>(*ref_pr);
   const auto& have_pr = std::get<core::PageRankResult>(*got_pr);
@@ -239,6 +237,7 @@ TEST_P(StreamedIdentityTest, OverBudgetGraphMatchesInMemoryByteForByte) {
 
   // Overlap model sanity: the pipeline can only help, and every PageRank
   // iteration re-streams the shards.
+  const core::StagingStats& pr_stats = pr_report.staging;
   EXPECT_GT(pr_stats.shards_staged,
             static_cast<uint64_t>(pr_stats.num_shards));
   EXPECT_LE(pr_stats.overlapped_ms, pr_stats.serialized_ms * (1 + 1e-9));
@@ -288,10 +287,10 @@ TEST(StreamedTest, ZeroEdgeShardsStillWriteIdentity) {
   auto want = core::Run<core::Algo::kPageRank>(&roomy, *g, options).value();
 
   vgpu::Device device(vgpu::A100Config());
-  OocOptions ooc;
-  ooc.shard_bytes = 512;  // forces many zero-edge shards
-  auto got =
-      RunStreamed(&device, core::Algo::kPageRank, g, options, ooc, nullptr);
+  // 512-byte slots force many zero-edge shards.
+  auto got = core::Run(&device,
+                       {core::Algo::kPageRank, core::Placement::Streamed(512)},
+                       *g, options);
   ASSERT_TRUE(got.ok()) << got.status().message();
   const auto& have = std::get<core::PageRankResult>(*got);
   EXPECT_EQ(0, std::memcmp(have.ranks.data(), want.ranks.data(),
@@ -304,7 +303,8 @@ TEST(StreamedTest, ComputeParentsIsRejected) {
   vgpu::Device device(vgpu::A100Config());
   core::BfsOptions options;
   options.compute_parents = true;
-  auto r = RunStreamed(&device, core::Algo::kBfs, g, options, {}, nullptr);
+  auto r = core::Run(&device, {core::Algo::kBfs, core::Placement::Streamed()},
+                     *g, options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -312,8 +312,9 @@ TEST(StreamedTest, ComputeParentsIsRejected) {
 TEST(StreamedTest, UnsupportedAlgorithmIsRejected) {
   auto g = Shared(TestGraph(7));
   vgpu::Device device(vgpu::A100Config());
-  auto r = RunStreamed(&device, core::Algo::kTriangleCount, g,
-                       core::TcOptions{}, {}, nullptr);
+  auto r = core::Run(&device,
+                     {core::Algo::kTriangleCount, core::Placement::Streamed()},
+                     *g, core::TcOptions{});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -335,8 +336,10 @@ TEST(StreamedFaultTest, CopyFaultMidStreamAbortsCleanlyAndDeviceSurvives) {
     return Status::OK();
   };
   core::PageRankOptions options;
-  auto r = RunStreamed(&device, core::Algo::kPageRank, g, options, ooc,
-                       nullptr);
+  CsrGraph transpose =
+      core::BuildHostVariant(*g, core::GraphVariant::kPullTranspose).value();
+  OocCsr pull = OocCsr::FromMemory(transpose, ooc.shard_bytes).value();
+  auto r = RunStreamedPageRank(&device, pull, g->row_offsets(), options, ooc);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   EXPECT_NE(r.status().message().find("injected"), std::string::npos);
@@ -346,8 +349,7 @@ TEST(StreamedFaultTest, CopyFaultMidStreamAbortsCleanlyAndDeviceSurvives) {
 
   // The device remains usable: the same run without the fault completes.
   ooc.copy_fault = nullptr;
-  auto ok = RunStreamed(&device, core::Algo::kPageRank, g, options, ooc,
-                        nullptr);
+  auto ok = RunStreamedPageRank(&device, pull, g->row_offsets(), options, ooc);
   ASSERT_TRUE(ok.ok()) << ok.status().message();
   EXPECT_EQ(device.memory_used_bytes(), used_before);
 }
@@ -362,8 +364,8 @@ TEST(StreamedFaultTest, BfsCopyFaultLeavesNoPartialResult) {
     return stage == 0 ? Status::IOError("shard backing store went away")
                       : Status::OK();
   };
-  auto r = RunStreamed(&device, core::Algo::kBfs, g, core::BfsOptions{}, ooc,
-                       nullptr);
+  OocCsr base = OocCsr::FromMemory(*g, ooc.shard_bytes).value();
+  auto r = RunStreamedBfs(&device, base, core::BfsOptions{}, ooc);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
   EXPECT_EQ(device.memory_used_bytes(), used_before);

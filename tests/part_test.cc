@@ -284,15 +284,16 @@ TEST(PartBfsTest, ByteIdenticalAcrossShardCountsAndStrategies) {
                           PartitionStrategy::kDegreeBalanced}) {
       PartitionedEngine::Options options;
       options.num_devices = num_devices;
-      options.strategy = strategy;
       auto engine = PartitionedEngine::Create(vgpu::A100Config(), options);
       ASSERT_TRUE(engine.ok());
       auto plan = MakePartitionPlan(g, num_devices, strategy);
       ASSERT_TRUE(plan.ok());
 
-      PartBfsOptions bfs_options;
+      core::BfsOptions bfs_options;
       bfs_options.source = source;
-      auto bfs = RunPartitionedBfs(engine->get(), g, *plan, bfs_options);
+      core::ExchangeStats exchange;
+      auto bfs = RunPartitionedBfs(engine->get(), g, *plan, bfs_options,
+                                   &exchange);
       ASSERT_TRUE(bfs.ok()) << bfs.status().ToString();
 
       ASSERT_EQ(bfs->levels.size(), reference.levels.size());
@@ -303,10 +304,12 @@ TEST(PartBfsTest, ByteIdenticalAcrossShardCountsAndStrategies) {
           << PartitionStrategyName(strategy);
       EXPECT_EQ(bfs->depth, reference.depth);
       EXPECT_EQ(bfs->vertices_visited, reference.vertices_visited);
-      EXPECT_EQ(bfs->rounds, bfs->round_exchange_bytes.size());
-      EXPECT_GT(bfs->exchange_bytes, 0u) << "cut edges must move bytes";
+      EXPECT_EQ(bfs->top_down_iterations, exchange.rounds)
+          << "one exchange round per level";
+      EXPECT_GT(exchange.bytes, 0u) << "cut edges must move bytes";
       EXPECT_GT(bfs->time_ms, 0.0);
-      EXPECT_NEAR(bfs->time_ms, bfs->compute_ms + bfs->exchange_ms, 1e-12);
+      EXPECT_NEAR(bfs->time_ms, exchange.compute_ms + exchange.exchange_ms,
+                  1e-12);
     }
   }
 }
@@ -330,7 +333,7 @@ TEST(PartBfsTest, EmptyShardsAndUnreachableVertices) {
   auto plan = MakePartitionPlan(g, 8, PartitionStrategy::kUniform);
   ASSERT_TRUE(plan.ok());
 
-  PartBfsOptions bfs_options;
+  core::BfsOptions bfs_options;
   bfs_options.source = 0;
   auto bfs = RunPartitionedBfs(engine->get(), g, *plan, bfs_options);
   ASSERT_TRUE(bfs.ok()) << bfs.status().ToString();
@@ -349,7 +352,7 @@ TEST(PartBfsTest, ValidatesInputs) {
   auto plan = MakePartitionPlan(g, 2, PartitionStrategy::kUniform);
   ASSERT_TRUE(plan.ok());
 
-  PartBfsOptions bfs_options;
+  core::BfsOptions bfs_options;
   bfs_options.source = 10;  // out of range
   EXPECT_FALSE(RunPartitionedBfs(engine->get(), g, *plan, bfs_options).ok());
 
@@ -379,16 +382,15 @@ TEST(PartPageRankTest, MatchesSingleDeviceWithinReassociationError) {
   for (uint32_t num_devices : {2u, 3u, 8u}) {
     PartitionedEngine::Options options;
     options.num_devices = num_devices;
-    options.strategy = PartitionStrategy::kDegreeBalanced;
     auto engine = PartitionedEngine::Create(vgpu::A100Config(), options);
     ASSERT_TRUE(engine.ok());
-    auto plan = MakePartitionPlan(g, num_devices, options.strategy);
+    auto plan =
+        MakePartitionPlan(g, num_devices, PartitionStrategy::kDegreeBalanced);
     ASSERT_TRUE(plan.ok());
 
-    PartPageRankOptions pr_options;
-    pr_options.max_iterations = 20;
-    pr_options.tolerance = 0;
-    auto pr = RunPartitionedPageRank(engine->get(), g, *plan, pr_options);
+    core::ExchangeStats exchange;
+    auto pr = RunPartitionedPageRank(engine->get(), g, *plan, ref_options,
+                                     &exchange);
     ASSERT_TRUE(pr.ok()) << pr.status().ToString();
     ASSERT_EQ(pr->iterations, reference->iterations);
     ASSERT_EQ(pr->ranks.size(), reference->ranks.size());
@@ -402,7 +404,8 @@ TEST(PartPageRankTest, MatchesSingleDeviceWithinReassociationError) {
     }
     EXPECT_LT(max_diff, 1e-10) << num_devices << " devices";
     EXPECT_NEAR(sum, 1.0, 1e-6) << "rank mass must be conserved";
-    EXPECT_GT(pr->exchange_bytes, 0u);
+    EXPECT_GT(exchange.bytes, 0u);
+    EXPECT_EQ(exchange.rounds, pr->iterations);
   }
 }
 
@@ -424,10 +427,7 @@ TEST(PartPageRankTest, EmptyShardsAreHarmless) {
   auto plan = MakePartitionPlan(g, 8, PartitionStrategy::kUniform);
   ASSERT_TRUE(plan.ok());
 
-  PartPageRankOptions pr_options;
-  pr_options.max_iterations = 10;
-  pr_options.tolerance = 0;
-  auto pr = RunPartitionedPageRank(engine->get(), g, *plan, pr_options);
+  auto pr = RunPartitionedPageRank(engine->get(), g, *plan, ref_options);
   ASSERT_TRUE(pr.ok()) << pr.status().ToString();
   for (size_t v = 0; v < pr->ranks.size(); ++v) {
     EXPECT_NEAR(pr->ranks[v], reference->ranks[v], 1e-10);
@@ -441,10 +441,72 @@ TEST(PartPageRankTest, ValidatesAlpha) {
   ASSERT_TRUE(engine.ok());
   auto plan = MakePartitionPlan(g, 2, PartitionStrategy::kUniform);
   ASSERT_TRUE(plan.ok());
-  PartPageRankOptions pr_options;
+  core::PageRankOptions pr_options;
   pr_options.alpha = 1.5;
   EXPECT_FALSE(
       RunPartitionedPageRank(engine->get(), g, *plan, pr_options).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The gang placement of core::Run
+// ---------------------------------------------------------------------------
+
+TEST(GangPlacementTest, CoreRunIsTheDriverOnFreshDevicesLikeTheCaller) {
+  CsrGraph g = TestGraph(9);
+  vgpu::Device::Options device_options;
+  device_options.memory_scale = 4;  // the gang's devices must inherit it
+  const vgpu::InterconnectConfig pcie =
+      vgpu::InterconnectPresetByName("pcie").value();
+  const core::Placement gang =
+      core::Placement::Gang(3, pcie, PartitionStrategy::kDegreeBalanced);
+
+  PartitionedEngine::Options options;
+  options.num_devices = 3;
+  options.device_options = device_options;
+  options.interconnect = pcie;
+  auto plan =
+      MakePartitionPlan(g, 3, PartitionStrategy::kDegreeBalanced).value();
+
+  core::BfsOptions bfs;
+  bfs.source = 3;
+  core::PageRankOptions pr;
+  pr.max_iterations = 8;
+  for (const core::Params& params : {core::Params(bfs), core::Params(pr)}) {
+    const auto algo = static_cast<core::Algo>(params.index());
+    vgpu::Device caller(vgpu::A100Config(), device_options);
+    core::RunReport report;
+    auto run = core::Run(&caller, {algo, gang}, g, params,
+                         /*residency=*/nullptr, &report);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(caller.elapsed_ms(), 0.0) << "the caller's device runs nothing";
+
+    auto engine = PartitionedEngine::Create(vgpu::A100Config(), options);
+    ASSERT_TRUE(engine.ok());
+    core::ExchangeStats direct_exchange;
+    core::AlgoResult direct;
+    if (algo == core::Algo::kBfs) {
+      direct = RunPartitionedBfs(engine->get(), g, plan, bfs,
+                                 &direct_exchange)
+                   .value();
+    } else {
+      direct = RunPartitionedPageRank(engine->get(), g, plan, pr,
+                                      &direct_exchange)
+                   .value();
+    }
+    EXPECT_EQ(core::ResultTimeMs(*run), core::ResultTimeMs(direct))
+        << core::AlgorithmName(algo);
+    if (algo == core::Algo::kBfs) {
+      EXPECT_EQ(std::get<core::BfsResult>(*run).levels,
+                std::get<core::BfsResult>(direct).levels);
+    } else {
+      EXPECT_EQ(std::get<core::PageRankResult>(*run).ranks,
+                std::get<core::PageRankResult>(direct).ranks);
+    }
+    EXPECT_EQ(report.exchange.bytes, direct_exchange.bytes);
+    EXPECT_EQ(report.exchange.rounds, direct_exchange.rounds);
+    EXPECT_EQ(report.exchange.exchange_ms, direct_exchange.exchange_ms);
+    EXPECT_EQ(report.staging.num_shards, 0u) << "a gang stages nothing";
+  }
 }
 
 }  // namespace

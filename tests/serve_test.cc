@@ -116,25 +116,42 @@ TEST(RegistryTest, EstimatesCoverColdRunPeakOnGoldenProxies) {
     graph::AttachRandomWeights(&coo, 0.1, 1.0, 1000 + d);
     core::BfsOptions parents;
     parents.compute_parents = true;
+    core::TcOptions bisson_fatica;
+    bisson_fatica.orient = false;
     for (auto g : {std::make_shared<const CsrGraph>(std::move(directed)),
                    std::make_shared<const CsrGraph>(
                        CsrGraph::FromCoo(coo).value())}) {
+      core::EsbvOptions esbv;
+      esbv.vertices = core::SelectPseudoCluster(g->num_vertices(), 0.5, 7);
       for (const JobParams& params : {JobParams(core::BfsOptions{}),
                                       JobParams(parents),
                                       JobParams(core::SsspOptions{}),
                                       JobParams(core::PageRankOptions{
                                           .max_iterations = 2}),
+                                      JobParams(core::TcOptions{}),
+                                      JobParams(bisson_fatica),
                                       JobParams(core::CcOptions{}),
-                                      JobParams(core::WidestPathOptions{})}) {
+                                      JobParams(core::KCoreOptions{}),
+                                      JobParams(core::JaccardOptions{}),
+                                      JobParams(core::WidestPathOptions{}),
+                                      JobParams(core::ColoringOptions{}),
+                                      JobParams(esbv),
+                                      JobParams(core::BcOptions{})}) {
         JobSpec spec{.graph = g, .params = params};
+        // ESBV jobs on unweighted graphs fail validation instead.
+        if (!ValidateJobSpec(spec).ok()) continue;
         vgpu::Device dev(vgpu::A100Config());
         ASSERT_TRUE(core::Run(&dev, {spec.algorithm()}, *g, params).ok());
         const bool with_parents =
             spec.algorithm() == Algorithm::kBfs &&
             std::get<core::BfsOptions>(params).compute_parents;
+        const bool unoriented =
+            spec.algorithm() == Algorithm::kTriangleCount &&
+            !std::get<core::TcOptions>(params).orient;
         EXPECT_GE(EstimateJobDeviceBytes(spec), dev.memory_peak_bytes())
             << datasets[d].name << " " << AlgorithmName(spec.algorithm())
             << (with_parents ? " with parents" : "")
+            << (unoriented ? " unoriented" : "")
             << (g->has_weights() ? ", weighted" : ", unweighted");
       }
     }
@@ -979,9 +996,7 @@ StreamedFixture OverBudgetPageRank(std::shared_ptr<const CsrGraph> g) {
   f.spec.ooc_shard_bytes = 4 << 10;
   f.full_bytes = EstimateJobDeviceBytes(f.spec);
   const uint64_t streamed =
-      ooc::EstimateStreamedBytes(Algorithm::kPageRank,
-                                 f.spec.graph->num_vertices(),
-                                 f.spec.graph->has_weights(),
+      ooc::EstimateStreamedBytes(f.spec.params, f.spec.graph->num_vertices(),
                                  f.spec.ooc_shard_bytes)
           .value();
   f.budget = std::max<uint64_t>(f.full_bytes * 3 / 5,
@@ -1280,6 +1295,158 @@ TEST(SchedulerTest, WarmStartValidationRejectsIllFormedSpecs) {
   gang.delta_mutex = &delta_mutex;
   gang.gang_devices = 2;
   EXPECT_TRUE(scheduler->Submit(gang).status().IsInvalidArgument());
+}
+
+// --- placements: one rule, one path ----------------------------------------
+
+template <size_t... I>
+std::vector<JobParams> DefaultParams(std::index_sequence<I...>) {
+  return {JobParams(std::in_place_index<I>)...};
+}
+
+/// One default request of every algorithm, plus BFS with parents.
+std::vector<JobParams> EveryRequest() {
+  std::vector<JobParams> out = DefaultParams(
+      std::make_index_sequence<std::variant_size_v<JobParams>>{});
+  core::BfsOptions parents;
+  parents.compute_parents = true;
+  out.push_back(parents);
+  return out;
+}
+
+TEST(PlacementTest, OneRuleDecidesGangsAndStreamsCaseByCase) {
+  auto g = TestGraph(8, 51);
+  const uint64_t slot_bytes = 4 << 10;
+  // A device below every algorithm's whole-graph working set but above the
+  // streamed ones, so admission's streamed eligibility decides each case.
+  uint64_t streamed_max = 0;
+  for (const JobParams& params :
+       {JobParams(core::BfsOptions{}), JobParams(core::PageRankOptions{})}) {
+    streamed_max = std::max(
+        streamed_max,
+        ooc::EstimateStreamedBytes(params, g->num_vertices(), slot_bytes)
+            .value());
+  }
+  const uint64_t budget = streamed_max + streamed_max / 4;
+  Scheduler::DeviceSlot slot = BudgetedSlot(budget);
+  vgpu::Device device(*slot.arch, slot.options);
+
+  for (const JobParams& params : EveryRequest()) {
+    const auto algo = static_cast<Algorithm>(params.index());
+    const bool parents = algo == Algorithm::kBfs &&
+                         std::get<core::BfsOptions>(params).compute_parents;
+    const std::string name =
+        std::string(AlgorithmName(algo)) + (parents ? " with parents" : "");
+    const bool placeable =
+        (algo == Algorithm::kBfs && !parents) || algo == Algorithm::kPageRank;
+
+    EXPECT_TRUE(core::CheckPlacement(core::Placement{}, params).ok()) << name;
+    const Status gang = core::CheckPlacement(core::Placement::Gang(2), params);
+    const Status streamed =
+        core::CheckPlacement(core::Placement::Streamed(slot_bytes), params);
+    EXPECT_EQ(gang.ok(), placeable) << name;
+    EXPECT_EQ(streamed.ok(), placeable) << name;
+    if (!placeable) {
+      EXPECT_EQ(gang.code(), StatusCode::kFailedPrecondition) << name;
+      EXPECT_EQ(streamed.code(), StatusCode::kFailedPrecondition) << name;
+    }
+
+    JobSpec gang_spec{.graph = g, .params = params};
+    gang_spec.gang_devices = 2;
+    EXPECT_EQ(ValidateJobSpec(gang_spec).code(), gang.code()) << name;
+
+    JobSpec stream_spec{.graph = g, .params = params};
+    stream_spec.allow_streamed = true;
+    stream_spec.ooc_shard_bytes = slot_bytes;
+    ASSERT_GT(EstimateJobDeviceBytes(stream_spec), budget) << name;
+    const AdmissionDecision decision =
+        CheckAdmission(device, stream_spec, 1.0, nullptr);
+    EXPECT_EQ(decision.admit, streamed.ok()) << name;
+    EXPECT_EQ(decision.streamed, streamed.ok()) << name;
+  }
+
+  // A gang's size is capped; so is a gang's interconnect checked.
+  const JobParams bfs = core::BfsOptions{};
+  EXPECT_TRUE(core::CheckPlacement(core::Placement::Gang(0), bfs)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(core::CheckPlacement(
+                  core::Placement::Gang(core::kMaxGangDevices + 1), bfs)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      core::CheckPlacement(core::Placement::Gang(core::kMaxGangDevices), bfs)
+          .ok());
+}
+
+// Regression: the streamed branch used to be tested before the warm-start
+// one, so a warm-started job admitted to the streamed tier ran cold and
+// reported neither the ask nor the fallback.
+TEST(PlacementTest, WarmStartThatStreamsReportsTheFallback) {
+  auto g = TestGraph(8, 52);
+  auto delta = graph::DeltaGraph::Create(*g).value();
+  std::mutex delta_mutex;
+  core::PageRankOptions pr;
+  pr.max_iterations = 12;
+  vgpu::Device cold_device(vgpu::A100Config());
+  auto previous = std::make_shared<const JobPayload>(
+      core::Run(&cold_device, {core::Algo::kPageRank}, *g, pr).value());
+  const uint64_t v0 = delta.version();
+  graph::vid_t v = 1;
+  while (!delta.AddEdge(0, v).value()) ++v;
+  auto snapshot = delta.Snapshot().value();
+  ASSERT_GT(snapshot->mutation_epoch(), 0u);
+
+  StreamedFixture f = OverBudgetPageRank(snapshot);
+  f.spec.params = pr;
+  f.spec.warm_start = previous;
+  f.spec.previous_version = v0;
+  f.spec.delta = &delta;
+  f.spec.delta_mutex = &delta_mutex;
+
+  Scheduler::Options options;
+  options.devices = {BudgetedSlot(f.budget)};
+  auto starved = Scheduler::Create(std::move(options)).value();
+  JobOutcome streamed = starved->Submit(f.spec).value().get();
+  ASSERT_TRUE(streamed.status.ok()) << streamed.status.ToString();
+  EXPECT_TRUE(streamed.streamed);
+  EXPECT_TRUE(streamed.incremental_requested);
+  EXPECT_FALSE(streamed.incremental);
+  EXPECT_NE(streamed.fallback_reason.find("streamed"), std::string::npos)
+      << streamed.fallback_reason;
+  EXPECT_EQ(streamed.result_version, snapshot->mutation_epoch());
+  EXPECT_EQ(SeriesTotal(starved->metrics_registry(),
+                        "adgraph_incremental_fallbacks_total"),
+            1.0);
+  vgpu::Device roomy(vgpu::A100Config());
+  EXPECT_EQ(FingerprintPayload(streamed.payload),
+            FingerprintPayload(
+                core::Run(&roomy, {core::Algo::kPageRank}, *snapshot, pr)
+                    .value()));
+
+  // The same spec on a roomy device runs incrementally.
+  auto roomy_pool = Scheduler::Create({}).value();
+  JobOutcome warm = roomy_pool->Submit(f.spec).value().get();
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_FALSE(warm.streamed);
+  EXPECT_TRUE(warm.incremental) << warm.fallback_reason;
+}
+
+// Regression: gang jobs used to return before the occupancy floor, so a
+// 2-device gang held its slots for only its own wall time.
+TEST(PlacementTest, GangJobsHonorTheOccupancyFloor) {
+  auto g = TestGraph(8, 53);
+  Scheduler::Options options;
+  options.devices = {{.arch = &vgpu::A100Config(), .options = {}},
+                     {.arch = &vgpu::A100Config(), .options = {}}};
+  options.device_occupancy_floor_ms = 50;
+  auto scheduler = Scheduler::Create(std::move(options)).value();
+  core::BfsOptions bfs;
+  bfs.direction_optimizing = false;
+  JobSpec gang{.graph = g, .params = bfs};
+  gang.gang_devices = 2;
+  JobOutcome outcome = scheduler->Submit(gang).value().get();
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.gang_devices, 2u);
+  EXPECT_GE(outcome.exec_wall_ms, 50.0);
 }
 
 // --- per-job observability (§2.14) -----------------------------------------

@@ -19,16 +19,19 @@
 // Each jobs.txt line is `ALGO [key=value]...` (see ParseJobLine below);
 // blank lines and `#` comments are skipped.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,14 +45,11 @@
 #include "graph/stats.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "ooc/streamed.h"
 #include "net/tenant.h"
 #include "net/wire.h"
 #include "obs/alerts.h"
 #include "obs/export.h"
-#include "part/engine.h"
-#include "part/part_bfs.h"
-#include "part/part_pagerank.h"
+#include "part/partition.h"
 #include "prof/report.h"
 #include "serve/job.h"
 #include "serve/registry.h"
@@ -85,15 +85,16 @@ int Usage() {
                "           --scale=N --edge-factor=F --seed=N (generate)\n"
                "           --extra-divisor=F (dataset)  --profile\n"
                "           --undirected  --weights=random\n"
+               "           --iters=N (pagerank)  --memory-scale=F (shrinks\n"
+               "             device RAM, to demo over-budget runs)\n"
                "           --ooc [--shard-bytes=N] (bfs/pagerank: stream\n"
                "             vertex-range shards through a double buffer\n"
-               "             instead of staging the whole graph;\n"
-               "             --memory-scale=F shrinks device RAM to demo\n"
-               "             over-budget runs)\n"
+               "             instead of staging the whole graph)\n"
+               "           --devices=N (bfs/pagerank: a gang of N simulated\n"
+               "             devices over vertex-range shards;\n"
+               "             --interconnect=pcie|nvlink,\n"
+               "             --partition=uniform|degree)\n"
                "           --trace=FILE (Chrome trace-event JSON + summary)\n"
-               "           --devices=N (bfs/pagerank: partitioned execution\n"
-               "             over N simulated devices; --interconnect=pcie|\n"
-               "             nvlink, --partition=uniform|degree)\n"
                "or:    adgraph_cli serve-batch --jobs=FILE <graph source>\n"
                "           [--gpus=A100,V100,...] [--queue=N]\n"
                "           [--overflow=block|reject] [--headroom=F]\n"
@@ -172,11 +173,46 @@ Result<graph::CsrGraph> LoadGraph(const Flags& flags) {
   return graph::CsrGraph::FromCoo(coo, options);
 }
 
+/// The placement `--devices`, `--interconnect`, `--partition`, `--ooc` and
+/// `--shard-bytes` ask for: one device unless a gang or a stream is named.
+Result<core::Placement> PlacementFromFlags(const Flags& flags) {
+  const int64_t devices = flags.GetInt("devices", 1);
+  const int64_t shard_bytes = flags.GetInt("shard-bytes", 0);
+  if (devices < 1 || shard_bytes < 0) {
+    return Status::InvalidArgument(
+        "--devices must be >= 1 and --shard-bytes >= 0");
+  }
+  if (flags.GetBool("ooc", false)) {
+    if (devices > 1) {
+      return Status::InvalidArgument("--ooc streams on one device");
+    }
+    return core::Placement::Streamed(static_cast<uint64_t>(shard_bytes));
+  }
+  if (devices == 1) return core::Placement{};
+  ADGRAPH_ASSIGN_OR_RETURN(vgpu::InterconnectConfig link,
+                           vgpu::InterconnectPresetByName(
+                               flags.GetString("interconnect", "nvlink")));
+  const std::string strategy = flags.GetString("partition", "uniform");
+  if (strategy != "uniform" && strategy != "degree") {
+    return Status::InvalidArgument(
+        "--partition must be 'uniform' or 'degree', got '" + strategy + "'");
+  }
+  // Past the cap CheckPlacement rejects the gang; clamping first keeps the
+  // cast from wrapping back under it.
+  return core::Placement::Gang(
+      static_cast<uint32_t>(std::min<int64_t>(devices, UINT32_MAX)),
+      std::move(link),
+      strategy == "degree" ? core::PartitionStrategy::kDegreeBalanced
+                           : core::PartitionStrategy::kUniform);
+}
+
 Status RunAlgo(const Flags& flags, vgpu::Device* device,
                const graph::CsrGraph& g) {
   std::string algo = flags.GetString("algo", "");
   auto source = static_cast<graph::vid_t>(flags.GetInt("source", 0));
   ADGRAPH_ASSIGN_OR_RETURN(core::Algo algo_id, core::ParseAlgorithm(algo));
+  ADGRAPH_ASSIGN_OR_RETURN(core::Placement placement,
+                           PlacementFromFlags(flags));
 
   // Flag -> options mapping; the variant alternative is the selection.
   core::Params params;
@@ -193,9 +229,13 @@ Status RunAlgo(const Flags& flags, vgpu::Device* device,
     case core::Algo::kSssp:
       params = core::SsspOptions{.source = source};
       break;
-    case core::Algo::kPageRank:
-      params = core::PageRankOptions{};
+    case core::Algo::kPageRank: {
+      core::PageRankOptions options;
+      options.max_iterations =
+          static_cast<uint32_t>(flags.GetInt("iters", options.max_iterations));
+      params = options;
       break;
+    }
     case core::Algo::kTriangleCount: {
       core::TcOptions options;
       options.orient = !flags.GetBool("no-orient", false);
@@ -234,34 +274,18 @@ Status RunAlgo(const Flags& flags, vgpu::Device* device,
       break;
   }
 
-  core::AlgoResult result;
-  if (flags.GetBool("ooc", false)) {
-    // Out-of-core streamed execution: the adjacency never becomes
-    // whole-graph device-resident; vertex-range shards double-buffer
-    // through two staging slots (byte-identical results; bfs/pagerank).
-    ooc::OocOptions ooc_options;
-    ooc_options.shard_bytes =
-        static_cast<uint64_t>(flags.GetInt("shard-bytes", 0));
-    ooc::StreamedStats ooc_stats;
-    // Non-owning alias: the host graph outlives the run.
-    std::shared_ptr<const graph::CsrGraph> alias(
-        std::shared_ptr<const graph::CsrGraph>{}, input);
-    ADGRAPH_ASSIGN_OR_RETURN(
-        result,
-        ooc::RunStreamed(device, algo_id, alias, params, ooc_options,
-                         &ooc_stats));
-    std::printf(
-        "ooc: %u shards, %llu staged copies, %llu bytes streamed, "
-        "overlap %.2fx (serialized %.4f ms -> overlapped %.4f ms)\n",
-        ooc_stats.num_shards,
-        static_cast<unsigned long long>(ooc_stats.shards_staged),
-        static_cast<unsigned long long>(ooc_stats.staged_bytes),
-        ooc_stats.overlap_speedup(), ooc_stats.serialized_ms,
-        ooc_stats.overlapped_ms);
-  } else {
-    ADGRAPH_ASSIGN_OR_RETURN(result,
-                             core::Run(device, {algo_id}, *input, params));
+  ADGRAPH_RETURN_NOT_OK(core::CheckPlacement(placement, params));
+  if (placement.kind == core::Placement::Kind::kGang) {
+    std::printf("gang: %u x %s, %s shards, interconnect %s\n",
+                placement.gang_devices, device->name().c_str(),
+                part::PartitionStrategyName(placement.strategy),
+                placement.interconnect.name.c_str());
   }
+  core::RunReport report;
+  ADGRAPH_ASSIGN_OR_RETURN(
+      core::AlgoResult result,
+      core::Run(device, {algo_id, placement}, *input, params,
+                /*residency=*/nullptr, &report));
 
   switch (algo_id) {
     case core::Algo::kBfs: {
@@ -363,81 +387,24 @@ Status RunAlgo(const Flags& flags, vgpu::Device* device,
       break;
     }
   }
-  return Status::OK();
-}
-
-
-// --- partitioned (multi-device) --------------------------------------------
-
-/// `--devices=N` path: shards the graph 1-D by vertex range over N simulated
-/// devices of the chosen arch and runs the bulk-synchronous partitioned
-/// driver (bfs or pagerank), printing the interconnect exchange breakdown.
-Status RunPartitioned(const Flags& flags, const vgpu::ArchConfig& arch,
-                      const graph::CsrGraph& g, uint32_t num_devices) {
-  const std::string algo = flags.GetString("algo", "");
-  if (algo != "bfs" && algo != "pagerank") {
-    return Status::InvalidArgument(
-        "--devices=N supports bfs and pagerank, not '" + algo + "'");
-  }
-
-  part::PartitionedEngine::Options options;
-  options.num_devices = num_devices;
-  const std::string link = flags.GetString("interconnect", "nvlink");
-  ADGRAPH_ASSIGN_OR_RETURN(options.interconnect,
-                           vgpu::InterconnectPresetByName(link));
-  const std::string strategy = flags.GetString("partition", "uniform");
-  if (strategy == "degree") {
-    options.strategy = part::PartitionStrategy::kDegreeBalanced;
-  } else if (strategy != "uniform") {
-    return Status::InvalidArgument(
-        "--partition must be 'uniform' or 'degree', got '" + strategy + "'");
-  }
-  ADGRAPH_ASSIGN_OR_RETURN(auto engine,
-                           part::PartitionedEngine::Create(arch, options));
-  ADGRAPH_ASSIGN_OR_RETURN(
-      part::PartitionPlan plan,
-      part::MakePartitionPlan(g, num_devices, options.strategy));
-  std::printf("partition: %u x %s shards (%s), interconnect %s\n", num_devices,
-              arch.name.c_str(), part::PartitionStrategyName(options.strategy),
-              options.interconnect.name.c_str());
-
-  if (algo == "bfs") {
-    part::PartBfsOptions bfs;
-    bfs.source = static_cast<graph::vid_t>(flags.GetInt("source", 0));
-    ADGRAPH_ASSIGN_OR_RETURN(auto r,
-                             part::RunPartitionedBfs(engine.get(), g, plan, bfs));
-    const double mteps =
-        r.time_ms > 0 ? static_cast<double>(g.num_edges()) / (r.time_ms * 1e3)
-                      : 0.0;
-    std::printf("bfs[%uD]: visited %llu / %u vertices, depth %u, %u rounds\n",
-                num_devices,
-                static_cast<unsigned long long>(r.vertices_visited),
-                g.num_vertices(), r.depth, r.rounds);
-    std::printf("  modeled %.4f ms = compute %.4f ms + exchange %.4f ms "
-                "(%.1f MTEPS%s)\n",
-                r.time_ms, r.compute_ms, r.exchange_ms, mteps,
-                r.time_ms > 0 ? "" : ", rate skipped");
-    std::printf("  exchange: %llu bytes over %zu rounds\n",
-                static_cast<unsigned long long>(r.exchange_bytes),
-                r.round_exchange_bytes.size());
-  } else {
-    part::PartPageRankOptions pr;
-    pr.max_iterations = static_cast<uint32_t>(flags.GetInt("iters", 50));
-    ADGRAPH_ASSIGN_OR_RETURN(
-        auto r, part::RunPartitionedPageRank(engine.get(), g, plan, pr));
-    graph::vid_t best = 0;
-    for (graph::vid_t v = 0; v < g.num_vertices(); ++v) {
-      if (r.ranks[v] > r.ranks[best]) best = v;
-    }
-    std::printf("pagerank[%uD]: %u iterations, top vertex %u (%.3e)\n",
-                num_devices, r.iterations, best, r.ranks[best]);
-    std::printf("  modeled %.4f ms = compute %.4f ms + exchange %.4f ms\n",
-                r.time_ms, r.compute_ms, r.exchange_ms);
-    std::printf("  exchange: %llu bytes\n",
-                static_cast<unsigned long long>(r.exchange_bytes));
+  if (placement.kind == core::Placement::Kind::kGang) {
+    const core::ExchangeStats& x = report.exchange;
+    std::printf("exchange: %llu bytes over %u rounds; modeled compute "
+                "%.4f ms + exchange %.4f ms\n",
+                static_cast<unsigned long long>(x.bytes), x.rounds,
+                x.compute_ms, x.exchange_ms);
+  } else if (placement.kind == core::Placement::Kind::kStreamed) {
+    const core::StagingStats& st = report.staging;
+    std::printf(
+        "ooc: %u shards, %llu staged copies, %llu bytes streamed, "
+        "overlap %.2fx (serialized %.4f ms -> overlapped %.4f ms)\n",
+        st.num_shards, static_cast<unsigned long long>(st.shards_staged),
+        static_cast<unsigned long long>(st.staged_bytes),
+        st.overlap_speedup(), st.serialized_ms, st.overlapped_ms);
   }
   return Status::OK();
 }
+
 
 // --- serve-batch -----------------------------------------------------------
 
@@ -479,35 +446,33 @@ Result<ParsedJobLine> ParseJobLine(const std::string& line, int line_number) {
   return parsed;
 }
 
-/// Parses a comma-separated list of `U:V[:W]` edge specs (W only legal when
-/// `allow_weight`) and appends one MUTATE update object per spec onto the
-/// JSON `updates` array.
-Status AppendEdgeSpecs(const std::string& specs, const char* op,
-                       bool allow_weight, net::Json* updates) {
-  std::istringstream list(specs);
-  std::string spec;
-  while (std::getline(list, spec, ',')) {
-    std::istringstream fields(spec);
-    std::string u, v, w;
-    if (!std::getline(fields, u, ':') || !std::getline(fields, v, ':') ||
-        u.empty() || v.empty()) {
-      return Status::InvalidArgument("edge spec '" + spec +
-                                     "' wants U:V" +
-                                     (allow_weight ? "[:W]" : ""));
-    }
-    std::getline(fields, w, ':');
-    if (!w.empty() && !allow_weight) {
-      return Status::InvalidArgument("edge spec '" + spec +
-                                     "': deletions take no weight");
-    }
-    net::Json update = net::Json::MakeObject();
-    update.Set("op", std::string(op));
-    update.Set("u", std::atof(u.c_str()));
-    update.Set("v", std::atof(v.c_str()));
-    if (!w.empty()) update.Set("w", std::atof(w.c_str()));
-    updates->PushBack(std::move(update));
+/// Reads a `--jobs` file: one ParseJobLine per line, blank lines and `#`
+/// comments skipped; an unreadable or job-less file is an error.
+Result<std::vector<ParsedJobLine>> ReadJobFile(const std::string& path) {
+  std::ifstream jobs_file(path);
+  if (!jobs_file) {
+    return Status::IOError("cannot open jobs file '" + path + "'");
   }
-  return Status::OK();
+  std::vector<ParsedJobLine> lines;
+  std::string raw;
+  for (int number = 1; std::getline(jobs_file, raw); ++number) {
+    auto first = raw.find_first_not_of(" \t\r");
+    if (first == std::string::npos || raw[first] == '#') continue;
+    ADGRAPH_ASSIGN_OR_RETURN(ParsedJobLine parsed, ParseJobLine(raw, number));
+    lines.push_back(std::move(parsed));
+  }
+  if (lines.empty()) {
+    return Status::InvalidArgument("jobs file contains no jobs");
+  }
+  return lines;
+}
+
+/// Prints the per-status count block that ends a batch or client run.
+void PrintTally(const std::map<std::string, int>& tally) {
+  std::printf("\njob status tally:\n");
+  for (const auto& [name, count] : tally) {
+    std::printf("  %-24s %d\n", name.c_str(), count);
+  }
 }
 
 /// Turns one parsed `mutate ...` job line into the MUTATE request pieces:
@@ -517,9 +482,11 @@ Result<bool> BuildMutationLine(const ParsedJobLine& line, net::Json* updates) {
   bool compact = false;
   for (const auto& [key, value] : line.kv) {
     if (key == "add") {
-      ADGRAPH_RETURN_NOT_OK(AppendEdgeSpecs(value, "add", true, updates));
+      ADGRAPH_RETURN_NOT_OK(
+          net::AppendEdgeUpdates(value, "add", true, updates));
     } else if (key == "del") {
-      ADGRAPH_RETURN_NOT_OK(AppendEdgeSpecs(value, "del", false, updates));
+      ADGRAPH_RETURN_NOT_OK(
+          net::AppendEdgeUpdates(value, "del", false, updates));
     } else if (key == "compact") {
       compact = value != "0" && value != "false";
     } else if (key != "graph" && key != "tag") {
@@ -605,6 +572,46 @@ Result<serve::Scheduler::Options> BuildPoolOptions(const Flags& flags) {
   return options;
 }
 
+/// Starts the `serve-batch` / `serve` pool from the pool flags and prints
+/// its worker line; null, after printing why under `mode`, on an error.
+/// `metrics_on` reports whether a metrics flag switched the sampler on.
+std::unique_ptr<serve::Scheduler> StartPool(const Flags& flags,
+                                            const char* mode,
+                                            bool* metrics_on) {
+  auto options = BuildPoolOptions(flags);
+  if (!options.ok()) {
+    std::fprintf(stderr, "%s: %s\n", mode,
+                 options.status().ToString().c_str());
+    return nullptr;
+  }
+  *metrics_on = options->metrics.enabled;
+  auto scheduler = serve::Scheduler::Create(std::move(*options));
+  if (!scheduler.ok()) {
+    std::fprintf(stderr, "scheduler: %s\n",
+                 scheduler.status().ToString().c_str());
+    return nullptr;
+  }
+  std::printf("pool: %zu workers (", (*scheduler)->num_workers());
+  for (size_t i = 0; i < (*scheduler)->device_names().size(); ++i) {
+    std::printf("%s%s", i ? ", " : "",
+                (*scheduler)->device_names()[i].c_str());
+  }
+  std::printf(")\n");
+  return std::move(*scheduler);
+}
+
+/// The sampler's summary that ends a `serve-batch` or `serve` run.
+void PrintMetricsReport(const Flags& flags,
+                        const serve::Scheduler& scheduler) {
+  std::printf("\n%s", prof::FormatMetricsReport(scheduler.MetricsBatches(),
+                                                scheduler.MetricsAlertLog(),
+                                                scheduler.MetricsDropped())
+                          .c_str());
+  if (flags.Has("metrics-out")) {
+    std::printf("metrics: %s\n", flags.GetString("metrics-out", "").c_str());
+  }
+}
+
 int ServeBatch(const Flags& flags) {
   if (!flags.Has("jobs")) {
     std::fprintf(stderr, "serve-batch: --jobs=FILE is required\n");
@@ -619,39 +626,24 @@ int ServeBatch(const Flags& flags) {
   graph::CsrGraph g = std::move(*graph_result);
 
   // Parse the job file before touching any device.
-  std::ifstream jobs_file(flags.GetString("jobs", ""));
-  if (!jobs_file) {
-    std::fprintf(stderr, "cannot open jobs file '%s'\n",
-                 flags.GetString("jobs", "").c_str());
+  auto lines = ReadJobFile(flags.GetString("jobs", ""));
+  if (!lines.ok()) {
+    std::fprintf(stderr, "%s\n", lines.status().ToString().c_str());
     return 1;
   }
-  std::vector<ParsedJobLine> lines;
   bool needs_weights = g.has_weights();
-  std::string raw;
-  for (int number = 1; std::getline(jobs_file, raw); ++number) {
-    auto first = raw.find_first_not_of(" \t\r");
-    if (first == std::string::npos || raw[first] == '#') continue;
-    auto parsed = ParseJobLine(raw, number);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 1;
-    }
-    if (parsed->mutate) {
+  for (const ParsedJobLine& line : *lines) {
+    if (line.mutate) {
       // The in-process batch scheduler serves one immutable snapshot;
       // dynamic graphs live behind the TCP server's MUTATE verb.
       std::fprintf(stderr,
                    "jobs line %d: mutate lines need the TCP server (run "
                    "`adgraph_cli serve` and submit via `adgraph_cli "
                    "client`)\n",
-                   number);
+                   line.line_number);
       return 1;
     }
-    needs_weights |= serve::GetHandler(parsed->algo).requires_weights;
-    lines.push_back(std::move(*parsed));
-  }
-  if (lines.empty()) {
-    std::fprintf(stderr, "jobs file contains no jobs\n");
-    return 1;
+    needs_weights |= serve::GetHandler(line.algo).requires_weights;
   }
   // Weight-requiring jobs (esbv) in the batch get uniform weights unless the
   // graph already carries real ones.
@@ -662,35 +654,20 @@ int ServeBatch(const Flags& flags) {
               static_cast<unsigned long long>(shared->num_edges()),
               shared->has_weights() ? " (weighted)" : "");
 
-  auto options_result = BuildPoolOptions(flags);
-  if (!options_result.ok()) {
-    std::fprintf(stderr, "serve-batch: %s\n",
-                 options_result.status().ToString().c_str());
-    return 1;
-  }
-  const bool metrics_on = options_result->metrics.enabled;
-
-  auto scheduler_result = serve::Scheduler::Create(std::move(*options_result));
-  if (!scheduler_result.ok()) {
-    std::fprintf(stderr, "scheduler: %s\n",
-                 scheduler_result.status().ToString().c_str());
-    return 1;
-  }
-  auto& scheduler = **scheduler_result;
-  std::printf("pool: %zu workers (", scheduler.num_workers());
-  for (size_t i = 0; i < scheduler.device_names().size(); ++i) {
-    std::printf("%s%s", i ? ", " : "", scheduler.device_names()[i].c_str());
-  }
-  std::printf(")\n\n");
+  bool metrics_on = false;
+  auto pool = StartPool(flags, "serve-batch", &metrics_on);
+  if (pool == nullptr) return 1;
+  auto& scheduler = *pool;
+  std::printf("\n");
 
   // Ctrl-C / SIGTERM: stop submitting, let in-flight jobs finish, fail the
   // still-queued ones, flush metrics + trace, then exit 128+signal.
   InstallShutdownHandlers();
 
   std::vector<std::future<serve::JobOutcome>> futures;
-  futures.reserve(lines.size());
+  futures.reserve(lines->size());
   int submit_failures = 0;
-  for (const ParsedJobLine& line : lines) {
+  for (const ParsedJobLine& line : *lines) {
     if (g_shutdown_signal.load() != 0) break;
     // Same key vocabulary as the TCP protocol (§2.10); `devices=N` on a
     // bfs/pagerank line runs it as a gang over N same-arch devices.
@@ -771,10 +748,7 @@ int ServeBatch(const Flags& flags) {
 
   if (!interrupted) scheduler.Drain();
   std::printf("\n%s", prof::FormatServerStats(scheduler.Snapshot()).c_str());
-  std::printf("\njob status tally:\n");
-  for (const auto& [name, count] : tally) {
-    std::printf("  %-24s %d\n", name.c_str(), count);
-  }
+  PrintTally(tally);
   if (flags.Has("trace")) {
     // After a signal-triggered Shutdown() the collector is detached, so
     // use the events captured at interrupt time.
@@ -789,13 +763,7 @@ int ServeBatch(const Flags& flags) {
     // sample is taken and --metrics-out is written before we report on
     // the series (idempotent if the signal path already shut down).
     scheduler.Shutdown();
-    std::printf("\n%s", prof::FormatMetricsReport(scheduler.MetricsBatches(),
-                                                  scheduler.MetricsAlertLog(),
-                                                  scheduler.MetricsDropped())
-                            .c_str());
-    if (flags.Has("metrics-out")) {
-      std::printf("metrics: %s\n", flags.GetString("metrics-out", "").c_str());
-    }
+    PrintMetricsReport(flags, scheduler);
   }
   if (interrupted) return 128 + g_shutdown_signal.load();
   // Any job that resolved non-OK — admission rejection, device failure, or
@@ -841,20 +809,10 @@ int Serve(const Flags& flags) {
               static_cast<unsigned long long>(graphs["default"]->num_edges()),
               graphs["default"]->has_weights() ? " (weighted)" : "");
 
-  auto options_result = BuildPoolOptions(flags);
-  if (!options_result.ok()) {
-    std::fprintf(stderr, "serve: %s\n",
-                 options_result.status().ToString().c_str());
-    return 1;
-  }
-  const bool metrics_on = options_result->metrics.enabled;
-  auto scheduler_result = serve::Scheduler::Create(std::move(*options_result));
-  if (!scheduler_result.ok()) {
-    std::fprintf(stderr, "scheduler: %s\n",
-                 scheduler_result.status().ToString().c_str());
-    return 1;
-  }
-  auto& scheduler = **scheduler_result;
+  bool metrics_on = false;
+  auto pool = StartPool(flags, "serve", &metrics_on);
+  if (pool == nullptr) return 1;
+  auto& scheduler = *pool;
 
   net::ServerOptions server_options;
   server_options.port = static_cast<uint16_t>(flags.GetInt("listen", 0));
@@ -888,11 +846,6 @@ int Serve(const Flags& flags) {
     return 1;
   }
   auto& server = **server_result;
-  std::printf("pool: %zu workers (", scheduler.num_workers());
-  for (size_t i = 0; i < scheduler.device_names().size(); ++i) {
-    std::printf("%s%s", i ? ", " : "", scheduler.device_names()[i].c_str());
-  }
-  std::printf(")\n");
   std::printf("listening on 127.0.0.1:%u (%zu handler threads, %s)\n",
               server.port(), server_options.handler_threads,
               num_tenants > 0
@@ -935,15 +888,7 @@ int Serve(const Flags& flags) {
     std::printf("\n%s", prof::FormatTraceSummary(trace_events).c_str());
     std::printf("trace: %s\n", flags.GetString("trace", "").c_str());
   }
-  if (metrics_on) {
-    std::printf("\n%s", prof::FormatMetricsReport(scheduler.MetricsBatches(),
-                                                  scheduler.MetricsAlertLog(),
-                                                  scheduler.MetricsDropped())
-                            .c_str());
-    if (flags.Has("metrics-out")) {
-      std::printf("metrics: %s\n", flags.GetString("metrics-out", "").c_str());
-    }
-  }
+  if (metrics_on) PrintMetricsReport(flags, scheduler);
   // A signal-triggered stop is the *intended* way to stop a server:
   // exit 0 so service managers and the CI smoke test see a clean stop.
   return 0;
@@ -951,58 +896,51 @@ int Serve(const Flags& flags) {
 
 // --- client ----------------------------------------------------------------
 
+/// `--connect=HOST:PORT` of the client, mutate and inspect modes; prints
+/// the error under `mode` and returns nullopt when it does not parse.
+std::optional<std::pair<std::string, uint16_t>> ConnectFlag(
+    const Flags& flags, const char* mode) {
+  auto endpoint = net::ParseEndpoint(flags.GetString("connect", ""));
+  if (!endpoint.ok()) {
+    std::fprintf(stderr, "%s: --connect: %s\n", mode,
+                 endpoint.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return *endpoint;
+}
+
 /// `adgraph_cli client --connect=HOST:PORT --jobs=FILE [--tenant=NAME]`:
 /// submits a serve-batch-format job file over the TCP protocol and waits
-/// for every outcome.  Job-line keys `graph=`, `arch=`, `tag=` and
-/// `deadline_ms=` map to request fields; everything else is an algorithm
-/// param.
+/// for every outcome.  Each job line maps to its SUBMIT request through
+/// net::BuildSubmitRequest, checked before anything is sent.
 int ClientMain(const Flags& flags) {
   if (!flags.Has("connect") || !flags.Has("jobs")) {
     std::fprintf(stderr, "client: --connect=HOST:PORT and --jobs=FILE are "
                          "required\n");
     return Usage();
   }
-  std::string endpoint = flags.GetString("connect", "");
-  auto colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= endpoint.size()) {
-    std::fprintf(stderr, "client: --connect wants HOST:PORT, got '%s'\n",
-                 endpoint.c_str());
-    return 1;
-  }
-  std::string host = endpoint.substr(0, colon);
-  int port = std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "client: bad port in '%s'\n", endpoint.c_str());
-    return 1;
-  }
+  auto endpoint = ConnectFlag(flags, "client");
+  if (!endpoint) return 1;
 
-  std::ifstream jobs_file(flags.GetString("jobs", ""));
-  if (!jobs_file) {
-    std::fprintf(stderr, "cannot open jobs file '%s'\n",
-                 flags.GetString("jobs", "").c_str());
+  auto lines = ReadJobFile(flags.GetString("jobs", ""));
+  if (!lines.ok()) {
+    std::fprintf(stderr, "%s\n", lines.status().ToString().c_str());
     return 1;
   }
-  std::vector<ParsedJobLine> lines;
-  std::string raw;
-  for (int number = 1; std::getline(jobs_file, raw); ++number) {
-    auto first = raw.find_first_not_of(" \t\r");
-    if (first == std::string::npos || raw[first] == '#') continue;
-    auto parsed = ParseJobLine(raw, number);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+  std::vector<net::Json> requests;  // one per non-mutate line, in order
+  for (const ParsedJobLine& line : *lines) {
+    if (line.mutate) continue;
+    auto request = net::BuildSubmitRequest(line.algo, line.kv);
+    if (!request.ok()) {
+      std::fprintf(stderr, "jobs line %d: %s\n", line.line_number,
+                   request.status().ToString().c_str());
       return 1;
     }
-    lines.push_back(std::move(*parsed));
-  }
-  if (lines.empty()) {
-    std::fprintf(stderr, "jobs file contains no jobs\n");
-    return 1;
+    requests.push_back(std::move(*request));
   }
 
   const double timeout_ms = flags.GetDouble("timeout-ms", 30000.0);
-  auto client_result =
-      net::Client::Connect(host, static_cast<uint16_t>(port));
+  auto client_result = net::Client::Connect(endpoint->first, endpoint->second);
   if (!client_result.ok()) {
     std::fprintf(stderr, "%s\n", client_result.status().ToString().c_str());
     return 1;
@@ -1024,7 +962,8 @@ int ClientMain(const Flags& flags) {
   std::vector<Submitted> submitted;
   int failures = 0;
   std::map<std::string, int> tally;
-  for (const ParsedJobLine& line : lines) {
+  auto next_request = requests.begin();
+  for (const ParsedJobLine& line : *lines) {
     if (line.mutate) {
       // Mutations run synchronously in file order, so a job line after a
       // mutate line is guaranteed to see the mutated graph.
@@ -1060,34 +999,12 @@ int ClientMain(const Flags& flags) {
                   response->GetString("fingerprint", "-").c_str());
       continue;
     }
-    net::Json request = net::Json::MakeObject();
-    request.Set("op", "SUBMIT");
-    request.Set("algo", std::string(serve::AlgorithmName(line.algo)));
-    net::Json params = net::Json::MakeObject();
-    for (const auto& [key, value] : line.kv) {
-      if (key == "graph" || key == "arch" || key == "tag" ||
-          key == "deadline_ms") {
-        continue;
-      }
-      params.Set(key, value);
-    }
-    if (params.size() > 0) request.Set("params", std::move(params));
-    auto copy_field = [&](const char* key) {
-      auto it = line.kv.find(key);
-      if (it != line.kv.end()) request.Set(key, it->second);
-    };
-    copy_field("graph");
-    copy_field("arch");
-    auto deadline_it = line.kv.find("deadline_ms");
-    if (deadline_it != line.kv.end()) {
-      request.Set("deadline_ms", std::atof(deadline_it->second.c_str()));
-    } else if (flags.Has("deadline-ms")) {
+    net::Json request = std::move(*next_request++);
+    if (request.Find("deadline_ms") == nullptr && flags.Has("deadline-ms")) {
       request.Set("deadline_ms", flags.GetDouble("deadline-ms", 0.0));
     }
-    auto tag_it = line.kv.find("tag");
-    std::string tag = tag_it != line.kv.end()
-                          ? tag_it->second
-                          : "line" + std::to_string(line.line_number);
+    const std::string tag =
+        request.GetString("tag", "line" + std::to_string(line.line_number));
     request.Set("tag", tag);
     // The client is the outermost layer, so it mints the trace id; the
     // server adopts it and every span of the job carries it end to end.
@@ -1147,10 +1064,7 @@ int ClientMain(const Flags& flags) {
     }
   }
 
-  std::printf("\njob status tally:\n");
-  for (const auto& [name, count] : tally) {
-    std::printf("  %-24s %d\n", name.c_str(), count);
-  }
+  PrintTally(tally);
   return failures > 0 ? 1 : 0;
 }
 
@@ -1171,32 +1085,21 @@ int MutateMain(const Flags& flags) {
                  "--del=U:V,... and/or --compact\n");
     return Usage();
   }
-  std::string endpoint = flags.GetString("connect", "");
-  auto colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= endpoint.size()) {
-    std::fprintf(stderr, "mutate: --connect wants HOST:PORT, got '%s'\n",
-                 endpoint.c_str());
-    return 1;
-  }
-  int port = std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "mutate: bad port in '%s'\n", endpoint.c_str());
-    return 1;
-  }
+  auto endpoint = ConnectFlag(flags, "mutate");
+  if (!endpoint) return 1;
 
   net::Json updates = net::Json::MakeArray();
   if (flags.Has("add")) {
-    Status status =
-        AppendEdgeSpecs(flags.GetString("add", ""), "add", true, &updates);
+    Status status = net::AppendEdgeUpdates(flags.GetString("add", ""), "add",
+                                           true, &updates);
     if (!status.ok()) {
       std::fprintf(stderr, "mutate: %s\n", status.ToString().c_str());
       return 1;
     }
   }
   if (flags.Has("del")) {
-    Status status =
-        AppendEdgeSpecs(flags.GetString("del", ""), "del", false, &updates);
+    Status status = net::AppendEdgeUpdates(flags.GetString("del", ""), "del",
+                                           false, &updates);
     if (!status.ok()) {
       std::fprintf(stderr, "mutate: %s\n", status.ToString().c_str());
       return 1;
@@ -1204,8 +1107,7 @@ int MutateMain(const Flags& flags) {
   }
 
   const double timeout_ms = flags.GetDouble("timeout-ms", 30000.0);
-  auto client_result = net::Client::Connect(endpoint.substr(0, colon),
-                                            static_cast<uint16_t>(port));
+  auto client_result = net::Client::Connect(endpoint->first, endpoint->second);
   if (!client_result.ok()) {
     std::fprintf(stderr, "%s\n", client_result.status().ToString().c_str());
     return 1;
@@ -1316,22 +1218,10 @@ int InspectMain(const Flags& flags) {
     std::fprintf(stderr, "inspect: --connect=HOST:PORT is required\n");
     return Usage();
   }
-  std::string endpoint = flags.GetString("connect", "");
-  auto colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= endpoint.size()) {
-    std::fprintf(stderr, "inspect: --connect wants HOST:PORT, got '%s'\n",
-                 endpoint.c_str());
-    return 1;
-  }
-  int port = std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "inspect: bad port in '%s'\n", endpoint.c_str());
-    return 1;
-  }
+  auto endpoint = ConnectFlag(flags, "inspect");
+  if (!endpoint) return 1;
   const double timeout_ms = flags.GetDouble("timeout-ms", 5000.0);
-  auto client_result = net::Client::Connect(endpoint.substr(0, colon),
-                                            static_cast<uint16_t>(port));
+  auto client_result = net::Client::Connect(endpoint->first, endpoint->second);
   if (!client_result.ok()) {
     std::fprintf(stderr, "%s\n", client_result.status().ToString().c_str());
     return 1;
@@ -1393,21 +1283,13 @@ int Main(int argc, char** argv) {
     std::printf("adgraph_cli %d.%d.%d\n", major, minor, patch);
     return 0;
   }
-  if (!flags.positional().empty() && flags.positional()[0] == "serve-batch") {
-    return ServeBatch(flags);
-  }
-  if (!flags.positional().empty() && flags.positional()[0] == "serve") {
-    return Serve(flags);
-  }
-  if (!flags.positional().empty() && flags.positional()[0] == "client") {
-    return ClientMain(flags);
-  }
-  if (!flags.positional().empty() && flags.positional()[0] == "mutate") {
-    return MutateMain(flags);
-  }
-  if (!flags.positional().empty() && flags.positional()[0] == "inspect") {
-    return InspectMain(flags);
-  }
+  const std::string mode =
+      flags.positional().empty() ? "" : flags.positional()[0];
+  if (mode == "serve-batch") return ServeBatch(flags);
+  if (mode == "serve") return Serve(flags);
+  if (mode == "client") return ClientMain(flags);
+  if (mode == "mutate") return MutateMain(flags);
+  if (mode == "inspect") return InspectMain(flags);
   if (!flags.Has("algo")) return Usage();
 
   auto graph_result = LoadGraph(flags);
@@ -1438,27 +1320,6 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "trace: %s\n", trace_status.ToString().c_str());
       return 1;
     }
-  }
-
-  const uint32_t num_devices =
-      static_cast<uint32_t>(flags.GetInt("devices", 1));
-  if (num_devices > 1) {
-    Status status = RunPartitioned(flags, *arch, g, num_devices);
-    if (flags.Has("trace")) {
-      Status trace_status = trace::Stop();
-      if (!trace_status.ok()) {
-        std::fprintf(stderr, "trace: %s\n", trace_status.ToString().c_str());
-      }
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    if (flags.Has("trace")) {
-      std::cout << prof::FormatTraceSummary(trace::GlobalEvents());
-      std::printf("trace: %s\n", flags.GetString("trace", "").c_str());
-    }
-    return 0;
   }
 
   vgpu::Device::Options device_options;
