@@ -27,7 +27,6 @@
 
 #include "bench/bench_common.h"
 #include "core/api.h"
-#include "core/incremental.h"
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/delta.h"
@@ -40,7 +39,7 @@ namespace adgraph::bench {
 namespace {
 
 /// Edge-delta fractions for the incremental-vs-full comparison; both are
-/// within the 1% acceptance band (and under RunIncremental's default
+/// within the 1% acceptance band (and under core::WarmStart's default
 /// full-recompute threshold).
 constexpr double kDeltaFractions[] = {0.0025, 0.01};
 
@@ -81,6 +80,22 @@ double WallMs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - since)
       .count();
+}
+
+/// PageRank on the delta's current snapshot, warm-started from `previous`
+/// (computed at `previous_version`) plus the updates since.
+Result<core::AlgoResult> WarmRun(vgpu::Device* device,
+                                 graph::DeltaGraph* delta,
+                                 const core::PageRankOptions& pr,
+                                 const core::AlgoResult& previous,
+                                 uint64_t previous_version,
+                                 core::RunReport* report = nullptr) {
+  core::WarmStart warm;
+  warm.previous = std::make_shared<const core::AlgoResult>(previous);
+  warm.updates = delta->UpdatesSince(previous_version);
+  ADGRAPH_ASSIGN_OR_RETURN(auto snapshot, delta->Snapshot());
+  return core::Run(device, {core::Algo::kPageRank, {}, &warm}, *snapshot, pr,
+                   nullptr, report);
 }
 
 int Main(int argc, char** argv) {
@@ -136,10 +151,10 @@ int Main(int argc, char** argv) {
       const uint64_t previous_version = delta.version();
       InsertNovelEdges(&delta, count, 0xBE7C + count);
 
-      core::IncrementalInfo info;
-      auto inc = core::RunIncremental(&device, {core::Algo::kPageRank},
-                                      delta, pr, previous, previous_version,
-                                      {}, nullptr, &info);
+      core::RunReport report;
+      auto inc = WarmRun(&device, &delta, pr, previous, previous_version,
+                         &report);
+      const core::IncrementalInfo& info = report.incremental;
       if (!inc.ok()) {
         std::cerr << spec.name << " incremental: "
                   << inc.status().ToString() << "\n";
@@ -215,11 +230,7 @@ int Main(int argc, char** argv) {
       // Staleness at query time: how many applied mutations the previous
       // result has not seen.
       staleness_sum += delta.version() - previous_version;
-      core::IncrementalInfo info;
-      auto result = core::RunIncremental(&device, {core::Algo::kPageRank},
-                                         delta, pr, previous,
-                                         previous_version, {}, nullptr,
-                                         &info);
+      auto result = WarmRun(&device, &delta, pr, previous, previous_version);
       if (!result.ok()) {
         std::cerr << "query: " << result.status().ToString() << "\n";
         return 1;

@@ -113,8 +113,8 @@ int Main(int argc, char** argv) {
     // streamed one (memory_scale divides capacity).
     const uint64_t full_bytes = FullPageRankBytes(*g);
     const uint64_t shard_bytes = std::max<uint64_t>(full_bytes / 8, 4 << 10);
-    auto streamed_bytes = ooc::EstimateStreamedBytes(
-        core::Params(pr), g->num_vertices(), shard_bytes);
+    auto streamed_bytes =
+        ooc::EstimateStreamedBytes(core::Params(pr), *g, shard_bytes);
     if (!streamed_bytes.ok()) {
       std::cerr << streamed_bytes.status().ToString() << "\n";
       return 1;

@@ -2,6 +2,9 @@
 #define ADGRAPH_CORE_API_H_
 
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "core/triangle_count.h"
 #include "core/widest_path.h"
 #include "graph/csr.h"
+#include "graph/delta.h"
 #include "util/status.h"
 #include "vgpu/device.h"
 
@@ -83,12 +87,46 @@ using AlgoResult =
                  KCoreResult, JaccardResult, WidestPathResult, ColoringResult,
                  EsbvResult, BcResult>;
 
-/// Which algorithm a Run call dispatches, and where.  Kept as a struct
-/// (rather than a bare enum parameter) so cross-algorithm knobs extend it
-/// without touching every caller.
+/// \brief A warm start (DESIGN.md §2.12): a result computed on an earlier
+/// version of the graph plus the edge updates made since, both by value.
+/// `core::Run` re-expands from it instead of recomputing when the delta is
+/// small and the algorithm has a delta path, and says why not otherwise.
+struct WarmStart {
+  /// The earlier result; null when none is stored yet.
+  std::shared_ptr<const AlgoResult> previous;
+  /// The updates from `previous`'s graph to the run's graph, oldest first;
+  /// nullopt when that history was trimmed.
+  std::optional<std::vector<graph::EdgeUpdate>> updates;
+  /// Recompute in full when the delta touches more than this fraction of
+  /// the run graph's edges: past it, re-expansion does comparable work to
+  /// a cold run without its memory locality.
+  double full_threshold = 0.01;
+};
+
+/// What a warm-started Run actually did.
+struct IncrementalInfo {
+  bool incremental = false;      ///< true = the delta path ran
+  std::string fallback_reason;   ///< why full recompute ran ("" if not)
+  uint64_t seed_vertices = 0;    ///< vertices seeding the re-expansion
+};
+
+/// The placement- and warm-start-specific half of a run's outcome
+/// (`core::Run`'s optional out-param); the payload carries the algorithm's
+/// own result.
+struct RunReport {
+  ExchangeStats exchange;
+  StagingStats staging;
+  IncrementalInfo incremental;
+};
+
+/// Which algorithm a Run call dispatches, where, and from what start.
+/// Kept as a struct (rather than a bare enum parameter) so cross-algorithm
+/// knobs extend it without touching every caller.
 struct AlgoSpec {
   Algo algo = Algo::kBfs;
   Placement placement = {};
+  /// Null = a cold run.  Must outlive the Run call.
+  const WarmStart* warm_start = nullptr;
 };
 
 /// \brief The one statement of which algorithms run in which placement:
@@ -107,7 +145,8 @@ double ResultTimeMs(const AlgoResult& result);
 class GraphResidency;
 
 /// \brief The uniform algorithm entry point: dispatches `spec.algo` with
-/// the matching `params` alternative on `g`, in `spec.placement`.
+/// the matching `params` alternative on `g`, in `spec.placement`, cold or
+/// from `spec.warm_start`.
 ///
 /// Fails with kInvalidArgument when `spec.algo` does not match
 /// `params.index()`, and with CheckPlacement's status when the placement
@@ -118,9 +157,24 @@ class GraphResidency;
 /// their core implementations on the same signature.  A gang runs on a
 /// fresh part::PartitionedEngine of devices like `device` (§2.7); a stream
 /// runs on `device` through the ooc drivers (§2.13).  Neither uses
-/// `residency`.  `report`, when set, receives the gang's exchange or the
-/// stream's staging statistics.  Defined in src/engine/run.cc — callers
-/// link adgraph_engine (every in-tree consumer already does).
+/// `residency`.
+///
+/// A warm start runs on one device only, and lands on the same fixpoint a
+/// cold run does: BFS re-expands insert-only deltas from the previous
+/// levels, and CC runs the engine CC driver from the previous labels with
+/// the bridging inserts' endpoints as its frontier (levels and labels are
+/// byte-identical to a cold run); PageRank iterates from the previous
+/// ranks (equal to the configured tolerance).  Anything else recomputes
+/// in full and says why in `report->incremental`: no previous result,
+/// another placement, a previous result of another algorithm or size,
+/// trimmed history, a delta over `full_threshold` or naming vertices `g`
+/// does not have, parents, a deletion for BFS or CC, or an algorithm
+/// without a delta path.
+///
+/// `report`, when set, receives the gang's exchange or the stream's
+/// staging statistics and what the warm start did.  Defined in
+/// src/engine/run.cc — callers link adgraph_engine (every in-tree consumer
+/// already does).
 Result<AlgoResult> Run(vgpu::Device* device, const AlgoSpec& spec,
                        const graph::CsrGraph& g, const Params& params,
                        GraphResidency* residency = nullptr,

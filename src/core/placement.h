@@ -80,13 +80,6 @@ struct StagingStats {
   }
 };
 
-/// The placement-specific half of a run's outcome (`core::Run`'s optional
-/// out-param); the payload carries the algorithm's own result.
-struct RunReport {
-  ExchangeStats exchange;
-  StagingStats staging;
-};
-
 }  // namespace adgraph::core
 
 #endif  // ADGRAPH_CORE_PLACEMENT_H_

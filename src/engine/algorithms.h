@@ -1,6 +1,7 @@
 #ifndef ADGRAPH_ENGINE_ALGORITHMS_H_
 #define ADGRAPH_ENGINE_ALGORITHMS_H_
 
+#include <span>
 #include <vector>
 
 #include "core/api.h"
@@ -45,8 +46,7 @@ Result<core::SsspResult> RunSssp(vgpu::Device* device,
                                  EngineReport* report = nullptr);
 
 /// `warm_start`, when non-null, holds one rank per vertex to iterate from
-/// instead of 1/n: the incremental path's delta-PageRank
-/// (core::RunIncremental).
+/// instead of 1/n: the warm-started delta-PageRank.
 Result<core::PageRankResult> RunPageRank(
     vgpu::Device* device, const graph::CsrGraph& g,
     const core::PageRankOptions& options,
@@ -54,10 +54,20 @@ Result<core::PageRankResult> RunPageRank(
     EngineReport* report = nullptr,
     const std::vector<double>* warm_start = nullptr);
 
+/// Where min-label propagation starts: a cold run labels every vertex
+/// with itself and puts all of them in the frontier; a warm start resumes
+/// from earlier labels with only `seeds` in the frontier (an empty set runs
+/// no round).
+struct CcStart {
+  std::span<const graph::vid_t> labels;  ///< one per vertex
+  std::span<const graph::vid_t> seeds;
+};
+
 Result<core::CcResult> RunConnectedComponents(
     vgpu::Device* device, const graph::CsrGraph& g,
     const core::CcOptions& options, core::GraphResidency* residency = nullptr,
-    const EngineOptions& engine = {}, EngineReport* report = nullptr);
+    const EngineOptions& engine = {}, EngineReport* report = nullptr,
+    const CcStart* start = nullptr);
 
 Result<core::WidestPathResult> RunWidestPath(
     vgpu::Device* device, const graph::CsrGraph& g,
@@ -75,6 +85,19 @@ Result<core::BcResult> RunBetweenness(vgpu::Device* device,
                                       core::GraphResidency* residency = nullptr,
                                       const EngineOptions& engine = {},
                                       EngineReport* report = nullptr);
+
+/// The delta path of a warm-started one-device run (engine/incremental.cc),
+/// for a request core::Run's fallback list has cleared: `algo` is BFS,
+/// CC or PageRank, `warm.previous` holds its result on a graph of the same
+/// vertex count, `warm.updates` is set (insert-only for BFS and CC), and
+/// BFS asks for no parents.  Fills `info->seed_vertices`.
+Result<core::AlgoResult> RunWarmStarted(vgpu::Device* device,
+                                        core::Algo algo,
+                                        const graph::CsrGraph& g,
+                                        const core::Params& params,
+                                        const core::WarmStart& warm,
+                                        core::GraphResidency* residency,
+                                        core::IncrementalInfo* info);
 
 }  // namespace adgraph::engine
 

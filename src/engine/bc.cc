@@ -147,33 +147,9 @@ Result<core::BcResult> RunBetweenness(vgpu::Device* device,
     (void)dir;  // the counting forward pass is push-only
 
     BcForwardOp op{levels.ptr(), sigma.ptr(), level, {}};
-    if (lb == LoadBalance::kWarpPerVertex) {
-      const uint64_t warp_threads =
-          static_cast<uint64_t>(frontier_size) * device->arch().warp_width;
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("bc_forward_warp",
-                       rt::CoverThreads(warp_threads, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceWarpKernel(
-                             c, view, cur.queue(), frontier_size, next.queue(),
-                             next.count(), op);
-                       })
-              .status());
-    } else {
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("bc_forward",
-                       rt::CoverThreads(frontier_size, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceSparseKernel(
-                             c, view, cur.queue(), frontier_size, next.queue(),
-                             next.count(), op);
-                       })
-              .status());
-    }
+    ADGRAPH_RETURN_NOT_OK(LaunchPushAdvance(device, "bc_forward", view, lb,
+                                            cur, frontier_size, next,
+                                            options.block_size, op));
 
     ADGRAPH_RETURN_NOT_OK(next.RefreshCount());
     const uint32_t produced = next.size();

@@ -47,28 +47,28 @@ struct CcPushOp {
   void OnEnqueue(Ctx&, const Lanes<vid_t>&, const Lanes<vid_t>&) {}
 };
 
-/// Dense-round eligibility: the vertex changed last round.
-struct FlagSetPred {
-  DevPtr<uint32_t> flags;
-  LaneMask operator()(Ctx& c, const Lanes<vid_t>& v) {
-    return c.Eq(c.Load(flags, v), 1u);
-  }
-};
-
 }  // namespace
 
+// A warm start uploads its labels before the timer starts, as
+// delta-PageRank uploads its ranks; min-label propagation from any labels
+// that are already unions of true components lands on the same fixpoint.
 Result<core::CcResult> RunConnectedComponents(vgpu::Device* device,
                                               const graph::CsrGraph& g,
                                               const core::CcOptions& options,
                                               core::GraphResidency* residency,
                                               const EngineOptions& engine,
-                                              EngineReport* report) {
+                                              EngineReport* report,
+                                              const CcStart* start) {
   const vid_t n = g.num_vertices();
   if (n == 0) {
     return Status::InvalidArgument("connected components on empty graph");
   }
+  if (start != nullptr && start->labels.size() != n) {
+    return Status::InvalidArgument("warm-start labels do not match the graph");
+  }
 
-  trace::Span algo_span(device->trace_track(), "algo:cc", "algo");
+  trace::Span algo_span(device->trace_track(),
+                        start != nullptr ? "algo:cc_delta" : "algo:cc", "algo");
   algo_span.ArgNum("num_vertices", static_cast<uint64_t>(n));
 
   ADGRAPH_ASSIGN_OR_RETURN(
@@ -77,19 +77,26 @@ Result<core::CcResult> RunConnectedComponents(vgpu::Device* device,
   const core::DeviceCsr& d = *staged;
   ADGRAPH_ASSIGN_OR_RETURN(auto labels,
                            rt::DeviceBuffer<vid_t>::Create(device, n));
+  if (start != nullptr) {
+    ADGRAPH_RETURN_NOT_OK(labels.Upload(start->labels.data(), n));
+  }
   ADGRAPH_ASSIGN_OR_RETURN(Frontier cur, Frontier::Create(device, n));
   ADGRAPH_ASSIGN_OR_RETURN(Frontier next, Frontier::Create(device, n));
 
   rt::DeviceTimer timer(device);
-  {
+  uint32_t frontier_size = n;
+  if (start != nullptr) {
+    ADGRAPH_RETURN_NOT_OK(cur.InitFromHost(start->seeds, options.block_size));
+    frontier_size = static_cast<uint32_t>(start->seeds.size());
+  } else {
     auto labels_ptr = labels.ptr();
     ADGRAPH_RETURN_NOT_OK(
         device
             ->Launch("cc_iota", rt::CoverThreads(n, options.block_size),
                      [&](Ctx& c) { return IotaLabelsKernel(c, labels_ptr, n); })
             .status());
+    ADGRAPH_RETURN_NOT_OK(cur.InitAllVertices(options.block_size));
   }
-  ADGRAPH_RETURN_NOT_OK(cur.InitAllVertices(options.block_size));
 
   CsrView view = MakeView(d);
   DirectionEngine director(device, engine.direction, DirectionHeuristic{},
@@ -98,10 +105,9 @@ Result<core::CcResult> RunConnectedComponents(vgpu::Device* device,
       engine.load_balance, d.num_edges, n, device->arch().warp_width);
 
   core::CcResult result;
-  uint32_t frontier_size = n;
   // Min-label propagation converges within the graph diameter; n rounds is
   // the safe ceiling.
-  for (uint32_t round = 0; round < n; ++round) {
+  for (uint32_t round = 0; frontier_size > 0 && round < n; ++round) {
     trace::Span sweep(device->trace_track(), "cc.propagate_round", "phase");
     sweep.ArgNum("round", static_cast<uint64_t>(round + 1));
     sweep.ArgNum("frontier_size", static_cast<uint64_t>(frontier_size));
@@ -111,60 +117,16 @@ Result<core::CcResult> RunConnectedComponents(vgpu::Device* device,
     (void)dir;  // push-only; Choose validates policy and keeps stats
 
     CcPushOp op{labels.ptr(), next.flags(), {}};
-    if (cur.rep() == Frontier::Rep::kDense) {
-      FlagSetPred pred{cur.flags()};
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("cc_propagate_dense",
-                       rt::CoverThreads(n, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceDenseKernel(c, view, next.queue(),
-                                                       next.count(), pred, op);
-                       })
-              .status());
-    } else if (lb == LoadBalance::kWarpPerVertex) {
-      const uint64_t warp_threads =
-          static_cast<uint64_t>(frontier_size) * device->arch().warp_width;
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("cc_propagate_warp",
-                       rt::CoverThreads(warp_threads, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceWarpKernel(
-                             c, view, cur.queue(), frontier_size, next.queue(),
-                             next.count(), op);
-                       })
-              .status());
-    } else {
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("cc_propagate",
-                       rt::CoverThreads(frontier_size, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceSparseKernel(
-                             c, view, cur.queue(), frontier_size, next.queue(),
-                             next.count(), op);
-                       })
-              .status());
-    }
+    ADGRAPH_RETURN_NOT_OK(LaunchPushAdvance(device, "cc_propagate", view, lb,
+                                            cur, frontier_size, next,
+                                            options.block_size, op));
 
     result.iterations = round + 1;
     ADGRAPH_RETURN_NOT_OK(next.RefreshCount());
     const uint32_t produced = next.size();
     if (produced == 0) break;
 
-    next.set_rep(Frontier::Rep::kSparse);
-    const DirectionHeuristic& h = director.heuristic();
-    if (produced > h.min_pull_frontier &&
-        static_cast<double>(produced) > n / h.alpha) {
-      director.RecordConversion(Frontier::Rep::kSparse, Frontier::Rep::kDense);
-      next.set_rep(Frontier::Rep::kDense);
-    } else if (cur.rep() == Frontier::Rep::kDense) {
-      director.RecordConversion(Frontier::Rep::kDense, Frontier::Rep::kSparse);
-    }
+    director.ChooseRep(cur, &next, produced, n);
     frontier_size = produced;
     swap(cur, next);
   }

@@ -57,4 +57,16 @@ void DirectionEngine::RecordConversion(Frontier::Rep from, Frontier::Rep to) {
   }
 }
 
+void DirectionEngine::ChooseRep(const Frontier& cur, Frontier* next,
+                                uint32_t produced, uint32_t num_vertices) {
+  next->set_rep(Frontier::Rep::kSparse);
+  if (produced > heuristic_.min_pull_frontier &&
+      static_cast<double>(produced) > num_vertices / heuristic_.alpha) {
+    RecordConversion(Frontier::Rep::kSparse, Frontier::Rep::kDense);
+    next->set_rep(Frontier::Rep::kDense);
+  } else if (cur.rep() == Frontier::Rep::kDense) {
+    RecordConversion(Frontier::Rep::kDense, Frontier::Rep::kSparse);
+  }
+}
+
 }  // namespace adgraph::engine

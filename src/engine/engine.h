@@ -2,6 +2,7 @@
 #define ADGRAPH_ENGINE_ENGINE_H_
 
 #include <cstdint>
+#include <string>
 
 #include "engine/frontier.h"
 #include "engine/operators.h"
@@ -70,6 +71,13 @@ class DirectionEngine {
   /// Records a frontier representation conversion.
   void RecordConversion(Frontier::Rep from, Frontier::Rep to);
 
+  /// Labels `next`, which a push advance from `cur` filled with `produced`
+  /// vertices, for the next round: dense past the pull threshold, sparse
+  /// otherwise.  The advance maintains queue and flags together, so the
+  /// switch is a relabel, recorded as a conversion.
+  void ChooseRep(const Frontier& cur, Frontier* next, uint32_t produced,
+                 uint32_t num_vertices);
+
   const DirectionStats& stats() const { return stats_; }
   DirectionPolicy policy() const { return policy_; }
   const DirectionHeuristic& heuristic() const { return heuristic_; }
@@ -95,6 +103,60 @@ struct EngineOptions {
 struct EngineReport {
   DirectionStats direction;
 };
+
+/// Dense-round eligibility: the vertex's frontier flag is set.
+struct FlagSetPred {
+  vgpu::DevPtr<uint32_t> flags;
+  vgpu::LaneMask operator()(vgpu::Ctx& c, const vgpu::Lanes<graph::vid_t>& v) {
+    return c.Eq(c.Load(flags, v), 1u);
+  }
+};
+
+/// \brief One push-advance round from `cur` (`frontier_size` vertices) into
+/// `next`, launched the same way by every push driver: over every vertex
+/// whose flag is set (kernel `<name>_dense`) when `cur` is dense, else one
+/// warp (`<name>_warp`) or one thread (`<name>`) per queued vertex, as `lb`
+/// says.  `op` is the advance functor (LoadSource / Relax / OnEnqueue).
+template <typename EdgeOp>
+Status LaunchPushAdvance(vgpu::Device* device, const std::string& name,
+                         const CsrView& view, LoadBalance lb, Frontier& cur,
+                         uint32_t frontier_size, Frontier& next,
+                         uint32_t block_size, EdgeOp& op) {
+  if (cur.rep() == Frontier::Rep::kDense) {
+    FlagSetPred pred{cur.flags()};
+    return device
+        ->Launch(name + "_dense",
+                 rt::CoverThreads(view.n, block_size, StageSharedBytes()),
+                 [&](vgpu::Ctx& c) {
+                   return PushAdvanceDenseKernel(c, view, next.queue(),
+                                                 next.count(), pred, op);
+                 })
+        .status();
+  }
+  if (lb == LoadBalance::kWarpPerVertex) {
+    const uint64_t warp_threads =
+        static_cast<uint64_t>(frontier_size) * device->arch().warp_width;
+    return device
+        ->Launch(name + "_warp",
+                 rt::CoverThreads(warp_threads, block_size,
+                                  StageSharedBytes()),
+                 [&](vgpu::Ctx& c) {
+                   return PushAdvanceWarpKernel(c, view, cur.queue(),
+                                                frontier_size, next.queue(),
+                                                next.count(), op);
+                 })
+        .status();
+  }
+  return device
+      ->Launch(name,
+               rt::CoverThreads(frontier_size, block_size, StageSharedBytes()),
+               [&](vgpu::Ctx& c) {
+                 return PushAdvanceSparseKernel(c, view, cur.queue(),
+                                                frontier_size, next.queue(),
+                                                next.count(), op);
+               })
+      .status();
+}
 
 }  // namespace adgraph::engine
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <string>
 #include <variant>
 
@@ -77,6 +78,68 @@ Result<AlgoResult> RunThroughStream(vgpu::Device* device,
   return AlgoResult(std::move(r));
 }
 
+/// The one list of reasons a warm start recomputes in full; "" when
+/// engine::RunWarmStarted may run it.
+std::string WarmStartFallback(const AlgoSpec& spec, const graph::CsrGraph& g,
+                              const Params& params) {
+  const WarmStart& warm = *spec.warm_start;
+  if (warm.previous == nullptr) return "no previous result to warm-start from";
+  if (spec.placement.kind == Placement::Kind::kGang) {
+    return "gang placement, which recomputes in full";
+  }
+  if (spec.placement.kind == Placement::Kind::kStreamed) {
+    return "admitted to the streamed tier, which recomputes in full";
+  }
+  if (g.num_vertices() == 0) return "empty graph";
+  if (warm.previous->index() != params.index()) {
+    return "previous result is from a different algorithm";
+  }
+  if (!warm.updates.has_value()) {
+    return "update history unavailable for the previous version";
+  }
+  const auto& ups = *warm.updates;
+  const double m =
+      static_cast<double>(std::max<graph::eid_t>(1, g.num_edges()));
+  if (static_cast<double>(ups.size()) > warm.full_threshold * m) {
+    return "delta exceeds the full-recompute threshold";
+  }
+  const graph::vid_t n = g.num_vertices();
+  if (std::any_of(ups.begin(), ups.end(), [n](const graph::EdgeUpdate& up) {
+        return up.u >= n || up.v >= n;
+      })) {
+    return "delta names vertices outside the graph";
+  }
+  const bool deletion =
+      std::any_of(ups.begin(), ups.end(),
+                  [](const graph::EdgeUpdate& up) { return !up.insert; });
+  switch (spec.algo) {
+    case Algo::kBfs:
+      if (std::get<BfsOptions>(params).compute_parents) {
+        return "parents requested (no incremental maintenance)";
+      }
+      if (std::get<BfsResult>(*warm.previous).levels.size() != n) {
+        return "previous levels do not match the vertex count";
+      }
+      if (deletion) {
+        return "deletion in delta (BFS re-expansion is insert-only)";
+      }
+      return "";
+    case Algo::kConnectedComponents:
+      if (std::get<CcResult>(*warm.previous).labels.size() != n) {
+        return "previous labels do not match the vertex count";
+      }
+      if (deletion) return "deletion in delta (CC re-expansion is insert-only)";
+      return "";
+    case Algo::kPageRank:
+      if (std::get<PageRankResult>(*warm.previous).ranks.size() != n) {
+        return "previous ranks do not match the vertex count";
+      }
+      return "";
+    default:
+      return "no incremental path for this algorithm";
+  }
+}
+
 }  // namespace
 
 Result<AlgoResult> Run(vgpu::Device* device, const AlgoSpec& spec,
@@ -90,14 +153,24 @@ Result<AlgoResult> Run(vgpu::Device* device, const AlgoSpec& spec,
         " options");
   }
   ADGRAPH_RETURN_NOT_OK(CheckPlacement(spec.placement, params));
-  if (report != nullptr) *report = RunReport{};
+  RunReport local;
+  if (report == nullptr) report = &local;
+  *report = RunReport{};
+  if (spec.warm_start != nullptr) {
+    IncrementalInfo& info = report->incremental;
+    info.fallback_reason = WarmStartFallback(spec, g, params);
+    if (info.fallback_reason.empty()) {
+      info.incremental = true;
+      return engine::RunWarmStarted(device, spec.algo, g, params,
+                                    *spec.warm_start, residency, &info);
+    }
+  }
   switch (spec.placement.kind) {
     case Placement::Kind::kGang:
-      return RunInGang(device, spec.placement, g, params,
-                       report != nullptr ? &report->exchange : nullptr);
+      return RunInGang(device, spec.placement, g, params, &report->exchange);
     case Placement::Kind::kStreamed:
       return RunThroughStream(device, spec.placement, g, params,
-                              report != nullptr ? &report->staging : nullptr);
+                              &report->staging);
     case Placement::Kind::kDevice:
       break;
   }

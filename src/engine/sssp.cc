@@ -48,14 +48,6 @@ struct SsspPushOp {
   void OnEnqueue(Ctx&, const Lanes<vid_t>&, const Lanes<vid_t>&) {}
 };
 
-/// Dense-round eligibility: the vertex's frontier flag is set.
-struct FlagSetPred {
-  DevPtr<uint32_t> flags;
-  LaneMask operator()(Ctx& c, const Lanes<vid_t>& v) {
-    return c.Eq(c.Load(flags, v), 1u);
-  }
-};
-
 }  // namespace
 
 Result<core::SsspResult> RunSssp(vgpu::Device* device,
@@ -122,63 +114,16 @@ Result<core::SsspResult> RunSssp(vgpu::Device* device,
     (void)dir;  // always push; Choose validates policy and keeps stats
 
     SsspPushOp op{view.weights, dist.ptr(), next.flags(), {}};
-    if (cur.rep() == Frontier::Rep::kDense) {
-      FlagSetPred pred{cur.flags()};
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("sssp_relax_dense",
-                       rt::CoverThreads(n, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceDenseKernel(c, view, next.queue(),
-                                                       next.count(), pred, op);
-                       })
-              .status());
-    } else if (lb == LoadBalance::kWarpPerVertex) {
-      const uint64_t warp_threads =
-          static_cast<uint64_t>(frontier_size) * device->arch().warp_width;
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("sssp_relax_warp",
-                       rt::CoverThreads(warp_threads, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceWarpKernel(
-                             c, view, cur.queue(), frontier_size, next.queue(),
-                             next.count(), op);
-                       })
-              .status());
-    } else {
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("sssp_relax",
-                       rt::CoverThreads(frontier_size, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceSparseKernel(
-                             c, view, cur.queue(), frontier_size, next.queue(),
-                             next.count(), op);
-                       })
-              .status());
-    }
+    ADGRAPH_RETURN_NOT_OK(LaunchPushAdvance(device, "sssp_relax", view, lb,
+                                            cur, frontier_size, next,
+                                            options.block_size, op));
 
     result.rounds = round + 1;
     ADGRAPH_RETURN_NOT_OK(next.RefreshCount());
     const uint32_t produced = next.size();
     if (produced == 0) break;
 
-    // Density-based representation choice for the next round's launch
-    // shape (the advance maintains queue and flags together, so the
-    // "conversion" is a relabel, recorded like one).
-    next.set_rep(Frontier::Rep::kSparse);
-    const DirectionHeuristic& h = director.heuristic();
-    if (produced > h.min_pull_frontier &&
-        static_cast<double>(produced) > n / h.alpha) {
-      director.RecordConversion(Frontier::Rep::kSparse, Frontier::Rep::kDense);
-      next.set_rep(Frontier::Rep::kDense);
-    } else if (cur.rep() == Frontier::Rep::kDense) {
-      director.RecordConversion(Frontier::Rep::kDense, Frontier::Rep::kSparse);
-    }
+    director.ChooseRep(cur, &next, produced, n);
     frontier_size = produced;
     swap(cur, next);
   }

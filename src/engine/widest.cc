@@ -48,13 +48,6 @@ struct WidestPushOp {
   void OnEnqueue(Ctx&, const Lanes<vid_t>&, const Lanes<vid_t>&) {}
 };
 
-struct FlagSetPred {
-  DevPtr<uint32_t> flags;
-  LaneMask operator()(Ctx& c, const Lanes<vid_t>& v) {
-    return c.Eq(c.Load(flags, v), 1u);
-  }
-};
-
 }  // namespace
 
 Result<core::WidestPathResult> RunWidestPath(
@@ -116,60 +109,16 @@ Result<core::WidestPathResult> RunWidestPath(
     (void)dir;  // push-only; Choose validates policy and keeps stats
 
     WidestPushOp op{view.weights, width.ptr(), next.flags(), {}};
-    if (cur.rep() == Frontier::Rep::kDense) {
-      FlagSetPred pred{cur.flags()};
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("widest_relax_dense",
-                       rt::CoverThreads(n, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceDenseKernel(c, view, next.queue(),
-                                                       next.count(), pred, op);
-                       })
-              .status());
-    } else if (lb == LoadBalance::kWarpPerVertex) {
-      const uint64_t warp_threads =
-          static_cast<uint64_t>(frontier_size) * device->arch().warp_width;
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("widest_relax_warp",
-                       rt::CoverThreads(warp_threads, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceWarpKernel(
-                             c, view, cur.queue(), frontier_size, next.queue(),
-                             next.count(), op);
-                       })
-              .status());
-    } else {
-      ADGRAPH_RETURN_NOT_OK(
-          device
-              ->Launch("widest_relax",
-                       rt::CoverThreads(frontier_size, options.block_size,
-                                        StageSharedBytes()),
-                       [&](Ctx& c) {
-                         return PushAdvanceSparseKernel(
-                             c, view, cur.queue(), frontier_size, next.queue(),
-                             next.count(), op);
-                       })
-              .status());
-    }
+    ADGRAPH_RETURN_NOT_OK(LaunchPushAdvance(device, "widest_relax", view, lb,
+                                            cur, frontier_size, next,
+                                            options.block_size, op));
 
     result.rounds = round + 1;
     ADGRAPH_RETURN_NOT_OK(next.RefreshCount());
     const uint32_t produced = next.size();
     if (produced == 0) break;
 
-    next.set_rep(Frontier::Rep::kSparse);
-    const DirectionHeuristic& h = director.heuristic();
-    if (produced > h.min_pull_frontier &&
-        static_cast<double>(produced) > n / h.alpha) {
-      director.RecordConversion(Frontier::Rep::kSparse, Frontier::Rep::kDense);
-      next.set_rep(Frontier::Rep::kDense);
-    } else if (cur.rep() == Frontier::Rep::kDense) {
-      director.RecordConversion(Frontier::Rep::kDense, Frontier::Rep::kSparse);
-    }
+    director.ChooseRep(cur, &next, produced, n);
     frontier_size = produced;
     swap(cur, next);
   }

@@ -551,15 +551,32 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
   if (auto dyn_it = dynamic_.find(graph_name); dyn_it != dynamic_.end()) {
     dyn = dyn_it->second.get();
   }
-  uint64_t snapshot_version = 0;
+  const bool incremental = request.GetBool("incremental", false);
+  if (incremental && dyn == nullptr) {
+    return ErrorResponse("failed_precondition",
+                         "graph '" + graph_name +
+                             "' does not accept mutations, so there is "
+                             "nothing to recompute incrementally");
+  }
   if (dyn != nullptr) {
     // Mutable graph: run against the current published snapshot, whose
     // (family fingerprint, epoch) stamp keys the residency cache per
     // version — a job admitted after a MUTATE can never reuse a resident
-    // copy of an older epoch.
+    // copy of an older epoch.  A warm start (DESIGN.md §2.12) is captured
+    // with it, by value: the newest stored result of this algorithm and
+    // the updates from its version to the snapshot's.  The job then needs
+    // neither the delta nor this lock again.
     std::lock_guard<std::mutex> lock(dyn->mutex);
     spec.graph = dyn->snapshot;
-    snapshot_version = dyn->delta.version();
+    if (incremental) {
+      auto warm = std::make_shared<core::WarmStart>();
+      auto prev = dyn->previous.find(static_cast<size_t>(*algo));
+      if (prev != dyn->previous.end()) {
+        warm->previous = prev->second.payload;
+        warm->updates = dyn->delta.UpdatesSince(prev->second.version);
+      }
+      spec.warm_start = std::move(warm);
+    }
   }
   auto params = JobParamsFromJson(*algo, request.Find("params"),
                                   spec.graph->num_vertices());
@@ -579,31 +596,6 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
       CheckedInteger("shard_bytes", request.GetNumber("shard_bytes", 0));
   if (!shard_bytes.ok()) return ErrorResponse(shard_bytes.status());
   spec.ooc_shard_bytes = *shard_bytes;
-  // Incremental recompute (DESIGN.md §2.12): warm-start from the newest
-  // stored result of this algorithm on this mutable graph.
-  const bool incremental = request.GetBool("incremental", false);
-  bool cold_warm_start = false;
-  if (incremental) {
-    if (dyn == nullptr) {
-      return ErrorResponse("failed_precondition",
-                           "graph '" + graph_name +
-                               "' does not accept mutations, so there is "
-                               "nothing to recompute incrementally");
-    }
-    std::lock_guard<std::mutex> lock(dyn->mutex);
-    auto prev = dyn->previous.find(spec.params.index());
-    if (prev != dyn->previous.end()) {
-      spec.warm_start = prev->second.payload;
-      spec.previous_version = prev->second.version;
-      spec.delta = &dyn->delta;
-      spec.delta_mutex = &dyn->mutex;
-    } else {
-      // First run of this algorithm: full recompute, reported as a
-      // fallback in the POLL response (the scheduler never saw the ask).
-      cold_warm_start = true;
-    }
-  }
-  const size_t algo_index = spec.params.index();
   const uint64_t estimate = serve::EstimateJobDeviceBytes(spec);
 
   // Trace-context propagation (DESIGN.md §2.14).  The wire job id is
@@ -648,11 +640,7 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
   pending.future = std::move(*submitted);
   pending.charged = conn->quotas_enforced;
   pending.charged_bytes = estimate;
-  pending.dynamic_graph = dyn != nullptr ? graph_name : "";
-  pending.algo_index = algo_index;
-  pending.snapshot_version = snapshot_version;
-  pending.incremental_requested = incremental;
-  pending.cold_warm_start = cold_warm_start;
+  pending.dynamic = dyn;
   conn->jobs.emplace(job_id, std::move(pending));
   MetricsFor(conn->tenant)->accepted->Increment();
 
@@ -683,25 +671,17 @@ void Server::RefreshPendingJob(Connection* conn, uint64_t job_id,
   job->outcome = job->future.get();
   job->done = true;
   ReleaseCharge(conn->tenant, job);
-  if (job->outcome.status.ok() && !job->dynamic_graph.empty()) {
+  if (job->outcome.status.ok() && job->dynamic != nullptr) {
     // Seed the mutable graph's warm-start store: this payload becomes the
-    // `previous` of the next `"incremental": true` submit.  Warm-started
-    // jobs compute on the delta's snapshot at execution time, so their
-    // outcome carries the authoritative version; full runs correspond to
-    // the snapshot published at submit.
-    auto dyn_it = dynamic_.find(job->dynamic_graph);
-    if (dyn_it != dynamic_.end()) {
-      DynamicGraph* dyn = dyn_it->second.get();
-      const uint64_t version = job->outcome.incremental_requested
-                                   ? job->outcome.result_version
-                                   : job->snapshot_version;
-      std::lock_guard<std::mutex> lock(dyn->mutex);
-      auto& prev = dyn->previous[job->algo_index];
-      if (prev.payload == nullptr || version >= prev.version) {
-        prev.payload =
-            std::make_shared<const serve::JobPayload>(job->outcome.payload);
-        prev.version = version;
-      }
+    // `previous` of the next `"incremental": true` submit.  Every job
+    // answers for the snapshot it was submitted with.
+    const uint64_t version = job->outcome.result_version;
+    std::lock_guard<std::mutex> lock(job->dynamic->mutex);
+    auto& prev = job->dynamic->previous[job->outcome.payload.index()];
+    if (prev.payload == nullptr || version >= prev.version) {
+      prev.payload =
+          std::make_shared<const serve::JobPayload>(job->outcome.payload);
+      prev.version = version;
     }
   }
 }
@@ -753,13 +733,6 @@ Json Server::HandlePoll(Connection* conn, const Json& request) {
   }
   Json response = OutcomeToJson(job.outcome);
   response.Set("job", job_id);
-  if (job.incremental_requested && job.cold_warm_start) {
-    // The scheduler ran a plain full job (no previous result existed);
-    // report the fallback here so the ask is never silently absorbed.
-    response.Set("incremental", false);
-    response.Set("fallback_reason", "no previous result to warm-start from");
-    response.Set("version", job.snapshot_version);
-  }
   if (job.outcome.status.IsDeadlineExceeded()) {
     MetricsFor(conn->tenant)->shed_wire->Increment();
   }

@@ -104,6 +104,8 @@ class Server {
  private:
   struct Shard;
 
+  struct DynamicGraph;
+
   /// One job a session has in flight: the scheduler future plus the quota
   /// charge that must be released exactly once when the outcome lands.
   struct PendingJob {
@@ -113,16 +115,9 @@ class Server {
     bool cancelled = false;
     bool done = false;
     serve::JobOutcome outcome;
-    /// Non-empty when the job ran on a mutable graph: the name whose
-    /// warm-start store a successful outcome seeds (DESIGN.md §2.12).
-    std::string dynamic_graph;
-    size_t algo_index = 0;
-    /// Delta version of the snapshot the job was submitted against.
-    uint64_t snapshot_version = 0;
-    bool incremental_requested = false;
-    /// Incremental was asked for but no previous result existed; the
-    /// scheduler ran a plain full job, and POLL reports the fallback.
-    bool cold_warm_start = false;
+    /// Set when the job ran on a mutable graph: the graph whose warm-start
+    /// store a successful outcome seeds (DESIGN.md §2.12).
+    DynamicGraph* dynamic = nullptr;
   };
 
   struct Connection {

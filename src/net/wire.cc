@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -73,16 +74,22 @@ std::string FingerprintHex(uint64_t fingerprint) {
   return buf;
 }
 
-Result<serve::JobParams> BuildJobParams(
+namespace {
+
+/// BuildJobParams without the unknown-key check: inserts every key the
+/// algorithm reads into `read`, present or not.
+Result<serve::JobParams> ReadJobParams(
     serve::Algorithm algo, const std::map<std::string, std::string>& kv,
-    graph::vid_t num_vertices) {
+    graph::vid_t num_vertices, std::set<std::string>* read) {
   auto get_number = [&](const char* key, double dflt) -> Result<double> {
+    read->insert(key);
     auto it = kv.find(key);
     if (it == kv.end()) return dflt;
     return ParseNumericValue(key, it->second);
   };
   auto get_integer = [&](const char* key, uint64_t dflt,
                          uint64_t max) -> Result<uint64_t> {
+    read->insert(key);
     auto it = kv.find(key);
     if (it == kv.end()) return dflt;
     ADGRAPH_ASSIGN_OR_RETURN(double value, ParseNumericValue(key, it->second));
@@ -157,13 +164,31 @@ Result<serve::JobParams> BuildJobParams(
   return Status::InvalidArgument("unknown algorithm");
 }
 
+}  // namespace
+
+Result<serve::JobParams> BuildJobParams(
+    serve::Algorithm algo, const std::map<std::string, std::string>& kv,
+    graph::vid_t num_vertices) {
+  std::set<std::string> read;
+  ADGRAPH_ASSIGN_OR_RETURN(serve::JobParams params,
+                           ReadJobParams(algo, kv, num_vertices, &read));
+  // A key the algorithm does not read is an error: misspelled, it would
+  // otherwise run silently with its default.
+  for (const auto& [key, value] : kv) {
+    if (read.count(key) == 0) {
+      return Status::InvalidArgument("'" + key + "' is not a " +
+                                     std::string(serve::AlgorithmName(algo)) +
+                                     " param");
+    }
+  }
+  return params;
+}
+
 Result<serve::JobSpec> BuildJobSpec(
     serve::Algorithm algo, const std::map<std::string, std::string>& kv,
     std::shared_ptr<const graph::CsrGraph> graph) {
   serve::JobSpec spec;
-  ADGRAPH_ASSIGN_OR_RETURN(spec.params,
-                           BuildJobParams(algo, kv, graph->num_vertices()));
-  spec.graph = std::move(graph);
+  std::map<std::string, std::string> params;
   for (const auto& [key, value] : kv) {
     if (key == "arch") {
       spec.arch_preference = value;
@@ -183,12 +208,24 @@ Result<serve::JobSpec> BuildJobSpec(
                                CheckedInteger(key, number, kMaxU32));
       (key == "devices" ? spec.gang_devices : spec.priority) =
           static_cast<uint32_t>(checked);
+    } else if (key == "shard_bytes") {
+      ADGRAPH_ASSIGN_OR_RETURN(double number, ParseNumericValue(key, value));
+      ADGRAPH_ASSIGN_OR_RETURN(spec.ooc_shard_bytes,
+                               CheckedInteger(key, number));
+    } else if (key == "ooc") {
+      ADGRAPH_ASSIGN_OR_RETURN(double ooc, ParseNumericValue(key, value));
+      spec.allow_streamed = ooc != 0;
     } else if (key == "weight") {
       ADGRAPH_ASSIGN_OR_RETURN(spec.fair_weight, ParseNumericValue(key, value));
     } else if (key == "deadline_ms") {
       ADGRAPH_ASSIGN_OR_RETURN(spec.deadline_ms, ParseNumericValue(key, value));
+    } else {
+      params.emplace(key, value);
     }
   }
+  ADGRAPH_ASSIGN_OR_RETURN(spec.params,
+                           BuildJobParams(algo, params, graph->num_vertices()));
+  spec.graph = std::move(graph);
   return spec;
 }
 
@@ -210,6 +247,13 @@ Result<Json> BuildSubmitRequest(
     } else if (key == "deadline_ms") {
       ADGRAPH_ASSIGN_OR_RETURN(double deadline, ParseNumericValue(key, value));
       request.Set(key, deadline);
+    } else if (key == "shard_bytes") {
+      ADGRAPH_ASSIGN_OR_RETURN(double number, ParseNumericValue(key, value));
+      ADGRAPH_ASSIGN_OR_RETURN(uint64_t bytes, CheckedInteger(key, number));
+      request.Set(key, bytes);
+    } else if (key == "incremental" || key == "ooc") {
+      ADGRAPH_ASSIGN_OR_RETURN(double flag, ParseNumericValue(key, value));
+      request.Set(key, flag != 0);
     } else {
       params.Set(key, value);
     }

@@ -59,30 +59,33 @@ Result<uint64_t> CheckedInteger(
 
 /// Builds the per-algorithm params variant from string key/values (the
 /// `ALGO key=value...` job-file vocabulary: source, iters, k, orient,
-/// symmetric, fraction, seed).  Unknown keys are ignored for forward
-/// compatibility; malformed numeric values, and integer params that fail
-/// CheckedInteger, are kInvalidArgument — never an exception or a silent
-/// wrap, this parses untrusted socket input.
+/// symmetric, fraction, seed).  A key the algorithm does not read,
+/// malformed numeric values, and integer params that fail CheckedInteger
+/// are kInvalidArgument naming the key — never an exception, a silent wrap
+/// or a silent default; this parses untrusted socket input.
 Result<serve::JobParams> BuildJobParams(
     serve::Algorithm algo, const std::map<std::string, std::string>& kv,
     graph::vid_t num_vertices);
 
 /// Maps one `ALGO key=value...` job-file line to a JobSpec over `graph`:
-/// the params (BuildJobParams) plus the scheduling keys `arch`, `devices`
-/// (gang size), `interconnect` (preset name), `tag`, `tenant`, `priority`,
-/// `weight` and `deadline_ms`.  `devices` and `priority` go through
-/// CheckedInteger; every malformed value is kInvalidArgument.  Ranges the
-/// scheduler owns (a positive finite weight, a non-negative deadline) are
-/// left to ValidateJobSpec at Submit.
+/// the scheduling keys `arch`, `devices` (gang size), `interconnect`
+/// (preset name), `tag`, `tenant`, `priority`, `weight`, `deadline_ms`,
+/// `ooc` (allow_streamed) and `shard_bytes` (ooc_shard_bytes); every other
+/// key goes to BuildJobParams.  `devices`, `priority` and `shard_bytes` go
+/// through CheckedInteger; every malformed value is kInvalidArgument.
+/// Ranges the scheduler owns (a positive finite weight, a non-negative
+/// deadline) are left to ValidateJobSpec at Submit.
 Result<serve::JobSpec> BuildJobSpec(
     serve::Algorithm algo, const std::map<std::string, std::string>& kv,
     std::shared_ptr<const graph::CsrGraph> graph);
 
 /// Maps one `ALGO key=value...` job-file line to the SUBMIT request the
 /// `client` mode sends — BuildJobSpec's counterpart on the wire.  `graph`,
-/// `arch` and `tag` become request fields and `deadline_ms` a number
-/// (through ParseNumericValue); every other key is an algorithm param
-/// (BuildJobParams's vocabulary).  Keys SUBMIT cannot carry are
+/// `arch` and `tag` become request fields, `deadline_ms` and `shard_bytes`
+/// numbers (through ParseNumericValue, `shard_bytes` also CheckedInteger)
+/// and `incremental` and `ooc` booleans (nonzero = true); every other key
+/// is an algorithm param (BuildJobParams's vocabulary, checked by the
+/// server).  Keys SUBMIT cannot carry are
 /// kInvalidArgument naming the key: `devices` and `interconnect` (gangs do
 /// not run over the wire) and `tenant`, `priority` and `weight` (HELLO's
 /// tenant contract sets them).

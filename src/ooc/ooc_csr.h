@@ -84,7 +84,7 @@ class OocCsr {
   /// (a hub row can legally exceed the byte budget; see MakeByteBoundedPlan).
   uint64_t max_shard_rows() const { return max_shard_rows_; }
   uint64_t max_shard_edges() const { return max_shard_edges_; }
-  /// Device bytes of the larger staging slot.
+  /// Device bytes of one staging slot, as the allocator rounds them.
   uint64_t slot_bytes() const;
 
  private:
@@ -100,15 +100,16 @@ class OocCsr {
   uint64_t max_shard_edges_ = 0;
 };
 
-/// O(1) device-byte estimate of the streamed working set of `params` on an
-/// n-vertex graph: the O(n) iteration state plus two staging slots of at
-/// most `shard_bytes` each.  Admission charges this instead of whole-graph
-/// bytes for streamed jobs.  A single hub row larger than `shard_bytes`
-/// can push the true slot size past the estimate, in which case the run
-/// fails mid-stream with the scheduler's OOM-past-admission status.  Fails
-/// with core::CheckPlacement's status when the request does not stream.
+/// Device bytes the streamed run of `params` over `g` allocates: its O(n)
+/// iteration state plus two staging slots shaped like the largest shard of
+/// the plan the run builds (over `g` for BFS, over its pull transpose for
+/// PageRank; a hub row can make a slot larger than `shard_bytes`).
+/// Admission charges this instead of whole-graph bytes for streamed jobs;
+/// it costs O(n) for BFS and O(m) for PageRank.  Fails with
+/// core::CheckPlacement's status when the request does not stream.
 Result<uint64_t> EstimateStreamedBytes(const core::Params& params,
-                                       graph::vid_t n, uint64_t shard_bytes);
+                                       const graph::CsrGraph& g,
+                                       uint64_t shard_bytes);
 
 /// Default per-slot staging budget when the caller passes 0.
 inline constexpr uint64_t kDefaultShardBytes = 32ull << 20;

@@ -15,8 +15,8 @@ namespace {
 /// stream (EstimateStreamedBytes checks core::CheckPlacement).
 std::optional<uint64_t> StreamedEstimate(const JobSpec& spec) {
   if (!spec.allow_streamed || spec.gang_devices > 1) return std::nullopt;
-  auto estimate = ooc::EstimateStreamedBytes(
-      spec.params, spec.graph->num_vertices(), spec.ooc_shard_bytes);
+  auto estimate = ooc::EstimateStreamedBytes(spec.params, *spec.graph,
+                                             spec.ooc_shard_bytes);
   if (!estimate.ok()) return std::nullopt;
   return *estimate;
 }

@@ -19,9 +19,9 @@ namespace adgraph::serve {
 /// an uploaded DeviceCsr, so repeated jobs over the same graph skip the
 /// host-side variant build *and* the modeled PCIe upload.
 ///
-/// The epoch component exists for dynamic graphs (§2.12): DeltaGraph
-/// snapshots share one *family* fingerprint across mutations and carry the
-/// version in mutation_epoch(), so without the epoch in the key a resident
+/// The epoch component exists for dynamic graphs (§2.12): snapshots of a
+/// mutable graph share one *family* fingerprint across mutations and carry
+/// the version in mutation_epoch(), so without the epoch in the key a resident
 /// copy of version k would silently satisfy a job holding version k+1.
 /// Static graphs are epoch 0 forever and behave exactly as before.
 ///

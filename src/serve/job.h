@@ -3,14 +3,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <variant>
 
 #include "core/api.h"
 #include "graph/csr.h"
-#include "graph/delta.h"
 #include "prof/metrics.h"
 #include "trace/trace.h"
 #include "util/status.h"
@@ -89,21 +87,12 @@ struct JobSpec {
   /// Per staging slot byte budget of the streamed path (0 = ooc default).
   uint64_t ooc_shard_bytes = 0;
   // --- Incremental recompute (DESIGN.md §2.12) --------------------------
-  /// Warm start: when set (together with `delta`), the worker runs
-  /// core::RunIncremental from this previous result — computed when the
-  /// graph was at `previous_version` — instead of a cold full run.  The
-  /// path actually taken (incremental, or one of the documented fallbacks
-  /// to full recompute) is reported in JobOutcome::{incremental,
-  /// fallback_reason} and counted by adgraph_incremental_fallbacks_total.
-  std::shared_ptr<const JobPayload> warm_start = nullptr;
-  uint64_t previous_version = 0;
-  /// The mutable graph the delta path re-expands over; must outlive the
-  /// job.  Required (with `delta_mutex`) when warm_start is set.
-  graph::DeltaGraph* delta = nullptr;
-  /// Held around delta access — the front door's per-graph mutation mutex,
-  /// so warm-started jobs serialize against concurrent MUTATEs.  May be
-  /// null when the caller guarantees no concurrent mutation.
-  std::mutex* delta_mutex = nullptr;
+  /// Warm start: the previous result and the edge updates from its graph
+  /// to `graph`, captured by value when the job is built.  The worker hands
+  /// it to core::Run, which re-expands from it or recomputes in full; the
+  /// path taken is reported in JobOutcome::{incremental, fallback_reason}
+  /// and fallbacks are counted by adgraph_incremental_fallbacks_total.
+  std::shared_ptr<const core::WarmStart> warm_start = nullptr;
   // --- Trace context (DESIGN.md §2.14) ----------------------------------
   /// One id per submission, minted at the outermost layer (client/CLI, or
   /// the net server for requests that did not carry one).  Stamped on
@@ -187,9 +176,8 @@ struct JobOutcome {
   bool incremental = false;        ///< the delta path ran on the device
   /// Why full recompute ran instead ("" when the delta path ran).
   std::string fallback_reason;
-  /// Delta version the payload corresponds to (warm-started jobs compute
-  /// on the delta's snapshot at execution time, which may be newer than
-  /// the one published at submit).
+  /// Version of the graph the payload answers for: the mutation epoch of
+  /// `spec.graph`, the snapshot the job was submitted with.
   uint64_t result_version = 0;
 };
 

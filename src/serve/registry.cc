@@ -1,19 +1,14 @@
 #include "serve/registry.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace adgraph::serve {
 
 namespace {
 
-/// Device bytes one allocation of `bytes` occupies: the vgpu allocator
-/// rounds every request, zero-byte ones included, up to 256 bytes.
-uint64_t Alloc(uint64_t bytes) {
-  constexpr uint64_t kAlignment = 256;
-  return (std::max<uint64_t>(bytes, 1) + kAlignment - 1) / kAlignment *
-         kAlignment;
-}
+/// Device bytes one allocation of `bytes` occupies, as the vgpu allocator
+/// rounds it.
+constexpr auto Alloc = vgpu::AllocatedBytes;
 
 /// Device footprint of uploading a CSR graph as-is (DeviceCsr::Upload):
 /// 64-bit row offsets, 32-bit column indices, FP64 weights when present.
@@ -241,19 +236,10 @@ Status ValidateJobSpec(const JobSpec& spec) {
         "graph::AttachRandomWeights before submitting)");
   }
   ADGRAPH_RETURN_NOT_OK(core::CheckPlacement(spec.placement(), spec.params));
-  if (spec.warm_start != nullptr) {
-    if (spec.delta == nullptr) {
-      return Status::InvalidArgument(
-          "incremental warm start requires the mutable graph's delta");
-    }
-    if (spec.gang_devices > 1) {
-      return Status::InvalidArgument(
-          "incremental warm start does not compose with gang execution");
-    }
-    if (spec.warm_start->index() != spec.params.index()) {
-      return Status::InvalidArgument(
-          "warm-start payload is from a different algorithm than the job");
-    }
+  if (spec.warm_start != nullptr && spec.warm_start->previous != nullptr &&
+      spec.warm_start->previous->index() != spec.params.index()) {
+    return Status::InvalidArgument(
+        "warm-start payload is from a different algorithm than the job");
   }
   return Status::OK();
 }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "capi/adgraph.h"
-#include "core/incremental.h"
 #include "prof/metrics.h"
 #include "prof/session.h"
 #include "serve/admission.h"
@@ -728,44 +727,19 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
   uint64_t hits_before = cache != nullptr ? cache->stats().hits : 0;
   core::GraphResidency* residency =
       (cache != nullptr && cache->enabled()) ? cache : nullptr;
+  // The warm start is a value (DESIGN.md §2.12), so no graph lock is held
+  // whichever path core::Run takes, and a fallback is reported, not silent.
+  algo_spec.warm_start = spec.warm_start.get();
   core::RunReport report;
-  Result<JobPayload> payload = Status::Internal("job not dispatched");
+  Result<JobPayload> payload = core::Run(device, algo_spec, *spec.graph,
+                                         spec.params, residency, &report);
   outcome.incremental_requested = spec.warm_start != nullptr;
-  if (outcome.incremental_requested &&
-      placement.kind == core::Placement::Kind::kDevice) {
-    // Incremental recompute (DESIGN.md §2.12), serialized against MUTATEs
-    // through the front door's per-graph mutex.  Whichever path runs —
-    // delta re-expansion or one of the documented fallbacks to a full
-    // recompute — the payload is usable; the fallback is made visible
-    // instead of silent.
-    core::IncrementalInfo info;
-    std::unique_lock<std::mutex> delta_lock;
-    if (spec.delta_mutex != nullptr) {
-      delta_lock = std::unique_lock<std::mutex>(*spec.delta_mutex);
-    }
-    payload = core::RunIncremental(
-        device, algo_spec, *spec.delta, spec.params, *spec.warm_start,
-        spec.previous_version, core::IncrementalOptions{}, residency, &info);
-    outcome.result_version = spec.delta->version();
-    outcome.incremental = info.incremental;
-    outcome.fallback_reason = info.fallback_reason;
-  } else {
-    if (outcome.incremental_requested) {
-      // Only one device warm-starts (a gang with a warm start fails
-      // validation), so a warm start the streamed tier absorbed is a full
-      // recompute of the submitted snapshot.
-      outcome.result_version = spec.graph->mutation_epoch();
-      outcome.fallback_reason =
-          "admitted to the streamed tier, which recomputes in full";
-    }
-    payload = core::Run(device, algo_spec, *spec.graph, spec.params,
-                        residency, &report);
-  }
+  outcome.incremental = report.incremental.incremental;
+  outcome.fallback_reason = report.incremental.fallback_reason;
+  outcome.result_version = spec.graph->mutation_epoch();
   if (outcome.incremental_requested && !outcome.incremental) {
     worker->metrics.incremental_fallbacks->Increment();
-    if (!outcome.fallback_reason.empty()) {
-      job_span.Arg("fallback", outcome.fallback_reason);
-    }
+    job_span.Arg("fallback", outcome.fallback_reason);
   }
   // A gang's kernels run on its own devices, so its modeled time is the
   // payload's (per-round max compute plus exchange), not this device's.

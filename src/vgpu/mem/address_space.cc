@@ -5,25 +5,19 @@
 
 namespace adgraph::vgpu {
 
-namespace {
-constexpr uint64_t kAlignment = 256;
-
-uint64_t AlignUp(uint64_t n) { return (n + kAlignment - 1) & ~(kAlignment - 1); }
-}  // namespace
-
 AddressSpace::AddressSpace(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
 void AddressSpace::EnsureBacking(uint64_t end) {
   if (backing_.size() < end) {
     // Grow in 4 MiB steps to avoid repeated reallocation.
     uint64_t target = std::max<uint64_t>(end, backing_.size() + (4ull << 20));
-    target = std::min<uint64_t>(target, capacity_ + kAlignment);
+    target = std::min<uint64_t>(target, capacity_ + kAllocAlignment);
     backing_.resize(std::max(end, target));
   }
 }
 
 Result<uint64_t> AddressSpace::Allocate(uint64_t bytes) {
-  uint64_t size = AlignUp(std::max<uint64_t>(bytes, 1));
+  const uint64_t size = AllocatedBytes(bytes);
   if (used_ + size > capacity_) {
     return Status::OutOfMemory(
         "device allocation of " + std::to_string(bytes) + " bytes exceeds " +

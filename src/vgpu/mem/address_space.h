@@ -32,6 +32,17 @@ struct DevPtr {
   }
 };
 
+/// Granularity of every device allocation.
+inline constexpr uint64_t kAllocAlignment = 256;
+
+/// Device bytes an allocation of `bytes` occupies: the request rounded up
+/// to kAllocAlignment, zero-byte requests included.  Working-set estimates
+/// count each buffer through this so they bound the allocator's peak.
+constexpr uint64_t AllocatedBytes(uint64_t bytes) {
+  return ((bytes == 0 ? 1 : bytes) + kAllocAlignment - 1) &
+         ~(kAllocAlignment - 1);
+}
+
 /// \brief Simulated device global memory: backing store plus a first-fit
 /// free-list allocator with capacity accounting.
 ///

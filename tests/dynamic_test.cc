@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/api.h"
-#include "core/incremental.h"
 #include "core/residency.h"
 #include "graph/builder.h"
 #include "graph/csr.h"
@@ -456,6 +455,28 @@ struct IncrementalFixture {
   }
 };
 
+/// core::Run on the delta's current snapshot, warm-started from `previous`
+/// (computed at `previous_version`) plus the updates since; `info`
+/// receives what the warm start did.
+Result<core::AlgoResult> RunWarm(vgpu::Device* device, core::Algo algo,
+                                 DeltaGraph& delta, const core::Params& params,
+                                 const core::AlgoResult& previous,
+                                 uint64_t previous_version,
+                                 core::IncrementalInfo* info,
+                                 double full_threshold = 0.01,
+                                 core::GraphResidency* residency = nullptr) {
+  core::WarmStart warm;
+  warm.previous = std::make_shared<const core::AlgoResult>(previous);
+  warm.updates = delta.UpdatesSince(previous_version);
+  warm.full_threshold = full_threshold;
+  ADGRAPH_ASSIGN_OR_RETURN(auto snapshot, delta.Snapshot());
+  core::RunReport report;
+  auto result = core::Run(device, {algo, {}, &warm}, *snapshot, params,
+                          residency, &report);
+  *info = report.incremental;
+  return result;
+}
+
 TEST(IncrementalTest, BfsLevelsMatchFullRecomputeBitwise) {
   core::BfsOptions options;
   options.source = 1;
@@ -463,9 +484,8 @@ TEST(IncrementalTest, BfsLevelsMatchFullRecomputeBitwise) {
   fx.InsertNovelEdges(24, 77);
 
   core::IncrementalInfo info;
-  auto inc = core::RunIncremental(&fx.device, {core::Algo::kBfs}, fx.delta,
-                                  options, fx.previous, fx.previous_version,
-                                  {}, nullptr, &info)
+  auto inc = RunWarm(&fx.device, core::Algo::kBfs, fx.delta, options,
+                     fx.previous, fx.previous_version, &info)
                  .value();
   EXPECT_TRUE(info.incremental) << info.fallback_reason;
   EXPECT_GT(info.seed_vertices, 0u);
@@ -486,10 +506,8 @@ TEST(IncrementalTest, CcLabelsMatchFullRecomputeBitwise) {
   fx.InsertNovelEdges(24, 78);
 
   core::IncrementalInfo info;
-  auto inc = core::RunIncremental(&fx.device,
-                                  {core::Algo::kConnectedComponents},
-                                  fx.delta, options, fx.previous,
-                                  fx.previous_version, {}, nullptr, &info)
+  auto inc = RunWarm(&fx.device, core::Algo::kConnectedComponents, fx.delta,
+                     options, fx.previous, fx.previous_version, &info)
                  .value();
   EXPECT_TRUE(info.incremental) << info.fallback_reason;
 
@@ -502,6 +520,62 @@ TEST(IncrementalTest, CcLabelsMatchFullRecomputeBitwise) {
   EXPECT_EQ(inc_cc.num_components, full_cc.num_components);
 }
 
+TEST(IncrementalTest, CcBridgeMergingLargeComponentsRunsDenseRounds) {
+  // Two disjoint random graphs of 512 vertices each: one bridging insert
+  // relabels the whole second giant component, so the warm start's
+  // frontier passes n/16 and the engine CC driver switches to dense rounds.
+  constexpr vid_t kHalf = 512;
+  graph::CooGraph coo;
+  coo.num_vertices = 2 * kHalf;
+  for (vid_t half = 0; half < 2; ++half) {
+    auto part =
+        graph::GenerateErdosRenyi(kHalf, 8 * kHalf, 91 + half).value();
+    for (graph::eid_t e = 0; e < part.num_edges(); ++e) {
+      coo.AddEdge(part.src[e] + half * kHalf, part.dst[e] + half * kHalf);
+    }
+  }
+  DeltaGraph delta =
+      DeltaGraph::Create(
+          CsrGraph::FromCoo(coo, graph::GraphBuilder::DefaultBuildOptions())
+              .value())
+          .value();
+  vgpu::Device device(vgpu::A100Config());
+  const core::CcOptions options;
+  const auto previous = core::Run<core::Algo::kConnectedComponents>(
+                            &device, *delta.Snapshot().value(), options)
+                            .value();
+  const uint64_t previous_version = delta.version();
+  // Bridge the two largest components through their smallest members.
+  std::map<vid_t, uint64_t> sizes;
+  for (vid_t label : previous.labels) sizes[label] += 1;
+  std::vector<std::pair<uint64_t, vid_t>> by_size;
+  for (const auto& [label, size] : sizes) by_size.push_back({size, label});
+  std::sort(by_size.rbegin(), by_size.rend());
+  ASSERT_GE(by_size.size(), 2u);
+  ASSERT_GT(by_size[1].first, kHalf / 2) << "both halves must be giant";
+  ASSERT_TRUE(delta.AddEdge(by_size[0].second, by_size[1].second).value());
+
+  vgpu::Device warm_device(vgpu::A100Config());
+  core::IncrementalInfo info;
+  auto inc = RunWarm(&warm_device, core::Algo::kConnectedComponents, delta,
+                     options, previous, previous_version, &info)
+                 .value();
+  EXPECT_TRUE(info.incremental) << info.fallback_reason;
+  EXPECT_EQ(info.seed_vertices, 2u);
+  const auto& log = warm_device.kernel_log();
+  EXPECT_TRUE(std::any_of(log.begin(), log.end(), [](const auto& k) {
+    return k.kernel_name == "cc_propagate_dense";
+  })) << "the merge's frontier must take the engine's dense rounds";
+
+  auto full = core::Run<core::Algo::kConnectedComponents>(
+                  &device, *delta.Snapshot().value(), options)
+                  .value();
+  const auto& inc_cc = std::get<core::CcResult>(inc);
+  EXPECT_EQ(inc_cc.labels, full.labels);
+  EXPECT_EQ(inc_cc.num_components, full.num_components);
+  EXPECT_EQ(inc_cc.num_components + 1, previous.num_components);
+}
+
 TEST(IncrementalTest, PageRankWarmStartAgreesWithinTolerance) {
   core::PageRankOptions options;
   options.max_iterations = 200;
@@ -512,9 +586,8 @@ TEST(IncrementalTest, PageRankWarmStartAgreesWithinTolerance) {
       << "PageRank's delta path must also take deletions";
 
   core::IncrementalInfo info;
-  auto inc = core::RunIncremental(&fx.device, {core::Algo::kPageRank},
-                                  fx.delta, options, fx.previous,
-                                  fx.previous_version, {}, nullptr, &info)
+  auto inc = RunWarm(&fx.device, core::Algo::kPageRank, fx.delta, options,
+                     fx.previous, fx.previous_version, &info)
                  .value();
   EXPECT_TRUE(info.incremental) << info.fallback_reason;
 
@@ -537,38 +610,37 @@ TEST(IncrementalTest, FallbackReasonsAreReported) {
   IncrementalFixture fx(core::Algo::kBfs, options);
   fx.InsertNovelEdges(4, 80);
 
-  // force_full.
-  {
-    core::IncrementalInfo info;
-    core::IncrementalOptions inc_options;
-    inc_options.force_full = true;
-    auto r = core::RunIncremental(&fx.device, {core::Algo::kBfs}, fx.delta,
-                                  options, fx.previous, fx.previous_version,
-                                  inc_options, nullptr, &info);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_FALSE(info.incremental);
-    EXPECT_EQ(info.fallback_reason, "forced full recompute");
-  }
   // Delta over the threshold.
   {
     core::IncrementalInfo info;
-    core::IncrementalOptions inc_options;
-    inc_options.full_threshold = 0.0;
-    auto r = core::RunIncremental(&fx.device, {core::Algo::kBfs}, fx.delta,
-                                  options, fx.previous, fx.previous_version,
-                                  inc_options, nullptr, &info);
+    auto r = RunWarm(&fx.device, core::Algo::kBfs, fx.delta, options,
+                     fx.previous, fx.previous_version, &info,
+                     /*full_threshold=*/0.0);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(info.incremental);
     EXPECT_EQ(info.fallback_reason,
               "delta exceeds the full-recompute threshold");
   }
+  // An update naming a vertex the graph does not have.
+  {
+    core::WarmStart warm;
+    warm.previous = std::make_shared<const core::AlgoResult>(fx.previous);
+    warm.updates = std::vector<EdgeUpdate>{{0, fx.delta.num_vertices()}};
+    core::RunReport report;
+    auto r = core::Run(&fx.device, {core::Algo::kBfs, {}, &warm},
+                       *fx.delta.Snapshot().value(), options, nullptr,
+                       &report);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(report.incremental.incremental);
+    EXPECT_EQ(report.incremental.fallback_reason,
+              "delta names vertices outside the graph");
+  }
   // Trimmed history.
   {
     fx.delta.TrimHistory(0);
     core::IncrementalInfo info;
-    auto r = core::RunIncremental(&fx.device, {core::Algo::kBfs}, fx.delta,
-                                  options, fx.previous, fx.previous_version,
-                                  {}, nullptr, &info);
+    auto r = RunWarm(&fx.device, core::Algo::kBfs, fx.delta, options,
+                     fx.previous, fx.previous_version, &info);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(info.incremental);
     EXPECT_EQ(info.fallback_reason,
@@ -589,9 +661,8 @@ TEST(IncrementalTest, BfsDeletionFallsBackAndStillMatchesFull) {
   ASSERT_TRUE(fx.delta.RemoveEdge(u, snap->neighbors(u)[0]).value());
 
   core::IncrementalInfo info;
-  auto r = core::RunIncremental(&fx.device, {core::Algo::kBfs}, fx.delta,
-                                options, fx.previous, fx.previous_version,
-                                {}, nullptr, &info)
+  auto r = RunWarm(&fx.device, core::Algo::kBfs, fx.delta, options,
+                   fx.previous, fx.previous_version, &info)
                .value();
   EXPECT_FALSE(info.incremental);
   EXPECT_EQ(info.fallback_reason,
@@ -611,9 +682,8 @@ TEST(IncrementalTest, MismatchedPreviousResultFallsBack) {
   // Previous result from a different algorithm.
   core::IncrementalInfo info;
   core::AlgoResult wrong = core::CcResult{};
-  auto r = core::RunIncremental(&fx.device, {core::Algo::kBfs}, fx.delta,
-                                options, wrong, fx.previous_version, {},
-                                nullptr, &info);
+  auto r = RunWarm(&fx.device, core::Algo::kBfs, fx.delta, options, wrong,
+                   fx.previous_version, &info);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(info.incremental);
   EXPECT_EQ(info.fallback_reason,
@@ -623,10 +693,8 @@ TEST(IncrementalTest, MismatchedPreviousResultFallsBack) {
   core::BfsOptions with_parents = options;
   with_parents.compute_parents = true;
   core::IncrementalInfo parents_info;
-  auto pr = core::RunIncremental(&fx.device, {core::Algo::kBfs}, fx.delta,
-                                 with_parents, fx.previous,
-                                 fx.previous_version, {}, nullptr,
-                                 &parents_info);
+  auto pr = RunWarm(&fx.device, core::Algo::kBfs, fx.delta, with_parents,
+                    fx.previous, fx.previous_version, &parents_info);
   ASSERT_TRUE(pr.ok());
   EXPECT_FALSE(parents_info.incremental);
   EXPECT_EQ(parents_info.fallback_reason,
@@ -648,9 +716,9 @@ TEST(IncrementalTest, SnapshotFeedsVersionedResidency) {
 
   fx.InsertNovelEdges(8, 83);
   core::IncrementalInfo info;
-  auto r1 = core::RunIncremental(&fx.device, {core::Algo::kBfs}, fx.delta,
-                                 options, fx.previous, fx.previous_version,
-                                 {}, &cache, &info);
+  auto r1 = RunWarm(&fx.device, core::Algo::kBfs, fx.delta, options,
+                    fx.previous, fx.previous_version, &info,
+                    /*full_threshold=*/0.01, &cache);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_TRUE(info.incremental) << info.fallback_reason;
   EXPECT_GT(cache.stats().misses, misses_before)

@@ -12,7 +12,6 @@
 
 #include "core/api.h"
 #include "core/host_ref.h"
-#include "core/incremental.h"
 #include "engine/algorithms.h"
 #include "graph/datasets.h"
 #include "graph/delta.h"
@@ -144,7 +143,7 @@ struct Frozen {
 
 // The BFS and PageRank rows are the digests of the runs Tables 5/6 were
 // built from; the other rows freeze the served path (core::Run, and
-// core::RunIncremental for the warm start).  Any change to a row is a
+// core::Run with a WarmStart for the warm start).  Any change to a row is a
 // change to modeled output and must be named as one.  A mismatch prints
 // the actual row in this format.
 constexpr Frozen kFrozen[] = {
@@ -465,13 +464,16 @@ TEST_F(GoldenTest, WarmStartedPageRankMatchesFrozenDigests) {
       }
 
       Device dev(*arch);
-      core::IncrementalOptions inc;
-      inc.full_threshold = 1.0;
-      core::IncrementalInfo info;
-      auto warm = core::RunIncremental(&dev, {core::Algo::kPageRank}, delta,
-                                       options, core::AlgoResult(cold),
-                                       cold_version, inc, nullptr, &info);
+      core::WarmStart start;
+      start.previous = std::make_shared<const core::AlgoResult>(cold);
+      start.updates = delta.UpdatesSince(cold_version);
+      start.full_threshold = 1.0;
+      core::RunReport report;
+      auto warm = core::Run(&dev, {core::Algo::kPageRank, {}, &start},
+                            *delta.Snapshot().value(), options, nullptr,
+                            &report);
       ASSERT_TRUE(warm.ok()) << gg.name << ": " << warm.status().ToString();
+      const core::IncrementalInfo& info = report.incremental;
       ASSERT_TRUE(info.incremental) << gg.name << ": " << info.fallback_reason;
       const auto& r = std::get<core::PageRankResult>(*warm);
       ExpectFrozen(gg.name, dev, "pagerank-warm", ResultDigest(r),

@@ -290,6 +290,79 @@ TEST(WireTest, BuildJobParamsRejectsOutOfRangeIntegers) {
   EXPECT_EQ(std::get<core::PageRankOptions>(*iters).max_iterations, 3u);
 }
 
+TEST(WireTest, BuildJobParamsRejectsKeysTheAlgorithmDoesNotRead) {
+  // Each of these used to run with the default: serve-batch finished
+  // `bfs sourc=3` and `pagerank iter=2` ok, from vertex 0 and for 50
+  // iterations.
+  for (const auto& [algo, key] :
+       std::vector<std::pair<serve::Algorithm, std::string>>{
+           {serve::Algorithm::kBfs, "sourc"},
+           {serve::Algorithm::kPageRank, "iter"},
+           {serve::Algorithm::kPageRank, "source"},
+           {serve::Algorithm::kConnectedComponents, "source"},
+           {serve::Algorithm::kTriangleCount, "k"}}) {
+    auto params = BuildJobParams(algo, {{key, "2"}}, 100);
+    ASSERT_FALSE(params.ok()) << key;
+    EXPECT_TRUE(params.status().IsInvalidArgument());
+    EXPECT_NE(params.status().message().find("'" + key + "'"),
+              std::string::npos)
+        << params.status().ToString();
+  }
+  EXPECT_TRUE(BuildJobParams(serve::Algorithm::kBfs,
+                             {{"source", "3"}, {"symmetric", "1"}}, 100)
+                  .ok());
+  EXPECT_TRUE(
+      BuildJobParams(serve::Algorithm::kConnectedComponents, {}, 100).ok());
+}
+
+TEST(WireTest, BuildJobSpecMapsTheStreamingKeysAndChecksTheParams) {
+  auto g = TestGraph();
+  auto spec = BuildJobSpec(
+      serve::Algorithm::kPageRank,
+      {{"iters", "4"}, {"ooc", "1"}, {"shard_bytes", "4096"}}, g);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_TRUE(spec->allow_streamed);
+  EXPECT_EQ(spec->ooc_shard_bytes, 4096u);
+  EXPECT_EQ(std::get<core::PageRankOptions>(spec->params).max_iterations, 4u);
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"shard_bytes", "-1"},
+           {"shard_bytes", "4k"},
+           {"ooc", "yes"},
+           {"iter", "4"},
+           {"incremental", "1"}}) {
+    auto bad = BuildJobSpec(serve::Algorithm::kPageRank, {{key, value}}, g);
+    ASSERT_FALSE(bad.ok()) << key << "=" << value;
+    EXPECT_NE(bad.status().message().find(key), std::string::npos)
+        << bad.status().ToString();
+  }
+}
+
+TEST(WireTest, BuildSubmitRequestMapsIncrementalOocAndShardBytes) {
+  // The client filed these under params, where SUBMIT never looks.
+  auto request = BuildSubmitRequest(
+      serve::Algorithm::kPageRank,
+      {{"iters", "4"}, {"incremental", "1"}, {"ooc", "1"},
+       {"shard_bytes", "4096"}});
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_TRUE(request->GetBool("incremental", false)) << request->Dump();
+  EXPECT_TRUE(request->GetBool("ooc", false)) << request->Dump();
+  EXPECT_EQ(request->GetNumber("shard_bytes", 0), 4096);
+  const Json* params = request->Find("params");
+  ASSERT_NE(params, nullptr);
+  EXPECT_EQ(params->size(), 1u) << params->Dump();
+  EXPECT_FALSE(BuildSubmitRequest(serve::Algorithm::kPageRank,
+                                  {{"incremental", "0"}})
+                   ->GetBool("incremental", true));
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"shard_bytes", "-4"}, {"shard_bytes", "big"}, {"ooc", "on"}}) {
+    auto bad = BuildSubmitRequest(serve::Algorithm::kBfs, {{key, value}});
+    ASSERT_FALSE(bad.ok()) << key << "=" << value;
+    EXPECT_NE(bad.status().message().find(key), std::string::npos);
+  }
+}
+
 TEST(WireTest, BuildJobSpecMapsEveryJobFileKey) {
   auto g = TestGraph();
   auto spec = BuildJobSpec(
@@ -920,6 +993,9 @@ TEST(ServerTest, OutOfRangeIntegersAreInvalidArgumentSessionSurvives) {
       R"({"op":"SUBMIT","algo":"bfs","params":{"source":2.9}})",
       R"({"op":"SUBMIT","algo":"pagerank","params":{"iters":-3}})",
       R"({"op":"SUBMIT","algo":"pagerank","params":{"iters":1e12}})",
+      // A param the algorithm does not read used to run with the default.
+      R"({"op":"SUBMIT","algo":"bfs","params":{"sourc":3}})",
+      R"({"op":"SUBMIT","algo":"pagerank","params":{"iter":2}})",
       R"({"op":"SUBMIT","algo":"bfs","shard_bytes":-1})",
       R"({"op":"SUBMIT","algo":"bfs","shard_bytes":1.5})",
       R"({"op":"POLL","job":-1})",
@@ -955,7 +1031,7 @@ TEST(ServerTest, MutateThenSubmitSeesFreshGraph) {
 
   // Baseline result fingerprint on the pristine graph.
   auto request = Json::Parse(
-      R"({"op":"SUBMIT","algo":"pagerank","params":{"max_iterations":30}})")
+      R"({"op":"SUBMIT","algo":"pagerank","params":{"iters":30}})")
       .value();
   auto first = client.Call(request).value();
   ASSERT_TRUE(first.GetBool("ok", false)) << first.Dump();
@@ -1080,8 +1156,7 @@ TEST(ServerTest, OocSubmitStreamsOnWireAndMatchesInMemory) {
   probe.params = pr;
   const uint64_t full = serve::EstimateJobDeviceBytes(probe);
   const uint64_t streamed =
-      ooc::EstimateStreamedBytes(probe.params, g->num_vertices(), 4096)
-          .value();
+      ooc::EstimateStreamedBytes(probe.params, *g, 4096).value();
   const uint64_t budget =
       std::max<uint64_t>(full * 3 / 5, streamed + streamed / 4);
 
@@ -1134,6 +1209,8 @@ TEST(ServerTest, OocSubmitStreamsOnWireAndMatchesInMemory) {
   EXPECT_EQ(done.GetString("fingerprint", ""),
             FingerprintHex(serve::FingerprintPayload(payload)));
 }
+
+double ScrapeSum(const obs::Registry& registry, const std::string& name);
 
 TEST(ServerTest, IncrementalSubmitReportsPathOnWire) {
   auto live = StartServer(TestGraph());
@@ -1200,6 +1277,10 @@ TEST(ServerTest, IncrementalSubmitReportsPathOnWire) {
   EXPECT_NE(fell_done.GetString("fallback_reason", "").find("deletion"),
             std::string::npos)
       << fell_done.Dump();
+  // The cold ask and the deletion both count as fallbacks.
+  EXPECT_EQ(ScrapeSum(live.scheduler->metrics_registry(),
+                      "adgraph_incremental_fallbacks_total"),
+            2.0);
 }
 
 TEST(ServerTest, IncrementalOnStaticGraphIsFailedPrecondition) {

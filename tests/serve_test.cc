@@ -10,6 +10,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <random>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/api.h"
 #include "core/host_ref.h"
 #include "core/residency.h"
+#include "graph/builder.h"
 #include "graph/csr.h"
 #include "graph/datasets.h"
 #include "graph/delta.h"
@@ -996,7 +998,7 @@ StreamedFixture OverBudgetPageRank(std::shared_ptr<const CsrGraph> g) {
   f.spec.ooc_shard_bytes = 4 << 10;
   f.full_bytes = EstimateJobDeviceBytes(f.spec);
   const uint64_t streamed =
-      ooc::EstimateStreamedBytes(f.spec.params, f.spec.graph->num_vertices(),
+      ooc::EstimateStreamedBytes(f.spec.params, *f.spec.graph,
                                  f.spec.ooc_shard_bytes)
           .value();
   f.budget = std::max<uint64_t>(f.full_bytes * 3 / 5,
@@ -1175,10 +1177,20 @@ TEST(SchedulerTest, StreamedJobsRaceCachedJobsUnderMemoryPressure) {
 
 // ------------------------------------------- incremental serving (§2.12)
 
+/// What the front door captures at SUBMIT: the previous result, computed at
+/// `version`, and the delta's updates since.
+std::shared_ptr<const core::WarmStart> WarmFrom(
+    const graph::DeltaGraph& delta, std::shared_ptr<const JobPayload> previous,
+    uint64_t version) {
+  auto warm = std::make_shared<core::WarmStart>();
+  warm->previous = std::move(previous);
+  warm->updates = delta.UpdatesSince(version);
+  return warm;
+}
+
 TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
   auto g = TestGraph(8, 41);
   auto delta = graph::DeltaGraph::Create(*g).value();
-  std::mutex delta_mutex;
   core::BfsOptions bfs;
   bfs.source = 0;
 
@@ -1187,7 +1199,7 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
   auto scheduler = Scheduler::Create(std::move(options)).value();
 
   // Full run on the v0 snapshot seeds the warm-start payload.
-  auto snap0 = std::make_shared<const CsrGraph>(delta.Materialize().value());
+  auto snap0 = delta.Snapshot().value();
   JobOutcome base =
       scheduler->Submit({.graph = snap0, .params = bfs}).value().get();
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
@@ -1211,12 +1223,9 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
   }
   ASSERT_TRUE(inserted);
 
-  auto snap1 = std::make_shared<const CsrGraph>(delta.Materialize().value());
+  auto snap1 = delta.Snapshot().value();
   JobSpec warm{.graph = snap1, .params = bfs};
-  warm.warm_start = previous;
-  warm.previous_version = v0;
-  warm.delta = &delta;
-  warm.delta_mutex = &delta_mutex;
+  warm.warm_start = WarmFrom(delta, previous, v0);
   JobOutcome incremental = scheduler->Submit(warm).value().get();
   ASSERT_TRUE(incremental.status.ok()) << incremental.status.ToString();
   EXPECT_TRUE(incremental.incremental_requested);
@@ -1241,12 +1250,9 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
   ASSERT_TRUE(delta.RemoveEdge(0, live[0]).value());
   auto previous2 = std::make_shared<const JobPayload>(incremental.payload);
   const uint64_t v1 = incremental.result_version;
-  auto snap2 = std::make_shared<const CsrGraph>(delta.Materialize().value());
+  auto snap2 = delta.Snapshot().value();
   JobSpec fell{.graph = snap2, .params = bfs};
-  fell.warm_start = previous2;
-  fell.previous_version = v1;
-  fell.delta = &delta;
-  fell.delta_mutex = &delta_mutex;
+  fell.warm_start = WarmFrom(delta, previous2, v1);
   JobOutcome fallback = scheduler->Submit(fell).value().get();
   ASSERT_TRUE(fallback.status.ok()) << fallback.status.ToString();
   EXPECT_TRUE(fallback.incremental_requested);
@@ -1264,37 +1270,202 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
 
 TEST(SchedulerTest, WarmStartValidationRejectsIllFormedSpecs) {
   auto g = TestGraph(7, 42);
-  auto delta = graph::DeltaGraph::Create(*g).value();
-  std::mutex delta_mutex;
-  auto previous = std::make_shared<const JobPayload>(core::BfsResult{});
+  auto warm = std::make_shared<core::WarmStart>();
+  warm->previous = std::make_shared<const JobPayload>(core::BfsResult{});
+  warm->updates.emplace();
 
   Scheduler::Options options;
-  options.devices = {{.arch = &vgpu::A100Config(), .options = {}}};
+  options.devices = {{.arch = &vgpu::A100Config(), .options = {}},
+                     {.arch = &vgpu::A100Config(), .options = {}}};
   auto scheduler = Scheduler::Create(std::move(options)).value();
-
-  // warm_start without a delta has nothing to recompute against.
-  JobSpec no_delta = BfsJob(g, 0);
-  no_delta.warm_start = previous;
-  EXPECT_TRUE(
-      scheduler->Submit(no_delta).status().IsInvalidArgument());
 
   // The payload must come from the same algorithm as the job.
   JobSpec wrong_algo{.graph = g, .params = core::PageRankOptions{}};
-  wrong_algo.warm_start = previous;
-  wrong_algo.delta = &delta;
-  wrong_algo.delta_mutex = &delta_mutex;
+  wrong_algo.warm_start = warm;
   EXPECT_TRUE(
       scheduler->Submit(wrong_algo).status().IsInvalidArgument());
 
-  // Warm starts do not compose with gang execution.
+  // A warm start in a gang runs the gang in full and says so.
   core::BfsOptions bfs;
   bfs.direction_optimizing = false;
   JobSpec gang{.graph = g, .params = bfs};
-  gang.warm_start = previous;
-  gang.delta = &delta;
-  gang.delta_mutex = &delta_mutex;
+  gang.warm_start = warm;
   gang.gang_devices = 2;
-  EXPECT_TRUE(scheduler->Submit(gang).status().IsInvalidArgument());
+  JobOutcome ran = scheduler->Submit(gang).value().get();
+  ASSERT_TRUE(ran.status.ok()) << ran.status.ToString();
+  EXPECT_EQ(ran.gang_devices, 2u);
+  EXPECT_TRUE(ran.incremental_requested);
+  EXPECT_FALSE(ran.incremental);
+  EXPECT_NE(ran.fallback_reason.find("gang"), std::string::npos)
+      << ran.fallback_reason;
+  vgpu::Device direct(vgpu::A100Config());
+  EXPECT_EQ(std::get<core::BfsResult>(ran.payload).levels,
+            core::Run<core::Algo::kBfs>(&direct, *g, bfs).value().levels);
+  EXPECT_EQ(SeriesTotal(scheduler->metrics_registry(),
+                        "adgraph_incremental_fallbacks_total"),
+            1.0);
+}
+
+// Regression: a warm-started job used to run on whatever snapshot the
+// mutable graph had when a worker picked it up, not on the one it was
+// admitted (and pinned, and estimated) for.
+TEST(SchedulerTest, WarmStartAnswersForTheSnapshotItWasSubmittedWith) {
+  auto coo = graph::GenerateRmat({.scale = 10, .edge_factor = 8, .seed = 5})
+                 .value();
+  auto delta =
+      graph::DeltaGraph::Create(
+          CsrGraph::FromCoo(coo, graph::GraphBuilder::DefaultBuildOptions())
+              .value())
+          .value();
+  core::BfsOptions bfs;
+  bfs.source = 0;
+  vgpu::Device direct(vgpu::A100Config());
+  auto previous = std::make_shared<const JobPayload>(
+      core::Run<core::Algo::kBfs>(&direct, *delta.Snapshot().value(), bfs)
+          .value());
+  const uint64_t v0 = delta.version();
+  // One insert makes epoch k, the job's snapshot ...
+  graph::vid_t far = 1;
+  while (!delta.AddEdge(far, 0).value()) ++far;
+  auto snapshot = delta.Snapshot().value();
+  const uint64_t k = snapshot->mutation_epoch();
+  ASSERT_GT(k, 0u);
+  JobSpec spec{.graph = snapshot, .params = bfs};
+  spec.warm_start = WarmFrom(delta, previous, v0);
+  // ... and one more lands before the job runs: an edge from the source
+  // to a vertex its levels put further away, so epoch k + 1's levels
+  // differ from epoch k's.
+  const std::vector<uint32_t> levels_k =
+      core::Run<core::Algo::kBfs>(&direct, *snapshot, bfs).value().levels;
+  graph::vid_t target = 1;
+  while (target < snapshot->num_vertices() &&
+         (levels_k[target] <= 1 || !delta.AddEdge(0, target).value())) {
+    ++target;
+  }
+  ASSERT_LT(target, snapshot->num_vertices());
+  ASSERT_NE(core::Run<core::Algo::kBfs>(&direct, *delta.Snapshot().value(),
+                                        bfs)
+                .value()
+                .levels,
+            levels_k);
+
+  auto scheduler = Scheduler::Create({}).value();
+  JobOutcome outcome = scheduler->Submit(spec).value().get();
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_TRUE(outcome.incremental) << outcome.fallback_reason;
+  EXPECT_EQ(outcome.result_version, k);
+  EXPECT_EQ(std::get<core::BfsResult>(outcome.payload).levels, levels_k);
+}
+
+// A writer mutates one graph while readers submit warm-started and plain
+// jobs, capturing snapshot and warm start under the writer's mutex as the
+// front door's SUBMIT does.  No job may see a version other than its own.
+TEST(SchedulerTest, WarmStartsUnderConcurrentMutationSeeOneVersionEach) {
+  auto g = TestGraph(8, 43);
+  auto delta = graph::DeltaGraph::Create(*g).value();
+  std::mutex mutex;  // guards delta, published and previous
+  std::shared_ptr<const CsrGraph> published = delta.Snapshot().value();
+  struct Previous {
+    std::shared_ptr<const JobPayload> payload;
+    uint64_t version = 0;
+  };
+  std::map<size_t, Previous> previous;
+
+  Scheduler::Options options;
+  options.devices = {{.arch = &vgpu::A100Config(), .options = {}},
+                     {.arch = &vgpu::A100Config(), .options = {}}};
+  auto scheduler = Scheduler::Create(std::move(options)).value();
+
+  core::BfsOptions bfs;
+  bfs.source = 0;
+  core::PageRankOptions pr;
+  pr.max_iterations = 200;
+  pr.tolerance = 1e-10;
+  const std::vector<std::pair<JobParams, bool>> kinds = {
+      {bfs, true}, {core::CcOptions{}, true}, {pr, true}, {bfs, false}};
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    std::mt19937_64 rng(17);
+    std::uniform_int_distribution<graph::vid_t> pick(0, g->num_vertices() - 1);
+    while (!stop.load()) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        while (!delta.AddEdge(pick(rng), pick(rng)).value()) {
+        }
+        published = delta.Snapshot().value();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  constexpr int kReaders = 2;
+  constexpr int kJobsPerReader = 8;
+  std::atomic<int> failures{0};
+  std::atomic<int> incremental{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      vgpu::Device direct(vgpu::A100Config());
+      for (int i = 0; i < kJobsPerReader; ++i) {
+        const auto& [params, warm] = kinds[(r + i) % kinds.size()];
+        JobSpec spec{.graph = nullptr, .params = params};
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          spec.graph = published;
+          if (warm) {
+            auto w = std::make_shared<core::WarmStart>();
+            // However far the writer ran ahead, take the delta path: the
+            // point is which version each job sees.
+            w->full_threshold = 1.0;
+            if (auto it = previous.find(params.index());
+                it != previous.end()) {
+              w->previous = it->second.payload;
+              w->updates = delta.UpdatesSince(it->second.version);
+            }
+            spec.warm_start = std::move(w);
+          }
+        }
+        const auto snapshot = spec.graph;
+        JobOutcome outcome = scheduler->Submit(spec).value().get();
+        if (!outcome.status.ok() ||
+            outcome.result_version != snapshot->mutation_epoch()) {
+          ++failures;
+          continue;
+        }
+        if (outcome.incremental) ++incremental;
+        const auto cold = core::Run(&direct, {spec.algorithm()}, *snapshot,
+                                    params)
+                              .value();
+        if (const auto* p =
+                std::get_if<core::PageRankResult>(&outcome.payload)) {
+          const auto& want = std::get<core::PageRankResult>(cold).ranks;
+          for (size_t v = 0; v < want.size(); ++v) {
+            if (std::abs(p->ranks[v] - want[v]) > 1e-6) {
+              ++failures;
+              break;
+            }
+          }
+        } else if (FingerprintPayload(outcome.payload) !=
+                   FingerprintPayload(cold)) {
+          ++failures;
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        Previous& prev = previous[params.index()];
+        if (prev.payload == nullptr ||
+            outcome.result_version >= prev.version) {
+          prev.payload = std::make_shared<const JobPayload>(outcome.payload);
+          prev.version = outcome.result_version;
+        }
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(incremental.load(), 0);
+  EXPECT_GT(delta.version(), 0u);
 }
 
 // --- placements: one rule, one path ----------------------------------------
@@ -1324,8 +1495,7 @@ TEST(PlacementTest, OneRuleDecidesGangsAndStreamsCaseByCase) {
        {JobParams(core::BfsOptions{}), JobParams(core::PageRankOptions{})}) {
     streamed_max = std::max(
         streamed_max,
-        ooc::EstimateStreamedBytes(params, g->num_vertices(), slot_bytes)
-            .value());
+        ooc::EstimateStreamedBytes(params, *g, slot_bytes).value());
   }
   const uint64_t budget = streamed_max + streamed_max / 4;
   Scheduler::DeviceSlot slot = BudgetedSlot(budget);
@@ -1383,7 +1553,6 @@ TEST(PlacementTest, OneRuleDecidesGangsAndStreamsCaseByCase) {
 TEST(PlacementTest, WarmStartThatStreamsReportsTheFallback) {
   auto g = TestGraph(8, 52);
   auto delta = graph::DeltaGraph::Create(*g).value();
-  std::mutex delta_mutex;
   core::PageRankOptions pr;
   pr.max_iterations = 12;
   vgpu::Device cold_device(vgpu::A100Config());
@@ -1397,10 +1566,7 @@ TEST(PlacementTest, WarmStartThatStreamsReportsTheFallback) {
 
   StreamedFixture f = OverBudgetPageRank(snapshot);
   f.spec.params = pr;
-  f.spec.warm_start = previous;
-  f.spec.previous_version = v0;
-  f.spec.delta = &delta;
-  f.spec.delta_mutex = &delta_mutex;
+  f.spec.warm_start = WarmFrom(delta, previous, v0);
 
   Scheduler::Options options;
   options.devices = {BudgetedSlot(f.budget)};

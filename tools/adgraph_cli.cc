@@ -29,6 +29,8 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -173,15 +175,88 @@ Result<graph::CsrGraph> LoadGraph(const Flags& flags) {
   return graph::CsrGraph::FromCoo(coo, options);
 }
 
+/// A numeric flag of the single-run mode and the closed range it accepts.
+struct NumericFlag {
+  const char* name;
+  double min;
+  double max;
+  bool integer;
+};
+constexpr double kNoMax = std::numeric_limits<double>::max();
+constexpr double kU32Max = std::numeric_limits<uint32_t>::max();
+/// Flags::GetInt reads int64.
+constexpr double kI64Max = static_cast<double>(INT64_MAX);
+constexpr NumericFlag kRunNumericFlags[] = {
+    {"scale", 1, 31, true},           {"edge-factor", 0, kNoMax, false},
+    {"seed", 0, kI64Max, true},       {"extra-divisor", 1, kNoMax, false},
+    {"source", 0, kU32Max, true},     {"k", 0, kU32Max, true},
+    {"iters", 0, kU32Max, true},      {"fraction", 0, 1, false},
+    {"memory-scale", 0, kNoMax, false},
+    {"shard-bytes", 0, kI64Max, true},
+    {"devices", 1, core::kMaxGangDevices, true},
+};
+constexpr const char* kRunOtherFlags[] = {
+    "algo", "graph",     "dataset", "generate", "weights",      "gpu",
+    "undirected", "no-orient", "profile", "trace", "ooc", "interconnect",
+    "partition",
+};
+
+/// Checks the single-run mode's flags before anything is loaded: no
+/// positional argument, every flag one of the mode's own, every number
+/// parsed whole (net::ParseNumericValue) and inside its range (integers
+/// as plain decimals, the form Flags::GetInt reads), and `--gpu` naming a
+/// paper GPU.  The first violation is kInvalidArgument naming the flag.
+Status CheckRunFlags(const Flags& flags) {
+  if (!flags.positional().empty()) {
+    return Status::InvalidArgument("unexpected argument '" +
+                                   flags.positional().front() + "'");
+  }
+  for (const std::string& key : flags.keys()) {
+    const std::string value = flags.GetString(key, "");
+    const NumericFlag* numeric = nullptr;
+    for (const NumericFlag& f : kRunNumericFlags) {
+      if (key == f.name) numeric = &f;
+    }
+    if (numeric == nullptr) {
+      if (std::find(std::begin(kRunOtherFlags), std::end(kRunOtherFlags),
+                    key) == std::end(kRunOtherFlags)) {
+        return Status::InvalidArgument("unknown flag --" + key);
+      }
+      continue;
+    }
+    auto number = net::ParseNumericValue("--" + key, value);
+    const bool digits =
+        !value.empty() &&
+        value.find_first_not_of("0123456789") == std::string::npos;
+    if (!number.ok() || !std::isfinite(*number) || *number < numeric->min ||
+        *number > numeric->max || (numeric->integer && !digits)) {
+      char range[96];
+      std::snprintf(range, sizeof(range), "%s in [%.17g, %.17g]",
+                    numeric->integer ? "an integer" : "a number",
+                    numeric->min, numeric->max);
+      return Status::InvalidArgument("--" + key + " wants " + range +
+                                     ", got '" + value + "'");
+    }
+  }
+  if (flags.Has("gpu")) {
+    const std::string name = flags.GetString("gpu", "");
+    std::string known;
+    for (const auto* gpu : vgpu::PaperGpus()) {
+      if (gpu->name == name) return Status::OK();
+      known += (known.empty() ? "" : ", ") + gpu->name;
+    }
+    return Status::InvalidArgument("--gpu '" + name + "' is not one of " +
+                                   known);
+  }
+  return Status::OK();
+}
+
 /// The placement `--devices`, `--interconnect`, `--partition`, `--ooc` and
 /// `--shard-bytes` ask for: one device unless a gang or a stream is named.
+/// CheckRunFlags has range-checked both numbers.
 Result<core::Placement> PlacementFromFlags(const Flags& flags) {
   const int64_t devices = flags.GetInt("devices", 1);
   const int64_t shard_bytes = flags.GetInt("shard-bytes", 0);
-  if (devices < 1 || shard_bytes < 0) {
-    return Status::InvalidArgument(
-        "--devices must be >= 1 and --shard-bytes >= 0");
-  }
   if (flags.GetBool("ooc", false)) {
     if (devices > 1) {
       return Status::InvalidArgument("--ooc streams on one device");
@@ -197,11 +272,8 @@ Result<core::Placement> PlacementFromFlags(const Flags& flags) {
     return Status::InvalidArgument(
         "--partition must be 'uniform' or 'degree', got '" + strategy + "'");
   }
-  // Past the cap CheckPlacement rejects the gang; clamping first keeps the
-  // cast from wrapping back under it.
   return core::Placement::Gang(
-      static_cast<uint32_t>(std::min<int64_t>(devices, UINT32_MAX)),
-      std::move(link),
+      static_cast<uint32_t>(devices), std::move(link),
       strategy == "degree" ? core::PartitionStrategy::kDegreeBalanced
                            : core::PartitionStrategy::kUniform);
 }
@@ -1291,6 +1363,10 @@ int Main(int argc, char** argv) {
   if (mode == "mutate") return MutateMain(flags);
   if (mode == "inspect") return InspectMain(flags);
   if (!flags.Has("algo")) return Usage();
+  if (Status checked = CheckRunFlags(flags); !checked.ok()) {
+    std::fprintf(stderr, "%s\n", checked.ToString().c_str());
+    return 2;
+  }
 
   auto graph_result = LoadGraph(flags);
   if (!graph_result.ok()) {
