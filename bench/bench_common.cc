@@ -2,9 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/api.h"
@@ -12,7 +9,6 @@
 #include "graph/generate.h"
 #include "prof/session.h"
 #include "runtime/runtime.h"
-#include "util/flags.h"
 #include "util/logging.h"
 #include "util/table.h"
 
@@ -85,37 +81,19 @@ std::string AlgoName(Algo algo) {
   return "?";
 }
 
-Result<BenchConfig> BenchConfig::FromArgs(
-    int argc, const char* const* argv,
-    std::initializer_list<std::string_view> extra_flags) {
-  ADGRAPH_ASSIGN_OR_RETURN(Flags flags, Flags::Parse(argc, argv));
-  if (!flags.positional().empty()) {
-    return Status::InvalidArgument("unexpected argument '" +
-                                   flags.positional().front() + "'");
-  }
-  for (const std::string& key : flags.keys()) {
-    const bool shared = key == "extra-divisor" || key == "out-dir" ||
-                        key == "skip-twitter" || key == "datasets";
-    if (!shared && std::find(extra_flags.begin(), extra_flags.end(), key) ==
-                       extra_flags.end()) {
-      return Status::InvalidArgument("unknown flag --" + key);
-    }
-  }
+Result<BenchConfig> BenchConfig::FromArgs(int argc, const char* const* argv,
+                                          std::vector<FlagSpec> extra_flags) {
+  extra_flags.insert(
+      extra_flags.end(),
+      {FlagSpec::Number("extra-divisor", 1), FlagSpec::String("out-dir"),
+       FlagSpec::Bool("skip-twitter"), FlagSpec::String("datasets")});
   BenchConfig config;
-  if (flags.Has("extra-divisor")) {
-    const std::string text = flags.GetString("extra-divisor", "");
-    char* end = nullptr;
-    config.extra_divisor = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || !std::isfinite(config.extra_divisor) ||
-        config.extra_divisor < 1) {
-      return Status::InvalidArgument(
-          "--extra-divisor wants a number >= 1, got '" + text + "'");
-    }
-  }
-  config.out_dir = flags.GetString("out-dir", "bench_results");
-  config.skip_twitter = flags.GetBool("skip-twitter", false);
-  std::string list = flags.GetString("datasets", "");
-  std::stringstream ss(list);
+  ADGRAPH_ASSIGN_OR_RETURN(config.flags,
+                           Flags::Parse(argc, argv, extra_flags));
+  config.extra_divisor = config.flags.GetDouble("extra-divisor", 1.0);
+  config.out_dir = config.flags.GetString("out-dir", "bench_results");
+  config.skip_twitter = config.flags.GetBool("skip-twitter", false);
+  std::stringstream ss(config.flags.GetString("datasets", ""));
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (!item.empty()) config.datasets.push_back(item);

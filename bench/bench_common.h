@@ -1,16 +1,15 @@
 #ifndef ADGRAPH_BENCH_BENCH_COMMON_H_
 #define ADGRAPH_BENCH_BENCH_COMMON_H_
 
-#include <initializer_list>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/triangle_count.h"
 #include "graph/csr.h"
 #include "graph/datasets.h"
 #include "prof/metrics.h"
+#include "util/flags.h"
 #include "util/status.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
@@ -33,14 +32,16 @@ struct BenchConfig {
   std::vector<std::string> datasets;
   /// Drop the twitter-mpi row entirely (--skip-twitter) for quick runs.
   bool skip_twitter = false;
+  /// Every flag given, the binary's own included.
+  Flags flags;
 
   /// Parses the shared flags above plus the binary's own `extra_flags`
-  /// (which the binary reads itself).  Any other flag, a positional
-  /// argument, or an --extra-divisor that is not a number >= 1 is
-  /// kInvalidArgument: a typo must not fall back to a full-scale run.
-  static Result<BenchConfig> FromArgs(
-      int argc, const char* const* argv,
-      std::initializer_list<std::string_view> extra_flags = {});
+  /// (which it reads from `flags`).  Any other flag, a positional
+  /// argument, an --extra-divisor that is not a number >= 1 or a value an
+  /// extra flag's kind refuses is kInvalidArgument: a typo must not fall
+  /// back to a full-scale run.
+  static Result<BenchConfig> FromArgs(int argc, const char* const* argv,
+                                      std::vector<FlagSpec> extra_flags = {});
 
   /// The Table 4 dataset list after filters.
   std::vector<graph::DatasetSpec> SelectedDatasets() const;

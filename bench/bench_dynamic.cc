@@ -30,7 +30,6 @@
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/delta.h"
-#include "util/flags.h"
 #include "util/table.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
@@ -99,19 +98,13 @@ Result<core::AlgoResult> WarmRun(vgpu::Device* device,
 }
 
 int Main(int argc, char** argv) {
-  auto flags_result = Flags::Parse(argc, argv);
-  if (!flags_result.ok()) {
-    std::cerr << flags_result.status().ToString() << "\n";
-    return 2;
-  }
-  const Flags& flags = *flags_result;
-  auto parsed = BenchConfig::FromArgs(argc, argv, {"smoke"});
+  auto parsed = BenchConfig::FromArgs(argc, argv, {FlagSpec::Bool("smoke")});
   if (!parsed.ok()) {
     std::cerr << parsed.status().ToString() << "\n";
     return 2;
   }
   BenchConfig config = *parsed;
-  const bool smoke = flags.GetBool("smoke", false);
+  const bool smoke = config.flags.GetBool("smoke", false);
   if (config.datasets.empty()) {
     config.datasets = smoke
                           ? std::vector<std::string>{"web-Google"}

@@ -21,7 +21,6 @@
 #include "engine/algorithms.h"
 #include "engine/engine.h"
 #include "graph/stats.h"
-#include "util/flags.h"
 #include "util/table.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
@@ -42,19 +41,13 @@ constexpr double kSkewBar = 8.0;
 constexpr uint64_t kMinGateEdges = 100000;
 
 int Main(int argc, char** argv) {
-  auto flags_result = Flags::Parse(argc, argv);
-  if (!flags_result.ok()) {
-    std::cerr << flags_result.status().ToString() << "\n";
-    return 2;
-  }
-  const Flags& flags = *flags_result;
-  auto parsed = BenchConfig::FromArgs(argc, argv, {"smoke"});
+  auto parsed = BenchConfig::FromArgs(argc, argv, {FlagSpec::Bool("smoke")});
   if (!parsed.ok()) {
     std::cerr << parsed.status().ToString() << "\n";
     return 2;
   }
   BenchConfig config = *parsed;
-  const bool smoke = flags.GetBool("smoke", false);
+  const bool smoke = config.flags.GetBool("smoke", false);
   if (smoke) {
     // A pull round only amortizes on proxies dense enough that a large
     // frontier's push would touch most edges anyway; the generic

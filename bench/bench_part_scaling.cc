@@ -21,7 +21,6 @@
 #include "part/engine.h"
 #include "part/part_bfs.h"
 #include "part/part_pagerank.h"
-#include "util/flags.h"
 #include "util/table.h"
 
 namespace adgraph::bench {
@@ -38,19 +37,16 @@ struct ScalingRow {
 };
 
 int Main(int argc, char** argv) {
-  auto flags_result = Flags::Parse(argc, argv);
-  if (!flags_result.ok()) {
-    std::cerr << flags_result.status().ToString() << "\n";
-    return 2;
-  }
-  const Flags& flags = *flags_result;
-  auto parsed =
-      BenchConfig::FromArgs(argc, argv, {"smoke", "interconnect", "partition"});
+  auto parsed = BenchConfig::FromArgs(
+      argc, argv,
+      {FlagSpec::Bool("smoke"), FlagSpec::String("interconnect"),
+       FlagSpec::Choice("partition", {"degree", "uniform"})});
   if (!parsed.ok()) {
     std::cerr << parsed.status().ToString() << "\n";
     return 2;
   }
   BenchConfig config = *parsed;
+  const Flags& flags = config.flags;
   const bool smoke = flags.GetBool("smoke", false);
   if (smoke) {
     config.skip_twitter = true;
@@ -66,15 +62,10 @@ int Main(int argc, char** argv) {
     return 2;
   }
   engine_options.interconnect = *preset;
-  const std::string strategy = flags.GetString("partition", "degree");
-  if (strategy != "degree" && strategy != "uniform") {
-    std::cerr << "--partition must be 'degree' or 'uniform', got '"
-              << strategy << "'\n";
-    return 2;
-  }
   const part::PartitionStrategy partition =
-      strategy == "uniform" ? part::PartitionStrategy::kUniform
-                            : part::PartitionStrategy::kDegreeBalanced;
+      flags.GetString("partition", "degree") == "uniform"
+          ? part::PartitionStrategy::kUniform
+          : part::PartitionStrategy::kDegreeBalanced;
   const vgpu::ArchConfig& arch = vgpu::A100Config();
 
   std::vector<graph::DatasetSpec> datasets = config.SelectedDatasets();

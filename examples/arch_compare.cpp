@@ -20,8 +20,12 @@
 using namespace adgraph;
 
 int main(int argc, char** argv) {
-  auto flags = Flags::Parse(argc, argv).value();
-  uint32_t scale = static_cast<uint32_t>(flags.GetInt("scale", 14));
+  auto flags = Flags::Parse(argc, argv, {FlagSpec::Int("scale", 1, 31)});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 2;
+  }
+  uint32_t scale = static_cast<uint32_t>(flags->GetInt("scale", 14));
 
   graph::RmatParams params;
   params.scale = scale;

@@ -6,7 +6,6 @@
 //   $ ./build/examples/community_subgraph [--gpu=A100] [--fraction=0.4]
 
 #include <cstdio>
-#include <string>
 
 #include "core/api.h"
 #include "core/kcore.h"
@@ -21,13 +20,19 @@
 using namespace adgraph;
 
 int main(int argc, char** argv) {
-  auto flags = Flags::Parse(argc, argv).value();
-  double fraction = flags.GetDouble("fraction", 0.4);
-  std::string gpu_name = flags.GetString("gpu", "A100");
-  const vgpu::ArchConfig* arch = &vgpu::A100Config();
-  for (const auto* gpu : vgpu::PaperGpus()) {
-    if (gpu->name == gpu_name) arch = gpu;
+  auto flags = Flags::Parse(
+      argc, argv,
+      {FlagSpec::Number("fraction", 0, 1), FlagSpec::String("gpu")});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 2;
   }
+  auto arch = vgpu::PaperGpuByName(flags->GetString("gpu", "A100"));
+  if (!arch.ok()) {
+    std::fprintf(stderr, "--gpu: %s\n", arch.status().ToString().c_str());
+    return 2;
+  }
+  double fraction = flags->GetDouble("fraction", 0.4);
 
   // A weighted web-crawl proxy (ESBV requires edge weights, paper §4.5).
   graph::RmatParams params;
@@ -48,7 +53,7 @@ int main(int argc, char** argv) {
   std::printf("web proxy: %u pages, %llu weighted links\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
 
-  vgpu::Device device(*arch);
+  vgpu::Device device(**arch);
 
   // 1. Extract the community (pseudo-cluster of `fraction` of vertices).
   core::EsbvOptions esbv;

@@ -18,11 +18,9 @@ int main() {
   // 1. Build a small graph.  GraphBuilder grows the vertex set on demand;
   //    Build() finalizes into the CSR format every algorithm consumes.
   graph::GraphBuilder builder;
-  //        0
-  //       / \
-  //      1   2
-  //     /|   |
-  //    3 4   5 - 6
+  //    0 -+- 1 -+- 3
+  //       |     +- 4
+  //       +- 2 --- 5 --- 6
   builder.AddEdge(0, 1).AddEdge(0, 2);
   builder.AddEdge(1, 3).AddEdge(1, 4);
   builder.AddEdge(2, 5).AddEdge(5, 6);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "core/api.h"
@@ -20,22 +19,19 @@
 
 using namespace adgraph;
 
-namespace {
-
-const vgpu::ArchConfig& GpuByName(const std::string& name) {
-  for (const auto* gpu : vgpu::PaperGpus()) {
-    if (gpu->name == name) return *gpu;
-  }
-  std::fprintf(stderr, "unknown GPU '%s', using Z100L\n", name.c_str());
-  return vgpu::Z100LConfig();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  auto flags = Flags::Parse(argc, argv).value();
-  uint32_t scale = static_cast<uint32_t>(flags.GetInt("scale", 14));
-  const auto& arch = GpuByName(flags.GetString("gpu", "Z100L"));
+  auto flags = Flags::Parse(
+      argc, argv, {FlagSpec::Int("scale", 1, 31), FlagSpec::String("gpu")});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 2;
+  }
+  auto arch = vgpu::PaperGpuByName(flags->GetString("gpu", "Z100L"));
+  if (!arch.ok()) {
+    std::fprintf(stderr, "--gpu: %s\n", arch.status().ToString().c_str());
+    return 2;
+  }
+  uint32_t scale = static_cast<uint32_t>(flags->GetInt("scale", 14));
 
   // A followers-style graph: heavy-tailed in-degree (celebrities).
   graph::RmatParams params;
@@ -57,12 +53,12 @@ int main(int argc, char** argv) {
   auto g = graph::CsrGraph::FromCoo(*coo, clean).value();
   auto stats = graph::ComputeDegreeStats(g);
   std::printf("social proxy: %u users, %llu follow edges, max out-degree "
-              "%u (skew %.0fx)\n",
+              "%llu (skew %.0fx)\n",
               stats.num_vertices,
               static_cast<unsigned long long>(stats.num_edges),
-              stats.max_degree, stats.skew());
+              static_cast<unsigned long long>(stats.max_degree), stats.skew());
 
-  vgpu::Device device(arch);
+  vgpu::Device device(**arch);
   core::PageRankOptions options;
   options.alpha = 0.85;
   options.max_iterations = 60;
@@ -90,7 +86,8 @@ int main(int argc, char** argv) {
   std::printf("  %-8s %-12s %-10s\n", "user", "rank", "followers");
   for (int i = 0; i < 10 && i < static_cast<int>(order.size()); ++i) {
     graph::vid_t v = order[i];
-    std::printf("  %-8u %-12.3e %-10u\n", v, pr->ranks[v], gt.degree(v));
+    std::printf("  %-8u %-12.3e %-10llu\n", v, pr->ranks[v],
+                static_cast<unsigned long long>(gt.degree(v)));
   }
 
   // Rank concentration: how much of the total rank the top 1% holds — the

@@ -187,19 +187,10 @@ const char* adgraphGetLastErrorString(adgraphHandle_t handle) {
 
 adgraphStatus_t adgraphCreate(adgraphHandle_t* handle, const char* gpu_name) {
   if (handle == nullptr) return ADGRAPH_STATUS_INVALID_VALUE;
-  const adgraph::vgpu::ArchConfig* arch = &adgraph::vgpu::A100Config();
-  if (gpu_name != nullptr) {
-    bool found = false;
-    for (const auto* gpu : adgraph::vgpu::PaperGpus()) {
-      if (gpu->name == gpu_name) {
-        arch = gpu;
-        found = true;
-      }
-    }
-    if (!found) return ADGRAPH_STATUS_NOT_FOUND;
-  }
+  auto arch = adgraph::vgpu::PaperGpuByName(gpu_name ? gpu_name : "A100");
+  if (!arch.ok()) return ADGRAPH_STATUS_NOT_FOUND;
   auto* context = new adgraphContext();
-  context->device = std::make_unique<adgraph::vgpu::Device>(*arch);
+  context->device = std::make_unique<adgraph::vgpu::Device>(**arch);
   *handle = context;
   return ADGRAPH_STATUS_SUCCESS;
 }

@@ -1,6 +1,5 @@
 #include "net/wire.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -18,33 +17,6 @@ constexpr uint64_t kMaxVertex = std::numeric_limits<graph::vid_t>::max();
 constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
-
-Result<double> ParseNumericValue(const std::string& key,
-                                 const std::string& value) {
-  char* end = nullptr;
-  double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    return Status::InvalidArgument("param '" + key + "' wants a number, got '" +
-                                   value + "'");
-  }
-  return v;
-}
-
-Result<uint64_t> CheckedInteger(std::string_view key, double value,
-                                uint64_t max) {
-  // 0x1p64 is the first double past every uint64_t; a `max` of
-  // UINT64_MAX rounds up to it, so the explicit bound keeps the cast
-  // below defined.
-  if (!(value >= 0) || value >= 0x1p64 ||
-      value > static_cast<double>(max) || value != std::floor(value)) {
-    char shown[32];
-    std::snprintf(shown, sizeof(shown), "%.17g", value);
-    return Status::InvalidArgument("'" + std::string(key) +
-                                   "' wants an integer in [0, " +
-                                   std::to_string(max) + "], got " + shown);
-  }
-  return static_cast<uint64_t>(value);
-}
 
 std::string_view WireStatusName(StatusCode code) {
   switch (code) {
@@ -147,6 +119,10 @@ Result<serve::JobParams> ReadJobParams(
     case serve::Algorithm::kEsbv: {
       core::EsbvOptions o;
       ADGRAPH_ASSIGN_OR_RETURN(double fraction, get_number("fraction", 0.5));
+      if (!(fraction >= 0 && fraction <= 1)) {  // NaN fails both
+        return Status::InvalidArgument("'fraction' wants a number in [0, 1], "
+                                       "got " + kv.at("fraction"));
+      }
       ADGRAPH_ASSIGN_OR_RETURN(
           uint64_t seed,
           get_integer("seed", 7, std::numeric_limits<uint64_t>::max()));

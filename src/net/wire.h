@@ -11,7 +11,6 @@
 /// loopback bench).
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,6 +23,7 @@
 #include "serve/flight_recorder.h"
 #include "serve/job.h"
 #include "trace/trace.h"
+#include "util/numbers.h"
 #include "util/status.h"
 
 namespace adgraph::net {
@@ -42,27 +42,13 @@ std::string_view WireStatusName(StatusCode code);
 /// byte-identity checks compare across transports.
 std::string FingerprintHex(uint64_t fingerprint);
 
-/// strtod parse of an untrusted `key=value` value: the whole of `value`
-/// must be a number (NaN and infinities included — callers range-check),
-/// else kInvalidArgument naming `key`.  Never throws.
-Result<double> ParseNumericValue(const std::string& key,
-                                 const std::string& value);
-
-/// Range-checked conversion of a client-supplied number to an integer
-/// field with maximum `max`: NaN, infinities, fractions, negatives and
-/// values above `max` are kInvalidArgument naming `key` (a bare cast of
-/// such a double is undefined behaviour).  Every integer the wire accepts
-/// goes through here.
-Result<uint64_t> CheckedInteger(
-    std::string_view key, double value,
-    uint64_t max = std::numeric_limits<uint64_t>::max());
-
 /// Builds the per-algorithm params variant from string key/values (the
 /// `ALGO key=value...` job-file vocabulary: source, iters, k, orient,
 /// symmetric, fraction, seed).  A key the algorithm does not read,
-/// malformed numeric values, and integer params that fail CheckedInteger
-/// are kInvalidArgument naming the key — never an exception, a silent wrap
-/// or a silent default; this parses untrusted socket input.
+/// malformed numeric values, integer params that fail CheckedInteger and a
+/// `fraction` outside [0, 1] are kInvalidArgument naming the key — never
+/// an exception, a silent wrap or a silent default; this parses untrusted
+/// socket input.
 Result<serve::JobParams> BuildJobParams(
     serve::Algorithm algo, const std::map<std::string, std::string>& kv,
     graph::vid_t num_vertices);

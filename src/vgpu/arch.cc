@@ -176,4 +176,14 @@ std::vector<const ArchConfig*> PaperGpus() {
   return {&Z100Config(), &V100Config(), &Z100LConfig(), &A100Config()};
 }
 
+Result<const ArchConfig*> PaperGpuByName(const std::string& name) {
+  std::string known;
+  for (const ArchConfig* gpu : PaperGpus()) {
+    if (gpu->name == name) return gpu;
+    known += (known.empty() ? "" : ", ") + gpu->name;
+  }
+  return Status::NotFound("unknown GPU '" + name + "' (expected one of " +
+                          known + ")");
+}
+
 }  // namespace adgraph::vgpu

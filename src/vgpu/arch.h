@@ -108,6 +108,9 @@ const ArchConfig& Z100LConfig();
 /// The four paper GPUs in Table 3 column order: Z100, V100, Z100L, A100.
 std::vector<const ArchConfig*> PaperGpus();
 
+/// The paper GPU called `name`, or kNotFound listing the four names.
+Result<const ArchConfig*> PaperGpuByName(const std::string& name);
+
 }  // namespace adgraph::vgpu
 
 #endif  // ADGRAPH_VGPU_ARCH_H_

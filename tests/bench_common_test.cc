@@ -21,7 +21,7 @@ TEST(BenchConfigTest, ParsesTheSharedFlagsAndDeclaredExtras) {
   const char* argv[] = {"bench", "--extra-divisor=8", "--out-dir=/tmp/q",
                         "--skip-twitter", "--datasets=web-Google,cit-Patents",
                         "--smoke"};
-  auto config = BenchConfig::FromArgs(6, argv, {"smoke"});
+  auto config = BenchConfig::FromArgs(6, argv, {FlagSpec::Bool("smoke")});
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->extra_divisor, 8.0);
   EXPECT_EQ(config->out_dir, "/tmp/q");
@@ -39,7 +39,7 @@ TEST(BenchConfigTest, UnknownFlagIsAnError) {
   // A binary's own flags are unknown to every other binary.
   const char* smoke[] = {"bench", "--smoke"};
   EXPECT_TRUE(BenchConfig::FromArgs(2, smoke).status().IsInvalidArgument());
-  EXPECT_TRUE(BenchConfig::FromArgs(2, smoke, {"smoke"}).ok());
+  EXPECT_TRUE(BenchConfig::FromArgs(2, smoke, {FlagSpec::Bool("smoke")}).ok());
   const char* positional[] = {"bench", "8"};
   EXPECT_TRUE(
       BenchConfig::FromArgs(2, positional).status().IsInvalidArgument());

@@ -32,6 +32,7 @@
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "trace/trace.h"
+#include "util/numbers.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
 
@@ -288,6 +289,25 @@ TEST(WireTest, BuildJobParamsRejectsOutOfRangeIntegers) {
       BuildJobParams(serve::Algorithm::kPageRank, {{"iters", "3"}}, 100);
   ASSERT_TRUE(iters.ok());
   EXPECT_EQ(std::get<core::PageRankOptions>(*iters).max_iterations, 3u);
+}
+
+TEST(WireTest, BuildJobParamsChecksTheFractionRange) {
+  // Each of these used to finish ok: NaN selected no vertex, and -3 and 7
+  // were clamped to an empty and a full cluster.
+  for (const char* fraction : {"nan", "-3", "7"}) {
+    auto params =
+        BuildJobParams(serve::Algorithm::kEsbv, {{"fraction", fraction}}, 100);
+    ASSERT_FALSE(params.ok()) << fraction;
+    EXPECT_TRUE(params.status().IsInvalidArgument());
+    EXPECT_NE(params.status().message().find("'fraction'"), std::string::npos)
+        << params.status().ToString();
+  }
+  for (const char* fraction : {"0", "0.5", "1"}) {
+    EXPECT_TRUE(
+        BuildJobParams(serve::Algorithm::kEsbv, {{"fraction", fraction}}, 100)
+            .ok())
+        << fraction;
+  }
 }
 
 TEST(WireTest, BuildJobParamsRejectsKeysTheAlgorithmDoesNotRead) {
@@ -1015,6 +1035,26 @@ TEST(ServerTest, OutOfRangeIntegersAreInvalidArgumentSessionSurvives) {
   // The session is still usable: a well-formed job runs to completion.
   auto ok = client.Call(Json::Parse(
       R"({"op":"SUBMIT","algo":"bfs","params":{"source":3}})").value())
+      .value();
+  ASSERT_TRUE(ok.GetBool("ok", false)) << ok.Dump();
+  auto done =
+      client.WaitJob(static_cast<uint64_t>(ok.GetNumber("job", 0))).value();
+  EXPECT_EQ(done.GetString("status", ""), "ok") << done.Dump();
+}
+
+TEST(ServerTest, OutOfRangeFractionIsInvalidArgumentSessionSurvives) {
+  auto live = StartServer(TestGraph());
+  auto client = Client::Connect("127.0.0.1", live.server->port()).value();
+  ASSERT_TRUE(client.Hello("x").ok());
+  auto rejected = client.Call(Json::Parse(
+      R"({"op":"SUBMIT","algo":"esbv","params":{"fraction":-3}})").value())
+      .value();
+  EXPECT_FALSE(rejected.GetBool("ok", true));
+  EXPECT_EQ(rejected.GetString("code", ""), "invalid_argument")
+      << rejected.Dump();
+  EXPECT_EQ(live.scheduler->Snapshot().jobs_submitted, 0u);
+  auto ok = client.Call(Json::Parse(
+      R"({"op":"SUBMIT","algo":"esbv","params":{"fraction":0.5}})").value())
       .value();
   ASSERT_TRUE(ok.GetBool("ok", false)) << ok.Dump();
   auto done =

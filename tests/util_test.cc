@@ -241,27 +241,43 @@ TEST(FormatTest, FormatWithCommas) {
 
 // ---------------------------------------------------------------- Flags
 
-Result<Flags> ParseArgs(std::vector<const char*> argv) {
+Result<Flags> ParseArgs(std::vector<const char*> argv,
+                        const std::vector<FlagSpec>& declared) {
   argv.insert(argv.begin(), "prog");
-  return Flags::Parse(static_cast<int>(argv.size()), argv.data());
+  return Flags::Parse(static_cast<int>(argv.size()), argv.data(), declared);
+}
+
+/// Parse refuses `argv` with kInvalidArgument naming `flag`.
+void ExpectRefused(std::vector<const char*> argv,
+                   const std::vector<FlagSpec>& declared,
+                   const std::string& flag) {
+  auto flags = ParseArgs(argv, declared);
+  ASSERT_FALSE(flags.ok()) << argv.back();
+  EXPECT_TRUE(flags.status().IsInvalidArgument());
+  EXPECT_NE(flags.status().message().find(flag), std::string::npos)
+      << flags.status().ToString();
 }
 
 TEST(FlagsTest, ParsesKeyEqualsValue) {
-  auto flags = ParseArgs({"--scale=4", "--name=bfs"});
+  auto flags = ParseArgs({"--scale=4", "--name=bfs"},
+                         {FlagSpec::Int("scale", 1, 31),
+                          FlagSpec::String("name")});
   ASSERT_TRUE(flags.ok());
   EXPECT_EQ(flags->GetInt("scale", 0), 4);
   EXPECT_EQ(flags->GetString("name", ""), "bfs");
 }
 
 TEST(FlagsTest, ParsesSeparatedValueAndBareFlag) {
-  auto flags = ParseArgs({"--out", "dir", "--verbose"});
+  auto flags = ParseArgs({"--out", "dir", "--verbose"},
+                         {FlagSpec::String("out"), FlagSpec::Bool("verbose")});
   ASSERT_TRUE(flags.ok());
   EXPECT_EQ(flags->GetString("out", ""), "dir");
   EXPECT_TRUE(flags->GetBool("verbose", false));
 }
 
 TEST(FlagsTest, PositionalsCollected) {
-  auto flags = ParseArgs({"pos1", "--k=1", "pos2"});
+  auto flags = ParseArgs({"pos1", "--k=1", "pos2"},
+                         {FlagSpec::Positional(), FlagSpec::Int("k", 0)});
   ASSERT_TRUE(flags.ok());
   ASSERT_EQ(flags->positional().size(), 2u);
   EXPECT_EQ(flags->positional()[0], "pos1");
@@ -269,7 +285,7 @@ TEST(FlagsTest, PositionalsCollected) {
 }
 
 TEST(FlagsTest, DefaultsWhenAbsent) {
-  auto flags = ParseArgs({});
+  auto flags = ParseArgs({}, {});
   ASSERT_TRUE(flags.ok());
   EXPECT_EQ(flags->GetInt("missing", -5), -5);
   EXPECT_EQ(flags->GetDouble("missing", 2.5), 2.5);
@@ -278,12 +294,14 @@ TEST(FlagsTest, DefaultsWhenAbsent) {
 }
 
 TEST(FlagsTest, MalformedFlagRejected) {
-  EXPECT_FALSE(ParseArgs({"--=x"}).ok());
-  EXPECT_FALSE(ParseArgs({"--"}).ok());
+  EXPECT_FALSE(ParseArgs({"--=x"}, {}).ok());
+  EXPECT_FALSE(ParseArgs({"--"}, {}).ok());
 }
 
 TEST(FlagsTest, BoolSpellings) {
-  auto flags = ParseArgs({"--a=true", "--b=1", "--c=yes", "--d=off"});
+  auto flags = ParseArgs({"--a=true", "--b=1", "--c=yes", "--d=off"},
+                         {FlagSpec::Bool("a"), FlagSpec::Bool("b"),
+                          FlagSpec::Bool("c"), FlagSpec::Bool("d")});
   ASSERT_TRUE(flags.ok());
   EXPECT_TRUE(flags->GetBool("a", false));
   EXPECT_TRUE(flags->GetBool("b", false));
@@ -291,68 +309,99 @@ TEST(FlagsTest, BoolSpellings) {
   EXPECT_FALSE(flags->GetBool("d", true));
 }
 
-// Regression: GetInt/GetDouble used strtoll/strtod with a null end pointer,
-// so any unparsable value silently became 0 (and out-of-range input the
-// clamped extreme) instead of the caller's default.
+// Regression: GetInt/GetDouble once read these as 0 (or a clamped
+// extreme), then warned and returned the caller's default; either way the
+// binary ran with a value nobody asked for.  Parse now refuses them.
 
 TEST(FlagsTest, GetIntRejectsEmptyValue) {
-  auto flags = ParseArgs({"--n="});
-  ASSERT_TRUE(flags.ok());
-  EXPECT_EQ(flags->GetInt("n", 7), 7);
+  ExpectRefused({"--n="}, {FlagSpec::Int("n", 0)}, "--n");
 }
 
 TEST(FlagsTest, GetIntRejectsNonNumeric) {
-  auto flags = ParseArgs({"--n=abc"});
-  ASSERT_TRUE(flags.ok());
-  EXPECT_EQ(flags->GetInt("n", 7), 7);
+  ExpectRefused({"--n=abc"}, {FlagSpec::Int("n", 0)}, "--n");
 }
 
 TEST(FlagsTest, GetIntRejectsPartialParse) {
-  auto flags = ParseArgs({"--n=12x"});
-  ASSERT_TRUE(flags.ok());
-  EXPECT_EQ(flags->GetInt("n", 7), 7);
+  ExpectRefused({"--n=12x"}, {FlagSpec::Int("n", 0)}, "--n");
 }
 
 TEST(FlagsTest, GetIntRejectsOutOfRange) {
-  auto flags = ParseArgs({"--n=99999999999999999999999999"});
-  ASSERT_TRUE(flags.ok());
-  EXPECT_EQ(flags->GetInt("n", 7), 7);
+  ExpectRefused({"--n=99999999999999999999999999"}, {FlagSpec::Int("n", 0)},
+                "--n");
 }
 
 TEST(FlagsTest, GetIntAcceptsValidIncludingNegative) {
-  auto flags = ParseArgs({"--n=-42"});
-  ASSERT_TRUE(flags.ok());
+  auto flags = ParseArgs({"--n=-42"}, {FlagSpec::Int("n", -100, 100)});
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
   EXPECT_EQ(flags->GetInt("n", 7), -42);
 }
 
 TEST(FlagsTest, GetDoubleRejectsEmptyValue) {
-  auto flags = ParseArgs({"--x="});
-  ASSERT_TRUE(flags.ok());
-  EXPECT_DOUBLE_EQ(flags->GetDouble("x", 2.5), 2.5);
+  ExpectRefused({"--x="}, {FlagSpec::Number("x", 0)}, "--x");
 }
 
 TEST(FlagsTest, GetDoubleRejectsNonNumeric) {
-  auto flags = ParseArgs({"--x=fast"});
-  ASSERT_TRUE(flags.ok());
-  EXPECT_DOUBLE_EQ(flags->GetDouble("x", 2.5), 2.5);
+  ExpectRefused({"--x=fast"}, {FlagSpec::Number("x", 0)}, "--x");
 }
 
 TEST(FlagsTest, GetDoubleRejectsPartialParse) {
-  auto flags = ParseArgs({"--x=3.5gb"});
-  ASSERT_TRUE(flags.ok());
-  EXPECT_DOUBLE_EQ(flags->GetDouble("x", 2.5), 2.5);
+  ExpectRefused({"--x=3.5gb"}, {FlagSpec::Number("x", 0)}, "--x");
 }
 
 TEST(FlagsTest, GetDoubleRejectsOutOfRange) {
-  auto flags = ParseArgs({"--x=1e999"});
-  ASSERT_TRUE(flags.ok());
-  EXPECT_DOUBLE_EQ(flags->GetDouble("x", 2.5), 2.5);
+  ExpectRefused({"--x=1e999"}, {FlagSpec::Number("x", 0)}, "--x");
 }
 
 TEST(FlagsTest, GetDoubleAcceptsScientific) {
-  auto flags = ParseArgs({"--x=1.25e2"});
+  auto flags = ParseArgs({"--x=1.25e2"}, {FlagSpec::Number("x", 0)});
   ASSERT_TRUE(flags.ok());
   EXPECT_DOUBLE_EQ(flags->GetDouble("x", 0), 125.0);
+}
+
+TEST(FlagsTest, UnknownFlagIsRefused) {
+  // `--scael=12` used to be ignored, and `--gpu=V100` (for `--gpus`) ran
+  // on the default pool.
+  ExpectRefused({"--scael=12"}, {FlagSpec::Int("scale", 1, 31)}, "--scael");
+}
+
+TEST(FlagsTest, PositionalIsRefusedWhereNoneIsDeclared) {
+  ExpectRefused({"--scale=4", "serve-batch"}, {FlagSpec::Int("scale", 1, 31)},
+                "serve-batch");
+}
+
+TEST(FlagsTest, BoolNeverTakesTheNextArgument) {
+  // `--profile x` used to set profile=x.
+  ExpectRefused({"--profile", "x"}, {FlagSpec::Bool("profile")}, "x");
+  auto flags = ParseArgs({"--profile", "x"},
+                         {FlagSpec::Bool("profile"), FlagSpec::Positional()});
+  ASSERT_TRUE(flags.ok());
+  EXPECT_TRUE(flags->GetBool("profile", false));
+  EXPECT_EQ(flags->positional(), std::vector<std::string>{"x"});
+  ExpectRefused({"--profile=x"}, {FlagSpec::Bool("profile")}, "--profile");
+  // A value flag does take it, and without one is refused.
+  ExpectRefused({"--trace"}, {FlagSpec::String("trace")}, "--trace");
+}
+
+TEST(FlagsTest, ValueOutsideAChoiceIsRefused) {
+  const std::vector<FlagSpec> declared = {
+      FlagSpec::Choice("overflow", {"block", "reject"})};
+  ExpectRefused({"--overflow=rejct"}, declared, "--overflow");
+  auto flags = ParseArgs({"--overflow=reject"}, declared);
+  ASSERT_TRUE(flags.ok());
+  EXPECT_EQ(flags->GetString("overflow", "block"), "reject");
+}
+
+TEST(FlagsTest, IntegerOutsideItsRangeIsRefused) {
+  const std::vector<FlagSpec> declared = {FlagSpec::Int("scale", 1, 31)};
+  for (const char* arg : {"--scale=40", "--scale=0", "--scale=-1",
+                          "--scale=2.5", "--scale=nan", "--scale=inf"}) {
+    ExpectRefused({arg}, declared, "--scale");
+  }
+  // Read as job-line integers are: 1e1 is 10.
+  auto flags = ParseArgs({"--scale=1e1"}, declared);
+  ASSERT_TRUE(flags.ok());
+  EXPECT_EQ(flags->GetInt("scale", 14), 10);
+  EXPECT_EQ(ParseArgs({"--scale=31"}, declared)->GetInt("scale", 14), 31);
 }
 
 }  // namespace

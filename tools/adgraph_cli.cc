@@ -18,8 +18,12 @@
 //       [--headroom=1.0] [--occupancy-floor-ms=0]
 // Each jobs.txt line is `ALGO [key=value]...` (see ParseJobLine below);
 // blank lines and `#` comments are skipped.
+//
+// The mode comes first, and each mode declares the flags it accepts (Main).
+// A flag it does not declare, a stray argument, a malformed or out-of-range
+// number or an unknown name exits 2, naming the flag, before any graph
+// loads or any socket connects.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -29,11 +33,8 @@
 #include <fstream>
 #include <future>
 #include <iostream>
-#include <iterator>
-#include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -87,7 +88,8 @@ int Usage() {
                "           --scale=N --edge-factor=F --seed=N (generate)\n"
                "           --extra-divisor=F (dataset)  --profile\n"
                "           --undirected  --weights=random\n"
-               "           --iters=N (pagerank)  --memory-scale=F (shrinks\n"
+               "           --iters=N (pagerank)  --fraction=F (esbv)\n"
+               "           --no-orient (tc)  --memory-scale=F (shrinks\n"
                "             device RAM, to demo over-budget runs)\n"
                "           --ooc [--shard-bytes=N] (bfs/pagerank: stream\n"
                "             vertex-range shards through a double buffer\n"
@@ -125,6 +127,55 @@ int Usage() {
   return 2;
 }
 
+/// Prints `status`, refused under `mode`, and returns exit status 2.
+int Refuse(const char* mode, const Status& status) {
+  std::fprintf(stderr, "%s: %s\n", mode, status.ToString().c_str());
+  return 2;
+}
+
+/// `result`, its error with `--flag: ` before the message, so the refusal
+/// of a value by its parser names the flag.
+template <typename T>
+Result<T> Named(const char* flag, Result<T> result) {
+  if (result.ok()) return result;
+  return Status(result.status().code(), std::string("--") + flag + ": " +
+                                            result.status().message());
+}
+
+/// A `--generate` graph generator over `--scale`, `--edge-factor` and
+/// `--seed`.
+using Generator = Result<graph::CooGraph> (*)(uint32_t scale,
+                                              double edge_factor,
+                                              uint64_t seed);
+
+/// The generator `--generate` names.
+Result<Generator> GeneratorByName(const std::string& kind) {
+  if (kind == "rmat") {
+    return +[](uint32_t scale, double ef, uint64_t seed) {
+      return graph::GenerateRmat(
+          {.scale = scale, .edge_factor = ef, .seed = seed});
+    };
+  }
+  if (kind == "er") {
+    return +[](uint32_t scale, double ef, uint64_t seed) {
+      return graph::GenerateErdosRenyi(
+          1u << scale, static_cast<graph::eid_t>(ef * (1u << scale)), seed);
+    };
+  }
+  if (kind == "ws") {
+    return +[](uint32_t scale, double, uint64_t seed) {
+      return graph::GenerateWattsStrogatz(1u << scale, 8, 0.1, seed);
+    };
+  }
+  if (kind == "ba") {
+    return +[](uint32_t scale, double, uint64_t seed) {
+      return graph::GenerateBarabasiAlbert(1u << scale, 4, seed);
+    };
+  }
+  return Status::InvalidArgument("unknown generator '" + kind +
+                                 "' (expected rmat, er, ws or ba)");
+}
+
 Result<graph::CsrGraph> LoadGraph(const Flags& flags) {
   graph::CooGraph coo;
   if (flags.Has("graph")) {
@@ -139,32 +190,16 @@ Result<graph::CsrGraph> LoadGraph(const Flags& flags) {
         auto spec, graph::FindDataset(flags.GetString("dataset", "")));
     return graph::Materialize(spec, flags.GetDouble("extra-divisor", 1.0));
   } else if (flags.Has("generate")) {
-    std::string kind = flags.GetString("generate", "rmat");
-    uint32_t scale = static_cast<uint32_t>(flags.GetInt("scale", 14));
-    double ef = flags.GetDouble("edge-factor", 8.0);
-    uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-    if (kind == "rmat") {
-      ADGRAPH_ASSIGN_OR_RETURN(
-          coo, graph::GenerateRmat({.scale = scale, .edge_factor = ef,
-                                    .seed = seed}));
-    } else if (kind == "er") {
-      ADGRAPH_ASSIGN_OR_RETURN(
-          coo, graph::GenerateErdosRenyi(
-                   1u << scale, static_cast<graph::eid_t>(ef * (1u << scale)),
-                   seed));
-    } else if (kind == "ws") {
-      ADGRAPH_ASSIGN_OR_RETURN(
-          coo, graph::GenerateWattsStrogatz(1u << scale, 8, 0.1, seed));
-    } else if (kind == "ba") {
-      ADGRAPH_ASSIGN_OR_RETURN(
-          coo, graph::GenerateBarabasiAlbert(1u << scale, 4, seed));
-    } else {
-      return Status::InvalidArgument("unknown generator '" + kind + "'");
-    }
+    ADGRAPH_ASSIGN_OR_RETURN(Generator generate,
+                             GeneratorByName(flags.GetString("generate", "")));
+    ADGRAPH_ASSIGN_OR_RETURN(
+        coo, generate(static_cast<uint32_t>(flags.GetInt("scale", 14)),
+                      flags.GetDouble("edge-factor", 8.0),
+                      static_cast<uint64_t>(flags.GetInt("seed", 1))));
   } else {
     return Status::InvalidArgument("no graph source given");
   }
-  if (flags.GetString("weights", "") == "random") {
+  if (flags.Has("weights")) {  // --weights=random, the one choice
     graph::AttachRandomWeights(&coo, 0.0, 1.0,
                                static_cast<uint64_t>(flags.GetInt("seed", 1)));
   }
@@ -175,175 +210,92 @@ Result<graph::CsrGraph> LoadGraph(const Flags& flags) {
   return graph::CsrGraph::FromCoo(coo, options);
 }
 
-/// A numeric flag of the single-run mode and the closed range it accepts.
-struct NumericFlag {
-  const char* name;
-  double min;
-  double max;
-  bool integer;
-};
-constexpr double kNoMax = std::numeric_limits<double>::max();
-constexpr double kU32Max = std::numeric_limits<uint32_t>::max();
-/// Flags::GetInt reads int64.
-constexpr double kI64Max = static_cast<double>(INT64_MAX);
-constexpr NumericFlag kRunNumericFlags[] = {
-    {"scale", 1, 31, true},           {"edge-factor", 0, kNoMax, false},
-    {"seed", 0, kI64Max, true},       {"extra-divisor", 1, kNoMax, false},
-    {"source", 0, kU32Max, true},     {"k", 0, kU32Max, true},
-    {"iters", 0, kU32Max, true},      {"fraction", 0, 1, false},
-    {"memory-scale", 0, kNoMax, false},
-    {"shard-bytes", 0, kI64Max, true},
-    {"devices", 1, core::kMaxGangDevices, true},
-};
-constexpr const char* kRunOtherFlags[] = {
-    "algo", "graph",     "dataset", "generate", "weights",      "gpu",
-    "undirected", "no-orient", "profile", "trace", "ooc", "interconnect",
-    "partition",
-};
-
-/// Checks the single-run mode's flags before anything is loaded: no
-/// positional argument, every flag one of the mode's own, every number
-/// parsed whole (net::ParseNumericValue) and inside its range (integers
-/// as plain decimals, the form Flags::GetInt reads), and `--gpu` naming a
-/// paper GPU.  The first violation is kInvalidArgument naming the flag.
-Status CheckRunFlags(const Flags& flags) {
-  if (!flags.positional().empty()) {
-    return Status::InvalidArgument("unexpected argument '" +
-                                   flags.positional().front() + "'");
+/// Checks the `--generate` name, then loads the graph: 0, or the exit
+/// status to stop with (2 for a refused name, 1 for a failed load).
+int LoadCheckedGraph(const Flags& flags, const char* mode,
+                     graph::CsrGraph* g) {
+  if (flags.Has("generate")) {
+    auto generator =
+        Named("generate", GeneratorByName(flags.GetString("generate", "")));
+    if (!generator.ok()) return Refuse(mode, generator.status());
   }
-  for (const std::string& key : flags.keys()) {
-    const std::string value = flags.GetString(key, "");
-    const NumericFlag* numeric = nullptr;
-    for (const NumericFlag& f : kRunNumericFlags) {
-      if (key == f.name) numeric = &f;
-    }
-    if (numeric == nullptr) {
-      if (std::find(std::begin(kRunOtherFlags), std::end(kRunOtherFlags),
-                    key) == std::end(kRunOtherFlags)) {
-        return Status::InvalidArgument("unknown flag --" + key);
-      }
-      continue;
-    }
-    auto number = net::ParseNumericValue("--" + key, value);
-    const bool digits =
-        !value.empty() &&
-        value.find_first_not_of("0123456789") == std::string::npos;
-    if (!number.ok() || !std::isfinite(*number) || *number < numeric->min ||
-        *number > numeric->max || (numeric->integer && !digits)) {
-      char range[96];
-      std::snprintf(range, sizeof(range), "%s in [%.17g, %.17g]",
-                    numeric->integer ? "an integer" : "a number",
-                    numeric->min, numeric->max);
-      return Status::InvalidArgument("--" + key + " wants " + range +
-                                     ", got '" + value + "'");
-    }
+  auto loaded = LoadGraph(flags);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "failed to load graph: %s\n",
+                 loaded.status().ToString().c_str());
+    return 1;
   }
-  if (flags.Has("gpu")) {
-    const std::string name = flags.GetString("gpu", "");
-    std::string known;
-    for (const auto* gpu : vgpu::PaperGpus()) {
-      if (gpu->name == name) return Status::OK();
-      known += (known.empty() ? "" : ", ") + gpu->name;
-    }
-    return Status::InvalidArgument("--gpu '" + name + "' is not one of " +
-                                   known);
-  }
-  return Status::OK();
+  *g = std::move(*loaded);
+  return 0;
 }
 
 /// The placement `--devices`, `--interconnect`, `--partition`, `--ooc` and
 /// `--shard-bytes` ask for: one device unless a gang or a stream is named.
-/// CheckRunFlags has range-checked both numbers.
 Result<core::Placement> PlacementFromFlags(const Flags& flags) {
   const int64_t devices = flags.GetInt("devices", 1);
-  const int64_t shard_bytes = flags.GetInt("shard-bytes", 0);
+  ADGRAPH_ASSIGN_OR_RETURN(
+      vgpu::InterconnectConfig link,
+      Named("interconnect", vgpu::InterconnectPresetByName(
+                                flags.GetString("interconnect", "nvlink"))));
   if (flags.GetBool("ooc", false)) {
     if (devices > 1) {
       return Status::InvalidArgument("--ooc streams on one device");
     }
-    return core::Placement::Streamed(static_cast<uint64_t>(shard_bytes));
+    return core::Placement::Streamed(
+        static_cast<uint64_t>(flags.GetInt("shard-bytes", 0)));
   }
   if (devices == 1) return core::Placement{};
-  ADGRAPH_ASSIGN_OR_RETURN(vgpu::InterconnectConfig link,
-                           vgpu::InterconnectPresetByName(
-                               flags.GetString("interconnect", "nvlink")));
-  const std::string strategy = flags.GetString("partition", "uniform");
-  if (strategy != "uniform" && strategy != "degree") {
-    return Status::InvalidArgument(
-        "--partition must be 'uniform' or 'degree', got '" + strategy + "'");
-  }
   return core::Placement::Gang(
       static_cast<uint32_t>(devices), std::move(link),
-      strategy == "degree" ? core::PartitionStrategy::kDegreeBalanced
-                           : core::PartitionStrategy::kUniform);
+      flags.GetString("partition", "uniform") == "degree"
+          ? core::PartitionStrategy::kDegreeBalanced
+          : core::PartitionStrategy::kUniform);
 }
 
-Status RunAlgo(const Flags& flags, vgpu::Device* device,
-               const graph::CsrGraph& g) {
-  std::string algo = flags.GetString("algo", "");
-  auto source = static_cast<graph::vid_t>(flags.GetInt("source", 0));
-  ADGRAPH_ASSIGN_OR_RETURN(core::Algo algo_id, core::ParseAlgorithm(algo));
-  ADGRAPH_ASSIGN_OR_RETURN(core::Placement placement,
-                           PlacementFromFlags(flags));
+/// What the single-run flags ask for, every part checked before the graph
+/// loads.
+struct SingleRun {
+  core::Algo algo = core::Algo::kBfs;
+  const vgpu::ArchConfig* arch = nullptr;
+  core::Placement placement;
+  /// Job-line params: the keys net::BuildJobParams reads.
+  std::map<std::string, std::string> params;
+};
 
-  // Flag -> options mapping; the variant alternative is the selection.
-  core::Params params;
+Result<SingleRun> SingleRunFromFlags(const Flags& flags) {
+  SingleRun run;
+  ADGRAPH_ASSIGN_OR_RETURN(
+      run.algo,
+      Named("algo", core::ParseAlgorithm(flags.GetString("algo", ""))));
+  ADGRAPH_ASSIGN_OR_RETURN(
+      run.arch,
+      Named("gpu", vgpu::PaperGpuByName(flags.GetString("gpu", "A100"))));
+  ADGRAPH_ASSIGN_OR_RETURN(run.placement, PlacementFromFlags(flags));
+  for (const char* key : {"source", "iters", "k", "fraction"}) {
+    if (flags.Has(key)) run.params[key] = flags.GetString(key, "");
+  }
+  if (flags.GetBool("no-orient", false)) run.params["orient"] = "0";
+  if (run.algo == core::Algo::kBfs && flags.GetBool("undirected", false)) {
+    run.params["symmetric"] = "1";
+  }
+  // The vertex count only sizes ESBV's cluster, so every param check runs
+  // without the graph.
+  ADGRAPH_RETURN_NOT_OK(
+      net::BuildJobParams(run.algo, run.params, 0).status());
+  return run;
+}
+
+Status RunAlgo(const SingleRun& run, vgpu::Device* device,
+               const graph::CsrGraph& g) {
+  const core::Placement& placement = run.placement;
+  ADGRAPH_ASSIGN_OR_RETURN(
+      core::Params params,
+      net::BuildJobParams(run.algo, run.params, g.num_vertices()));
   const graph::CsrGraph* input = &g;
   graph::CsrGraph weighted;  // esbv requires weights; synthesized on demand
-  switch (algo_id) {
-    case core::Algo::kBfs: {
-      core::BfsOptions options;
-      options.source = source;
-      options.assume_symmetric = flags.GetBool("undirected", false);
-      params = options;
-      break;
-    }
-    case core::Algo::kSssp:
-      params = core::SsspOptions{.source = source};
-      break;
-    case core::Algo::kPageRank: {
-      core::PageRankOptions options;
-      options.max_iterations =
-          static_cast<uint32_t>(flags.GetInt("iters", options.max_iterations));
-      params = options;
-      break;
-    }
-    case core::Algo::kTriangleCount: {
-      core::TcOptions options;
-      options.orient = !flags.GetBool("no-orient", false);
-      params = options;
-      break;
-    }
-    case core::Algo::kConnectedComponents:
-      params = core::CcOptions{};
-      break;
-    case core::Algo::kKCore: {
-      core::KCoreOptions options;
-      options.k = static_cast<uint32_t>(flags.GetInt("k", 3));
-      params = options;
-      break;
-    }
-    case core::Algo::kJaccard:
-      params = core::JaccardOptions{};
-      break;
-    case core::Algo::kWidestPath:
-      params = core::WidestPathOptions{.source = source};
-      break;
-    case core::Algo::kColoring:
-      params = core::ColoringOptions{};
-      break;
-    case core::Algo::kEsbv: {
-      weighted = g.has_weights() ? g : g.WithUniformWeights(1.0);
-      input = &weighted;
-      core::EsbvOptions options;
-      options.vertices = core::SelectPseudoCluster(
-          g.num_vertices(), flags.GetDouble("fraction", 0.5), 7);
-      params = std::move(options);
-      break;
-    }
-    case core::Algo::kBetweenness:
-      params = core::BcOptions{.source = source};
-      break;
+  if (run.algo == core::Algo::kEsbv) {
+    weighted = g.has_weights() ? g : g.WithUniformWeights(1.0);
+    input = &weighted;
   }
 
   ADGRAPH_RETURN_NOT_OK(core::CheckPlacement(placement, params));
@@ -356,10 +308,10 @@ Status RunAlgo(const Flags& flags, vgpu::Device* device,
   core::RunReport report;
   ADGRAPH_ASSIGN_OR_RETURN(
       core::AlgoResult result,
-      core::Run(device, {algo_id, placement}, *input, params,
+      core::Run(device, {run.algo, placement}, *input, params,
                 /*residency=*/nullptr, &report));
 
-  switch (algo_id) {
+  switch (run.algo) {
     case core::Algo::kBfs: {
       const auto& r = std::get<core::BfsResult>(result);
       // A zero modeled time (empty frontier / trivial graph) has no rate.
@@ -455,7 +407,8 @@ Status RunAlgo(const Flags& flags, vgpu::Device* device,
       double mass = 0;
       for (double d : r.centrality) mass += d;
       std::printf("bc: source %u, depth %u, dependency mass %.4f, %.4f ms\n",
-                  source, r.depth, mass, r.time_ms);
+                  std::get<core::BcOptions>(params).source, r.depth, mass,
+                  r.time_ms);
       break;
     }
   }
@@ -583,13 +536,8 @@ Result<serve::Scheduler::Options> BuildPoolOptions(const Flags& flags) {
     std::istringstream list(flags.GetString("gpus", ""));
     std::string name;
     while (std::getline(list, name, ',')) {
-      const vgpu::ArchConfig* arch = nullptr;
-      for (const auto* gpu : vgpu::PaperGpus()) {
-        if (gpu->name == name) arch = gpu;
-      }
-      if (arch == nullptr) {
-        return Status::InvalidArgument("unknown gpu '" + name + "' in --gpus");
-      }
+      ADGRAPH_ASSIGN_OR_RETURN(const vgpu::ArchConfig* arch,
+                               Named("gpus", vgpu::PaperGpuByName(name)));
       options.devices.push_back({.arch = arch, .options = device_options});
     }
   } else if (device_options.memory_scale != 1.0) {
@@ -606,16 +554,15 @@ Result<serve::Scheduler::Options> BuildPoolOptions(const Flags& flags) {
       flags.GetDouble("occupancy-floor-ms", 0.0);
   // Per-worker graph residency cache (on by default; results are
   // byte-identical either way — off restores upload-per-job behavior).
-  std::string cache_mode = flags.GetString("graph-cache", "on");
-  if (cache_mode != "on" && cache_mode != "off") {
-    return Status::InvalidArgument(
-        "--graph-cache must be 'on' or 'off', got '" + cache_mode + "'");
-  }
-  options.cache.enabled = cache_mode == "on";
+  options.cache.enabled = flags.GetString("graph-cache", "on") == "on";
   if (flags.Has("trace")) {
     options.trace.enabled = true;
     options.trace.path = flags.GetString("trace", "");
   }
+  ADGRAPH_ASSIGN_OR_RETURN(
+      options.metrics.format,
+      Named("metrics-format",
+            obs::ParseExportFormat(flags.GetString("metrics-format", "prom"))));
   // Any metrics flag switches the background sampler on; --metrics-out
   // also makes Shutdown() export the series there.
   const bool metrics_on = flags.Has("metrics-out") ||
@@ -626,9 +573,6 @@ Result<serve::Scheduler::Options> BuildPoolOptions(const Flags& flags) {
     options.metrics.path = flags.GetString("metrics-out", "");
     options.metrics.interval_ms =
         flags.GetDouble("metrics-interval-ms", 100.0);
-    ADGRAPH_ASSIGN_OR_RETURN(
-        options.metrics.format,
-        obs::ParseExportFormat(flags.GetString("metrics-format", "prom")));
     if (flags.Has("alert-rules")) {
       std::ifstream rules_file(flags.GetString("alert-rules", ""));
       if (!rules_file) {
@@ -644,20 +588,11 @@ Result<serve::Scheduler::Options> BuildPoolOptions(const Flags& flags) {
   return options;
 }
 
-/// Starts the `serve-batch` / `serve` pool from the pool flags and prints
-/// its worker line; null, after printing why under `mode`, on an error.
-/// `metrics_on` reports whether a metrics flag switched the sampler on.
-std::unique_ptr<serve::Scheduler> StartPool(const Flags& flags,
-                                            const char* mode,
-                                            bool* metrics_on) {
-  auto options = BuildPoolOptions(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s: %s\n", mode,
-                 options.status().ToString().c_str());
-    return nullptr;
-  }
-  *metrics_on = options->metrics.enabled;
-  auto scheduler = serve::Scheduler::Create(std::move(*options));
+/// Starts the `serve-batch` / `serve` pool and prints its worker line; null,
+/// after printing why, on an error.
+std::unique_ptr<serve::Scheduler> StartPool(
+    serve::Scheduler::Options options) {
+  auto scheduler = serve::Scheduler::Create(std::move(options));
   if (!scheduler.ok()) {
     std::fprintf(stderr, "scheduler: %s\n",
                  scheduler.status().ToString().c_str());
@@ -689,13 +624,11 @@ int ServeBatch(const Flags& flags) {
     std::fprintf(stderr, "serve-batch: --jobs=FILE is required\n");
     return Usage();
   }
-  auto graph_result = LoadGraph(flags);
-  if (!graph_result.ok()) {
-    std::fprintf(stderr, "failed to load graph: %s\n",
-                 graph_result.status().ToString().c_str());
-    return 1;
-  }
-  graph::CsrGraph g = std::move(*graph_result);
+  auto pool_options = BuildPoolOptions(flags);
+  if (!pool_options.ok()) return Refuse("serve-batch", pool_options.status());
+  const bool metrics_on = pool_options->metrics.enabled;
+  graph::CsrGraph g;
+  if (int exit = LoadCheckedGraph(flags, "serve-batch", &g)) return exit;
 
   // Parse the job file before touching any device.
   auto lines = ReadJobFile(flags.GetString("jobs", ""));
@@ -726,8 +659,7 @@ int ServeBatch(const Flags& flags) {
               static_cast<unsigned long long>(shared->num_edges()),
               shared->has_weights() ? " (weighted)" : "");
 
-  bool metrics_on = false;
-  auto pool = StartPool(flags, "serve-batch", &metrics_on);
+  auto pool = StartPool(std::move(*pool_options));
   if (pool == nullptr) return 1;
   auto& scheduler = *pool;
   std::printf("\n");
@@ -855,37 +787,9 @@ int Serve(const Flags& flags) {
     std::fprintf(stderr, "serve: --listen=PORT is required\n");
     return Usage();
   }
-  auto graph_result = LoadGraph(flags);
-  if (!graph_result.ok()) {
-    std::fprintf(stderr, "failed to load graph: %s\n",
-                 graph_result.status().ToString().c_str());
-    return 1;
-  }
-  net::Server::GraphMap graphs;
-  {
-    graph::CsrGraph g = std::move(*graph_result);
-    if (!g.has_weights()) {
-      // ESBV / weighted jobs need weights; serve both flavors so a SUBMIT
-      // can pick `"graph":"weighted"` without a server restart.
-      graphs["weighted"] = std::make_shared<const graph::CsrGraph>(
-          g.WithUniformWeights(1.0));
-      graphs["default"] = std::make_shared<const graph::CsrGraph>(std::move(g));
-    } else {
-      auto shared = std::make_shared<const graph::CsrGraph>(std::move(g));
-      graphs["default"] = shared;
-      graphs["weighted"] = shared;
-    }
-  }
-  std::printf("graph: %u vertices, %llu edges%s\n",
-              graphs["default"]->num_vertices(),
-              static_cast<unsigned long long>(graphs["default"]->num_edges()),
-              graphs["default"]->has_weights() ? " (weighted)" : "");
-
-  bool metrics_on = false;
-  auto pool = StartPool(flags, "serve", &metrics_on);
-  if (pool == nullptr) return 1;
-  auto& scheduler = *pool;
-
+  auto pool_options = BuildPoolOptions(flags);
+  if (!pool_options.ok()) return Refuse("serve", pool_options.status());
+  const bool metrics_on = pool_options->metrics.enabled;
   net::ServerOptions server_options;
   server_options.port = static_cast<uint16_t>(flags.GetInt("listen", 0));
   server_options.handler_threads =
@@ -908,8 +812,31 @@ int Serve(const Flags& flags) {
     }
     server_options.tenants = std::move(*tenants);
   }
-  const size_t num_tenants = server_options.tenants.size();
+  net::Server::GraphMap graphs;
+  {
+    graph::CsrGraph g;
+    if (int exit = LoadCheckedGraph(flags, "serve", &g)) return exit;
+    if (!g.has_weights()) {
+      // ESBV / weighted jobs need weights; serve both flavors so a SUBMIT
+      // can pick `"graph":"weighted"` without a server restart.
+      graphs["weighted"] = std::make_shared<const graph::CsrGraph>(
+          g.WithUniformWeights(1.0));
+      graphs["default"] = std::make_shared<const graph::CsrGraph>(std::move(g));
+    } else {
+      auto shared = std::make_shared<const graph::CsrGraph>(std::move(g));
+      graphs["default"] = shared;
+      graphs["weighted"] = shared;
+    }
+  }
+  std::printf("graph: %u vertices, %llu edges%s\n",
+              graphs["default"]->num_vertices(),
+              static_cast<unsigned long long>(graphs["default"]->num_edges()),
+              graphs["default"]->has_weights() ? " (weighted)" : "");
 
+  auto pool = StartPool(std::move(*pool_options));
+  if (pool == nullptr) return 1;
+  auto& scheduler = *pool;
+  const size_t num_tenants = server_options.tenants.size();
   auto server_result =
       net::Server::Start(&scheduler, std::move(graphs), server_options);
   if (!server_result.ok()) {
@@ -968,17 +895,9 @@ int Serve(const Flags& flags) {
 
 // --- client ----------------------------------------------------------------
 
-/// `--connect=HOST:PORT` of the client, mutate and inspect modes; prints
-/// the error under `mode` and returns nullopt when it does not parse.
-std::optional<std::pair<std::string, uint16_t>> ConnectFlag(
-    const Flags& flags, const char* mode) {
-  auto endpoint = net::ParseEndpoint(flags.GetString("connect", ""));
-  if (!endpoint.ok()) {
-    std::fprintf(stderr, "%s: --connect: %s\n", mode,
-                 endpoint.status().ToString().c_str());
-    return std::nullopt;
-  }
-  return *endpoint;
+/// `--connect=HOST:PORT` of the client, mutate and inspect modes.
+Result<std::pair<std::string, uint16_t>> ConnectFlag(const Flags& flags) {
+  return Named("connect", net::ParseEndpoint(flags.GetString("connect", "")));
 }
 
 /// `adgraph_cli client --connect=HOST:PORT --jobs=FILE [--tenant=NAME]`:
@@ -991,8 +910,8 @@ int ClientMain(const Flags& flags) {
                          "required\n");
     return Usage();
   }
-  auto endpoint = ConnectFlag(flags, "client");
-  if (!endpoint) return 1;
+  auto endpoint = ConnectFlag(flags);
+  if (!endpoint.ok()) return Refuse("client", endpoint.status());
 
   auto lines = ReadJobFile(flags.GetString("jobs", ""));
   if (!lines.ok()) {
@@ -1157,25 +1076,16 @@ int MutateMain(const Flags& flags) {
                  "--del=U:V,... and/or --compact\n");
     return Usage();
   }
-  auto endpoint = ConnectFlag(flags, "mutate");
-  if (!endpoint) return 1;
+  auto endpoint = ConnectFlag(flags);
+  if (!endpoint.ok()) return Refuse("mutate", endpoint.status());
 
   net::Json updates = net::Json::MakeArray();
-  if (flags.Has("add")) {
-    Status status = net::AppendEdgeUpdates(flags.GetString("add", ""), "add",
-                                           true, &updates);
-    if (!status.ok()) {
-      std::fprintf(stderr, "mutate: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  if (flags.Has("del")) {
-    Status status = net::AppendEdgeUpdates(flags.GetString("del", ""), "del",
-                                           false, &updates);
-    if (!status.ok()) {
-      std::fprintf(stderr, "mutate: %s\n", status.ToString().c_str());
-      return 1;
-    }
+  for (const std::string op : {"add", "del"}) {
+    if (!flags.Has(op)) continue;
+    Status status = net::AppendEdgeUpdates(flags.GetString(op, ""), op,
+                                           /*allow_weight=*/op == "add",
+                                           &updates);
+    if (!status.ok()) return Refuse(("mutate: --" + op).c_str(), status);
   }
 
   const double timeout_ms = flags.GetDouble("timeout-ms", 30000.0);
@@ -1290,8 +1200,8 @@ int InspectMain(const Flags& flags) {
     std::fprintf(stderr, "inspect: --connect=HOST:PORT is required\n");
     return Usage();
   }
-  auto endpoint = ConnectFlag(flags, "inspect");
-  if (!endpoint) return 1;
+  auto endpoint = ConnectFlag(flags);
+  if (!endpoint.ok()) return Refuse("inspect", endpoint.status());
   const double timeout_ms = flags.GetDouble("timeout-ms", 5000.0);
   auto client_result = net::Client::Connect(endpoint->first, endpoint->second);
   if (!client_result.ok()) {
@@ -1345,47 +1255,26 @@ int InspectMain(const Flags& flags) {
   return 0;
 }
 
-int Main(int argc, char** argv) {
-  auto flags_result = Flags::Parse(argc, argv);
-  if (!flags_result.ok()) return Usage();
-  const Flags& flags = *flags_result;
-  if (flags.Has("version")) {
+/// `adgraph_cli --algo=ALGO <graph source> [options]`: one run of one
+/// algorithm on one simulated device (or a gang or a stream of them).
+int RunSingle(const Flags& flags) {
+  if (flags.GetBool("version", false)) {
     int major = 0, minor = 0, patch = 0;
     adgraphGetVersion(&major, &minor, &patch);
     std::printf("adgraph_cli %d.%d.%d\n", major, minor, patch);
     return 0;
   }
-  const std::string mode =
-      flags.positional().empty() ? "" : flags.positional()[0];
-  if (mode == "serve-batch") return ServeBatch(flags);
-  if (mode == "serve") return Serve(flags);
-  if (mode == "client") return ClientMain(flags);
-  if (mode == "mutate") return MutateMain(flags);
-  if (mode == "inspect") return InspectMain(flags);
   if (!flags.Has("algo")) return Usage();
-  if (Status checked = CheckRunFlags(flags); !checked.ok()) {
-    std::fprintf(stderr, "%s\n", checked.ToString().c_str());
-    return 2;
-  }
+  auto run = SingleRunFromFlags(flags);
+  if (!run.ok()) return Refuse("adgraph_cli", run.status());
 
-  auto graph_result = LoadGraph(flags);
-  if (!graph_result.ok()) {
-    std::fprintf(stderr, "failed to load graph: %s\n",
-                 graph_result.status().ToString().c_str());
-    return 1;
-  }
-  const graph::CsrGraph& g = *graph_result;
+  graph::CsrGraph g;
+  if (int exit = LoadCheckedGraph(flags, "adgraph_cli", &g)) return exit;
   auto stats = graph::ComputeDegreeStats(g);
   std::printf("graph: %u vertices, %llu edges, max degree %llu\n",
               stats.num_vertices,
               static_cast<unsigned long long>(stats.num_edges),
               static_cast<unsigned long long>(stats.max_degree));
-
-  const vgpu::ArchConfig* arch = &vgpu::A100Config();
-  std::string gpu_name = flags.GetString("gpu", "A100");
-  for (const auto* gpu : vgpu::PaperGpus()) {
-    if (gpu->name == gpu_name) arch = gpu;
-  }
 
   if (flags.Has("trace")) {
     trace::TraceOptions trace_options;
@@ -1400,11 +1289,11 @@ int Main(int argc, char** argv) {
 
   vgpu::Device::Options device_options;
   device_options.memory_scale = flags.GetDouble("memory-scale", 1.0);
-  vgpu::Device device(*arch, device_options);
+  vgpu::Device device(*run->arch, device_options);
   std::printf("device: %s (%s)\n", device.name().c_str(),
               device.arch().vendor.c_str());
 
-  Status status = RunAlgo(flags, &device, g);
+  Status status = RunAlgo(*run, &device, g);
   if (flags.Has("trace")) {
     // Stop() writes the Chrome JSON; the ring stays readable for the
     // summary below.
@@ -1425,6 +1314,84 @@ int Main(int argc, char** argv) {
     std::printf("trace: %s\n", flags.GetString("trace", "").c_str());
   }
   return 0;
+}
+
+std::vector<FlagSpec> Concat(std::vector<FlagSpec> head,
+                             const std::vector<FlagSpec>& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
+/// One `adgraph_cli` mode: the name that comes first on the command line,
+/// the flags it accepts and its entry point.
+struct Mode {
+  const char* name;
+  std::vector<FlagSpec> flags;
+  int (*run)(const Flags&);
+};
+
+int Main(int argc, char** argv) {
+  using F = FlagSpec;
+  // What LoadGraph reads, for single-run, serve-batch and serve.
+  const std::vector<F> source = {
+      F::String("graph"),       F::String("dataset"),
+      F::String("generate"),    F::Number("extra-divisor", 1),
+      F::Int("scale", 1, 31),   F::Number("edge-factor", 0),
+      F::Int("seed", 0),        F::Choice("weights", {"random"}),
+      F::Bool("undirected")};
+  // And what BuildPoolOptions reads, for serve-batch and serve.
+  const std::vector<F> pool = Concat(
+      source,
+      {F::String("gpus"), F::Int("queue", 0),
+       F::Choice("overflow", {"block", "reject"}), F::Number("headroom", 0),
+       F::Number("occupancy-floor-ms", 0), F::Number("memory-scale", 0),
+       F::Choice("graph-cache", {"on", "off"}), F::String("trace"),
+       F::String("metrics-out"), F::String("metrics-format"),
+       F::Number("metrics-interval-ms", 0), F::String("alert-rules")});
+  const std::vector<F> connect = {F::String("connect"),
+                                  F::Number("timeout-ms", 0)};
+  const Mode modes[] = {
+      {"serve-batch", Concat(pool, {F::String("jobs")}), ServeBatch},
+      {"serve",
+       Concat(pool, {F::Int("listen", 0, 65535), F::String("tenants"),
+                     F::Int("handlers", 1, 256), F::Int("max-sessions", 1)}),
+       Serve},
+      {"client",
+       Concat(connect, {F::String("jobs"), F::String("tenant"),
+                        F::Number("deadline-ms", 0)}),
+       ClientMain},
+      {"mutate",
+       Concat(connect, {F::String("graph"), F::String("add"),
+                        F::String("del"), F::Bool("compact"),
+                        F::String("tenant")}),
+       MutateMain},
+      {"inspect", Concat(connect, {F::Int("job", 0), F::String("trace-id")}),
+       InspectMain},
+  };
+  const Mode single_run = {
+      "adgraph_cli",
+      Concat(source,
+             {F::String("algo"), F::String("gpu"),
+              // Job-line params, checked by net::BuildJobParams.
+              F::String("source"), F::String("iters"), F::String("k"),
+              F::String("fraction"), F::Bool("no-orient"),
+              F::Bool("profile"), F::String("trace"),
+              F::Number("memory-scale", 0), F::Bool("ooc"),
+              F::Int("shard-bytes", 0),
+              F::Int("devices", 1, core::kMaxGangDevices),
+              F::String("interconnect"),
+              F::Choice("partition", {"uniform", "degree"}),
+              F::Bool("version")}),
+      RunSingle};
+  const Mode* mode = &single_run;
+  for (const Mode& m : modes) {
+    if (argc > 1 && std::string(argv[1]) == m.name) mode = &m;
+  }
+  // A mode's flags follow its name, which Parse skips as it skips argv[0].
+  const int skip = mode == &single_run ? 0 : 1;
+  auto flags = Flags::Parse(argc - skip, argv + skip, mode->flags);
+  if (!flags.ok()) return Refuse(mode->name, flags.status());
+  return mode->run(*flags);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Traces the measured numbers in EXPERIMENTS.md to the regenerated CSVs.
 
-Two tables are checked:
+Three tables are checked:
 
 * "Figures 4-6": each row's Measured column against the `average` row of
   its figure's CSV (fig4_*.csv, fig5_*.csv, fig6_*.csv in the results
   directory);
+* "Figures 7-8": each "`metric` lo-hi%" cell against the minimum and
+  maximum of that metric's row across BFS, TC and ESBV in
+  fig8_coarse_z100l.csv (Z100L column) or fig7_coarse_a100.csv (A100
+  column), and each BFS / TC / ESBV "Z100L op A100" cell against both CSV
+  values, the comparison holding for them;
 * "Ablation": each BFS / TC / ESBV cell against ablation_hypotheses.csv,
   matched on the Hypothesis column.
 
@@ -22,6 +27,7 @@ Usage: tools/check_experiments.py [--experiments EXPERIMENTS.md]
 import argparse
 import csv
 import glob
+import operator
 import os
 import re
 import sys
@@ -29,6 +35,12 @@ from decimal import Decimal
 
 ALGOS = ("BFS", "TC", "ESBV")
 NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?")
+RANGE = re.compile(
+    r"`([^`]+)`\s*(\d+(?:\.\d+)?)\s*[\u2013-]\s*(\d+(?:\.\d+)?)%")
+COMPARISON = re.compile(r"^(\d+(?:\.\d+)?)\s*([<>])\s*(\d+(?:\.\d+)?)$")
+HOLDS = {"<": operator.lt, ">": operator.gt}
+COARSE_CSVS = (("Z100L", "fig8_coarse_z100l.csv"),
+               ("A100", "fig7_coarse_a100.csv"))
 
 
 def section_table(text, heading_prefix):
@@ -111,6 +123,58 @@ def check_figures(text, results, errors):
                               % (fig, algo))
 
 
+def check_coarse(text, results, errors):
+    rows = section_table(text, "Figures 7")
+    if rows is None:
+        errors.append("EXPERIMENTS.md: no '## Figures 7-8' table")
+        return
+    metrics = {}
+    for gpu, name in COARSE_CSVS:
+        path = os.path.join(results, name)
+        if not os.path.exists(path):
+            errors.append("%s: missing" % path)
+            return
+        metrics[gpu] = {r["Metric"]: r for r in read_csv(path)}
+    for row in rows:
+        if len(row) < 6:
+            errors.append("Figures 7-8 row has too few cells: %s" % row)
+            continue
+        csv_rows = {}
+        for (gpu, name), cell in zip(COARSE_CSVS, row[1:3]):
+            match = RANGE.search(cell)
+            csv_row = match and metrics[gpu].get(match.group(1))
+            if csv_row is None:
+                errors.append("Figures 7-8 %s cell %r names no row of %s"
+                              % (gpu, cell, name))
+                continue
+            csv_rows[gpu] = csv_row
+            values = sorted(Decimal(first_number(csv_row[a])) for a in ALGOS)
+            lo, hi = match.group(2), match.group(3)
+            if not (matches(lo, values[0]) and matches(hi, values[-1])):
+                errors.append("Figures 7-8 %s: EXPERIMENTS.md says %s-%s%%, "
+                              "%s spans %s-%s%%" % (match.group(1), lo, hi,
+                                                    name, values[0],
+                                                    values[-1]))
+        if len(csv_rows) < 2:
+            continue
+        for algo, cell in zip(ALGOS, row[3:6]):
+            match = COMPARISON.match(cell)
+            if match is None:
+                errors.append("Figures 7-8 %s cell %r is not 'Z100L op A100'"
+                              % (algo, cell))
+                continue
+            z100l, op, a100 = match.groups()
+            z100l_csv = first_number(csv_rows["Z100L"][algo])
+            a100_csv = first_number(csv_rows["A100"][algo])
+            if not (matches(z100l, z100l_csv) and matches(a100, a100_csv)):
+                errors.append("Figures 7-8 %s %s: EXPERIMENTS.md says %r, "
+                              "the CSVs have %s and %s"
+                              % (row[0], algo, cell, z100l_csv, a100_csv))
+            elif not HOLDS[op](Decimal(z100l_csv), Decimal(a100_csv)):
+                errors.append("Figures 7-8 %s %s: %s %s %s does not hold"
+                              % (row[0], algo, z100l_csv, op, a100_csv))
+
+
 def check_ablation(text, results, errors):
     rows = section_table(text, "Ablation")
     if rows is None:
@@ -154,13 +218,14 @@ def main():
         text = f.read()
     errors = []
     check_figures(text, args.results, errors)
+    check_coarse(text, args.results, errors)
     check_ablation(text, args.results, errors)
     for error in errors:
         print("MISMATCH: " + error)
     if errors:
         return 1
-    print("EXPERIMENTS.md: Figures 4-6 and Ablation tables match %s"
-          % args.results)
+    print("EXPERIMENTS.md: Figures 4-6, Figures 7-8 and Ablation tables "
+          "match %s" % args.results)
     return 0
 
 
