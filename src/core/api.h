@@ -54,7 +54,6 @@ Result<Algo> ParseAlgorithm(std::string_view name);
 /// Options of engine-based Brandes betweenness centrality (single source).
 struct BcOptions {
   graph::vid_t source = 0;
-  uint32_t block_size = 256;
 };
 
 /// Outcome of a betweenness run.

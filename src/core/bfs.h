@@ -26,11 +26,9 @@ struct BfsOptions {
   /// Caller's promise that the graph is symmetric (undirected).  Without
   /// it the traversal stays purely top-down.
   bool assume_symmetric = false;
-  /// Switch to bottom-up when frontier > n / alpha.
+  /// Switch to bottom-up when frontier > n / alpha, and back to top-down
+  /// once it no longer is.
   double alpha = 16.0;
-  /// Switch back to top-down when newly-visited < n / beta.
-  double beta = 64.0;
-  uint32_t block_size = 256;
   /// Also produce the BFS predecessor of every reached vertex (nvGRAPH's
   /// traversal emits both levels and predecessors).
   bool compute_parents = false;

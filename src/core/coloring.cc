@@ -125,7 +125,7 @@ Result<ColoringResult> RunGraphColoring(vgpu::Device* device,
         primitives::SetElement<uint32_t>(device, progress.ptr(), 0, 0));
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("color_round", rt::CoverThreads(n, options.block_size),
+            ->Launch("color_round", rt::CoverThreads(n),
                      [&](Ctx& c) {
                        return ColorRoundKernel(c, d.row_offsets.ptr(),
                                                d.col_indices.ptr(),

@@ -11,9 +11,7 @@ namespace adgraph::core {
 /// Options of weakly connected components via min-label propagation on
 /// the symmetrized graph (`core::Run` with Algo::kConnectedComponents; the
 /// driver is engine::RunConnectedComponents).
-struct CcOptions {
-  uint32_t block_size = 256;
-};
+struct CcOptions {};
 
 struct CcResult {
   /// Per-vertex component label = smallest vertex id in the component.

@@ -67,7 +67,7 @@ KernelTask JaccardKernel(Ctx& c, DevPtr<eid_t> row, DevPtr<vid_t> col,
 
 Result<JaccardResult> RunJaccard(vgpu::Device* device,
                                  const graph::CsrGraph& g,
-                                 const JaccardOptions& options,
+                                 const JaccardOptions&,
                                  GraphResidency* residency) {
   if (g.num_vertices() == 0) {
     return Status::InvalidArgument("Jaccard on empty graph");
@@ -84,8 +84,7 @@ Result<JaccardResult> RunJaccard(vgpu::Device* device,
   rt::DeviceTimer timer(device);
   ADGRAPH_RETURN_NOT_OK(
       device
-          ->Launch("jaccard",
-                   rt::CoverThreads(g.num_vertices(), options.block_size),
+          ->Launch("jaccard", rt::CoverThreads(g.num_vertices()),
                    [&](Ctx& c) {
                      return JaccardKernel(c, d.row_offsets.ptr(),
                                           d.col_indices.ptr(), out.ptr(),

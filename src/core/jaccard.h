@@ -10,9 +10,7 @@
 
 namespace adgraph::core {
 
-struct JaccardOptions {
-  uint32_t block_size = 256;
-};
+struct JaccardOptions {};
 
 struct JaccardResult {
   /// Per-edge Jaccard coefficient in CSR edge order.

@@ -86,7 +86,7 @@ Result<KCoreResult> RunKCore(vgpu::Device* device, const graph::CsrGraph& g,
   rt::DeviceTimer timer(device);
   ADGRAPH_RETURN_NOT_OK(
       device
-          ->Launch("kcore_init", rt::CoverThreads(n, options.block_size),
+          ->Launch("kcore_init", rt::CoverThreads(n),
                    [&](Ctx& c) {
                      return InitDegreeKernel(c, d.row_offsets.ptr(),
                                              degree.ptr(), alive.ptr(), n);
@@ -101,7 +101,7 @@ Result<KCoreResult> RunKCore(vgpu::Device* device, const graph::CsrGraph& g,
         primitives::SetElement<uint32_t>(device, changed.ptr(), 0, 0));
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("kcore_peel", rt::CoverThreads(n, options.block_size),
+            ->Launch("kcore_peel", rt::CoverThreads(n),
                      [&](Ctx& c) {
                        return PeelKernel(c, d.row_offsets.ptr(),
                                          d.col_indices.ptr(), degree.ptr(),
@@ -125,8 +125,7 @@ Result<KCoreResult> RunKCore(vgpu::Device* device, const graph::CsrGraph& g,
 
 
 Result<CoreDecompositionResult> RunCoreDecomposition(vgpu::Device* device,
-                                                     const graph::CsrGraph& g,
-                                                     uint32_t block_size) {
+                                                     const graph::CsrGraph& g) {
   if (g.num_vertices() == 0) {
     return Status::InvalidArgument("core decomposition on empty graph");
   }
@@ -156,7 +155,7 @@ Result<CoreDecompositionResult> RunCoreDecomposition(vgpu::Device* device,
   ADGRAPH_RETURN_NOT_OK(primitives::Fill<uint32_t>(device, core.ptr(), n, 0));
   ADGRAPH_RETURN_NOT_OK(
       device
-          ->Launch("kcore_init", rt::CoverThreads(n, block_size),
+          ->Launch("kcore_init", rt::CoverThreads(n),
                    [&](Ctx& c) {
                      return InitDegreeKernel(c, d.row_offsets.ptr(),
                                              degree.ptr(), alive.ptr(), n);
@@ -171,7 +170,7 @@ Result<CoreDecompositionResult> RunCoreDecomposition(vgpu::Device* device,
           primitives::SetElement<uint32_t>(device, changed.ptr(), 0, 0));
       ADGRAPH_RETURN_NOT_OK(
           device
-              ->Launch("kcore_peel", rt::CoverThreads(n, block_size),
+              ->Launch("kcore_peel", rt::CoverThreads(n),
                        [&](Ctx& c) {
                          return PeelKernel(c, d.row_offsets.ptr(),
                                            d.col_indices.ptr(), degree.ptr(),

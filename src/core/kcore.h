@@ -12,7 +12,6 @@ namespace adgraph::core {
 
 struct KCoreOptions {
   uint32_t k = 2;
-  uint32_t block_size = 256;
 };
 
 struct KCoreResult {
@@ -43,9 +42,8 @@ struct CoreDecompositionResult {
 
 /// Full core decomposition: peels k = 1, 2, ... in sequence, recording the
 /// phase at which each vertex leaves (device-side Matula-Beck).
-Result<CoreDecompositionResult> RunCoreDecomposition(
-    vgpu::Device* device, const graph::CsrGraph& g,
-    uint32_t block_size = 256);
+Result<CoreDecompositionResult> RunCoreDecomposition(vgpu::Device* device,
+                                                     const graph::CsrGraph& g);
 
 }  // namespace adgraph::core
 

@@ -15,7 +15,6 @@ struct PageRankOptions {
   double alpha = 0.85;          ///< damping factor
   uint32_t max_iterations = 50;
   double tolerance = 1e-7;      ///< L1 convergence threshold (0 = run all)
-  uint32_t block_size = 256;
 };
 
 struct PageRankResult {

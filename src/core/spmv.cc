@@ -67,7 +67,7 @@ Status RunSpmvOnDevice(vgpu::Device* device, const DeviceCsr& g,
     return Status::InvalidArgument("SpMV output may not alias input");
   }
   auto stats = device->Launch(
-      "spmv", rt::CoverThreads(g.num_vertices, options.block_size),
+      "spmv", rt::CoverThreads(g.num_vertices),
       [&](Ctx& c) {
         return detail::SpmvRowSliceKernel(
             c, g.row_offsets.ptr(), g.col_indices.ptr(),

@@ -21,7 +21,6 @@ enum class Semiring {
 
 struct SpmvOptions {
   Semiring semiring = Semiring::kPlusTimes;
-  uint32_t block_size = 256;
 };
 
 /// y = A (semiring-) * x on the device.  A is `g` (CSR); missing weights

@@ -12,12 +12,10 @@ namespace adgraph::core {
 /// (`core::Run` with Algo::kSssp; the driver is engine::RunSssp): each
 /// round is a min-plus relaxation of the vertices whose distance changed
 /// last round (the tropical-semiring iteration nvGRAPH's SSSP is built on).
-/// Unweighted edges count as 1.  Negative weights are rejected.
+/// Unweighted edges count as 1.  Negative weights are rejected.  At most
+/// num_vertices - 1 rounds run.
 struct SsspOptions {
   graph::vid_t source = 0;
-  uint32_t block_size = 256;
-  /// Safety bound on relaxation rounds (0 = num_vertices - 1).
-  uint32_t max_rounds = 0;
 };
 
 struct SsspResult {

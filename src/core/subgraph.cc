@@ -267,14 +267,13 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
                            rt::DeviceBuffer<uint32_t>::Create(device, m));
 
   rt::DeviceTimer timer(device);
-  const uint32_t bs = options.block_size;
 
   // --- Phase 1: on-device CSC -> CSR conversion --------------------------
   ADGRAPH_RETURN_NOT_OK(
       primitives::Fill<uint32_t>(device, cursor.ptr(), n, 0));
   ADGRAPH_RETURN_NOT_OK(
       device
-          ->Launch("esbv_csc_count", rt::CoverThreads(m, bs),
+          ->Launch("esbv_csc_count", rt::CoverThreads(m),
                    [&](Ctx& c) {
                      return CscCountKernel(c, csc.col_indices.ptr(),
                                            cursor.ptr(), m);
@@ -289,7 +288,7 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
       cursor.ptr(), csr_row32.ptr(), n));
   ADGRAPH_RETURN_NOT_OK(
       device
-          ->Launch("esbv_csc_scatter", rt::CoverThreads(n, bs),
+          ->Launch("esbv_csc_scatter", rt::CoverThreads(n),
                    [&](Ctx& c) {
                      return CscScatterKernel(
                          c, csc.row_offsets.ptr(), csc.col_indices.ptr(),
@@ -303,8 +302,7 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
   if (!options.vertices.empty()) {
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("esbv_mark",
-                     rt::CoverThreads(options.vertices.size(), bs),
+            ->Launch("esbv_mark", rt::CoverThreads(options.vertices.size()),
                      [&](Ctx& c) {
                        return MarkKernel(c, selected.ptr(), flags.ptr(),
                                          options.vertices.size());
@@ -320,7 +318,7 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
       primitives::SetElement<uint32_t>(device, coo_count.ptr(), 0, 0));
   ADGRAPH_RETURN_NOT_OK(
       device
-          ->Launch("esbv_emit", rt::CoverThreads(n, bs),
+          ->Launch("esbv_emit", rt::CoverThreads(n),
                    [&](Ctx& c) {
                      return EmitKernel(c, csr_row32.ptr(), csr_col.ptr(),
                                        csr_w.ptr(), flags.ptr(), map.ptr(),
@@ -347,7 +345,7 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
   if (out_edges > 0) {
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("esbv_coo_count", rt::CoverThreads(out_edges, bs),
+            ->Launch("esbv_coo_count", rt::CoverThreads(out_edges),
                      [&](Ctx& c) {
                        return CooCountKernel(c, coo_src.ptr(),
                                              out_cursor.ptr(), out_edges);
@@ -368,7 +366,7 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
   if (out_edges > 0) {
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("esbv_coo_perm", rt::CoverThreads(out_edges, bs),
+            ->Launch("esbv_coo_perm", rt::CoverThreads(out_edges),
                      [&](Ctx& c) {
                        return CooPermKernel(c, coo_src.ptr(),
                                             out_cursor.ptr(), coo_perm.ptr(),
@@ -377,7 +375,7 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
             .status());
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("esbv_coo_gather", rt::CoverThreads(out_edges, bs),
+            ->Launch("esbv_coo_gather", rt::CoverThreads(out_edges),
                      [&](Ctx& c) {
                        return CooGatherKernel(c, coo_perm.ptr(),
                                               coo_dst.ptr(), coo_w.ptr(),
@@ -432,12 +430,11 @@ Result<EsbeResult> ExtractSubgraphByEdge(vgpu::Device* device,
                            rt::DeviceBuffer<uint32_t>::Create(device, n));
 
   rt::DeviceTimer timer(device);
-  const uint32_t bs = options.block_size;
   ADGRAPH_RETURN_NOT_OK(primitives::Fill<uint32_t>(device, flags.ptr(), n, 0));
   if (num_selected > 0) {
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("esbe_mark", rt::CoverThreads(num_selected, bs),
+            ->Launch("esbe_mark", rt::CoverThreads(num_selected),
                      [&](Ctx& c) {
                        return EsbeMarkKernel(c, input.row_offsets.ptr(),
                                              input.col_indices.ptr(),
@@ -469,7 +466,7 @@ Result<EsbeResult> ExtractSubgraphByEdge(vgpu::Device* device,
   if (num_selected > 0) {
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("esbe_count", rt::CoverThreads(num_selected, bs),
+            ->Launch("esbe_count", rt::CoverThreads(num_selected),
                      [&](Ctx& c) {
                        return EsbeCountKernel(c, edge_src.ptr(), map.ptr(),
                                               out_cursor.ptr(), num_selected);
@@ -490,7 +487,7 @@ Result<EsbeResult> ExtractSubgraphByEdge(vgpu::Device* device,
   if (num_selected > 0) {
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("esbe_scatter", rt::CoverThreads(num_selected, bs),
+            ->Launch("esbe_scatter", rt::CoverThreads(num_selected),
                      [&](Ctx& c) {
                        return EsbeScatterKernel(
                            c, input.col_indices.ptr(),

@@ -15,7 +15,6 @@ namespace adgraph::core {
 struct EsbvOptions {
   /// The vertex subset to extract (need not be sorted; duplicates ignored).
   std::vector<graph::vid_t> vertices;
-  uint32_t block_size = 256;
 };
 
 /// Outcome of an extraction.
@@ -61,7 +60,6 @@ struct EsbeOptions {
   /// CSR edge indices to keep (need not be sorted; duplicates each
   /// contribute one output edge, matching nvGRAPH).
   std::vector<graph::eid_t> edges;
-  uint32_t block_size = 256;
 };
 
 struct EsbeResult {

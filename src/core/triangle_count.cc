@@ -19,6 +19,11 @@ using vgpu::LaneMask;
 using vgpu::Lanes;
 using vgpu::SmemPtr;
 
+/// Launch shape of the counting kernel: 128-thread blocks, at most 8192 of
+/// them resident, striding over the vertices.
+constexpr uint32_t kBlockSize = 128;
+constexpr uint32_t kMaxGrid = 8192;
+
 constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
 constexpr uint32_t kHashMultiplier = 2654435761u;  // Knuth
 
@@ -298,8 +303,8 @@ Result<TcResult> RunTriangleCountOnDevice(vgpu::Device* device,
   const uint32_t sample = std::max<uint32_t>(options.vertex_sample, 1);
   rt::DeviceTimer timer(device);
   vgpu::LaunchDims dims;
-  dims.grid = std::min(prepared.num_vertices, options.max_grid);
-  dims.block = options.block_size;
+  dims.grid = std::min(prepared.num_vertices, kMaxGrid);
+  dims.block = kBlockSize;
   dims.shared_bytes = options.hash_capacity * sizeof(uint32_t);
   dims.work_replication = sample;
   ADGRAPH_RETURN_NOT_OK(

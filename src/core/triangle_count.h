@@ -12,9 +12,6 @@ namespace adgraph::core {
 
 /// Options of the GPU triangle counter.
 struct TcOptions {
-  uint32_t block_size = 128;
-  /// Blocks resident in the grid (grid-stride loop over vertices).
-  uint32_t max_grid = 8192;
   /// Entries of the per-block shared-memory adjacency hash set.  Vertices
   /// with larger oriented degree fall back to binary-search intersection
   /// (the branch-heavy slow path).

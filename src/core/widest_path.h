@@ -12,12 +12,9 @@ namespace adgraph::core {
 /// nvGRAPH's semiring-SpMV algorithms: iterated (max, min) relaxations
 /// (`core::Run` with Algo::kWidestPath; the driver is
 /// engine::RunWidestPath).  Requires non-negative weights (unweighted edges
-/// count as capacity 1).
+/// count as capacity 1).  At most num_vertices - 1 rounds run.
 struct WidestPathOptions {
   graph::vid_t source = 0;
-  uint32_t block_size = 256;
-  /// Safety bound on relaxation rounds (0 = num_vertices - 1).
-  uint32_t max_rounds = 0;
 };
 
 struct WidestPathResult {

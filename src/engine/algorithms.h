@@ -23,12 +23,17 @@ namespace adgraph::engine {
 ///
 ///  * BFS's digests are the ones Tables 5/6 were built from: its codegen,
 ///    device allocations and direction heuristic must not drift.
-///  * SSSP / CC / widest-path converge to the unique semiring fixpoint
-///    (min-plus, min-label, max-min), so the result arrays equal the host
-///    reference bitwise.
+///  * SSSP, CC and widest path are one relaxation loop (engine/relax.h)
+///    over their semirings (min-plus, min-label, max-min; the warm BFS
+///    re-expansion is a fourth, min over level + 1).  Each converges to
+///    the semiring's unique fixpoint, so the result arrays equal the host
+///    reference bitwise; their `-warp` rows freeze the warp-per-vertex
+///    launches, which kAuto never picks on the proxies.
 ///  * PageRank is floating-point-order sensitive: its kernel sequence
 ///    (dangling sum, pull SpMV, damping) is fixed, so ranks and iteration
 ///    count are bit-stable run to run.
+///  * BC's forward pass claims levels and counts paths in its own push
+///    loop; its rows freeze both gathers too.
 ///
 /// `report`, when non-null, receives the per-run direction statistics.
 
@@ -90,7 +95,8 @@ Result<core::BcResult> RunBetweenness(vgpu::Device* device,
 /// for a request core::Run's fallback list has cleared: `algo` is BFS,
 /// CC or PageRank, `warm.previous` holds its result on a graph of the same
 /// vertex count, `warm.updates` is set (insert-only for BFS and CC), and
-/// BFS asks for no parents.  Fills `info->seed_vertices`.
+/// BFS asks for no parents.  BFS and CC re-expand through the relaxation
+/// loop from the previous values.  Fills `info->seed_vertices`.
 Result<core::AlgoResult> RunWarmStarted(vgpu::Device* device,
                                         core::Algo algo,
                                         const graph::CsrGraph& g,

@@ -44,15 +44,6 @@ struct BcForwardOp {
   void OnEnqueue(Ctx&, const Lanes<vid_t>&, const Lanes<vid_t>&) {}
 };
 
-/// Filter predicate for the backward sweep's per-level queue rebuild.
-struct LevelEqPred {
-  DevPtr<uint32_t> levels;
-  uint32_t level;
-  LaneMask operator()(Ctx& c, const Lanes<vid_t>& v) {
-    return c.Eq(c.Load(levels, v), level);
-  }
-};
-
 /// One backward (dependency-accumulation) level: each vertex w on `level`
 /// scans its neighbors and sums sigma[w]/sigma[v] * (1 + delta[v]) over
 /// those on level+1.  Each thread owns one w and adds in edge order, so
@@ -126,7 +117,7 @@ Result<core::BcResult> RunBetweenness(vgpu::Device* device,
       core::primitives::Fill<double>(device, sigma.ptr(), n, 0.0));
   ADGRAPH_RETURN_NOT_OK(core::primitives::SetElement<double>(
       device, sigma.ptr(), options.source, 1.0));
-  ADGRAPH_RETURN_NOT_OK(cur.InitSource(options.source, options.block_size));
+  ADGRAPH_RETURN_NOT_OK(cur.InitSource(options.source));
 
   CsrView view = MakeView(d);
   DirectionEngine director(device, engine.direction, DirectionHeuristic{},
@@ -141,15 +132,14 @@ Result<core::BcResult> RunBetweenness(vgpu::Device* device,
     trace::Span sweep(device->trace_track(), "bc.forward", "phase");
     sweep.ArgNum("level", static_cast<uint64_t>(level));
     sweep.ArgNum("frontier_size", static_cast<uint64_t>(frontier_size));
-    ADGRAPH_RETURN_NOT_OK(next.Clear(options.block_size));
+    ADGRAPH_RETURN_NOT_OK(next.Clear());
     ADGRAPH_ASSIGN_OR_RETURN(Direction dir,
                              director.Choose(frontier_size, n, level));
     (void)dir;  // the counting forward pass is push-only
 
     BcForwardOp op{levels.ptr(), sigma.ptr(), level, {}};
     ADGRAPH_RETURN_NOT_OK(LaunchPushAdvance(device, "bc_forward", view, lb,
-                                            cur, frontier_size, next,
-                                            options.block_size, op));
+                                            cur, frontier_size, next, op));
 
     ADGRAPH_RETURN_NOT_OK(next.RefreshCount());
     const uint32_t produced = next.size();
@@ -171,8 +161,7 @@ Result<core::BcResult> RunBetweenness(vgpu::Device* device,
     LevelEqPred pred{levels.ptr(), lvl};
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("bc_levels_to_queue",
-                     rt::CoverThreads(n, options.block_size),
+            ->Launch("bc_levels_to_queue", rt::CoverThreads(n),
                      [&](Ctx& c) {
                        return FilterToQueueKernel(c, n, cur.queue(),
                                                   cur.count(), pred);
@@ -186,7 +175,7 @@ Result<core::BcResult> RunBetweenness(vgpu::Device* device,
     // keeps the kernel uniform.
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("bc_backward", rt::CoverThreads(size, options.block_size),
+            ->Launch("bc_backward", rt::CoverThreads(size),
                      [&](Ctx& c) {
                        return BcBackwardKernel(c, view, cur.queue(), size,
                                                levels.ptr(), sigma.ptr(),

@@ -60,17 +60,6 @@ struct BfsPullOp {
   }
 };
 
-/// Filter predicate: vertex sits on `level` (queue rebuild after pull).
-struct LevelEqPred {
-  DevPtr<uint32_t> levels;
-  uint32_t level;
-
-  LaneMask operator()(Ctx& c, const Lanes<vid_t>& v) {
-    auto my_level = c.Load(levels, v);
-    return c.Eq(my_level, level);
-  }
-};
-
 }  // namespace
 
 Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
@@ -136,7 +125,6 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
 
   DirectionHeuristic heuristic;
   heuristic.alpha = options.alpha;
-  heuristic.beta = options.beta;
   const bool can_pull =
       options.direction_optimizing && options.assume_symmetric;
   DirectionEngine director(device, engine.direction, heuristic, can_pull);
@@ -159,8 +147,7 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
       BfsPullOp op{levels.ptr(), parents_ptr, level};
       ADGRAPH_RETURN_NOT_OK(
           device
-              ->Launch("bfs_bottom_up",
-                       rt::CoverThreads(n, options.block_size),
+              ->Launch("bfs_bottom_up", rt::CoverThreads(n),
                        [&](Ctx& c) {
                          return PullAdvanceKernel(c, view, count.ptr(), op);
                        })
@@ -178,8 +165,7 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
         LevelEqPred pred{levels.ptr(), level - 1};
         ADGRAPH_RETURN_NOT_OK(
             device
-                ->Launch("bfs_levels_to_queue",
-                         rt::CoverThreads(n, options.block_size),
+                ->Launch("bfs_levels_to_queue", rt::CoverThreads(n),
                          [&](Ctx& c) {
                            return FilterToQueueKernel(c, n, cur.ptr(),
                                                       count.ptr(), pred);
@@ -202,7 +188,7 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
         ADGRAPH_RETURN_NOT_OK(
             device
                 ->Launch("bfs_top_down_warp",
-                         rt::CoverThreads(warp_threads, options.block_size,
+                         rt::CoverThreads(warp_threads, rt::kDefaultBlockSize,
                                           StageSharedBytes()),
                          [&](Ctx& c) {
                            return PushAdvanceWarpKernel(c, view, cur.ptr(),
@@ -215,7 +201,7 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
         ADGRAPH_RETURN_NOT_OK(
             device
                 ->Launch("bfs_top_down",
-                         rt::CoverThreads(frontier_size, options.block_size,
+                         rt::CoverThreads(frontier_size, rt::kDefaultBlockSize,
                                           StageSharedBytes()),
                          [&](Ctx& c) {
                            return PushAdvanceSparseKernel(c, view, cur.ptr(),

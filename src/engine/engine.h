@@ -25,15 +25,12 @@ enum class DirectionPolicy {
 };
 
 /// The frontier-density switch thresholds.  Defaults equal BfsOptions
-/// alpha/beta plus a 64-entry floor, the decisions the golden BFS digests
-/// were frozen with.
+/// alpha plus a 64-entry floor, the decisions the golden BFS digests were
+/// frozen with.  The switch back to push re-evaluates the same condition on
+/// the shrunken frontier.
 struct DirectionHeuristic {
   /// Pull when frontier_size > n / alpha.
   double alpha = 16.0;
-  /// Return-to-push threshold (newly visited < n / beta).  Recorded for
-  /// parity with BfsOptions; the switch back is decided by re-evaluating
-  /// the alpha condition on the shrunken frontier.
-  double beta = 64.0;
   /// Never pull below this frontier size.
   uint32_t min_pull_frontier = 64;
 };
@@ -79,9 +76,6 @@ class DirectionEngine {
                  uint32_t num_vertices);
 
   const DirectionStats& stats() const { return stats_; }
-  DirectionPolicy policy() const { return policy_; }
-  const DirectionHeuristic& heuristic() const { return heuristic_; }
-  bool can_pull() const { return can_pull_; }
 
  private:
   vgpu::Device* device_;
@@ -120,13 +114,13 @@ struct FlagSetPred {
 template <typename EdgeOp>
 Status LaunchPushAdvance(vgpu::Device* device, const std::string& name,
                          const CsrView& view, LoadBalance lb, Frontier& cur,
-                         uint32_t frontier_size, Frontier& next,
-                         uint32_t block_size, EdgeOp& op) {
+                         uint32_t frontier_size, Frontier& next, EdgeOp& op) {
+  constexpr uint32_t kBlock = rt::kDefaultBlockSize;
   if (cur.rep() == Frontier::Rep::kDense) {
     FlagSetPred pred{cur.flags()};
     return device
         ->Launch(name + "_dense",
-                 rt::CoverThreads(view.n, block_size, StageSharedBytes()),
+                 rt::CoverThreads(view.n, kBlock, StageSharedBytes()),
                  [&](vgpu::Ctx& c) {
                    return PushAdvanceDenseKernel(c, view, next.queue(),
                                                  next.count(), pred, op);
@@ -138,8 +132,7 @@ Status LaunchPushAdvance(vgpu::Device* device, const std::string& name,
         static_cast<uint64_t>(frontier_size) * device->arch().warp_width;
     return device
         ->Launch(name + "_warp",
-                 rt::CoverThreads(warp_threads, block_size,
-                                  StageSharedBytes()),
+                 rt::CoverThreads(warp_threads, kBlock, StageSharedBytes()),
                  [&](vgpu::Ctx& c) {
                    return PushAdvanceWarpKernel(c, view, cur.queue(),
                                                 frontier_size, next.queue(),
@@ -149,7 +142,7 @@ Status LaunchPushAdvance(vgpu::Device* device, const std::string& name,
   }
   return device
       ->Launch(name,
-               rt::CoverThreads(frontier_size, block_size, StageSharedBytes()),
+               rt::CoverThreads(frontier_size, kBlock, StageSharedBytes()),
                [&](vgpu::Ctx& c) {
                  return PushAdvanceSparseKernel(c, view, cur.queue(),
                                                 frontier_size, next.queue(),

@@ -46,7 +46,7 @@ Result<Frontier> Frontier::Create(vgpu::Device* device, vid_t n) {
   return f;
 }
 
-Status Frontier::InitSource(vid_t source, uint32_t block_size) {
+Status Frontier::InitSource(vid_t source) {
   if (device_ == nullptr) {
     return Status::FailedPrecondition("frontier not created");
   }
@@ -54,7 +54,7 @@ Status Frontier::InitSource(vid_t source, uint32_t block_size) {
     return Status::InvalidArgument("frontier source " + std::to_string(source) +
                                    " out of range");
   }
-  ADGRAPH_RETURN_NOT_OK(Clear(block_size));
+  ADGRAPH_RETURN_NOT_OK(Clear());
   ADGRAPH_RETURN_NOT_OK(
       core::primitives::SetElement<vid_t>(device_, queue_.ptr(), 0, source));
   ADGRAPH_RETURN_NOT_OK(
@@ -66,7 +66,7 @@ Status Frontier::InitSource(vid_t source, uint32_t block_size) {
   return Status::OK();
 }
 
-Status Frontier::InitAllVertices(uint32_t block_size) {
+Status Frontier::InitAllVertices() {
   if (device_ == nullptr) {
     return Status::FailedPrecondition("frontier not created");
   }
@@ -76,7 +76,7 @@ Status Frontier::InitAllVertices(uint32_t block_size) {
   auto queue = queue_.ptr();
   ADGRAPH_RETURN_NOT_OK(
       device_
-          ->Launch("frontier_iota", rt::CoverThreads(n, block_size),
+          ->Launch("frontier_iota", rt::CoverThreads(n),
                    [&](Ctx& c) { return IotaQueueKernel(c, queue, n); })
           .status());
   ADGRAPH_RETURN_NOT_OK(
@@ -86,8 +86,7 @@ Status Frontier::InitAllVertices(uint32_t block_size) {
   return Status::OK();
 }
 
-Status Frontier::InitFromHost(std::span<const vid_t> seeds,
-                              uint32_t block_size) {
+Status Frontier::InitFromHost(std::span<const vid_t> seeds) {
   if (device_ == nullptr) {
     return Status::FailedPrecondition("frontier not created");
   }
@@ -97,7 +96,7 @@ Status Frontier::InitFromHost(std::span<const vid_t> seeds,
                                      " out of range");
     }
   }
-  ADGRAPH_RETURN_NOT_OK(Clear(block_size));
+  ADGRAPH_RETURN_NOT_OK(Clear());
   if (seeds.empty()) return Status::OK();
   const uint32_t size = static_cast<uint32_t>(seeds.size());
   ADGRAPH_RETURN_NOT_OK(queue_.Upload(seeds.data(), size));
@@ -105,7 +104,7 @@ Status Frontier::InitFromHost(std::span<const vid_t> seeds,
   auto flags = flags_.ptr();
   ADGRAPH_RETURN_NOT_OK(
       device_
-          ->Launch("frontier_seed_scatter", rt::CoverThreads(size, block_size),
+          ->Launch("frontier_seed_scatter", rt::CoverThreads(size),
                    [&](Ctx& c) {
                      return QueueToFlagsKernel(c, queue, flags, size);
                    })
@@ -117,8 +116,7 @@ Status Frontier::InitFromHost(std::span<const vid_t> seeds,
   return Status::OK();
 }
 
-Status Frontier::Clear(uint32_t block_size) {
-  (void)block_size;
+Status Frontier::Clear() {
   if (device_ == nullptr) {
     return Status::FailedPrecondition("frontier not created");
   }

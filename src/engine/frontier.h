@@ -40,21 +40,20 @@ class Frontier {
 
   /// Resets to the singleton set {source}: queue=[source], flag set,
   /// count=1, representation sparse.
-  Status InitSource(graph::vid_t source, uint32_t block_size = 256);
+  Status InitSource(graph::vid_t source);
 
   /// Resets to the full vertex set 0..n-1: all flags set, queue=iota,
   /// count=n, representation dense.
-  Status InitAllVertices(uint32_t block_size = 256);
+  Status InitAllVertices();
 
   /// Resets to an arbitrary host-side seed set (duplicate-free, ids < n):
   /// queue=seeds, flags scattered, count=|seeds|, representation sparse.
   /// The incremental-recompute entry point (DESIGN.md §2.12) uses this to
   /// re-expand only the vertices a delta touched.
-  Status InitFromHost(std::span<const graph::vid_t> seeds,
-                      uint32_t block_size = 256);
+  Status InitFromHost(std::span<const graph::vid_t> seeds);
 
   /// Resets to the empty set (flags cleared, count 0, sparse).
-  Status Clear(uint32_t block_size = 256);
+  Status Clear();
 
   /// Re-reads the device count cell into the host mirror.
   Status RefreshCount();
@@ -71,8 +70,6 @@ class Frontier {
   vgpu::DevPtr<uint32_t> flags() { return flags_.ptr(); }
   vgpu::DevPtr<uint32_t> count() { return count_.ptr(); }
 
-  /// Marks the host mirror after an advance wrote the device count.
-  void set_size(uint32_t size) { size_ = size; }
   void set_rep(Rep rep) { rep_ = rep; }
 
   /// Swaps device buffers and host state (double-buffering).

@@ -7,93 +7,30 @@
 #include <utility>
 #include <vector>
 
-#include "core/bfs.h"
-#include "core/conn_components.h"
-#include "core/residency.h"
 #include "engine/algorithms.h"
-#include "engine/frontier.h"
-#include "engine/operators.h"
-#include "trace/trace.h"
-#include "vgpu/ctx.h"
-#include "vgpu/kernel.h"
+#include "engine/relax.h"
 
 namespace adgraph::engine {
 namespace {
 
-using graph::eid_t;
 using graph::vid_t;
 using vgpu::Ctx;
-using vgpu::DevPtr;
-using vgpu::LaneMask;
 using vgpu::Lanes;
 
-/// Push relaxation of BFS levels: AtomicMin level[u] + 1 into the
-/// destination, claim the output flag when it improved.  This converges to
+/// Min over level + 1 (the warm BFS re-expansion): a source pushes its
+/// level plus one, the smaller level wins.  This converges to
 /// shortest-path distances, the unique fixpoint a cold BFS lands on, which
 /// is what makes warm-started re-expansion byte-identical.  The engine BFS
 /// visits each vertex once instead; levels that can only drop need this
 /// relaxation formulation.
-struct LevelMinPushOp {
-  DevPtr<uint32_t> levels;
-  DevPtr<uint32_t> out_flags;
-  Lanes<uint32_t> cand;
-
-  void LoadSource(Ctx& c, const Lanes<vid_t>& u) {
-    cand = c.Add(c.Load(levels, u), 1u);
+struct MinLevel : MinSemiring<uint32_t> {
+  static Lanes<uint32_t> Push(Ctx& c, const Lanes<uint32_t>& level) {
+    return c.Add(level, 1u);
   }
-  LaneMask Relax(Ctx& c, const Lanes<vid_t>&, const Lanes<eid_t>&,
-                 const Lanes<vid_t>& v) {
-    auto old = c.AtomicMin(levels, v, cand);
-    auto improved = c.Gt(old, cand);
-    LaneMask fresh = 0;
-    c.If(improved, [&](Ctx& c) {
-      auto prev = c.AtomicExch(out_flags, v, c.Splat<uint32_t>(1));
-      fresh = c.Eq(prev, 0u);
-    });
-    return fresh;
-  }
-  void OnEnqueue(Ctx&, const Lanes<vid_t>&, const Lanes<vid_t>&) {}
 };
-
-/// Runs seeded level relaxation to convergence.  `levels` already holds
-/// the warm-started levels on the device; `seeds` are the vertices whose
-/// outgoing edges may improve a neighbor.  Returns the round count.
-Result<uint32_t> RelaxToFixpoint(vgpu::Device* device, const core::DeviceCsr& d,
-                                 rt::DeviceBuffer<uint32_t>* levels,
-                                 const std::vector<vid_t>& seeds,
-                                 uint32_t block_size) {
-  const vid_t n = static_cast<vid_t>(levels->size());
-  ADGRAPH_ASSIGN_OR_RETURN(Frontier cur, Frontier::Create(device, n));
-  ADGRAPH_ASSIGN_OR_RETURN(Frontier next, Frontier::Create(device, n));
-  ADGRAPH_RETURN_NOT_OK(cur.InitFromHost(seeds, block_size));
-
-  CsrView view = MakeView(d);
-  const LoadBalance lb = ResolveLoadBalance(LoadBalance::kAuto, d.num_edges, n,
-                                            device->arch().warp_width);
-  uint32_t rounds = 0;
-  uint32_t frontier_size = cur.size();
-  while (frontier_size > 0 && rounds < n) {
-    trace::Span sweep(device->trace_track(), "incremental.relax_round",
-                      "phase");
-    sweep.ArgNum("round", static_cast<uint64_t>(rounds + 1));
-    sweep.ArgNum("frontier_size", static_cast<uint64_t>(frontier_size));
-    ADGRAPH_RETURN_NOT_OK(next.Clear(block_size));
-    LevelMinPushOp op{levels->ptr(), next.flags(), {}};
-    ADGRAPH_RETURN_NOT_OK(LaunchPushAdvance(device, "bfs_delta_relax", view,
-                                            lb, cur, frontier_size, next,
-                                            block_size, op));
-    rounds += 1;
-    ADGRAPH_RETURN_NOT_OK(next.RefreshCount());
-    frontier_size = next.size();
-    next.set_rep(Frontier::Rep::kSparse);
-    swap(cur, next);
-  }
-  return rounds;
-}
 
 Result<core::BfsResult> RunBfsDelta(vgpu::Device* device,
                                     const graph::CsrGraph& g,
-                                    const core::BfsOptions& options,
                                     const core::BfsResult& previous,
                                     const std::vector<graph::EdgeUpdate>& ups,
                                     core::GraphResidency* residency,
@@ -115,20 +52,17 @@ Result<core::BfsResult> RunBfsDelta(vgpu::Device* device,
   std::vector<vid_t> seeds(seed_set.begin(), seed_set.end());
   info->seed_vertices = seeds.size();
 
+  auto start = [&](rt::DeviceBuffer<uint32_t>& levels, Frontier& cur) {
+    ADGRAPH_RETURN_NOT_OK(levels.Upload(previous.levels.data(), n));
+    return cur.InitFromHost(seeds);
+  };
   ADGRAPH_ASSIGN_OR_RETURN(
-      core::ResidentCsr staged,
-      core::Stage(residency, device, g, core::GraphVariant::kAsIs));
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto levels, rt::DeviceBuffer<uint32_t>::FromHost(device,
-                                                        previous.levels));
-  rt::DeviceTimer timer(device);
-  ADGRAPH_ASSIGN_OR_RETURN(
-      uint32_t rounds,
-      RelaxToFixpoint(device, *staged, &levels, seeds, options.block_size));
-
+      Fixpoint<uint32_t> fixpoint,
+      RelaxToFixpoint<MinLevel>(device, g, residency, core::GraphVariant::kAsIs,
+                                "bfs_delta_relax", n, {}, nullptr, start));
   core::BfsResult result;
-  result.time_ms = timer.ElapsedMs();
-  ADGRAPH_ASSIGN_OR_RETURN(result.levels, levels.ToHost());
+  result.levels = std::move(fixpoint.values);
+  result.time_ms = fixpoint.time_ms;
   // Depth and visit count are functions of the (unique) level fixpoint, so
   // recomputing them host-side keeps them equal to a full recompute.
   for (uint32_t level : result.levels) {
@@ -136,9 +70,8 @@ Result<core::BfsResult> RunBfsDelta(vgpu::Device* device,
     result.vertices_visited += 1;
     result.depth = std::max(result.depth, level);
   }
-  result.top_down_iterations = rounds;
-  result.bottom_up_iterations = 0;
-  algo_span.ArgNum("rounds", static_cast<uint64_t>(rounds));
+  result.top_down_iterations = fixpoint.rounds;
+  algo_span.ArgNum("rounds", static_cast<uint64_t>(fixpoint.rounds));
   return result;
 }
 
@@ -156,9 +89,8 @@ Result<core::AlgoResult> RunWarmStarted(vgpu::Device* device,
     case core::Algo::kBfs: {
       ADGRAPH_ASSIGN_OR_RETURN(
           core::BfsResult r,
-          RunBfsDelta(device, g, std::get<core::BfsOptions>(params),
-                      std::get<core::BfsResult>(*warm.previous), ups,
-                      residency, info));
+          RunBfsDelta(device, g, std::get<core::BfsResult>(*warm.previous),
+                      ups, residency, info));
       return core::AlgoResult(std::move(r));
     }
     case core::Algo::kConnectedComponents: {

@@ -377,6 +377,17 @@ vgpu::KernelTask FilterToQueueKernel(vgpu::Ctx& c, uint32_t n,
   co_return;
 }
 
+/// Filter predicate: vertex `v` sits on `level` (the queue rebuild after a
+/// BFS pull round, and per level in BC's backward sweep).
+struct LevelEqPred {
+  vgpu::DevPtr<uint32_t> levels;
+  uint32_t level;
+
+  vgpu::LaneMask operator()(vgpu::Ctx& c, const vgpu::Lanes<graph::vid_t>& v) {
+    return c.Eq(c.Load(levels, v), level);
+  }
+};
+
 /// Resolves kAuto from the graph's mean degree: warp-per-vertex pays off
 /// when an average adjacency spans multiple warp-widths.
 inline LoadBalance ResolveLoadBalance(LoadBalance lb, uint64_t num_edges,

@@ -88,7 +88,6 @@ Result<core::PageRankResult> RunPageRank(
   core::PageRankResult result;
   core::SpmvOptions spmv_options;
   spmv_options.semiring = core::Semiring::kPlusTimes;
-  spmv_options.block_size = options.block_size;
 
   for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
     trace::Span sweep(device->trace_track(), "pagerank.iteration", "phase");
@@ -100,8 +99,7 @@ Result<core::PageRankResult> RunPageRank(
         core::primitives::SetElement<double>(device, scalars.ptr(), 0, 0.0));
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("pagerank_dangling",
-                     rt::CoverThreads(n, options.block_size),
+            ->Launch("pagerank_dangling", rt::CoverThreads(n),
                      [&](Ctx& c) {
                        return core::detail::DanglingSumKernel(
                            c, d_row.ptr(), ranks.ptr(), scalars.ptr(), n);
@@ -120,8 +118,7 @@ Result<core::PageRankResult> RunPageRank(
         core::primitives::SetElement<double>(device, scalars.ptr(), 1, 0.0));
     ADGRAPH_RETURN_NOT_OK(
         device
-            ->Launch("pagerank_damping",
-                     rt::CoverThreads(n, options.block_size),
+            ->Launch("pagerank_damping", rt::CoverThreads(n),
                      [&](Ctx& c) {
                        return core::detail::ApplyDampingKernel(
                            c, next.ptr(), ranks.ptr(), scalars.ptr() + 1, base,

@@ -125,7 +125,7 @@ Result<serve::JobParams> ReadJobParams(
       }
       ADGRAPH_ASSIGN_OR_RETURN(
           uint64_t seed,
-          get_integer("seed", 7, std::numeric_limits<uint64_t>::max()));
+          get_integer("seed", 7, kMaxExactInteger));
       o.vertices = core::SelectPseudoCluster(num_vertices, fraction, seed);
       return serve::JobParams(o);
     }

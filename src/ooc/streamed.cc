@@ -267,8 +267,7 @@ Result<core::BfsResult> RunStreamedBfs(vgpu::Device* device,
     ADGRAPH_RETURN_NOT_OK(pipe.Sweep([&](int slot, const ShardView& v) {
       if (v.num_edges() == 0) return Status::OK();
       return pipe.compute_stream()
-          ->Launch("bfs_top_down_shard",
-                   rt::CoverThreads(v.num_rows(), options.block_size),
+          ->Launch("bfs_top_down_shard", rt::CoverThreads(v.num_rows()),
                    [&](Ctx& c) {
                      return BfsShardKernel(c, pipe.rows(slot), pipe.cols(slot),
                                            levels.ptr(), produced_buf.ptr(),
@@ -349,8 +348,7 @@ Result<core::PageRankResult> RunStreamedPageRank(
           core::primitives::SetElement<double>(device, scalars.ptr(), 0, 0.0));
       ADGRAPH_RETURN_NOT_OK(
           device
-              ->Launch("pagerank_dangling",
-                       rt::CoverThreads(n, options.block_size),
+              ->Launch("pagerank_dangling", rt::CoverThreads(n),
                        [&](Ctx& c) {
                          return core::detail::DanglingSumKernel(
                              c, d_row.ptr(), ranks.ptr(), scalars.ptr(), n);
@@ -367,8 +365,7 @@ Result<core::PageRankResult> RunStreamedPageRank(
     // — and hence every double — matches the single whole-matrix launch.
     ADGRAPH_RETURN_NOT_OK(pipe.Sweep([&](int slot, const ShardView& v) {
       return pipe.compute_stream()
-          ->Launch("spmv_shard",
-                   rt::CoverThreads(v.num_rows(), options.block_size),
+          ->Launch("spmv_shard", rt::CoverThreads(v.num_rows()),
                    [&](Ctx& c) {
                      return core::detail::SpmvRowSliceKernel(
                          c, pipe.rows(slot), pipe.cols(slot),
@@ -386,8 +383,7 @@ Result<core::PageRankResult> RunStreamedPageRank(
           core::primitives::SetElement<double>(device, scalars.ptr(), 1, 0.0));
       ADGRAPH_RETURN_NOT_OK(
           device
-              ->Launch("pagerank_damping",
-                       rt::CoverThreads(n, options.block_size),
+              ->Launch("pagerank_damping", rt::CoverThreads(n),
                        [&](Ctx& c) {
                          return core::detail::ApplyDampingKernel(
                              c, next.ptr(), ranks.ptr(), scalars.ptr() + 1,

@@ -232,7 +232,7 @@ Result<core::BfsResult> RunPartitionedBfs(PartitionedEngine* engine,
       const uint32_t frontier_size = s.frontier_size;
       ADGRAPH_RETURN_NOT_OK(
           dev->Launch("part_bfs_expand",
-                      rt::CoverThreads(frontier_size, options.block_size,
+                      rt::CoverThreads(frontier_size, rt::kDefaultBlockSize,
                                        kStageSharedBytes),
                       [&](Ctx& c) {
                         return ExpandKernel(c, state, frontier_size, level,

@@ -24,9 +24,9 @@ namespace adgraph::part {
 /// Direction-optimizing mode is intentionally not offered here:
 /// bottom-up sweeps read remote levels, which a 1-D partition cannot serve
 /// without replicating the frontier every round.  So the driver reads only
-/// `options.source` and `options.block_size`, and fills levels, depth,
-/// vertices_visited, top_down_iterations (the round count) and time_ms (the
-/// per-round max-device compute plus exchange); levels are byte-identical
+/// `options.source`, and fills levels, depth, vertices_visited,
+/// top_down_iterations (the round count) and time_ms (the per-round
+/// max-device compute plus exchange); levels are byte-identical
 /// to a single-device BFS of the same graph and source, because the
 /// bulk-synchronous rounds coincide with BFS levels.  It computes no
 /// parents — core::CheckPlacement keeps such requests off a gang.

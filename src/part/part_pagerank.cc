@@ -112,7 +112,6 @@ Result<core::PageRankResult> RunPartitionedPageRank(
   core::ExchangeStats exchange_stats;
   core::SpmvOptions spmv_options;
   spmv_options.semiring = core::Semiring::kPlusTimes;
-  spmv_options.block_size = options.block_size;
 
   engine->StartRounds();
 
@@ -132,8 +131,7 @@ Result<core::PageRankResult> RunPartitionedPageRank(
           core::primitives::SetElement<double>(dev, s.scalars.ptr(), 0, 0.0));
       if (count > 0) {
         ADGRAPH_RETURN_NOT_OK(
-            dev->Launch("pagerank_dangling",
-                        rt::CoverThreads(count, options.block_size),
+            dev->Launch("pagerank_dangling", rt::CoverThreads(count),
                         [&](Ctx& c) {
                           return DanglingSumKernel(c, s.row.ptr() + lo,
                                                    s.ranks.ptr() + lo,
@@ -184,8 +182,7 @@ Result<core::PageRankResult> RunPartitionedPageRank(
       if (boxes == 0) continue;
       ADGRAPH_RETURN_NOT_OK(
           owner_dev
-              ->Launch("pagerank_combine",
-                       rt::CoverThreads(count, options.block_size),
+              ->Launch("pagerank_combine", rt::CoverThreads(count),
                        [&](Ctx& c) {
                          return CombineStackedKernel(c, o.partial.ptr() + lo,
                                                      o.inbox.ptr(), count,
@@ -208,8 +205,7 @@ Result<core::PageRankResult> RunPartitionedPageRank(
       ADGRAPH_RETURN_NOT_OK(
           core::primitives::SetElement<double>(dev, o.scalars.ptr(), 1, 0.0));
       ADGRAPH_RETURN_NOT_OK(
-          dev->Launch("pagerank_damping",
-                      rt::CoverThreads(count, options.block_size),
+          dev->Launch("pagerank_damping", rt::CoverThreads(count),
                       [&](Ctx& c) {
                         return ApplyDampingKernel(c, o.partial.ptr() + lo,
                                                   o.ranks.ptr() + lo,

@@ -137,9 +137,13 @@ class DeviceTimer {
   double start_ms_;
 };
 
+/// Threads per block of every launch that does not pick its own size.
+inline constexpr uint32_t kDefaultBlockSize = 256;
+
 /// Computes a 1-D launch covering `threads` total threads with the given
 /// block size (grid = ceil-div).
-vgpu::LaunchDims CoverThreads(uint64_t threads, uint32_t block_size = 256,
+vgpu::LaunchDims CoverThreads(uint64_t threads,
+                              uint32_t block_size = kDefaultBlockSize,
                               uint32_t shared_bytes = 0);
 
 }  // namespace adgraph::rt

@@ -56,7 +56,7 @@ std::string Wants(const FlagSpec& spec) {
   char range[64];
   std::snprintf(range, sizeof(range), " in [%g, %g]", spec.min, spec.max);
   if (spec.max == FlagSpec::kNoMax) {
-    std::snprintf(range, sizeof(range), " >= %g", spec.min);
+    std::snprintf(range, sizeof(range), " in [%g, 2^53 - 1]", spec.min);
   }
   return (spec.kind == Kind::kInt ? "an integer" : "a number") +
          std::string(range);

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/numbers.h"
 #include "util/status.h"
 
 namespace adgraph {
@@ -15,9 +16,9 @@ namespace adgraph {
 struct FlagSpec {
   enum class Kind { kString, kBool, kInt, kNumber, kChoice, kPositional };
 
-  /// The default upper bound: every integer up to it is exact as a double,
-  /// the form ParseNumericValue reads.
-  static constexpr int64_t kNoMax = int64_t{1} << 53;
+  /// The default upper bound, 2^53 - 1: no integer up to it is the
+  /// rounding of a different one by ParseNumericValue.
+  static constexpr int64_t kNoMax = kMaxExactInteger;
 
   std::string name;
   Kind kind;

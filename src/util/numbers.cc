@@ -1,5 +1,6 @@
 #include "util/numbers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,11 +20,11 @@ Result<double> ParseNumericValue(const std::string& key,
 
 Result<uint64_t> CheckedInteger(std::string_view key, double value,
                                 uint64_t max) {
-  // 0x1p64 is the first double past every uint64_t; a `max` of
-  // UINT64_MAX rounds up to it, so the explicit bound keeps the cast
-  // below defined.
-  if (!(value >= 0) || value >= 0x1p64 ||
-      value > static_cast<double>(max) || value != std::floor(value)) {
+  // Both bounds are exact doubles once `max` is capped, so the comparison
+  // is exact and the cast below defined.
+  max = std::min(max, kMaxExactInteger);
+  if (!(value >= 0) || value > static_cast<double>(max) ||
+      value != std::floor(value)) {
     char shown[32];
     std::snprintf(shown, sizeof(shown), "%.17g", value);
     return Status::InvalidArgument("'" + std::string(key) +

@@ -7,7 +7,6 @@
 /// tenants-file key are all read through these two functions.
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <string_view>
 
@@ -21,13 +20,18 @@ namespace adgraph {
 Result<double> ParseNumericValue(const std::string& key,
                                  const std::string& value);
 
+/// The largest integer an outside number may carry: 2^53 - 1.  Every
+/// integer up to it is exact as a double, and none of them is the rounding
+/// of a different one, as 2^53 is of 2^53 + 1.
+inline constexpr uint64_t kMaxExactInteger = (uint64_t{1} << 53) - 1;
+
 /// Range-checked conversion of an outside number to an integer field with
 /// maximum `max`: NaN, infinities, fractions, negatives and values above
-/// `max` are kInvalidArgument naming `key` (a bare cast of such a double is
-/// undefined behaviour).  Every integer read from outside goes through here.
-Result<uint64_t> CheckedInteger(
-    std::string_view key, double value,
-    uint64_t max = std::numeric_limits<uint64_t>::max());
+/// `max` or kMaxExactInteger are kInvalidArgument naming `key` (a bare cast
+/// of such a double is undefined behaviour, and a larger one may have been
+/// rounded).  Every integer read from outside goes through here.
+Result<uint64_t> CheckedInteger(std::string_view key, double value,
+                                uint64_t max = kMaxExactInteger);
 
 }  // namespace adgraph
 

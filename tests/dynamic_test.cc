@@ -576,6 +576,55 @@ TEST(IncrementalTest, CcBridgeMergingLargeComponentsRunsDenseRounds) {
   EXPECT_EQ(inc_cc.num_components + 1, previous.num_components);
 }
 
+TEST(IncrementalTest, BfsShortcutIntoLargeComponentRunsDenseRounds) {
+  // A 512-vertex chain from the source ends in a 512-vertex random graph.
+  // One insert from the source into that graph lowers every level past
+  // the chain, so the re-expansion's frontier passes n/16 and the warm
+  // BFS takes the engine's dense rounds.
+  constexpr vid_t kHalf = 512;
+  graph::CooGraph coo;
+  coo.num_vertices = 2 * kHalf;
+  for (vid_t v = 0; v < kHalf; ++v) coo.AddEdge(v, v + 1);
+  auto part = graph::GenerateErdosRenyi(kHalf, 8 * kHalf, 93).value();
+  for (graph::eid_t e = 0; e < part.num_edges(); ++e) {
+    coo.AddEdge(part.src[e] + kHalf, part.dst[e] + kHalf);
+  }
+  DeltaGraph delta =
+      DeltaGraph::Create(
+          CsrGraph::FromCoo(coo, graph::GraphBuilder::DefaultBuildOptions())
+              .value())
+          .value();
+  vgpu::Device device(vgpu::A100Config());
+  const core::BfsOptions options;
+  const auto previous =
+      core::Run<core::Algo::kBfs>(&device, *delta.Snapshot().value(), options)
+          .value();
+  const uint64_t previous_version = delta.version();
+  ASSERT_EQ(previous.levels[kHalf], kHalf);
+  ASSERT_TRUE(delta.AddEdge(0, kHalf).value());
+
+  vgpu::Device warm_device(vgpu::A100Config());
+  core::IncrementalInfo info;
+  auto inc = RunWarm(&warm_device, core::Algo::kBfs, delta, options,
+                     previous, previous_version, &info)
+                 .value();
+  EXPECT_TRUE(info.incremental) << info.fallback_reason;
+  EXPECT_EQ(info.seed_vertices, 1u);
+  const auto& log = warm_device.kernel_log();
+  EXPECT_TRUE(std::any_of(log.begin(), log.end(), [](const auto& k) {
+    return k.kernel_name == "bfs_delta_relax_dense";
+  })) << "the shortcut's frontier must take the engine's dense rounds";
+
+  auto full = core::Run<core::Algo::kBfs>(&device, *delta.Snapshot().value(),
+                                          options)
+                  .value();
+  const auto& inc_bfs = std::get<core::BfsResult>(inc);
+  EXPECT_EQ(inc_bfs.levels, full.levels);
+  EXPECT_EQ(inc_bfs.depth, full.depth);
+  EXPECT_EQ(inc_bfs.vertices_visited, full.vertices_visited);
+  EXPECT_LT(inc_bfs.depth, previous.depth);
+}
+
 TEST(IncrementalTest, PageRankWarmStartAgreesWithinTolerance) {
   core::PageRankOptions options;
   options.max_iterations = 200;

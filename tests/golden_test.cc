@@ -101,6 +101,14 @@ uint64_t ResultDigest(const core::WidestPathResult& r) {
   return d.value();
 }
 
+uint64_t ResultDigest(const core::BcResult& r) {
+  Digest d;
+  d.Vec(r.centrality);
+  d.Vec(r.sigma);
+  d.U64(r.depth);
+  return d.value();
+}
+
 /// The run's modeled time, then every kernel `dev` launched, in launch
 /// order: name, launch shape, every event counter and its modeled time.
 /// Each golden run owns a fresh device, so the log is exactly the run's.
@@ -143,7 +151,8 @@ struct Frozen {
 
 // The BFS and PageRank rows are the digests of the runs Tables 5/6 were
 // built from; the other rows freeze the served path (core::Run, and
-// core::Run with a WarmStart for the warm start).  Any change to a row is a
+// core::Run with a WarmStart for the warm start) and, in the `-warp` rows,
+// the engine drivers under warp-per-vertex gather.  Any change to a row is a
 // change to modeled output and must be named as one.  A mismatch prints
 // the actual row in this format.
 constexpr Frozen kFrozen[] = {
@@ -245,6 +254,76 @@ constexpr Frozen kFrozen[] = {
   {"web-uk-2002-all", "Z100L", "pagerank-warm", 0x7542e3d9d7ff31ba, 0xa5ce9d16a0dfc2e4},
   {"twitter-mpi", "A100", "pagerank-warm", 0x814419d739eb2de3, 0x9d4fb5ae1eb640a8},
   {"twitter-mpi", "Z100L", "pagerank-warm", 0x0232e4b906679fac, 0xa947bb7d4d6bba3e},
+  {"web-Stanford", "A100", "sssp-warp", 0x0d3eee734fdf8e5b, 0x1f6615c8d1dd38bf},
+  {"web-Stanford", "Z100L", "sssp-warp", 0x0d3eee734fdf8e5b, 0x5c3a89dca955901f},
+  {"web-Google", "A100", "sssp-warp", 0x4744dfb40588b392, 0x4e5ee833e5ec2bf3},
+  {"web-Google", "Z100L", "sssp-warp", 0x4744dfb40588b392, 0x430d46da541d69d1},
+  {"cit-Patents", "A100", "sssp-warp", 0x0f7c7a0d7d7e6426, 0x0d634a05dcdc4844},
+  {"cit-Patents", "Z100L", "sssp-warp", 0x0f7c7a0d7d7e6426, 0x9e753e40fb786a5a},
+  {"soc-liveJournal1", "A100", "sssp-warp", 0x8a59b7373655958f, 0xe6780ecac5097287},
+  {"soc-liveJournal1", "Z100L", "sssp-warp", 0x8a59b7373655958f, 0x1a12d44835002dc2},
+  {"soc-sinaweibo", "A100", "sssp-warp", 0xa2bfb7f8a8ec10e8, 0x5646b298885e29e9},
+  {"soc-sinaweibo", "Z100L", "sssp-warp", 0xa2bfb7f8a8ec10e8, 0x2dce8a1e7d75e1f2},
+  {"web-uk-2002-all", "A100", "sssp-warp", 0x9c0f3dabd25a1d39, 0x1abf41ddf9cb4bca},
+  {"web-uk-2002-all", "Z100L", "sssp-warp", 0x9c0f3dabd25a1d39, 0x1c1c8576a2a463c4},
+  {"twitter-mpi", "A100", "sssp-warp", 0x270699f22e2a0dd6, 0x93fc9ac0a4a659cf},
+  {"twitter-mpi", "Z100L", "sssp-warp", 0x270699f22e2a0dd6, 0x837efa630ae5d39e},
+  {"web-Stanford", "A100", "cc-warp", 0xe101fe3a9a5dcc67, 0x4410d5e23467d022},
+  {"web-Stanford", "Z100L", "cc-warp", 0xe101fe3a9a5dcc67, 0x02eebda8cdf78a35},
+  {"web-Google", "A100", "cc-warp", 0x80f732e6421b9335, 0x76a84108869d5e76},
+  {"web-Google", "Z100L", "cc-warp", 0x80f732e6421b9335, 0xc3aa01f9270c9a87},
+  {"cit-Patents", "A100", "cc-warp", 0x72d4d0e2f242c8f8, 0x3ca62b7c4b93f4f7},
+  {"cit-Patents", "Z100L", "cc-warp", 0x72d4d0e2f242c8f8, 0x7cb19376b575d366},
+  {"soc-liveJournal1", "A100", "cc-warp", 0x4c620a51408adc4f, 0xdefbece3b0b6f195},
+  {"soc-liveJournal1", "Z100L", "cc-warp", 0x4c620a51408adc4f, 0xb8de670428e8466b},
+  {"soc-sinaweibo", "A100", "cc-warp", 0xab10d934f9a304b8, 0xa17e2f6d921f62f1},
+  {"soc-sinaweibo", "Z100L", "cc-warp", 0xab10d934f9a304b8, 0x9bc6bfdb1b508b1a},
+  {"web-uk-2002-all", "A100", "cc-warp", 0x1b1c785550875f97, 0x244ce0b6110e0100},
+  {"web-uk-2002-all", "Z100L", "cc-warp", 0x1b1c785550875f97, 0xd40ef37c13f4a35e},
+  {"twitter-mpi", "A100", "cc-warp", 0xf4d9350438240ad7, 0xf1fe882461d770ff},
+  {"twitter-mpi", "Z100L", "cc-warp", 0xf4d9350438240ad7, 0x35b27f8e4363f2cc},
+  {"web-Stanford", "A100", "widest-warp", 0xf648335396394d1f, 0xa441b1b3badd129d},
+  {"web-Stanford", "Z100L", "widest-warp", 0xf648335396394d1f, 0x3e42f03885a6ae03},
+  {"web-Google", "A100", "widest-warp", 0x7cbf9fd2c86ac8e4, 0x3ceba1b8f39cc5b2},
+  {"web-Google", "Z100L", "widest-warp", 0x7cbf9fd2c86ac8e4, 0x441ae979ef4c1902},
+  {"cit-Patents", "A100", "widest-warp", 0xf24a391160b1917a, 0x7eeadbe95359af6f},
+  {"cit-Patents", "Z100L", "widest-warp", 0xf24a391160b1917a, 0x62cfd7ba553f56f3},
+  {"soc-liveJournal1", "A100", "widest-warp", 0x49650a0c9faddf74, 0x4382cb50b7128bb8},
+  {"soc-liveJournal1", "Z100L", "widest-warp", 0x49650a0c9faddf74, 0x5086a32763b81f11},
+  {"soc-sinaweibo", "A100", "widest-warp", 0x3a2f0630d15b3159, 0x7a3e24bf0086b702},
+  {"soc-sinaweibo", "Z100L", "widest-warp", 0x3a2f0630d15b3159, 0x7b8f967d7df63203},
+  {"web-uk-2002-all", "A100", "widest-warp", 0x1b62d6594cb2bd3c, 0xd2608dee1886f2cf},
+  {"web-uk-2002-all", "Z100L", "widest-warp", 0x1b62d6594cb2bd3c, 0x9663a8138d206ef9},
+  {"twitter-mpi", "A100", "widest-warp", 0x5694f31c1dac9aba, 0x68e9e3865e59fa66},
+  {"twitter-mpi", "Z100L", "widest-warp", 0x5694f31c1dac9aba, 0x106e97e238739684},
+  {"web-Stanford", "A100", "bc", 0xd93c1ef60458ab40, 0x485360aca60c97bb},
+  {"web-Stanford", "Z100L", "bc", 0xd93c1ef60458ab40, 0x65f016a9fa1daaa8},
+  {"web-Google", "A100", "bc", 0x39aa7ccb4b4b4b19, 0xfa222243e624e9c4},
+  {"web-Google", "Z100L", "bc", 0x39aa7ccb4b4b4b19, 0x4c5afda794b0c9cf},
+  {"cit-Patents", "A100", "bc", 0x885d092576ca9ef8, 0xb02977cf84f3d948},
+  {"cit-Patents", "Z100L", "bc", 0x885d092576ca9ef8, 0x015c88fc05dd0e4c},
+  {"soc-liveJournal1", "A100", "bc", 0xdb6641790517bf42, 0xcd3a5056e1d45deb},
+  {"soc-liveJournal1", "Z100L", "bc", 0xdb6641790517bf42, 0x89809b09dc2f3481},
+  {"soc-sinaweibo", "A100", "bc", 0x530135f87e9178fd, 0x7149cbd92eaa4c42},
+  {"soc-sinaweibo", "Z100L", "bc", 0x530135f87e9178fd, 0x4079a971797c1ee9},
+  {"web-uk-2002-all", "A100", "bc", 0x6549c1843c95a499, 0x2a2d189ce4daf6d8},
+  {"web-uk-2002-all", "Z100L", "bc", 0x6549c1843c95a499, 0xcc7c1700df90cb16},
+  {"twitter-mpi", "A100", "bc", 0x09322c1f4c239ada, 0xe05e7ba26042f155},
+  {"twitter-mpi", "Z100L", "bc", 0x09322c1f4c239ada, 0xa07b1043598371d8},
+  {"web-Stanford", "A100", "bc-warp", 0xd93c1ef60458ab40, 0xf4e6db9abf56f290},
+  {"web-Stanford", "Z100L", "bc-warp", 0xd93c1ef60458ab40, 0x0d05f3aeb350509c},
+  {"web-Google", "A100", "bc-warp", 0x39aa7ccb4b4b4b19, 0x4ccca95a3f970bc7},
+  {"web-Google", "Z100L", "bc-warp", 0x39aa7ccb4b4b4b19, 0xf18dabc1ac19a2de},
+  {"cit-Patents", "A100", "bc-warp", 0x885d092576ca9ef8, 0xa7bf211266d0e0f5},
+  {"cit-Patents", "Z100L", "bc-warp", 0x885d092576ca9ef8, 0x98d7a54ddda00567},
+  {"soc-liveJournal1", "A100", "bc-warp", 0xdb6641790517bf42, 0x8708abcc2b5b8392},
+  {"soc-liveJournal1", "Z100L", "bc-warp", 0xdb6641790517bf42, 0x5cecb743976ccf45},
+  {"soc-sinaweibo", "A100", "bc-warp", 0x530135f87e9178fd, 0x6941bf68b3bd4784},
+  {"soc-sinaweibo", "Z100L", "bc-warp", 0x530135f87e9178fd, 0xa256024ed743859c},
+  {"web-uk-2002-all", "A100", "bc-warp", 0x6549c1843c95a499, 0x5a2c70ab7a0cb176},
+  {"web-uk-2002-all", "Z100L", "bc-warp", 0x6549c1843c95a499, 0x465cbed70627b188},
+  {"twitter-mpi", "A100", "bc-warp", 0x09322c1f4c239ada, 0x165de0edcaa94ffb},
+  {"twitter-mpi", "Z100L", "bc-warp", 0x09322c1f4c239ada, 0x55bacf304d4f9e76},
 };
 
 void ExpectFrozen(std::string_view dataset, const Device& dev,
@@ -303,22 +382,30 @@ class GoldenTest : public ::testing::Test {
     graphs_ = nullptr;
   }
 
-  /// Runs algorithm `A` through core::Run on a fresh device of each golden
-  /// GPU, checks both digests against the frozen row and hands the result
-  /// to `check`.
-  template <core::Algo A, typename Check>
-  static void RunFrozen(const GoldenGraphs& gg, std::string_view kase,
-                        const CsrGraph& g, const core::ParamsOf<A>& params,
-                        Check check) {
+  /// Runs `run(device)` on a fresh device of each golden GPU, checks both
+  /// digests against the frozen row and hands the result to `check`.
+  template <typename RunFn, typename Check>
+  static void RunFrozenOn(const GoldenGraphs& gg, std::string_view kase,
+                          RunFn run, Check check) {
     for (const vgpu::ArchConfig* arch :
          {&vgpu::A100Config(), &vgpu::Z100LConfig()}) {
       Device dev(*arch);
-      auto r = core::Run<A>(&dev, g, params);
+      auto r = run(&dev);
       ASSERT_TRUE(r.ok()) << gg.name << ": " << r.status().ToString();
       ExpectFrozen(gg.name, dev, kase, ResultDigest(*r),
                    ModeledDigest(r->time_ms, dev));
       check(*r);
     }
+  }
+
+  /// RunFrozenOn with algorithm `A` through core::Run.
+  template <core::Algo A, typename Check>
+  static void RunFrozen(const GoldenGraphs& gg, std::string_view kase,
+                        const CsrGraph& g, const core::ParamsOf<A>& params,
+                        Check check) {
+    RunFrozenOn(
+        gg, kase, [&](Device* dev) { return core::Run<A>(dev, g, params); },
+        check);
   }
 
   static std::vector<GoldenGraphs>* graphs_;
@@ -438,6 +525,74 @@ TEST_F(GoldenTest, WidestPathWidthsMatchSeedBitwise) {
                                        [&](const core::WidestPathResult& r) {
                                          EXPECT_EQ(r.widths, want) << gg.name;
                                        });
+  }
+}
+
+// kAuto gathers warp-per-vertex only at a mean degree of twice the warp
+// width, which no golden proxy reaches, so these rows are what runs the
+// `*_warp` relaxation launches.
+constexpr engine::EngineOptions kWarpGather{
+    .load_balance = engine::LoadBalance::kWarpPerVertex};
+
+TEST_F(GoldenTest, WarpGatherRelaxationsMatchHostReference) {
+  for (const auto& gg : *graphs_) {
+    const auto dist = core::host_ref::Sssp(gg.weighted, 0);
+    RunFrozenOn(
+        gg, "sssp-warp",
+        [&](Device* d) {
+          return engine::RunSssp(d, gg.weighted, {.source = 0}, nullptr,
+                                 kWarpGather);
+        },
+        [&](const core::SsspResult& r) {
+          EXPECT_EQ(r.distances, dist) << gg.name;
+        });
+    const auto labels = core::host_ref::ConnectedComponents(gg.directed);
+    RunFrozenOn(
+        gg, "cc-warp",
+        [&](Device* d) {
+          return engine::RunConnectedComponents(d, gg.directed, {}, nullptr,
+                                                kWarpGather);
+        },
+        [&](const core::CcResult& r) {
+          EXPECT_EQ(r.labels, labels) << gg.name;
+        });
+    const auto widths = core::host_ref::WidestPath(gg.weighted, 0);
+    RunFrozenOn(
+        gg, "widest-warp",
+        [&](Device* d) {
+          return engine::RunWidestPath(d, gg.weighted, {.source = 0}, nullptr,
+                                       kWarpGather);
+        },
+        [&](const core::WidestPathResult& r) {
+          EXPECT_EQ(r.widths, widths) << gg.name;
+        });
+  }
+}
+
+TEST_F(GoldenTest, BetweennessMatchesFrozenDigests) {
+  // Both gathers reach the same levels and path counts: one result digest
+  // per proxy, two modeled ones.
+  for (const auto& gg : *graphs_) {
+    const auto levels = core::host_ref::BfsLevels(gg.sym, 0);
+    auto check = [&](const core::BcResult& r) {
+      uint32_t depth = 0;
+      for (vid_t v = 0; v < gg.sym.num_vertices(); ++v) {
+        const bool reached = levels[v] != core::kUnreachedLevel;
+        EXPECT_EQ(r.sigma[v] > 0, reached) << gg.name << " vertex " << v;
+        if (reached) depth = std::max(depth, levels[v]);
+      }
+      EXPECT_EQ(r.sigma[0], 1.0) << gg.name;
+      EXPECT_EQ(r.depth, depth) << gg.name;
+    };
+    RunFrozen<core::Algo::kBetweenness>(gg, "bc", gg.directed, {.source = 0},
+                                        check);
+    RunFrozenOn(
+        gg, "bc-warp",
+        [&](Device* d) {
+          return engine::RunBetweenness(d, gg.directed, {.source = 0},
+                                        nullptr, kWarpGather);
+        },
+        check);
   }
 }
 

@@ -255,10 +255,14 @@ TEST(WireTest, CheckedIntegerRejectsWhatACastWouldMangle) {
     EXPECT_TRUE(CheckedInteger("k", bad, u32).status().IsInvalidArgument())
         << bad;
   }
-  // UINT64_MAX rounds up to 2^64 as a double; 2^64 itself must not pass.
+  // UINT64_MAX rounds up to 2^64 as a double; 2^64 itself must not pass,
+  // and neither may 2^63, which stands for 2^63 + 1 as well: past 2^53 - 1
+  // a double cannot tell an integer from its neighbours.
   const uint64_t u64 = std::numeric_limits<uint64_t>::max();
   EXPECT_TRUE(CheckedInteger("job", 0x1p64, u64).status().IsInvalidArgument());
-  EXPECT_EQ(CheckedInteger("job", 0x1p63, u64).value(), uint64_t{1} << 63);
+  EXPECT_TRUE(CheckedInteger("job", 0x1p63, u64).status().IsInvalidArgument());
+  EXPECT_EQ(CheckedInteger("job", 0x1p53 - 1, u64).value(),
+            (uint64_t{1} << 53) - 1);
 }
 
 TEST(WireTest, BuildJobParamsRejectsOutOfRangeIntegers) {
@@ -403,6 +407,22 @@ TEST(WireTest, BuildJobSpecMapsEveryJobFileKey) {
   EXPECT_EQ(spec->fair_weight, 2.5);
   EXPECT_EQ(spec->deadline_ms, 40);
   EXPECT_TRUE(serve::ValidateJobSpec(*spec).ok());
+}
+
+TEST(WireTest, BuildJobSpecRejectsIntegersADoubleMayHaveRounded) {
+  // Both used to run as 2^53 = 9007199254740992.
+  auto g = TestGraph();
+  for (const auto& [algo, key] :
+       {std::pair{serve::Algorithm::kEsbv, "seed"},
+        std::pair{serve::Algorithm::kPageRank, "shard_bytes"}}) {
+    auto spec = BuildJobSpec(algo, {{key, "9007199254740993"}}, g);
+    ASSERT_TRUE(spec.status().IsInvalidArgument()) << key;
+    EXPECT_NE(spec.status().message().find(key), std::string::npos)
+        << spec.status().ToString();
+  }
+  auto spec = BuildJobSpec(serve::Algorithm::kEsbv,
+                           {{"seed", "9007199254740991"}}, g);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
 }
 
 TEST(WireTest, BuildJobSpecRejectsWhatACastWouldMangle) {
@@ -1036,6 +1056,37 @@ TEST(ServerTest, OutOfRangeIntegersAreInvalidArgumentSessionSurvives) {
   auto ok = client.Call(Json::Parse(
       R"({"op":"SUBMIT","algo":"bfs","params":{"source":3}})").value())
       .value();
+  ASSERT_TRUE(ok.GetBool("ok", false)) << ok.Dump();
+  auto done =
+      client.WaitJob(static_cast<uint64_t>(ok.GetNumber("job", 0))).value();
+  EXPECT_EQ(done.GetString("status", ""), "ok") << done.Dump();
+}
+
+TEST(ServerTest, IntegersADoubleMayHaveRoundedAreInvalidArgument) {
+  // 2^53 + 1 arrives as the double 2^53: both requests used to run as if
+  // 9007199254740992 had been sent.
+  auto live = StartServer(TestGraph());
+  auto client = Client::Connect("127.0.0.1", live.server->port()).value();
+  ASSERT_TRUE(client.Hello("x").ok());
+  const Json requests[] = {
+      BuildSubmitRequest(serve::Algorithm::kEsbv,
+                         {{"seed", "9007199254740993"}})
+          .value(),
+      Json::Parse(R"({"op":"SUBMIT","algo":"pagerank","ooc":true,)"
+                  R"("shard_bytes":9007199254740993})")
+          .value()};
+  for (const Json& request : requests) {
+    auto response = client.Call(request).value();
+    EXPECT_FALSE(response.GetBool("ok", true)) << request.Dump();
+    EXPECT_EQ(response.GetString("code", ""), "invalid_argument")
+        << request.Dump() << " -> " << response.Dump();
+  }
+  EXPECT_EQ(live.scheduler->Snapshot().jobs_submitted, 0u);
+  // The session survives, and 2^53 - 1 is a seed like any other.
+  auto ok = client.Call(BuildSubmitRequest(serve::Algorithm::kEsbv,
+                                           {{"seed", "9007199254740991"}})
+                            .value())
+                .value();
   ASSERT_TRUE(ok.GetBool("ok", false)) << ok.Dump();
   auto done =
       client.WaitJob(static_cast<uint64_t>(ok.GetNumber("job", 0))).value();

@@ -3,10 +3,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "util/flags.h"
+#include "util/numbers.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -402,6 +404,32 @@ TEST(FlagsTest, IntegerOutsideItsRangeIsRefused) {
   ASSERT_TRUE(flags.ok());
   EXPECT_EQ(flags->GetInt("scale", 14), 10);
   EXPECT_EQ(ParseArgs({"--scale=31"}, declared)->GetInt("scale", 14), 31);
+}
+
+// ---------------------------------------------------------------- Numbers
+
+TEST(NumbersTest, CheckedIntegerRefusesWhatADoubleMayHaveRounded) {
+  // 2^53 + 1 reads as 2^53, so an integer of 2^53 or more may stand for a
+  // different one; 2^53 - 1 is the last that cannot.
+  EXPECT_EQ(CheckedInteger("seed", 0x1p53 - 1).value(), kMaxExactInteger);
+  EXPECT_EQ(kMaxExactInteger, uint64_t{9007199254740991});
+  EXPECT_TRUE(CheckedInteger("seed", 0x1p53).status().IsInvalidArgument());
+  auto rounded = CheckedInteger(
+      "seed", ParseNumericValue("seed", "9007199254740993").value(),
+      std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(rounded.status().IsInvalidArgument());
+  EXPECT_NE(rounded.status().message().find("'seed'"), std::string::npos)
+      << rounded.status().ToString();
+}
+
+TEST(FlagsTest, IntegerADoubleMayHaveRoundedIsRefused) {
+  // `--seed=9007199254740993` used to run with seed 9007199254740992.
+  const std::vector<FlagSpec> declared = {FlagSpec::Int("seed", 0)};
+  ExpectRefused({"--seed=9007199254740993"}, declared, "--seed");
+  ExpectRefused({"--seed=9007199254740992"}, declared, "2^53 - 1");
+  auto flags = ParseArgs({"--seed=9007199254740991"}, declared);
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EQ(flags->GetInt("seed", 1), int64_t{9007199254740991});
 }
 
 }  // namespace
