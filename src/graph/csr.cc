@@ -19,6 +19,18 @@ void FnvMix(uint64_t* h, const T* data, size_t count) {
   }
 }
 
+/// Stable counting sort of `items` by `key(item)`, a value below
+/// `num_keys`: O(items + num_keys).
+template <typename T, typename Key>
+void StableCountingSort(std::vector<T>* items, size_t num_keys, Key key) {
+  std::vector<eid_t> next(num_keys + 1, 0);
+  for (const T& item : *items) ++next[key(item) + 1];
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  std::vector<T> sorted(items->size());
+  for (const T& item : *items) sorted[next[key(item)]++] = item;
+  items->swap(sorted);
+}
+
 }  // namespace
 
 CsrGraph::CsrGraph(const CsrGraph& other)
@@ -111,15 +123,14 @@ Result<CsrGraph> CsrGraph::FromCoo(const CooGraph& coo,
     if (options.make_undirected && u != v) edges.push_back({v, u, w});
   }
 
+  // Stable sorts by v, then by u, order the edges by (u, v) and keep equal
+  // pairs in input order, so deduplication keeps the first copy.
   if (options.sort_neighbors) {
-    std::stable_sort(edges.begin(), edges.end(),
-                     [](const Edge& a, const Edge& b) {
-                       return a.u != b.u ? a.u < b.u : a.v < b.v;
-                     });
-  } else {
-    std::stable_sort(edges.begin(), edges.end(),
-                     [](const Edge& a, const Edge& b) { return a.u < b.u; });
+    StableCountingSort(&edges, coo.num_vertices,
+                       [](const Edge& e) { return e.v; });
   }
+  StableCountingSort(&edges, coo.num_vertices,
+                     [](const Edge& e) { return e.u; });
   if (options.remove_duplicates) {
     edges.erase(std::unique(edges.begin(), edges.end(),
                             [](const Edge& a, const Edge& b) {

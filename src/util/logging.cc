@@ -38,7 +38,9 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 LogMessage::~LogMessage() {
   if (static_cast<int>(level_) >= g_min_level.load(std::memory_order_relaxed) ||
       level_ == LogLevel::kFatal) {
-    std::cerr << stream_.str() << std::endl;
+    // One insertion per message, so that lines logged by several threads
+    // at once do not interleave.
+    std::cerr << stream_.str() + '\n' << std::flush;
   }
   if (level_ == LogLevel::kFatal) {
     std::abort();

@@ -1,5 +1,6 @@
 #include "vgpu/arch.h"
 
+#include <bit>
 #include <cmath>
 
 namespace adgraph::vgpu {
@@ -146,8 +147,9 @@ Status ValidateArchConfig(const ArchConfig& config) {
       !std::isfinite(config.launch_overhead_us)) {
     return bad("launch_overhead_us must be non-negative and finite");
   }
-  if (config.cache_line_bytes == 0 || config.mem_segment_bytes == 0) {
-    return bad("cache geometry must be positive");
+  if (!std::has_single_bit(config.cache_line_bytes) ||
+      !std::has_single_bit(config.mem_segment_bytes)) {
+    return bad("cache_line_bytes and mem_segment_bytes must be powers of two");
   }
   return Status::OK();
 }

@@ -76,8 +76,8 @@ struct ArchConfig {
   uint32_t l2_assoc = 16;
   double l2_latency_cycles = 200;
   double l2_bandwidth_gbps = 2500;
-  uint32_t cache_line_bytes = 128;
-  uint32_t mem_segment_bytes = 32;  ///< coalescing sector granularity
+  uint32_t cache_line_bytes = 128;  ///< a power of two
+  uint32_t mem_segment_bytes = 32;  ///< coalescing sector; a power of two
 
   // --- Shared memory / LDS ------------------------------------------------
   uint32_t smem_bytes_per_sm = 96 << 10;
@@ -95,7 +95,9 @@ struct ArchConfig {
 /// lanes_per_sm and the two bandwidth figures, so a zero / negative /
 /// non-finite value would turn every cycle count into inf/NaN and poison
 /// the MTEPS tables downstream; such configs are rejected with
-/// kInvalidArgument instead.
+/// kInvalidArgument instead.  The coalescer, the caches and the atomics
+/// shift and mask by cache_line_bytes and mem_segment_bytes, so both must
+/// be powers of two (vgpu::Device's constructor checks these two).
 Status ValidateArchConfig(const ArchConfig& config);
 
 /// Built-in configs reproducing paper Table 3.  References stay valid for

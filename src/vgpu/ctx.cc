@@ -106,8 +106,8 @@ void Ctx::AccountAtomic(const Lanes<uint64_t>& addrs, uint32_t access_bytes) {
     if (i == 0 || sorted[i] != sorted[i - 1]) {
       ++distinct;
       run = 1;
-      uint64_t seg =
-          sorted[i] / arch_->mem_segment_bytes * arch_->mem_segment_bytes;
+      // Segment sizes are powers of two (checked by the Device).
+      uint64_t seg = sorted[i] & ~uint64_t{arch_->mem_segment_bytes - 1};
       if (!l2_->Access(seg)) {
         counters_->l2_misses += 1;
         counters_->dram_write_bytes += arch_->mem_segment_bytes;

@@ -1,7 +1,9 @@
 #include "vgpu/device.h"
 
 #include <algorithm>
+#include <bit>
 
+#include "util/logging.h"
 #include "vgpu/mem/shared_mem.h"
 
 namespace adgraph::vgpu {
@@ -17,6 +19,13 @@ Device::Device(const ArchConfig& arch, Options options)
       options_(options),
       mem_(static_cast<uint64_t>(static_cast<double>(arch.dram_capacity_bytes) /
                                  std::max(options.memory_scale, 1e-9))) {
+  // The coalescer, the caches and the atomics do their address math with
+  // shifts and masks.
+  ADGRAPH_CHECK(std::has_single_bit(arch_.cache_line_bytes) &&
+                std::has_single_bit(arch_.mem_segment_bytes))
+      << "arch config '" << arch_.name << "': cache_line_bytes ("
+      << arch_.cache_line_bytes << ") and mem_segment_bytes ("
+      << arch_.mem_segment_bytes << ") must be powers of two";
   // memory_scale > 1 shrinks capacity (scaled experiments); < 1 would grow.
   l1_.reserve(arch_.num_sms);
   for (uint32_t i = 0; i < arch_.num_sms; ++i) {
@@ -72,11 +81,6 @@ Result<KernelStats> Device::Launch(std::string_view name, LaunchDims dims,
   stats.grid = dims.grid;
   stats.block = dims.block;
   KernelCounters& counters = stats.counters;
-
-  uint64_t l2_hits_before = l2_->hits();
-  uint64_t l2_misses_before = l2_->misses();
-  (void)l2_hits_before;
-  (void)l2_misses_before;
 
   const uint32_t warps_per_block =
       (dims.block + arch_.warp_width - 1) / arch_.warp_width;

@@ -48,6 +48,8 @@ class Device {
     TimingParams timing;
   };
 
+  /// Fatal unless `arch`'s cache_line_bytes and mem_segment_bytes are
+  /// powers of two (the rest of ValidateArchConfig is the caller's).
   explicit Device(const ArchConfig& arch);
   Device(const ArchConfig& arch, Options options);
 
@@ -168,7 +170,8 @@ class Device {
   const std::vector<KernelStats>& kernel_log() const { return kernel_log_; }
   void ClearKernelLog() { kernel_log_.clear(); }
 
-  /// Empties L1/L2 (fresh-cache experiment conditions between algorithms).
+  /// Empties L1/L2 (fresh-cache experiment conditions between algorithms)
+  /// in O(1) per cache.
   void ClearCaches();
 
   /// The device's timeline in the tracing subsystem (one track per

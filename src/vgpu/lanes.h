@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace adgraph::vgpu {
 
@@ -30,11 +31,24 @@ inline bool LaneActive(LaneMask m, uint32_t lane) {
 ///
 /// Lanes is a plain value container; all arithmetic on it is performed via
 /// the Ctx execution DSL so that every operation is counted and timed by
-/// the simulator.  Inactive lanes hold stale values that must never be
-/// observed (the DSL only reads lanes covered by the active mask).
+/// the simulator.
+///
+/// A new Lanes is uninitialised, like a hardware register: every DSL op
+/// makes one, so a zero-fill would cost 64 stores per simulated
+/// instruction.  The rule that makes this safe: a kernel never reads a
+/// lane it did not write under the current mask or an enclosing one.  The DSL writes and reads only the active lanes; a value every
+/// lane can read comes from Splat.  AddressSanitizer builds fill each new
+/// Lanes with the byte 0xA5, so a kernel whose output or counters depend
+/// on an unwritten lane changes its golden digests there.
 template <typename T>
 struct Lanes {
-  std::array<T, kMaxWarpWidth> v{};
+  std::array<T, kMaxWarpWidth> v;
+
+  Lanes() {
+#if defined(__SANITIZE_ADDRESS__)
+    std::memset(static_cast<void*>(v.data()), 0xA5, sizeof(v));
+#endif
+  }
 
   T& operator[](uint32_t lane) { return v[lane]; }
   const T& operator[](uint32_t lane) const { return v[lane]; }

@@ -11,15 +11,16 @@ namespace adgraph::vgpu {
 /// Result of coalescing one warp-level memory instruction.
 ///
 /// Allocation-free: segments live in a fixed inline array (a 64-lane access
-/// of up to 16 bytes can touch at most 128 segments).  This sits on the
-/// hottest path of the simulator — one instance per memory instruction.
+/// of up to 16 bytes can touch at most 128 segments), left uninitialised
+/// past `num_segments`.  This sits on the hottest path of the simulator —
+/// one instance per memory instruction.
 struct CoalesceResult {
   /// Hard bound: kMaxWarpWidth lanes x (access straddling one boundary).
   static constexpr uint32_t kMaxSegments = 2 * kMaxWarpWidth;
 
   /// Distinct memory segments the instruction touches, ascending.  One
   /// segment = one memory transaction.
-  std::array<uint64_t, kMaxSegments> segment_addrs{};
+  std::array<uint64_t, kMaxSegments> segment_addrs;
   uint32_t num_segments = 0;
   uint64_t bytes_requested = 0;   ///< sum over active lanes of access size
   uint64_t bytes_transferred = 0; ///< segments x segment size
@@ -34,8 +35,10 @@ struct CoalesceResult {
 /// "irregular access" cost: scattered lanes touch many segments).
 ///
 /// `segment_bytes` is the coalescing granularity (32 B sectors on modern
-/// NVIDIA; we use the ArchConfig value for both vendors).  Efficiency
-/// metrics (gld_efficiency) fall directly out of requested/transferred.
+/// NVIDIA; we use the ArchConfig value for both vendors) and must be a
+/// power of two (ValidateArchConfig and the Device constructor enforce it).
+/// Efficiency metrics (gld_efficiency) fall directly out of
+/// requested/transferred.
 CoalesceResult Coalesce(const Lanes<uint64_t>& addrs, LaneMask active,
                         uint32_t access_bytes, uint32_t segment_bytes);
 

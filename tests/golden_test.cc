@@ -109,9 +109,51 @@ uint64_t ResultDigest(const core::BcResult& r) {
   return d.value();
 }
 
+uint64_t ResultDigest(const core::TcResult& r) {
+  Digest d;
+  d.U64(r.triangles);
+  d.U64(r.oriented_edges);
+  d.U64(r.sampled);
+  return d.value();
+}
+
+uint64_t ResultDigest(const core::EsbvResult& r) {
+  Digest d;
+  d.U64(r.subgraph.num_vertices());
+  d.Vec(r.subgraph.row_offsets());
+  d.Vec(r.subgraph.col_indices());
+  d.Vec(r.subgraph.weights());
+  d.U64(r.subgraph_vertices);
+  d.U64(r.subgraph_edges);
+  return d.value();
+}
+
+uint64_t ResultDigest(const core::KCoreResult& r) {
+  Digest d;
+  d.Vec(r.in_core);
+  d.U64(r.core_size);
+  d.U64(r.peel_rounds);
+  return d.value();
+}
+
+uint64_t ResultDigest(const core::ColoringResult& r) {
+  Digest d;
+  d.Vec(r.colors);
+  d.U64(r.num_colors);
+  d.U64(r.rounds);
+  return d.value();
+}
+
+uint64_t ResultDigest(const core::JaccardResult& r) {
+  Digest d;
+  d.Vec(r.coefficients);
+  return d.value();
+}
+
 /// The run's modeled time, then every kernel `dev` launched, in launch
 /// order: name, launch shape, every event counter and its modeled time.
-/// Each golden run owns a fresh device, so the log is exactly the run's.
+/// Each golden run owns a fresh device (or, in the reused-device rows,
+/// follows a ResetCounters), so the log is exactly the run's.
 uint64_t ModeledDigest(double time_ms, const Device& dev) {
   Digest d;
   d.F64(time_ms);
@@ -152,9 +194,11 @@ struct Frozen {
 // The BFS and PageRank rows are the digests of the runs Tables 5/6 were
 // built from; the other rows freeze the served path (core::Run, and
 // core::Run with a WarmStart for the warm start) and, in the `-warp` rows,
-// the engine drivers under warp-per-vertex gather.  Any change to a row is a
-// change to modeled output and must be named as one.  A mismatch prints
-// the actual row in this format.
+// the engine drivers under warp-per-vertex gather.  The TC, ESBV, k-core,
+// coloring, Jaccard and `reused-` rows pin the simulator's heaviest kernels
+// and a device reset between jobs.  Any change to a row is a change to
+// modeled output and must be named as one.  A mismatch prints the actual
+// row in this format.
 constexpr Frozen kFrozen[] = {
   {"web-Stanford", "A100", "bfs-parents", 0xce35d9b0d8634c25, 0x4bd055064c5c35bb},
   {"web-Stanford", "Z100L", "bfs-parents", 0x5231b4f38b5e5c63, 0xedd151669c496a96},
@@ -324,6 +368,50 @@ constexpr Frozen kFrozen[] = {
   {"web-uk-2002-all", "Z100L", "bc-warp", 0x6549c1843c95a499, 0x465cbed70627b188},
   {"twitter-mpi", "A100", "bc-warp", 0x09322c1f4c239ada, 0x165de0edcaa94ffb},
   {"twitter-mpi", "Z100L", "bc-warp", 0x09322c1f4c239ada, 0x55bacf304d4f9e76},
+  {"web-Google", "A100", "tc-unoriented", 0x1cd5a3e62fbe6247, 0x6ebf393e6e2b4b48},
+  {"web-Google", "Z100L", "tc-unoriented", 0x1cd5a3e62fbe6247, 0x692880b1d8b28400},
+  {"web-Google", "A100", "tc-oriented", 0xdbf7110ba839f3d5, 0x2295e575ff8d607b},
+  {"web-Google", "Z100L", "tc-oriented", 0xdbf7110ba839f3d5, 0x053c68f881a67798},
+  {"cit-Patents", "A100", "tc-unoriented", 0x4ecdcf5954cbe306, 0x38005c6a04f5dd56},
+  {"cit-Patents", "Z100L", "tc-unoriented", 0x4ecdcf5954cbe306, 0x1c4a1ae7d9c66604},
+  {"cit-Patents", "A100", "tc-oriented", 0x46f6c04b24bed808, 0x18d679071394f009},
+  {"cit-Patents", "Z100L", "tc-oriented", 0x46f6c04b24bed808, 0x37537f0c3deadd40},
+  {"soc-liveJournal1", "A100", "tc-unoriented", 0x00d3b78d87020f0e, 0x8f39084d3ea77842},
+  {"soc-liveJournal1", "Z100L", "tc-unoriented", 0x00d3b78d87020f0e, 0x83180cc5e96a61bc},
+  {"soc-liveJournal1", "A100", "tc-oriented", 0x4d4d9da9576f3709, 0x320e349bb6ee9204},
+  {"soc-liveJournal1", "Z100L", "tc-oriented", 0x4d4d9da9576f3709, 0xcd142d16b9c5f635},
+  {"web-Google", "A100", "esbv", 0xbdd14991b5907b7d, 0x0382396b1c9723a5},
+  {"web-Google", "Z100L", "esbv", 0x3e02518be5fc4975, 0x538897bd726c17c5},
+  {"cit-Patents", "A100", "esbv", 0x6de66dbf7eba49b1, 0x85a60c36b629c063},
+  {"cit-Patents", "Z100L", "esbv", 0xcd1d7923aca42885, 0x7e07dec7b33b7a98},
+  {"soc-liveJournal1", "A100", "esbv", 0xcdb6b13064a9d5f4, 0xb8af2f1a80e490a5},
+  {"soc-liveJournal1", "Z100L", "esbv", 0x6f6673fdbe6e53bc, 0xe72f8ee95f7a01b6},
+  {"web-Google", "A100", "kcore", 0xc13012e98244b60e, 0x62e9b285581a8223},
+  {"web-Google", "Z100L", "kcore", 0xc13012e98244b60e, 0xdc21184541d38ec7},
+  {"web-Google", "A100", "coloring", 0x293cec3893c5558d, 0x55af2229ada45773},
+  {"web-Google", "Z100L", "coloring", 0x293cec3893c5558d, 0x0b543f20461416aa},
+  {"web-Google", "A100", "jaccard", 0xc07eb5d647b010f8, 0xe1ba8ac901a5f5c9},
+  {"web-Google", "Z100L", "jaccard", 0xc07eb5d647b010f8, 0x1a0579c4886728df},
+  {"cit-Patents", "A100", "kcore", 0x07c6c3dde55f2de4, 0x699dcae158002b13},
+  {"cit-Patents", "Z100L", "kcore", 0x07c6c3dde55f2de4, 0xfa607c54ad5d363c},
+  {"cit-Patents", "A100", "coloring", 0xa89cfd06004ce27a, 0x0cc4d72d0967405b},
+  {"cit-Patents", "Z100L", "coloring", 0xa89cfd06004ce27a, 0xb65c58a8daa8db7a},
+  {"cit-Patents", "A100", "jaccard", 0x7b375bfc9b22bb24, 0xa8bf885b512f22a6},
+  {"cit-Patents", "Z100L", "jaccard", 0x7b375bfc9b22bb24, 0x827cd3a090cad6ee},
+  {"soc-liveJournal1", "A100", "kcore", 0x74d385d310f23e2c, 0x58b03b4407e054fa},
+  {"soc-liveJournal1", "Z100L", "kcore", 0x74d385d310f23e2c, 0xe85a260478b32d9b},
+  {"soc-liveJournal1", "A100", "coloring", 0x371e747b7ca2ca27, 0x33b64052f967d2b0},
+  {"soc-liveJournal1", "Z100L", "coloring", 0xda2e1f605bd4ebc4, 0x3611b5d0b60b7637},
+  {"soc-liveJournal1", "A100", "jaccard", 0xc03d69208769a1d4, 0x64b56263b1d7d431},
+  {"soc-liveJournal1", "Z100L", "jaccard", 0xc03d69208769a1d4, 0xb462849b109a3e5a},
+  {"web-Google", "A100", "reused-tc", 0x1cd5a3e62fbe6247, 0x6ebf393e6e2b4b48},
+  {"web-Google", "A100", "reused-esbv", 0xbdd14991b5907b7d, 0x9ee8f1a2df7c9219},
+  {"web-Google", "A100", "reused-bfs", 0x8bc4bcf3b4d6b669, 0x3e329136b1fce171},
+  {"web-Google", "A100", "reused-pagerank", 0xdf35cb13f7095a49, 0x16d9263f2e562147},
+  {"web-Google", "Z100L", "reused-tc", 0x1cd5a3e62fbe6247, 0x692880b1d8b28400},
+  {"web-Google", "Z100L", "reused-esbv", 0x3e02518be5fc4975, 0x29b209957c40c38e},
+  {"web-Google", "Z100L", "reused-bfs", 0x8bc4bcf3b4d6b669, 0x0ae8a9e3949a57c0},
+  {"web-Google", "Z100L", "reused-pagerank", 0x65ce8ff81b9959cf, 0xf6ab6ec8a67bb2e6},
 };
 
 void ExpectFrozen(std::string_view dataset, const Device& dev,
@@ -640,6 +728,135 @@ TEST_F(GoldenTest, WarmStartedPageRankMatchesFrozenDigests) {
           *delta.Snapshot().value(), options.alpha, 200);
       EXPECT_LT(L1(r.ranks, fixpoint), L1(cold.ranks, fixpoint)) << gg.name;
     }
+  }
+}
+
+// The per-kernel rows below run on three proxies: the kernels are the
+// simulator's heaviest (TC is most of paper_cells), and three keep the
+// binary inside unit-test time.
+bool HasKernelRows(const GoldenGraphs& gg) {
+  return gg.name == "web-Google" || gg.name == "cit-Patents" ||
+         gg.name == "soc-liveJournal1";
+}
+
+/// The Table 5 triangle count: nvGRAPH-style counting on the full
+/// symmetrized adjacency with a 2048-entry shared-memory hash set.
+core::TcOptions PaperTc() {
+  core::TcOptions options;
+  options.orient = false;
+  options.hash_capacity = 2048;
+  return options;
+}
+
+/// Row `v` of `g` as (neighbor, weight) pairs, ascending.
+std::vector<std::pair<vid_t, graph::weight_t>> SortedRow(const CsrGraph& g,
+                                                        vid_t v) {
+  std::vector<std::pair<vid_t, graph::weight_t>> row;
+  for (graph::eid_t e = g.row_offsets()[v]; e < g.row_offsets()[v + 1]; ++e) {
+    row.emplace_back(g.col_indices()[e], g.weights()[e]);
+  }
+  std::sort(row.begin(), row.end());
+  return row;
+}
+
+/// ESBV of the Table 5 subset: ~60% of the vertices, fixed by seed.
+core::EsbvOptions PaperEsbv(const CsrGraph& g) {
+  core::EsbvOptions options;
+  options.vertices = core::SelectPseudoCluster(g.num_vertices(), 0.6, 42);
+  return options;
+}
+
+TEST_F(GoldenTest, TriangleCountsMatchFrozenDigests) {
+  for (const auto& gg : *graphs_) {
+    if (!HasKernelRows(gg)) continue;
+    const uint64_t want = core::host_ref::TriangleCount(gg.sym);
+    auto check = [&](const core::TcResult& r) {
+      EXPECT_EQ(r.triangles, want) << gg.name;
+    };
+    RunFrozen<core::Algo::kTriangleCount>(gg, "tc-unoriented", gg.sym,
+                                          PaperTc(), check);
+    RunFrozen<core::Algo::kTriangleCount>(gg, "tc-oriented", gg.sym, {},
+                                          check);
+  }
+}
+
+TEST_F(GoldenTest, SubgraphExtractionMatchesFrozenDigests) {
+  for (const auto& gg : *graphs_) {
+    if (!HasKernelRows(gg)) continue;
+    const core::EsbvOptions options = PaperEsbv(gg.weighted);
+    const CsrGraph want =
+        core::host_ref::ExtractSubgraph(gg.weighted, options.vertices);
+    RunFrozen<core::Algo::kEsbv>(
+        gg, "esbv", gg.weighted, options, [&](const core::EsbvResult& r) {
+          // Same rows; the device rebuild orders a row's edges its own way.
+          ASSERT_EQ(r.subgraph.row_offsets(), want.row_offsets()) << gg.name;
+          for (vid_t v = 0; v < want.num_vertices(); ++v) {
+            EXPECT_EQ(SortedRow(r.subgraph, v), SortedRow(want, v))
+                << gg.name << " row " << v;
+          }
+        });
+  }
+}
+
+TEST_F(GoldenTest, KCoreColoringAndJaccardMatchFrozenDigests) {
+  for (const auto& gg : *graphs_) {
+    if (!HasKernelRows(gg)) continue;
+    const auto core_numbers = core::host_ref::CoreNumbers(gg.sym);
+    RunFrozen<core::Algo::kKCore>(
+        gg, "kcore", gg.sym, {.k = 3}, [&](const core::KCoreResult& r) {
+          for (vid_t v = 0; v < gg.sym.num_vertices(); ++v) {
+            ASSERT_EQ(r.in_core[v] != 0, core_numbers[v] >= 3)
+                << gg.name << " vertex " << v;
+          }
+        });
+    RunFrozen<core::Algo::kColoring>(
+        gg, "coloring", gg.sym, {}, [&](const core::ColoringResult& r) {
+          for (vid_t u = 0; u < gg.sym.num_vertices(); ++u) {
+            for (vid_t v : gg.sym.neighbors(u)) {
+              ASSERT_NE(r.colors[u], r.colors[v]) << gg.name << " edge " << u
+                                                  << "-" << v;
+            }
+          }
+        });
+    const auto jaccard = core::host_ref::JaccardPerEdge(gg.sym);
+    RunFrozen<core::Algo::kJaccard>(gg, "jaccard", gg.sym, {},
+                                    [&](const core::JaccardResult& r) {
+                                      EXPECT_EQ(r.coefficients, jaccard)
+                                          << gg.name;
+                                    });
+  }
+}
+
+TEST_F(GoldenTest, ReusedDeviceMatchesFrozenDigestsAfterEachReset) {
+  // One device per GPU serves a fixed job sequence and resets its counters
+  // and caches between jobs, as the scheduler does after every job, so
+  // each row pins what the reset leaves behind.  These rows are compared
+  // only with themselves: on a device that has run before, the allocator
+  // hands ESBV other addresses than on a fresh one, and its cache counts
+  // differ from the "esbv" row.
+  const auto it = std::find_if(graphs_->begin(), graphs_->end(),
+                               [](const GoldenGraphs& gg) {
+                                 return gg.name == "web-Google";
+                               });
+  ASSERT_NE(it, graphs_->end());
+  const GoldenGraphs& gg = *it;
+  for (const vgpu::ArchConfig* arch :
+       {&vgpu::A100Config(), &vgpu::Z100LConfig()}) {
+    Device dev(*arch);
+    auto expect = [&](std::string_view kase, const auto& r) {
+      ASSERT_TRUE(r.ok()) << kase << ": " << r.status().ToString();
+      ExpectFrozen(gg.name, dev, kase, ResultDigest(*r),
+                   ModeledDigest(r->time_ms, dev));
+      dev.ResetCounters();
+    };
+    expect("reused-tc", core::Run<core::Algo::kTriangleCount>(&dev, gg.sym,
+                                                              PaperTc()));
+    expect("reused-esbv", core::Run<core::Algo::kEsbv>(
+                              &dev, gg.weighted, PaperEsbv(gg.weighted)));
+    expect("reused-bfs",
+           core::Run<core::Algo::kBfs>(&dev, gg.sym, SymmetricBfs()));
+    expect("reused-pagerank", core::Run<core::Algo::kPageRank>(
+                                  &dev, gg.directed, FiveIterationPageRank()));
   }
 }
 

@@ -11,6 +11,7 @@
 #include "graph/generate.h"
 #include "graph/io.h"
 #include "graph/stats.h"
+#include "util/random.h"
 
 namespace adgraph::graph {
 namespace {
@@ -92,6 +93,93 @@ TEST(CsrTest, WeightsFollowEdgesThroughSort) {
   EXPECT_EQ(w[0], 1.5);
   EXPECT_EQ(n[1], 1u);
   EXPECT_EQ(w[1], 2.5);
+}
+
+/// CSR arrays built the comparison-sort way: std::stable_sort by (u, v),
+/// or by u alone when neighbors stay unsorted, then adjacent duplicates
+/// dropped.  The reference FromCoo's counting sorts must match.
+struct ReferenceCsr {
+  std::vector<eid_t> row_offsets;
+  std::vector<vid_t> col_indices;
+  std::vector<weight_t> weights;
+};
+
+ReferenceCsr StableSortCsr(const CooGraph& coo,
+                           const CsrBuildOptions& options) {
+  struct Edge {
+    vid_t u, v;
+    weight_t w;
+  };
+  std::vector<Edge> edges;
+  for (eid_t e = 0; e < coo.num_edges(); ++e) {
+    const vid_t u = coo.src[e];
+    const vid_t v = coo.dst[e];
+    if (options.remove_self_loops && u == v) continue;
+    const weight_t w = coo.has_weights() ? coo.weights[e] : weight_t{1};
+    edges.push_back({u, v, w});
+    if (options.make_undirected && u != v) edges.push_back({v, u, w});
+  }
+  std::stable_sort(edges.begin(), edges.end(),
+                   [&](const Edge& a, const Edge& b) {
+                     if (a.u != b.u) return a.u < b.u;
+                     return options.sort_neighbors && a.v < b.v;
+                   });
+  if (options.remove_duplicates) {
+    edges.erase(std::unique(edges.begin(), edges.end(),
+                            [](const Edge& a, const Edge& b) {
+                              return a.u == b.u && a.v == b.v;
+                            }),
+                edges.end());
+  }
+  ReferenceCsr out;
+  out.row_offsets.assign(coo.num_vertices + 1, 0);
+  for (const Edge& e : edges) {
+    ++out.row_offsets[e.u + 1];
+    out.col_indices.push_back(e.v);
+    if (coo.has_weights()) out.weights.push_back(e.w);
+  }
+  for (vid_t v = 0; v < coo.num_vertices; ++v) {
+    out.row_offsets[v + 1] += out.row_offsets[v];
+  }
+  return out;
+}
+
+TEST(CsrTest, FromCooMatchesStableSortReference) {
+  Rng rng(61);
+  for (int round = 0; round < 40; ++round) {
+    CooGraph coo;
+    coo.num_vertices = 1 + static_cast<vid_t>(rng.Uniform(200));
+    const bool weighted = rng.Bernoulli(0.5);
+    const uint64_t m = rng.Uniform(2000);
+    for (uint64_t e = 0; e < m; ++e) {
+      vid_t u = static_cast<vid_t>(rng.Uniform(coo.num_vertices));
+      vid_t v = rng.Bernoulli(0.1)
+                    ? u
+                    : static_cast<vid_t>(rng.Uniform(coo.num_vertices));
+      if (e > 0 && rng.Bernoulli(0.2)) {  // a duplicate, maybe reweighted
+        const uint64_t copy = rng.Uniform(e);
+        u = coo.src[copy];
+        v = coo.dst[copy];
+      }
+      if (weighted) {
+        coo.AddEdge(u, v, rng.NextDouble());
+      } else {
+        coo.AddEdge(u, v);
+      }
+    }
+    for (int bits = 0; bits < 16; ++bits) {
+      CsrBuildOptions options;
+      options.sort_neighbors = bits & 1;
+      options.remove_duplicates = bits & 2;
+      options.remove_self_loops = bits & 4;
+      options.make_undirected = bits & 8;
+      const CsrGraph g = CsrGraph::FromCoo(coo, options).value();
+      const ReferenceCsr want = StableSortCsr(coo, options);
+      ASSERT_EQ(g.row_offsets(), want.row_offsets) << round << "/" << bits;
+      ASSERT_EQ(g.col_indices(), want.col_indices) << round << "/" << bits;
+      ASSERT_EQ(g.weights(), want.weights) << round << "/" << bits;
+    }
+  }
 }
 
 TEST(CsrTest, RejectsOutOfRangeVertices) {

@@ -5,6 +5,7 @@
 // scheduler's end-to-end metrics integration.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -603,7 +604,12 @@ TEST_F(SchedulerMetricsTest, SamplerExportsAndAlertsEndToEnd) {
   for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
   scheduler->Drain();
 
-  // On-demand export before shutdown.
+  // On-demand export before shutdown.  It writes the samples taken so far,
+  // and six small jobs can finish inside the first 2 ms interval: wait for
+  // the sampler's first tick.
+  for (int i = 0; i < 2000 && scheduler->MetricsBatches().empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::string jsonl_path = testing::TempDir() + "sched_metrics.jsonl";
   ASSERT_TRUE(
       scheduler->WriteMetrics(jsonl_path, ExportFormat::kJsonl).ok());

@@ -4,6 +4,7 @@
 
 #include "vgpu/arch.h"
 #include "vgpu/counters.h"
+#include "vgpu/device.h"
 #include "vgpu/timing.h"
 
 namespace adgraph::vgpu {
@@ -80,6 +81,23 @@ TEST(ArchConfigTest, ValidateRejectsPathologicalConfigs) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(mutate([](ArchConfig& c) { c.lanes_per_sm = 0; }).code(),
             StatusCode::kInvalidArgument);
+  // The coalescer and the caches shift and mask: geometry must be a power
+  // of two.
+  EXPECT_EQ(mutate([](ArchConfig& c) { c.cache_line_bytes = 96; }).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(mutate([](ArchConfig& c) { c.mem_segment_bytes = 48; }).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ArchConfigDeathTest, DeviceRefusesGeometryThatIsNotAPowerOfTwo) {
+  // A device built by hand reaches core::Run without ValidateArchConfig;
+  // its constructor checks the geometry the address math needs.
+  ArchConfig line = A100Config();
+  line.cache_line_bytes = 96;
+  EXPECT_DEATH(Device{line}, "must be powers of two");
+  ArchConfig segment = A100Config();
+  segment.mem_segment_bytes = 48;
+  EXPECT_DEATH(Device{segment}, "must be powers of two");
 }
 
 TEST(TimingTest, FixedOverheadFloorsTinyKernels) {
