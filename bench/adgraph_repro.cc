@@ -553,10 +553,10 @@ Status WriteExtReordering(const BenchConfig& config,
 
       table.AddRow(
           {arch->name, name, FormatFixed(bfs.time_ms, 4),
-           FormatFixed(100 * bfs_profile.counters.gld_efficiency(), 1) + "%",
-           FormatFixed(100 * bfs_profile.counters.l2_hit_rate(), 1) + "%",
+           FormatFixed(100 * bfs_profile.gld_efficiency, 1) + "%",
+           FormatFixed(100 * bfs_profile.l2_hit_rate, 1) + "%",
            FormatFixed(tc.time_ms, 4),
-           FormatFixed(100 * tc_profile.counters.l2_hit_rate(), 1) + "%"});
+           FormatFixed(100 * tc_profile.l2_hit_rate, 1) + "%"});
     }
     table.AddSeparator();
   }

@@ -205,7 +205,7 @@ Result<CellResult> RunCell(const vgpu::ArchConfig& gpu,
   } else {
     cell.mteps = proxy_edges / (cell.time_ms * 1e3);
   }
-  prof::AlgoProfile profile = session.Finish();
+  const prof::JobProfile profile = session.Finish();
   auto platform = rt::PlatformOf(*device);
   cell.fine = prof::ComputeFineGrained(profile, platform);
   cell.coarse = prof::ComputeCoarse(profile, platform, gpu,

@@ -215,10 +215,7 @@ adgraphStatus_t adgraphSetTraceFile(adgraphHandle_t handle, const char* path) {
     if (!status.ok()) return Fail(handle, status);
     return Succeed(handle);
   }
-  adgraph::trace::TraceOptions options;
-  options.enabled = true;
-  options.path = path;
-  Status status = adgraph::trace::Start(std::move(options));
+  Status status = adgraph::trace::Start({.path = path});
   if (!status.ok()) return Fail(handle, status);
   handle->trace_path = path;
   return Succeed(handle);
@@ -509,10 +506,8 @@ adgraphStatus_t adgraphGetJobProfile(adgraphHandle_t handle,
   const auto& log = handle->device->kernel_log();
   size_t start = handle->last_run_start;
   if (start > log.size()) start = log.size();  // log was reset since the run
-  adgraph::prof::AlgoProfile merged;
-  for (size_t i = start; i < log.size(); ++i) merged.Add(log[i]);
-  adgraph::prof::JobProfile profile =
-      adgraph::prof::BuildJobProfile(merged, log, start);
+  const adgraph::prof::JobProfile profile =
+      adgraph::prof::ProfileWindow(log, start);
   adgraphJobProfile_t out{};
   out.num_kernels = profile.num_kernels;
   out.total_ms = profile.total_ms;

@@ -5,28 +5,37 @@
 
 namespace adgraph::prof {
 
-void AlgoProfile::Add(const vgpu::KernelStats& stats) {
-  counters.Merge(stats.counters);
-  total_ms += stats.time_ms;
-  total_cycles += stats.cycles;
-  num_kernels += 1;
-  issue_cycles += stats.issue_cycles;
-  valu_cycles += stats.valu_cycles;
-  dram_cycles += stats.dram_cycles;
-  l2_cycles += stats.l2_cycles;
-  smem_cycles += stats.smem_cycles;
-  exposed_cycles += stats.exposed_latency_cycles;
-  occupancy_weighted += stats.achieved_occupancy * stats.cycles;
-}
-
-JobProfile BuildJobProfile(const AlgoProfile& profile,
-                           const std::vector<vgpu::KernelStats>& kernel_log,
-                           size_t start_index, size_t top_n) {
+JobProfile ProfileWindow(const std::vector<vgpu::KernelStats>& kernel_log,
+                         size_t start_index, size_t top_n) {
   JobProfile job;
-  job.num_kernels = profile.num_kernels;
-  job.total_ms = profile.total_ms;
-  job.total_cycles = profile.total_cycles;
-  const vgpu::KernelCounters& c = profile.counters;
+  double occupancy_weighted = 0;
+  // Launches folded by kernel name, first-seen order.
+  std::vector<JobKernelEntry> folded;
+  for (size_t i = start_index; i < kernel_log.size(); ++i) {
+    const vgpu::KernelStats& stats = kernel_log[i];
+    job.counters.Merge(stats.counters);
+    job.num_kernels += 1;
+    job.total_ms += stats.time_ms;
+    job.total_cycles += stats.cycles;
+    job.valu_cycles += stats.valu_cycles;
+    job.smem_cycles += stats.smem_cycles;
+    job.dram_cycles += stats.dram_cycles;
+    job.exposed_latency_cycles += stats.exposed_latency_cycles;
+    occupancy_weighted += stats.achieved_occupancy * stats.cycles;
+    auto entry = std::find_if(folded.begin(), folded.end(),
+                              [&](const JobKernelEntry& existing) {
+                                return existing.kernel_name ==
+                                       stats.kernel_name;
+                              });
+    if (entry == folded.end()) {
+      entry = folded.insert(folded.end(),
+                            JobKernelEntry{stats.kernel_name, 0, 0, 0});
+    }
+    entry->launches += 1;
+    entry->cycles += stats.cycles;
+    entry->time_ms += stats.time_ms;
+  }
+  const vgpu::KernelCounters& c = job.counters;
   job.warp_inst_issued = c.warp_inst_issued;
   job.branches = c.branches;
   job.divergent_branches = c.divergent_branches;
@@ -36,29 +45,9 @@ JobProfile BuildJobProfile(const AlgoProfile& profile,
   job.gst_efficiency = c.gst_efficiency();
   job.l1_hit_rate = c.l1_hit_rate();
   job.l2_hit_rate = c.l2_hit_rate();
-  job.achieved_occupancy = profile.achieved_occupancy();
-  job.exposed_latency_cycles = profile.exposed_cycles;
+  job.achieved_occupancy =
+      job.total_cycles > 0 ? occupancy_weighted / job.total_cycles : 0;
 
-  // Fold the window's launches by kernel name (first-seen order), then
-  // rank by cycles for the top-N table.
-  std::vector<JobKernelEntry> folded;
-  for (size_t i = start_index; i < kernel_log.size(); ++i) {
-    const vgpu::KernelStats& stats = kernel_log[i];
-    JobKernelEntry* entry = nullptr;
-    for (JobKernelEntry& existing : folded) {
-      if (existing.kernel_name == stats.kernel_name) {
-        entry = &existing;
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      folded.push_back(JobKernelEntry{stats.kernel_name, 0, 0, 0});
-      entry = &folded.back();
-    }
-    entry->launches += 1;
-    entry->cycles += stats.cycles;
-    entry->time_ms += stats.time_ms;
-  }
   std::stable_sort(folded.begin(), folded.end(),
                    [](const JobKernelEntry& a, const JobKernelEntry& b) {
                      return a.cycles > b.cycles;
@@ -68,7 +57,7 @@ JobProfile BuildJobProfile(const AlgoProfile& profile,
   return job;
 }
 
-FineGrainedCounts ComputeFineGrained(const AlgoProfile& profile,
+FineGrainedCounts ComputeFineGrained(const JobProfile& profile,
                                      rt::Platform platform) {
   const vgpu::KernelCounters& c = profile.counters;
   FineGrainedCounts out;
@@ -94,7 +83,7 @@ FineGrainedCounts ComputeFineGrained(const AlgoProfile& profile,
   return out;
 }
 
-CoarseMetrics ComputeCoarse(const AlgoProfile& profile, rt::Platform platform,
+CoarseMetrics ComputeCoarse(const JobProfile& profile, rt::Platform platform,
                             const vgpu::ArchConfig& arch,
                             const vgpu::TimingParams& params) {
   const vgpu::KernelCounters& c = profile.counters;
@@ -103,7 +92,7 @@ CoarseMetrics ComputeCoarse(const AlgoProfile& profile, rt::Platform platform,
 
   if (platform == rt::Platform::kCuda) {
     // achieved_occupancy: time-weighted resident-warp ratio.
-    out.warp_utilization = profile.achieved_occupancy();
+    out.warp_utilization = profile.achieved_occupancy;
     // shared_efficiency: requested / required shared throughput.  Bank
     // conflicts add required passes; on the unified data path, L1 refill
     // traffic steals shared bandwidth (paper Hypothesis 4's cost side).

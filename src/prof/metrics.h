@@ -9,31 +9,8 @@
 
 namespace adgraph::prof {
 
-/// \brief Aggregated profile of one algorithm run: all kernel launches
-/// merged, with the timing-component breakdown preserved.
-struct AlgoProfile {
-  vgpu::KernelCounters counters;
-  double total_ms = 0;
-  double total_cycles = 0;
-  uint64_t num_kernels = 0;
-  // Time-weighted component sums (cycles).
-  double issue_cycles = 0;
-  double valu_cycles = 0;
-  double dram_cycles = 0;
-  double l2_cycles = 0;
-  double smem_cycles = 0;
-  double exposed_cycles = 0;
-  // Time-weighted achieved occupancy.
-  double occupancy_weighted = 0;
-
-  void Add(const vgpu::KernelStats& stats);
-  double achieved_occupancy() const {
-    return total_cycles > 0 ? occupancy_weighted / total_cycles : 0;
-  }
-};
-
 /// One row of a JobProfile's per-kernel breakdown: all launches of one
-/// kernel name inside the job's window, folded.
+/// kernel name inside the window, folded.
 struct JobKernelEntry {
   std::string kernel_name;
   uint64_t launches = 0;
@@ -41,17 +18,24 @@ struct JobKernelEntry {
   double time_ms = 0;
 };
 
-/// \brief Compact per-job architectural attribution (DESIGN.md §2.14):
-/// the Table 6–style derived ratios of one job's kernel window, plus the
-/// top-N kernels by cycles.  Carried on serve::JobOutcome, serialized in
-/// POLL under "profile", rolled into the adgraph_job_* histograms, and
-/// retained by the flight recorder.  Every ratio is derivable from the
-/// merged vgpu::KernelCounters, so wire consumers and in-process callers
-/// agree by construction.
+/// \brief Profile of a window of a device's kernel log (DESIGN.md §2.14):
+/// what ncu / hiprof report for a span of kernel launches.  The merged
+/// counters and cycle sums feed paper Table 6 and Figures 7-8
+/// (ComputeFineGrained, ComputeCoarse); the derived ratios and the top-N
+/// kernels by cycles are the per-job attribution that serve::JobOutcome
+/// carries, POLL serializes under "profile", the adgraph_job_* histograms
+/// roll up and the flight recorder retains.  Every ratio derives from
+/// `counters`, so wire consumers and in-process callers agree by
+/// construction.
 struct JobProfile {
+  vgpu::KernelCounters counters;  ///< every launch of the window, merged
   uint64_t num_kernels = 0;
   double total_ms = 0;
   double total_cycles = 0;
+  // Timing-component sums (cycles) of the ROCm-like coarse view.
+  double valu_cycles = 0;
+  double smem_cycles = 0;
+  double dram_cycles = 0;
   // Raw counts the ratios derive from (kept for cross-checking).
   uint64_t warp_inst_issued = 0;
   uint64_t branches = 0;
@@ -63,18 +47,16 @@ struct JobProfile {
   double gst_efficiency = 1;          ///< requested / transferred store bytes
   double l1_hit_rate = 0;
   double l2_hit_rate = 0;
-  double achieved_occupancy = 0;      ///< time-weighted
+  double achieved_occupancy = 0;      ///< weighted by cycles
   double exposed_latency_cycles = 0;  ///< unhidden memory latency
   std::vector<JobKernelEntry> top_kernels;  ///< by cycles, descending
 };
 
-/// Builds the per-job attribution from a Session window: `profile` is the
-/// window's merged AlgoProfile, `kernel_log` the device's full launch log,
-/// `start_index` the window start (Session::start_index()).  The top-N
-/// table folds launches by kernel name before ranking.
-JobProfile BuildJobProfile(const AlgoProfile& profile,
-                           const std::vector<vgpu::KernelStats>& kernel_log,
-                           size_t start_index, size_t top_n = 5);
+/// Profiles the window [start_index, end) of a device's kernel log in one
+/// pass, summing in log order.  The top-N table folds launches by kernel
+/// name (first-seen order) before ranking by cycles.
+JobProfile ProfileWindow(const std::vector<vgpu::KernelStats>& kernel_log,
+                         size_t start_index, size_t top_n = 5);
 
 /// The four fine-grained metric rows of paper Table 6 ("Type 1..4").
 /// Values are instruction counts; the Table 6 bench divides by runtime to
@@ -94,7 +76,7 @@ struct FineGrainedCounts {
 /// counters from an aggregated profile.  Both views read the same simulated
 /// ground truth — the two profiling "tools" differ only in which events a
 /// metric name selects, mirroring ncu vs. hiprof.
-FineGrainedCounts ComputeFineGrained(const AlgoProfile& profile,
+FineGrainedCounts ComputeFineGrained(const JobProfile& profile,
                                      rt::Platform platform);
 
 /// The four coarse-grained metrics of paper Table 2 / Figures 7-8, as
@@ -110,7 +92,7 @@ struct CoarseMetrics {
   double global_memory = 0;
 };
 
-CoarseMetrics ComputeCoarse(const AlgoProfile& profile, rt::Platform platform,
+CoarseMetrics ComputeCoarse(const JobProfile& profile, rt::Platform platform,
                             const vgpu::ArchConfig& arch,
                             const vgpu::TimingParams& params);
 

@@ -66,46 +66,6 @@ std::string FormatKernelLog(const vgpu::Device& device, size_t start_index) {
   return out.str();
 }
 
-Status WriteKernelLogCsv(const vgpu::Device& device, const std::string& path,
-                         size_t start_index) {
-  TablePrinter table(
-      {"kernel", "grid", "block", "time_ms", "cycles", "warp_inst_issued",
-       "valu_warp_inst", "lane_ops", "scalar_inst", "shared_load_inst",
-       "shared_store_inst", "global_load_inst", "global_store_inst",
-       "atomic_inst", "branches", "divergent_branches", "barriers",
-       "gld_transactions", "gst_transactions", "l1_hits", "l1_misses",
-       "l2_hits", "l2_misses", "dram_read_bytes", "dram_write_bytes",
-       "smem_accesses", "smem_conflict_extra", "achieved_occupancy"});
-  const auto& log = device.kernel_log();
-  for (size_t i = start_index; i < log.size(); ++i) {
-    const auto& s = log[i];
-    const auto& c = s.counters;
-    table.AddRow({s.kernel_name, std::to_string(s.grid),
-                  std::to_string(s.block), FormatFixed(s.time_ms, 6),
-                  FormatFixed(s.cycles, 0),
-                  std::to_string(c.warp_inst_issued),
-                  std::to_string(c.valu_warp_inst), std::to_string(c.lane_ops),
-                  std::to_string(c.scalar_inst),
-                  std::to_string(c.shared_load_inst),
-                  std::to_string(c.shared_store_inst),
-                  std::to_string(c.global_load_inst),
-                  std::to_string(c.global_store_inst),
-                  std::to_string(c.atomic_inst), std::to_string(c.branches),
-                  std::to_string(c.divergent_branches),
-                  std::to_string(c.barriers),
-                  std::to_string(c.global_ld_transactions),
-                  std::to_string(c.global_st_transactions),
-                  std::to_string(c.l1_hits), std::to_string(c.l1_misses),
-                  std::to_string(c.l2_hits), std::to_string(c.l2_misses),
-                  std::to_string(c.dram_read_bytes),
-                  std::to_string(c.dram_write_bytes),
-                  std::to_string(c.smem_accesses),
-                  std::to_string(c.smem_bank_conflict_extra),
-                  FormatFixed(s.achieved_occupancy, 4)});
-  }
-  return table.WriteCsv(path);
-}
-
 std::string FormatServerStats(const ServerStats& stats) {
   std::ostringstream out;
   out << "Serving pool snapshot (uptime " << FormatFixed(stats.uptime_ms, 1)
@@ -196,11 +156,6 @@ std::string FormatServerStats(const ServerStats& stats) {
   return out.str();
 }
 
-std::string FormatTraceSummary(
-    const std::vector<trace::TraceEvent>& events) {
-  return FormatTraceSummary(events, /*dropped_spans=*/0);
-}
-
 std::string FormatTraceSummary(const std::vector<trace::TraceEvent>& events,
                                uint64_t dropped_spans) {
   std::ostringstream out;
@@ -282,58 +237,6 @@ std::string FormatTraceSummary(const std::vector<trace::TraceEvent>& events,
     out << "WARNING: " << dropped_spans
         << " spans were dropped from the trace ring — the summary is "
            "incomplete (see adgraph_trace_dropped_spans_total)\n";
-  }
-  return out.str();
-}
-
-std::string FormatJobProfile(const JobProfile& profile) {
-  std::ostringstream out;
-  out << "Job profile: " << profile.num_kernels << " kernels, modeled "
-      << FormatFixed(profile.total_ms, 4) << " ms, "
-      << FormatWithCommas(static_cast<uint64_t>(profile.total_cycles))
-      << " cycles\n";
-  TablePrinter metrics_table({"metric", "value"});
-  metrics_table.AddRow(
-      {"divergent_branch_ratio",
-       FormatFixed(100 * profile.divergent_branch_ratio, 1) + "% (" +
-           FormatWithCommas(profile.divergent_branches) + " / " +
-           FormatWithCommas(profile.branches) + " branches)"});
-  metrics_table.AddRow(
-      {"gld_efficiency", FormatFixed(100 * profile.gld_efficiency, 1) + "%"});
-  metrics_table.AddRow(
-      {"gst_efficiency", FormatFixed(100 * profile.gst_efficiency, 1) + "%"});
-  metrics_table.AddRow(
-      {"l1_hit_rate", FormatFixed(100 * profile.l1_hit_rate, 1) + "%"});
-  metrics_table.AddRow(
-      {"l2_hit_rate", FormatFixed(100 * profile.l2_hit_rate, 1) + "%"});
-  metrics_table.AddRow({"achieved_occupancy",
-                        FormatFixed(100 * profile.achieved_occupancy, 1) +
-                            "%"});
-  metrics_table.AddRow(
-      {"exposed_latency_cycles",
-       FormatWithCommas(
-           static_cast<uint64_t>(profile.exposed_latency_cycles))});
-  metrics_table.AddRow(
-      {"warp_inst_issued", FormatWithCommas(profile.warp_inst_issued)});
-  metrics_table.AddRow(
-      {"dram_bytes", FormatWithCommas(profile.dram_bytes)});
-  metrics_table.Print(out);
-  if (!profile.top_kernels.empty()) {
-    out << "Top kernels by cycles:\n";
-    TablePrinter kernels({"kernel", "launches", "cycles", "time (ms)",
-                          "share"});
-    for (const JobKernelEntry& k : profile.top_kernels) {
-      kernels.AddRow(
-          {k.kernel_name, std::to_string(k.launches),
-           FormatWithCommas(static_cast<uint64_t>(k.cycles)),
-           FormatFixed(k.time_ms, 4),
-           FormatFixed(profile.total_cycles > 0
-                           ? 100 * k.cycles / profile.total_cycles
-                           : 0,
-                       1) +
-               "%"});
-    }
-    kernels.Print(out);
   }
   return out.str();
 }

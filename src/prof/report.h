@@ -6,10 +6,8 @@
 
 #include "obs/alerts.h"
 #include "obs/export.h"
-#include "prof/metrics.h"
 #include "prof/server_stats.h"
 #include "trace/trace.h"
-#include "util/status.h"
 #include "vgpu/device.h"
 
 namespace adgraph::prof {
@@ -25,11 +23,6 @@ namespace adgraph::prof {
 std::string FormatKernelLog(const vgpu::Device& device,
                             size_t start_index = 0);
 
-/// Raw per-launch CSV (one row per kernel launch, all counters) for
-/// offline analysis.
-Status WriteKernelLogCsv(const vgpu::Device& device, const std::string& path,
-                         size_t start_index = 0);
-
 /// Human-readable dump of a serving-pool snapshot: a totals block (jobs
 /// completed/rejected/queued, throughput, p50/p95 modeled and wall
 /// latency) followed by a per-device utilization table.
@@ -38,20 +31,12 @@ std::string FormatServerStats(const ServerStats& stats);
 /// Compact text companion to the Chrome trace-event JSON export: a
 /// per-track table (spans, busy wall time) followed by the top span names
 /// by total duration — a readable answer to "where did the time go"
-/// without loading Perfetto.
-std::string FormatTraceSummary(const std::vector<trace::TraceEvent>& events);
-
-/// Same, plus a trailing WARNING line when `dropped_spans` > 0 — the
-/// human-readable face of `adgraph_trace_dropped_spans_total`: a summary
-/// over a ring that silently overwrote events is not the whole story.
+/// without loading Perfetto.  A trailing WARNING line when
+/// `dropped_spans` > 0 is the human-readable face of
+/// `adgraph_trace_dropped_spans_total`: a summary over a ring that
+/// overwrote events is not the whole story.
 std::string FormatTraceSummary(const std::vector<trace::TraceEvent>& events,
                                uint64_t dropped_spans);
-
-/// Table 6–style per-job attribution report (DESIGN.md §2.14): the
-/// JobProfile's derived ratios — divergence, coalescing, cache hit rates,
-/// occupancy, exposed latency — followed by the top-kernels-by-cycles
-/// table.  What `adgraph_cli inspect` prints under a job's span tree.
-std::string FormatJobProfile(const JobProfile& profile);
 
 /// Human-readable tail of a metrics sampling session (DESIGN.md §2.9):
 /// sample/drop counts, the latest batch's headline series (jobs, queue,

@@ -14,27 +14,18 @@ namespace adgraph::prof {
 /// \code
 ///   prof::Session session(&device);
 ///   RunAlgorithm(&device, ...);
-///   AlgoProfile p = session.Finish();
+///   JobProfile p = session.Finish();
 /// \endcode
 class Session {
  public:
   explicit Session(const vgpu::Device* device)
       : device_(device), start_index_(device->kernel_log().size()) {}
 
-  /// Aggregates every kernel launched since construction.  May be called
-  /// repeatedly; each call re-aggregates the window so far.
-  AlgoProfile Finish() const {
-    AlgoProfile profile;
-    const auto& log = device_->kernel_log();
-    for (size_t i = start_index_; i < log.size(); ++i) {
-      profile.Add(log[i]);
-    }
-    return profile;
+  /// Profiles every kernel launched since construction (ProfileWindow).
+  /// May be called repeatedly; each call profiles the window so far.
+  JobProfile Finish() const {
+    return ProfileWindow(device_->kernel_log(), start_index_);
   }
-
-  /// First kernel-log index inside this window — the start of the slice
-  /// BuildJobProfile aggregates for per-job attribution.
-  size_t start_index() const { return start_index_; }
 
  private:
   const vgpu::Device* device_;

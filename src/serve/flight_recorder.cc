@@ -1,7 +1,6 @@
 #include "serve/flight_recorder.h"
 
 #include <algorithm>
-#include <fstream>
 #include <unordered_set>
 #include <utility>
 
@@ -102,28 +101,6 @@ std::shared_ptr<const FlightRecorder::JobRecord> FlightRecorder::FindByTraceId(
     if (record->trace_id == trace_id) return record;
   }
   return nullptr;
-}
-
-Status FlightRecorder::WriteChromeTrace(const std::string& path) const {
-  std::vector<trace::TraceEvent> events;
-  for (const RecordPtr& record : Records()) {
-    events.insert(events.end(), record->spans.begin(), record->spans.end());
-  }
-  // Chrome trace viewers (and tools/validate_trace.py) expect per-track
-  // timestamps to be monotonic; records were retained by badness, not time.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
-                     return a.ts_us < b.ts_us;
-                   });
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  trace::WriteChromeTraceJson(out, events);
-  if (!out.good()) {
-    return Status::IOError("short write to '" + path + "'");
-  }
-  return Status::OK();
 }
 
 }  // namespace adgraph::serve

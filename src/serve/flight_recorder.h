@@ -42,9 +42,6 @@ class FlightRecorder {
     /// Latency-class admission threshold, milliseconds of wall time
     /// (queue + exec).  0 = every job competes for a latency slot.
     double latency_threshold_ms = 0;
-    /// If non-empty, the retained span trees are dumped here as Chrome
-    /// trace-event JSON at scheduler shutdown.
-    std::string path;
   };
 
   /// Everything retained about one recorded job.
@@ -100,10 +97,6 @@ class FlightRecorder {
   std::shared_ptr<const JobRecord> FindByWireId(uint64_t wire_job_id) const;
   std::shared_ptr<const JobRecord> FindBySchedId(uint64_t sched_job_id) const;
   std::shared_ptr<const JobRecord> FindByTraceId(uint64_t trace_id) const;
-
-  /// Dumps every retained record's spans as one Chrome trace-event JSON
-  /// (events sorted by start time so per-track timestamps stay monotonic).
-  Status WriteChromeTrace(const std::string& path) const;
 
  private:
   using RecordPtr = std::shared_ptr<const JobRecord>;

@@ -10,6 +10,7 @@
 #include "prof/session.h"
 #include "serve/admission.h"
 #include "serve/registry.h"
+#include "trace/trace.h"
 
 namespace adgraph::serve {
 
@@ -69,12 +70,6 @@ Result<std::unique_ptr<Scheduler>> Scheduler::Create(Options options) {
   options.queue_capacity = std::max<size_t>(options.queue_capacity, 1);
 
   auto scheduler = std::unique_ptr<Scheduler>(new Scheduler(std::move(options)));
-  if (scheduler->options_.trace.enabled) {
-    // Attach the session sink before any worker starts so device
-    // construction (track registration, warm-up) is already observable.
-    scheduler->trace_collector_ = std::make_unique<trace::Collector>(
-        scheduler->options_.trace.ring_capacity);
-  }
   for (const DeviceSlot& slot : scheduler->options_.devices) {
     auto worker = std::make_unique<Worker>(slot);
     worker->arch_name = slot.arch->name;
@@ -153,17 +148,13 @@ void Scheduler::RegisterMetrics() {
       registry_.GetGauge("adgraph_uptime_ms", "Pool uptime, milliseconds.");
   metric_jobs_per_sec_ = registry_.GetGauge(
       "adgraph_jobs_per_sec", "Completed-job throughput over the lifetime.");
-  // One series per span sink: the global ring, the scheduler's session
-  // collector, and the per-job SpanCaptures.  A nonzero value means a
-  // trace summary / flight record is missing events (DESIGN.md §2.14).
+  // One series per span sink: the trace window's ring and the per-job
+  // SpanCaptures.  A nonzero value means a trace summary / flight record
+  // is missing events (DESIGN.md §2.14).
   metric_trace_dropped_global_ = registry_.GetCounter(
       "adgraph_trace_dropped_spans_total",
       "Spans evicted from a trace sink before being read.",
       {{"track", "global"}});
-  metric_trace_dropped_session_ = registry_.GetCounter(
-      "adgraph_trace_dropped_spans_total",
-      "Spans evicted from a trace sink before being read.",
-      {{"track", "session"}});
   metric_trace_dropped_capture_ = registry_.GetCounter(
       "adgraph_trace_dropped_spans_total",
       "Spans evicted from a trace sink before being read.",
@@ -759,7 +750,6 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
     outcome.ooc_overlap_speedup = report.staging.overlap_speedup();
     worker->metrics.streamed_jobs->Increment();
   }
-  const prof::AlgoProfile profile = session.Finish();
   if (payload.ok()) {
     outcome.status = Status::OK();
     outcome.payload = std::move(payload).value();
@@ -776,18 +766,16 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
     outcome.status = payload.status();
   }
 
-  // Per-job attribution (DESIGN.md §2.14): fold this job's kernel window
-  // into the compact JobProfile *before* the counter reset below wipes the
-  // log.  The window is exactly [session.start_index(), log.size()).
+  // Per-job attribution (DESIGN.md §2.14): profile this job's kernel
+  // window *before* the counter reset below wipes the log.
   if (outcome.status.ok()) {
-    const vgpu::KernelCounters& kc = profile.counters;
+    outcome.job_profile = session.Finish();
+    const vgpu::KernelCounters& kc = outcome.job_profile.counters;
     WorkerMetricHandles& m = worker->metrics;
     m.warp_inst->Increment(kc.warp_inst_issued);
     m.dram_bytes->Increment(kc.dram_read_bytes + kc.dram_write_bytes);
     m.l2_hits->Increment(kc.l2_hits);
     m.l2_misses->Increment(kc.l2_misses);
-    outcome.job_profile = prof::BuildJobProfile(
-        profile, device->kernel_log(), session.start_index());
   }
 
   // Fresh profiling state for the next request; live allocations were
@@ -857,28 +845,10 @@ void Scheduler::Shutdown() {
     if (worker->thread.joinable()) worker->thread.join();
   }
   if (sampler_) {
-    // Workers are done, trace collector still attached: the final sample
-    // (and any alert transition it causes) is complete and observable in
-    // the trace.  Stop() also writes Options::metrics.path.
+    // Workers are done: the final sample (and any alert transition it
+    // causes) is complete, and observable in an open trace window.
+    // Stop() also writes Options::metrics.path.
     sampler_->Stop();
-  }
-  if (trace_collector_) {
-    // Workers are quiet now; flush the session's trace before detaching.
-    if (!options_.trace.path.empty()) {
-      // Best-effort: an unwritable path must not turn Shutdown into a
-      // failure; the collector still detaches below.
-      Status write_status =
-          trace_collector_->WriteChromeTrace(options_.trace.path);
-      (void)write_status;
-    }
-    trace_collector_.reset();
-  }
-  if (flight_recorder_->enabled() && !options_.flight_recorder.path.empty()) {
-    // Best-effort, like the session trace above: the retained worst-job
-    // span trees go out as one Chrome trace for post-mortem loading.
-    Status dump_status =
-        flight_recorder_->WriteChromeTrace(options_.flight_recorder.path);
-    (void)dump_status;
   }
   for (PendingJob& job : orphans) {
     JobOutcome outcome;
@@ -888,11 +858,6 @@ void Scheduler::Shutdown() {
         Status::Unavailable("scheduler shut down before the job ran");
     job.promise.set_value(std::move(outcome));
   }
-}
-
-std::vector<trace::TraceEvent> Scheduler::TraceEvents() const {
-  if (!trace_collector_) return {};
-  return trace_collector_->Events();
 }
 
 Scheduler::Verdict Scheduler::Classify(const Status& status) {
@@ -974,26 +939,16 @@ prof::ServerStats Scheduler::Snapshot() const {
   metric_jobs_running_->Set(static_cast<double>(stats.jobs_running));
   metric_uptime_ms_->Set(stats.uptime_ms);
   metric_jobs_per_sec_->Set(stats.jobs_per_sec);
-  // Dropped-span totals of the global ring and the session collector.  The
-  // sources are absolute (and the global ring's resets on every
-  // trace::Start()), so publish deltas against the last-seen mirrors —
-  // counters must only ever go up.
-  {
-    const uint64_t global_now = trace::GlobalDropped();
-    if (global_now < published_trace_dropped_global_) {
-      published_trace_dropped_global_ = 0;  // ring restarted
-    }
-    metric_trace_dropped_global_->Increment(global_now -
-                                            published_trace_dropped_global_);
-    published_trace_dropped_global_ = global_now;
-    const uint64_t session_now =
-        trace_collector_ ? trace_collector_->dropped() : 0;
-    if (session_now >= published_trace_dropped_session_) {
-      metric_trace_dropped_session_->Increment(
-          session_now - published_trace_dropped_session_);
-      published_trace_dropped_session_ = session_now;
-    }
+  // Dropped-span total of the trace window.  The source is absolute and
+  // resets on every trace::Start(), so publish the delta against the
+  // last-seen mirror — counters must only ever go up.
+  const uint64_t global_now = trace::GlobalDropped();
+  if (global_now < published_trace_dropped_global_) {
+    published_trace_dropped_global_ = 0;  // ring restarted
   }
+  metric_trace_dropped_global_->Increment(global_now -
+                                          published_trace_dropped_global_);
+  published_trace_dropped_global_ = global_now;
   // Tenant table — only when tenancy is in play; an all-anonymous run keeps
   // the pre-tenancy report output byte-for-byte.
   if (!(tenants_.size() == 1 && tenants_.begin()->first == "-")) {
@@ -1027,10 +982,8 @@ std::map<std::string, double> Scheduler::PollMetrics() {
   values["p95_modeled_ms"] = stats.p95_modeled_ms;
   // Alert-rule input for trace-drop monitoring (see the sample rule in
   // README.md): total spans lost across all sinks so far.
-  values["trace_dropped_spans"] =
-      static_cast<double>(trace::GlobalDropped() +
-                          (trace_collector_ ? trace_collector_->dropped() : 0) +
-                          metric_trace_dropped_capture_->Value());
+  values["trace_dropped_spans"] = static_cast<double>(
+      trace::GlobalDropped() + metric_trace_dropped_capture_->Value());
   double utilization = 0;
   for (const prof::DeviceStats& d : stats.devices) {
     utilization += d.utilization;

@@ -21,7 +21,6 @@
 #include "serve/flight_recorder.h"
 #include "serve/graph_cache.h"
 #include "serve/job.h"
-#include "trace/trace.h"
 #include "util/status.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
@@ -77,12 +76,6 @@ class Scheduler {
     /// for the upload-per-run behavior (results are byte-identical either
     /// way).
     GraphCache::Options cache;
-    /// Per-session tracing: when `trace.enabled`, the scheduler attaches a
-    /// private trace::Collector for its lifetime and — if `trace.path` is
-    /// non-empty — writes the Chrome trace-event JSON there at Shutdown().
-    /// Spans land on one track per worker thread (queue-wait / job /
-    /// admission) plus one per device (kernels, memcpys, algorithm phases).
-    trace::TraceOptions trace;
     /// Live metrics (DESIGN.md §2.9).  The labeled registry is always on —
     /// worker-side updates are relaxed atomics, and the latency histograms
     /// double as the ServerStats percentile source — but the background
@@ -137,10 +130,6 @@ class Scheduler {
   /// and the post-job bookkeeping also count under, so submitted == queued
   /// + running + completed + failed + rejected_admission + shed_deadline.
   prof::ServerStats Snapshot() const;
-
-  /// Spans collected by the session sink so far (oldest first); empty when
-  /// Options::trace was disabled or after Shutdown().  Thread-safe.
-  std::vector<trace::TraceEvent> TraceEvents() const;
 
   /// The live metric registry (always populated: per-worker job/cache/
   /// kernel-counter series, latency histograms, build_info).  Thread-safe
@@ -301,10 +290,6 @@ class Scheduler {
 
   Options options_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// Session trace sink; non-null iff options_.trace.enabled.  Created in
-  /// Create() before the workers start, written out in Shutdown() after
-  /// they join.
-  std::unique_ptr<trace::Collector> trace_collector_;
 
   /// Live metric registry — always constructed; the serve hot path updates
   /// handles into it lock-free.  Declared before sampler_ (construction
@@ -319,20 +304,19 @@ class Scheduler {
   obs::Gauge* metric_jobs_per_sec_ = nullptr;
   /// Background sampler; non-null iff options_.metrics.enabled.  Started
   /// after the workers in Create(), stopped after they join in Shutdown()
-  /// (while the trace collector is still attached, so alert instants from
-  /// the final sample land in the trace).
+  /// (so alert instants from the final sample land in an open trace
+  /// window).
   std::unique_ptr<obs::Sampler> sampler_;
   /// Trace track carrying alert instant events; registered lazily with the
   /// first alert transition.
   std::atomic<uint64_t> alerts_track_{0};
   /// Slow-job flight recorder (DESIGN.md §2.14); always non-null.
   std::unique_ptr<FlightRecorder> flight_recorder_;
-  // Dropped-span counters per sink ("track" label: global / session /
-  // capture).  Workers bump the capture series directly; the global and
-  // session sources are absolute totals inside trace/, so Snapshot()
-  // publishes their deltas against the mirrors below (owned by mutex_).
+  // Dropped-span counters per sink ("track" label: global / capture).
+  // Workers bump the capture series directly; the global source is an
+  // absolute total inside trace/, so Snapshot() publishes its delta
+  // against the mirror below (owned by mutex_).
   obs::Counter* metric_trace_dropped_global_ = nullptr;
-  obs::Counter* metric_trace_dropped_session_ = nullptr;
   obs::Counter* metric_trace_dropped_capture_ = nullptr;
 
   mutable std::mutex mutex_;
@@ -343,11 +327,11 @@ class Scheduler {
   bool shutdown_ = false;
   uint64_t next_job_id_ = 1;
   Clock::time_point started_at_;
-  // Last-published dropped-span totals (owned by mutex_, see the counter
-  // handles above).  Mutable for the same reason the gauges are settable
-  // from Snapshot(): publishing is observable side bookkeeping, not state.
+  // Last-published dropped-span total of the trace window (owned by
+  // mutex_, see the counter handles above).  Mutable for the same reason
+  // the gauges are settable from Snapshot(): publishing is observable side
+  // bookkeeping, not state.
   mutable uint64_t published_trace_dropped_global_ = 0;
-  mutable uint64_t published_trace_dropped_session_ = 0;
 
   uint64_t running_ = 0;  ///< jobs dequeued and not yet counted (mutex_)
   /// Tenant accounting, keyed by tenant label ("-" = anonymous).  Node

@@ -11,22 +11,19 @@ namespace adgraph::trace {
 
 namespace {
 
-/// All tracer state behind one mutex: the global ring, the attached
-/// Collectors and the track registry.  One lock per emission is the whole
-/// synchronization story — simple to reason about, ThreadSanitizer-clean,
-/// and cheap at the span granularity we emit (spans, not instructions).
+/// All tracer state behind one mutex: the window's ring and the track
+/// registry.  One lock per emission is the whole synchronization story —
+/// simple to reason about, ThreadSanitizer-clean, and cheap at the span
+/// granularity we emit (spans, not instructions).
 struct TracerState {
   std::mutex mutex;
 
-  // Global window (Start()/Stop()).
+  // The trace window (Start()/Stop()).
   bool global_active = false;
   TraceOptions global_options;
   std::vector<TraceEvent> ring;
   size_t ring_next = 0;  ///< write cursor once the ring is full
   uint64_t dropped = 0;
-
-  // Per-session sinks.
-  std::vector<Collector*> collectors;
 
   // Track registry (process-lifetime; index = track id).
   std::vector<std::string> tracks;
@@ -38,16 +35,11 @@ TracerState& State() {
   return *state;
 }
 
-/// Fast-path guard: true iff any sink is attached.  Updated under the
-/// state mutex, read with a relaxed load from every emission site.
+/// Fast-path guard: true iff the window is open.  Updated under the state
+/// mutex, read with a relaxed load from every emission site.
 std::atomic<bool>& EnabledFlag() {
   static std::atomic<bool> enabled{false};
   return enabled;
-}
-
-void UpdateEnabledLocked(const TracerState& state) {
-  EnabledFlag().store(state.global_active || !state.collectors.empty(),
-                      std::memory_order_relaxed);
 }
 
 std::chrono::steady_clock::time_point Epoch() {
@@ -102,6 +94,67 @@ std::string FormatU64(uint64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
   return buf;
+}
+
+/// The ring's events, oldest first: it holds [next, end) then [0, next).
+std::vector<TraceEvent> RingEventsLocked(const TracerState& state) {
+  std::vector<TraceEvent> events;
+  events.reserve(state.ring.size());
+  for (size_t i = 0; i < state.ring.size(); ++i) {
+    events.push_back(state.ring[(state.ring_next + i) % state.ring.size()]);
+  }
+  return events;
+}
+
+/// Serializes `events` (with track metadata from the registry) in Chrome
+/// trace-event JSON format to `out`.
+void WriteChromeTraceJson(std::ostream& out,
+                          const std::vector<TraceEvent>& events) {
+  const std::vector<std::string> tracks = TrackNames();
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  bool first = true;
+  // Metadata: name every referenced track, plus track 0.
+  std::vector<bool> referenced(tracks.size(), false);
+  if (!referenced.empty()) referenced[0] = true;
+  for (const TraceEvent& event : events) {
+    if (event.track < referenced.size()) referenced[event.track] = true;
+  }
+  for (size_t t = 0; t < tracks.size(); ++t) {
+    if (!referenced[t]) continue;
+    if (!first) out << ",\n";
+    first = false;
+    out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" << t
+        << ",\"args\":{\"name\":" << JsonString(tracks[t])
+        << "},\"ts\":0}";
+  }
+  for (const TraceEvent& event : events) {
+    if (!first) out << ",\n";
+    first = false;
+    const bool instant = event.phase == 'i';
+    out << "{\"ph\":\"" << (instant ? 'i' : 'X')
+        << "\",\"name\":" << JsonString(event.name)
+        << ",\"cat\":" << JsonString(event.category)
+        << ",\"pid\":1,\"tid\":" << event.track
+        << ",\"ts\":" << JsonNumber(event.ts_us);
+    if (instant) {
+      // Thread-scoped instant marker; no duration field.
+      out << ",\"s\":\"t\"";
+    } else {
+      out << ",\"dur\":" << JsonNumber(event.dur_us);
+    }
+    if (!event.args.empty()) {
+      out << ",\"args\":{";
+      for (size_t i = 0; i < event.args.size(); ++i) {
+        const TraceArg& arg = event.args[i];
+        if (i) out << ",";
+        out << JsonString(arg.key) << ":"
+            << (arg.is_number ? arg.value : JsonString(arg.value));
+      }
+      out << "}";
+    }
+    out << "}";
+  }
+  out << "\n]}\n";
 }
 
 }  // namespace
@@ -161,7 +214,6 @@ void Emit(TraceEvent event) {
   if (!EnabledFlag().load(std::memory_order_relaxed)) return;
   TracerState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
-  for (Collector* collector : state.collectors) collector->Accept(event);
   if (!state.global_active) return;
   if (state.ring.size() < state.global_options.ring_capacity) {
     state.ring.push_back(std::move(event));
@@ -201,7 +253,7 @@ Status Start(TraceOptions options) {
   state.ring.clear();
   state.ring_next = 0;
   state.dropped = 0;
-  UpdateEnabledLocked(state);
+  EnabledFlag().store(true, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -214,13 +266,7 @@ bool GlobalActive() {
 std::vector<TraceEvent> GlobalEvents() {
   TracerState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
-  std::vector<TraceEvent> events;
-  events.reserve(state.ring.size());
-  // Oldest first: the ring holds [next, end) then [0, next).
-  for (size_t i = 0; i < state.ring.size(); ++i) {
-    events.push_back(state.ring[(state.ring_next + i) % state.ring.size()]);
-  }
-  return events;
+  return RingEventsLocked(state);
 }
 
 uint64_t GlobalDropped() {
@@ -231,133 +277,21 @@ uint64_t GlobalDropped() {
 
 Status Stop() {
   std::string path;
+  std::vector<TraceEvent> events;
   {
     TracerState& state = State();
     std::lock_guard<std::mutex> lock(state.mutex);
     if (!state.global_active) return Status::OK();
+    state.global_active = false;
+    EnabledFlag().store(false, std::memory_order_relaxed);
     path = state.global_options.path;
+    // Copied at close, so a Start() racing the write cannot clear them.
+    if (!path.empty()) events = RingEventsLocked(state);
   }
-  if (!path.empty()) {
-    ADGRAPH_RETURN_NOT_OK(WriteChromeTrace(path));
-  }
-  TracerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.global_active = false;
-  UpdateEnabledLocked(state);
-  return Status::OK();
-}
-
-Status WriteChromeTrace(const std::string& path) {
+  if (path.empty()) return Status::OK();
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open trace file '" + path + "'");
-  WriteChromeTraceJson(out, GlobalEvents());
-  out.flush();
-  if (!out) return Status::IOError("failed writing trace file '" + path + "'");
-  return Status::OK();
-}
-
-void WriteChromeTraceJson(std::ostream& out,
-                          const std::vector<TraceEvent>& events) {
-  const std::vector<std::string> tracks = TrackNames();
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  // Metadata: name every referenced track, plus track 0.
-  std::vector<bool> referenced(tracks.size(), false);
-  if (!referenced.empty()) referenced[0] = true;
-  for (const TraceEvent& event : events) {
-    if (event.track < referenced.size()) referenced[event.track] = true;
-  }
-  for (size_t t = 0; t < tracks.size(); ++t) {
-    if (!referenced[t]) continue;
-    if (!first) out << ",\n";
-    first = false;
-    out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" << t
-        << ",\"args\":{\"name\":" << JsonString(tracks[t])
-        << "},\"ts\":0}";
-  }
-  for (const TraceEvent& event : events) {
-    if (!first) out << ",\n";
-    first = false;
-    const bool instant = event.phase == 'i';
-    out << "{\"ph\":\"" << (instant ? 'i' : 'X')
-        << "\",\"name\":" << JsonString(event.name)
-        << ",\"cat\":" << JsonString(event.category)
-        << ",\"pid\":1,\"tid\":" << event.track
-        << ",\"ts\":" << JsonNumber(event.ts_us);
-    if (instant) {
-      // Thread-scoped instant marker; no duration field.
-      out << ",\"s\":\"t\"";
-    } else {
-      out << ",\"dur\":" << JsonNumber(event.dur_us);
-    }
-    if (!event.args.empty()) {
-      out << ",\"args\":{";
-      for (size_t i = 0; i < event.args.size(); ++i) {
-        const TraceArg& arg = event.args[i];
-        if (i) out << ",";
-        out << JsonString(arg.key) << ":"
-            << (arg.is_number ? arg.value : JsonString(arg.value));
-      }
-      out << "}";
-    }
-    out << "}";
-  }
-  out << "\n]}\n";
-}
-
-// ---------------------------------------------------------------------------
-// Collector
-// ---------------------------------------------------------------------------
-
-Collector::Collector(size_t ring_capacity)
-    : capacity_(std::max<size_t>(ring_capacity, 1)) {
-  (void)Epoch();  // see Start(): no sink may outrun the epoch
-  TracerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.collectors.push_back(this);
-  UpdateEnabledLocked(state);
-}
-
-Collector::~Collector() {
-  TracerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  auto& collectors = state.collectors;
-  collectors.erase(std::remove(collectors.begin(), collectors.end(), this),
-                   collectors.end());
-  UpdateEnabledLocked(state);
-}
-
-void Collector::Accept(const TraceEvent& event) {
-  // Called with the tracer mutex held; ours nests strictly inside it.
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(event);
-  } else {
-    ring_[next_] = event;
-    next_ = (next_ + 1) % ring_.size();
-    dropped_ += 1;
-  }
-}
-
-std::vector<TraceEvent> Collector::Events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceEvent> events;
-  events.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    events.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return events;
-}
-
-uint64_t Collector::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
-Status Collector::WriteChromeTrace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open trace file '" + path + "'");
-  WriteChromeTraceJson(out, Events());
+  WriteChromeTraceJson(out, events);
   out.flush();
   if (!out) return Status::IOError("failed writing trace file '" + path + "'");
   return Status::OK();

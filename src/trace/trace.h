@@ -21,25 +21,25 @@
 /// trace-event JSON into chrome://tracing or Perfetto reproduces the
 /// paper's Figure 7/8 coarse-grained timelines for *any* run.
 ///
-/// Two kinds of sinks can be active at once:
-///   - the process-global ring buffer, controlled by Start()/Stop()
-///     (what `adgraph_cli --trace file.json` uses), and
-///   - any number of per-session Collector objects (what a
-///     `serve::Scheduler` with TraceOptions uses), each receiving every
-///     event emitted while attached.
+/// Two kinds of sinks receive events:
+///   - the process's one trace window, a bounded ring opened by Start()
+///     and closed by Stop(), which writes the Chrome JSON (what every
+///     `adgraph_cli --trace file.json` mode uses), and
+///   - per-job SpanCaptures installed with ScopedTraceContext (what the
+///     serve flight recorder retains).
 ///
 /// Overhead contract: with no sink active, every instrumentation site
 /// reduces to a single relaxed atomic load (`Enabled()` returning false);
-/// the compiled-in-but-disabled cost is <5% on bench_micro.  When sinks
-/// are active, emission takes one global mutex — serializing writers is
-/// what keeps the ring buffer ThreadSanitizer-clean under the serve pool.
+/// the compiled-in-but-disabled cost is <5% on bench_micro.  While the
+/// window is open, emission takes one global mutex — serializing writers
+/// is what keeps the ring buffer ThreadSanitizer-clean under the serve
+/// pool.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,14 +48,9 @@
 
 namespace adgraph::trace {
 
-/// Configuration of a tracing window (global or per-session).
+/// Configuration of the trace window.
 struct TraceOptions {
-  /// Master switch; false = construct-but-ignore (convenient to thread
-  /// through option structs unconditionally).
-  bool enabled = false;
-  /// If non-empty, the Chrome trace-event JSON is written here when the
-  /// window closes (Stop() for the global window, Scheduler shutdown for
-  /// a serve session).
+  /// If non-empty, Stop() writes the Chrome trace-event JSON here.
   std::string path;
   /// Ring capacity in events; the oldest events are dropped (and counted)
   /// once the window holds this many.
@@ -96,10 +91,10 @@ uint64_t RegisterTrack(const std::string& name);
 /// Names of all registered tracks, indexed by track id.
 std::vector<std::string> TrackNames();
 
-/// True iff at least one sink is active for the calling thread: a global
-/// window, a Collector, or a per-job SpanCapture installed via
-/// ScopedTraceContext.  One relaxed atomic load plus one thread-local read
-/// — the fast-path guard of every emission site.
+/// True iff at least one sink is active for the calling thread: the trace
+/// window or a per-job SpanCapture installed via ScopedTraceContext.  One
+/// relaxed atomic load plus one thread-local read — the fast-path guard of
+/// every emission site.
 bool Enabled();
 
 /// Routes one event to every active sink.  When the calling thread carries
@@ -119,59 +114,24 @@ void EmitInstant(uint64_t track, std::string name, std::string category,
 // Process-global window
 // ---------------------------------------------------------------------------
 
-/// Opens the global tracing window (idempotent: a second Start while open
-/// fails with kAlreadyExists).  Clears any previous ring contents.
+/// Opens the trace window; a process holds one at a time, so a second
+/// Start while open fails with kAlreadyExists.  Clears any previous ring
+/// contents.
 Status Start(TraceOptions options);
 
-/// Closes the global window; if its options named a path, writes the
-/// Chrome JSON there first.  OK (no-op) when no window is open.
+/// Closes the window and, if its options named a path, writes the Chrome
+/// JSON of its events there.  The window is closed even when the write
+/// fails; the write error is returned.  OK (no-op) when no window is open.
 Status Stop();
 
-/// True iff the global window is open (Collectors do not count).
+/// True iff the trace window is open.
 bool GlobalActive();
 
-/// Copy of the globally collected events, oldest first.
+/// Copy of the window's events, oldest first (still readable after Stop).
 std::vector<TraceEvent> GlobalEvents();
 
-/// Events evicted from the global ring since Start().
+/// Events evicted from the window's ring since Start().
 uint64_t GlobalDropped();
-
-/// Writes the global window's events as Chrome trace-event JSON.
-Status WriteChromeTrace(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// Per-session sinks
-// ---------------------------------------------------------------------------
-
-/// \brief A private event sink: attaches to the emission fan-out on
-/// construction, detaches on destruction, and keeps its own bounded ring —
-/// independent of (and concurrent with) the global window.
-class Collector {
- public:
-  explicit Collector(size_t ring_capacity = 1 << 16);
-  ~Collector();
-  Collector(const Collector&) = delete;
-  Collector& operator=(const Collector&) = delete;
-
-  std::vector<TraceEvent> Events() const;
-  uint64_t dropped() const;
-  Status WriteChromeTrace(const std::string& path) const;
-
- private:
-  friend void Emit(TraceEvent);
-  void Accept(const TraceEvent& event);
-
-  mutable std::mutex mutex_;
-  std::vector<TraceEvent> ring_;
-  size_t capacity_;
-  size_t next_ = 0;       ///< ring write cursor once full
-  uint64_t dropped_ = 0;
-};
-
-/// Serializes `events` (with track metadata from the registry) in Chrome
-/// trace-event JSON format to `out`.
-void WriteChromeTraceJson(std::ostream& out,
-                          const std::vector<TraceEvent>& events);
 
 // ---------------------------------------------------------------------------
 // Per-job trace context (DESIGN.md §2.14)

@@ -90,14 +90,14 @@ struct ArchConfig {
 };
 
 /// Validates an ArchConfig at the point it enters the system (scheduler
-/// pool construction, partitioned-engine creation, CLI/bench custom archs).
-/// The timing model divides by clock_ghz, num_sms, schedulers_per_sm,
-/// lanes_per_sm and the two bandwidth figures, so a zero / negative /
-/// non-finite value would turn every cycle count into inf/NaN and poison
-/// the MTEPS tables downstream; such configs are rejected with
-/// kInvalidArgument instead.  The coalescer, the caches and the atomics
-/// shift and mask by cache_line_bytes and mem_segment_bytes, so both must
-/// be powers of two (vgpu::Device's constructor checks these two).
+/// pool construction, partitioned-engine creation; vgpu::Device's
+/// constructor makes a failure fatal).  The timing model divides by
+/// clock_ghz, num_sms, schedulers_per_sm, lanes_per_sm and the two
+/// bandwidth figures, so a zero / negative / non-finite value would turn
+/// every cycle count into inf/NaN and poison the MTEPS tables downstream;
+/// such configs are rejected with kInvalidArgument instead.  The
+/// coalescer, the caches and the atomics shift and mask by
+/// cache_line_bytes and mem_segment_bytes, so both must be powers of two.
 Status ValidateArchConfig(const ArchConfig& config);
 
 /// Built-in configs reproducing paper Table 3.  References stay valid for

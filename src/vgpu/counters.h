@@ -75,6 +75,8 @@ struct KernelCounters {
   /// sampled simulation (LaunchDims::work_replication).
   void Scale(uint64_t factor);
 
+  bool operator==(const KernelCounters&) const = default;
+
   /// Fraction of lane-loop slots that did useful work (1 = perfectly
   /// balanced warps); feeds achieved_occupancy / VALUBusy.
   double loop_balance() const {

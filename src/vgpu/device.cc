@@ -1,7 +1,6 @@
 #include "vgpu/device.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/logging.h"
 #include "vgpu/mem/shared_mem.h"
@@ -19,13 +18,10 @@ Device::Device(const ArchConfig& arch, Options options)
       options_(options),
       mem_(static_cast<uint64_t>(static_cast<double>(arch.dram_capacity_bytes) /
                                  std::max(options.memory_scale, 1e-9))) {
-  // The coalescer, the caches and the atomics do their address math with
-  // shifts and masks.
-  ADGRAPH_CHECK(std::has_single_bit(arch_.cache_line_bytes) &&
-                std::has_single_bit(arch_.mem_segment_bytes))
-      << "arch config '" << arch_.name << "': cache_line_bytes ("
-      << arch_.cache_line_bytes << ") and mem_segment_bytes ("
-      << arch_.mem_segment_bytes << ") must be powers of two";
+  // A hand-built config reaches core::Run without passing the scheduler's
+  // or the partitioned engine's check; the timing model divides by its
+  // counts and the address math shifts by its geometry.
+  ADGRAPH_CHECK_OK(ValidateArchConfig(arch_));
   // memory_scale > 1 shrinks capacity (scaled experiments); < 1 would grow.
   l1_.reserve(arch_.num_sms);
   for (uint32_t i = 0; i < arch_.num_sms; ++i) {

@@ -48,8 +48,8 @@ class Device {
     TimingParams timing;
   };
 
-  /// Fatal unless `arch`'s cache_line_bytes and mem_segment_bytes are
-  /// powers of two (the rest of ValidateArchConfig is the caller's).
+  /// Fatal, naming the config and the field, unless `arch` passes
+  /// ValidateArchConfig.
   explicit Device(const ArchConfig& arch);
   Device(const ArchConfig& arch, Options options);
 

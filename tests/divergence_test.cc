@@ -22,13 +22,6 @@ using vgpu::Device;
 /// CUDA-like and the ROCm-like architectures, measured through the exact
 /// entry point the serving stack uses — core::Run.
 
-double DivergenceRatio(const prof::AlgoProfile& p) {
-  return p.counters.branches == 0
-             ? 0.0
-             : static_cast<double>(p.counters.divergent_branches) /
-                   static_cast<double>(p.counters.branches);
-}
-
 class DivergenceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -54,16 +47,17 @@ TEST_F(DivergenceTest, TcDivergesMoreThanBfsOnBothVendorArchs) {
     auto bfs = core::Run(&dev, {core::Algo::kBfs}, *graph_,
                          core::Params(core::BfsOptions{.source = 0}));
     ASSERT_TRUE(bfs.ok()) << arch->name;
-    prof::AlgoProfile bfs_profile = bfs_session.Finish();
+    prof::JobProfile bfs_profile = bfs_session.Finish();
 
     prof::Session tc_session(&dev);
     auto tc = core::Run(&dev, {core::Algo::kTriangleCount}, *graph_,
                         core::Params(core::TcOptions{}));
     ASSERT_TRUE(tc.ok()) << arch->name;
-    prof::AlgoProfile tc_profile = tc_session.Finish();
+    prof::JobProfile tc_profile = tc_session.Finish();
 
     EXPECT_GT(tc_profile.counters.divergent_branches, 0u) << arch->name;
-    EXPECT_GT(DivergenceRatio(tc_profile), DivergenceRatio(bfs_profile))
+    EXPECT_GT(tc_profile.divergent_branch_ratio,
+              bfs_profile.divergent_branch_ratio)
         << arch->name
         << ": Table 6 ordering (TC branch divergence >> BFS) regressed";
   }
@@ -78,9 +72,9 @@ TEST_F(DivergenceTest, EngineBfsKeepsSeedDivergenceProfile) {
   auto r = core::Run(&dev, {core::Algo::kBfs}, *graph_,
                      core::Params(core::BfsOptions{.source = 0}));
   ASSERT_TRUE(r.ok());
-  prof::AlgoProfile p = session.Finish();
+  prof::JobProfile p = session.Finish();
   EXPECT_GT(p.counters.branches, 0u);
-  EXPECT_LT(DivergenceRatio(p), 0.5)
+  EXPECT_LT(p.divergent_branch_ratio, 0.5)
       << "BFS through the engine became divergence-dominated";
 }
 

@@ -25,6 +25,7 @@
 #include "prof/report.h"
 #include "serve/job.h"
 #include "serve/scheduler.h"
+#include "trace_window.h"
 
 namespace adgraph::obs {
 namespace {
@@ -587,7 +588,8 @@ TEST_F(SchedulerMetricsTest, SamplerExportsAndAlertsEndToEnd) {
   // Fires on the very first sample: utilization of a fresh pool is 0.
   options.metrics.alert_rules = {
       ParseAlertRule("jobs_per_sec < 1e12 for 1").value()};
-  options.trace.enabled = true;
+  // Alert transitions also go to the open trace window as instants.
+  TraceWindowGuard window;
   auto scheduler = serve::Scheduler::Create(std::move(options)).value();
 
   auto g = MakeGraph();
@@ -614,7 +616,6 @@ TEST_F(SchedulerMetricsTest, SamplerExportsAndAlertsEndToEnd) {
   ASSERT_TRUE(
       scheduler->WriteMetrics(jsonl_path, ExportFormat::kJsonl).ok());
 
-  std::vector<trace::TraceEvent> events = scheduler->TraceEvents();
   scheduler->Shutdown();  // final sample + Prometheus file
 
   auto batches = scheduler->MetricsBatches();
@@ -647,7 +648,6 @@ TEST_F(SchedulerMetricsTest, SamplerExportsAndAlertsEndToEnd) {
   EXPECT_GE(lines, 1);
   std::remove(prom_path.c_str());
   std::remove(jsonl_path.c_str());
-  (void)events;
 }
 
 TEST_F(SchedulerMetricsTest, ServerStatsCarriesP99FromHistograms) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "core/api.h"
+#include "graph/builder.h"
+#include "graph/generate.h"
 #include "prof/metrics.h"
 #include "prof/report.h"
 #include "prof/session.h"
@@ -34,9 +39,7 @@ KernelStats MakeStats(double ms, double cycles) {
 }
 
 TEST(AlgoProfileTest, AddAccumulates) {
-  AlgoProfile p;
-  p.Add(MakeStats(1.0, 1000));
-  p.Add(MakeStats(2.0, 3000));
+  JobProfile p = ProfileWindow({MakeStats(1.0, 1000), MakeStats(2.0, 3000)}, 0);
   EXPECT_EQ(p.num_kernels, 2u);
   EXPECT_DOUBLE_EQ(p.total_ms, 3.0);
   EXPECT_DOUBLE_EQ(p.total_cycles, 4000.0);
@@ -44,8 +47,7 @@ TEST(AlgoProfileTest, AddAccumulates) {
 }
 
 TEST(FineGrainedTest, CudaViewSelectsNcuCounters) {
-  AlgoProfile p;
-  p.Add(MakeStats(1.0, 1000));
+  JobProfile p = ProfileWindow({MakeStats(1.0, 1000)}, 0);
   auto fine = ComputeFineGrained(p, rt::Platform::kCuda);
   EXPECT_EQ(fine.type1, 100u);  // inst_issued: all classes
   EXPECT_EQ(fine.type2, 10u);   // shared stores only
@@ -54,8 +56,7 @@ TEST(FineGrainedTest, CudaViewSelectsNcuCounters) {
 }
 
 TEST(FineGrainedTest, RocmViewSelectsHiprofCounters) {
-  AlgoProfile p;
-  p.Add(MakeStats(1.0, 1000));
+  JobProfile p = ProfileWindow({MakeStats(1.0, 1000)}, 0);
   auto fine = ComputeFineGrained(p, rt::Platform::kRocmLike);
   EXPECT_EQ(fine.type1, 240u);  // SQ_INSTS_VALU: 4 SIMD16 passes per op
   EXPECT_EQ(fine.type2, 15u);   // SQ_INSTS_LDS: loads + stores
@@ -80,11 +81,11 @@ TEST(MetricNamesTest, MatchPaperTables1And2) {
 }
 
 TEST(CoarseTest, BankConflictsLowerCudaSharedEfficiency) {
-  AlgoProfile clean;
+  JobProfile clean;
   clean.total_cycles = 1000;
   clean.counters.smem_accesses = 100;
   clean.counters.smem_bank_conflict_extra = 0;
-  AlgoProfile conflicted = clean;
+  JobProfile conflicted = clean;
   conflicted.counters.smem_bank_conflict_extra = 300;
   auto arch = A100Config();
   const auto& params = vgpu::DefaultTimingParams();
@@ -95,7 +96,7 @@ TEST(CoarseTest, BankConflictsLowerCudaSharedEfficiency) {
 }
 
 TEST(CoarseTest, L1TrafficLowersUnifiedSharedEfficiencyOnly) {
-  AlgoProfile p;
+  JobProfile p;
   p.total_cycles = 1000;
   p.counters.smem_accesses = 100;
   p.counters.smem_bytes = 1000;
@@ -111,7 +112,7 @@ TEST(CoarseTest, L1TrafficLowersUnifiedSharedEfficiencyOnly) {
 }
 
 TEST(CoarseTest, RocmUtilizationRatiosFromCycleShares) {
-  AlgoProfile p;
+  JobProfile p;
   p.total_cycles = 1000;
   p.valu_cycles = 250;
   p.smem_cycles = 100;
@@ -143,25 +144,6 @@ TEST(ReportTest, FormatKernelLogFoldsByName) {
   EXPECT_NE(report.find("100%"), std::string::npos);
 }
 
-TEST(ReportTest, CsvHasOneRowPerLaunch) {
-  Device dev(A100Config());
-  auto noop = [](Ctx& c) -> KernelTask {
-    c.Add(c.GlobalThreadId(), 1u);
-    co_return;
-  };
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(dev.Launch("k", {1, 32}, noop).ok());
-  }
-  std::string path = testing::TempDir() + "/adgraph_report_test.csv";
-  ASSERT_TRUE(WriteKernelLogCsv(dev, path).ok());
-  std::ifstream in(path);
-  std::string line;
-  int rows = 0;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 4);  // header + 3 launches
-  std::remove(path.c_str());
-}
-
 TEST(ReportTest, StartIndexWindowsTheLog) {
   Device dev(A100Config());
   auto noop = [](Ctx& c) -> KernelTask {
@@ -186,7 +168,7 @@ TEST(SessionTest, WindowsTheKernelLog) {
   Session session(&dev);
   ASSERT_TRUE(dev.Launch("inside1", {1, 32}, noop).ok());
   ASSERT_TRUE(dev.Launch("inside2", {2, 64}, noop).ok());
-  AlgoProfile p = session.Finish();
+  JobProfile p = session.Finish();
   EXPECT_EQ(p.num_kernels, 2u);
   // The pre-session kernel is excluded.
   EXPECT_EQ(dev.kernel_log().size(), 3u);
@@ -206,12 +188,8 @@ TEST(JobProfileTest, BuildFoldsAndRanksTheWindow) {
   ASSERT_TRUE(dev.Launch("hot", {8, 256}, noop).ok());
   ASSERT_TRUE(dev.Launch("hot", {8, 256}, noop).ok());
   ASSERT_TRUE(dev.Launch("cold", {1, 32}, noop).ok());
-  AlgoProfile merged;
-  for (size_t i = start; i < dev.kernel_log().size(); ++i) {
-    merged.Add(dev.kernel_log()[i]);
-  }
 
-  JobProfile job = BuildJobProfile(merged, dev.kernel_log(), start);
+  JobProfile job = ProfileWindow(dev.kernel_log(), start);
   EXPECT_EQ(job.num_kernels, 3u);
   EXPECT_GT(job.total_cycles, 0.0);
   ASSERT_EQ(job.top_kernels.size(), 2u) << "launches fold by kernel name";
@@ -231,13 +209,13 @@ TEST(JobProfileTest, BuildFoldsAndRanksTheWindow) {
   EXPECT_LE(job.achieved_occupancy, 1.0);
 
   // Top-N truncation: ask for one row, get the heaviest.
-  JobProfile top1 = BuildJobProfile(merged, dev.kernel_log(), start, 1);
+  JobProfile top1 = ProfileWindow(dev.kernel_log(), start, 1);
   ASSERT_EQ(top1.top_kernels.size(), 1u);
   EXPECT_EQ(top1.top_kernels[0].kernel_name, "hot");
 }
 
 TEST(JobProfileTest, EmptyWindowIsNeutral) {
-  JobProfile job = BuildJobProfile(AlgoProfile{}, {}, 0);
+  JobProfile job = ProfileWindow({}, 0);
   EXPECT_EQ(job.num_kernels, 0u);
   EXPECT_TRUE(job.top_kernels.empty());
   // The efficiency ratios default to 1 (nothing transferred is nothing
@@ -246,26 +224,85 @@ TEST(JobProfileTest, EmptyWindowIsNeutral) {
   EXPECT_DOUBLE_EQ(job.gst_efficiency, 1.0);
 }
 
-TEST(ReportTest, FormatJobProfileRendersTable6Metrics) {
+TEST(JobProfileTest, WindowMatchesTheRawKernelLog) {
+  auto coo = graph::GenerateRmat({.scale = 8, .edge_factor = 8, .seed = 5})
+                 .value();
+  graph::CsrBuildOptions build;
+  build.remove_duplicates = true;
+  build.remove_self_loops = true;
+  build.make_undirected = true;
+  const auto g = graph::CsrGraph::FromCoo(coo, build).value();
   Device dev(A100Config());
   auto noop = [](Ctx& c) -> KernelTask {
     c.Add(c.GlobalThreadId(), 1u);
     co_return;
   };
-  ASSERT_TRUE(dev.Launch("alpha", {2, 64}, noop).ok());
-  AlgoProfile merged;
-  for (const KernelStats& stats : dev.kernel_log()) merged.Add(stats);
-  std::string report =
-      FormatJobProfile(BuildJobProfile(merged, dev.kernel_log(), 0));
-  EXPECT_NE(report.find("Job profile: 1 kernels"), std::string::npos)
-      << report;
-  for (const char* metric :
-       {"divergent_branch_ratio", "gld_efficiency", "gst_efficiency",
-        "l1_hit_rate", "l2_hit_rate", "achieved_occupancy",
-        "exposed_latency_cycles"}) {
-    EXPECT_NE(report.find(metric), std::string::npos) << metric;
+  ASSERT_TRUE(dev.Launch("before", {4, 64}, noop).ok());
+  Session session(&dev);
+  ASSERT_TRUE(core::Run(&dev, {core::Algo::kBfs}, g,
+                        core::Params(core::BfsOptions{.source = 0}))
+                  .ok());
+  ASSERT_TRUE(core::Run(&dev, {core::Algo::kTriangleCount}, g,
+                        core::Params(core::TcOptions{}))
+                  .ok());
+  const JobProfile job = session.Finish();
+
+  // The reference, summed from the raw log entries of the window in log
+  // order: what an ncu / hiprof run over the same launches reports.
+  const std::vector<KernelStats>& log = dev.kernel_log();
+  vgpu::KernelCounters counters;
+  double total_ms = 0, total_cycles = 0, valu = 0, smem = 0, dram = 0;
+  double exposed = 0, occupancy_weighted = 0;
+  std::vector<std::string> first_seen;
+  std::map<std::string, std::pair<uint64_t, double>> by_name;
+  for (size_t i = 1; i < log.size(); ++i) {
+    counters.Merge(log[i].counters);
+    total_ms += log[i].time_ms;
+    total_cycles += log[i].cycles;
+    valu += log[i].valu_cycles;
+    smem += log[i].smem_cycles;
+    dram += log[i].dram_cycles;
+    exposed += log[i].exposed_latency_cycles;
+    occupancy_weighted += log[i].achieved_occupancy * log[i].cycles;
+    auto [it, inserted] = by_name.try_emplace(log[i].kernel_name);
+    if (inserted) first_seen.push_back(log[i].kernel_name);
+    it->second.first += 1;
+    it->second.second += log[i].cycles;
   }
-  EXPECT_NE(report.find("alpha"), std::string::npos) << report;
+  ASSERT_GE(first_seen.size(), 3u) << "BFS and TC kernels fold by name";
+
+  EXPECT_EQ(job.num_kernels, log.size() - 1) << "the window excludes 'before'";
+  EXPECT_TRUE(job.counters == counters);
+  EXPECT_EQ(job.total_ms, total_ms);
+  EXPECT_EQ(job.total_cycles, total_cycles);
+  EXPECT_EQ(job.valu_cycles, valu);
+  EXPECT_EQ(job.smem_cycles, smem);
+  EXPECT_EQ(job.dram_cycles, dram);
+  EXPECT_EQ(job.exposed_latency_cycles, exposed);
+  EXPECT_EQ(job.achieved_occupancy, occupancy_weighted / total_cycles);
+  EXPECT_EQ(job.warp_inst_issued, counters.warp_inst_issued);
+  EXPECT_EQ(job.branches, counters.branches);
+  EXPECT_EQ(job.divergent_branches, counters.divergent_branches);
+  EXPECT_EQ(job.dram_bytes,
+            counters.dram_read_bytes + counters.dram_write_bytes);
+  EXPECT_EQ(job.divergent_branch_ratio, counters.divergent_branch_ratio());
+  EXPECT_EQ(job.gld_efficiency, counters.gld_efficiency());
+  EXPECT_EQ(job.gst_efficiency, counters.gst_efficiency());
+  EXPECT_EQ(job.l1_hit_rate, counters.l1_hit_rate());
+  EXPECT_EQ(job.l2_hit_rate, counters.l2_hit_rate());
+
+  // At most five by cycles; ties keep first-seen order.
+  std::stable_sort(first_seen.begin(), first_seen.end(),
+                   [&](const std::string& a, const std::string& b) {
+                     return by_name[a].second > by_name[b].second;
+                   });
+  if (first_seen.size() > 5) first_seen.resize(5);
+  ASSERT_EQ(job.top_kernels.size(), first_seen.size());
+  for (size_t i = 0; i < first_seen.size(); ++i) {
+    EXPECT_EQ(job.top_kernels[i].kernel_name, first_seen[i]) << i;
+    EXPECT_EQ(job.top_kernels[i].launches, by_name[first_seen[i]].first)
+        << first_seen[i];
+  }
 }
 
 TEST(ReportTest, TraceSummaryWarnsOnDroppedSpans) {

@@ -35,6 +35,7 @@
 #include "serve/job.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
+#include "trace_window.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
 
@@ -811,16 +812,16 @@ TEST(SchedulerTest, CacheEvictionUnderMemoryPressureStaysCorrect) {
 
 TEST(SchedulerTest, CacheSpansAppearOnDeviceTrack) {
   auto g = TestGraph(7);
+  TraceWindowGuard window;
   Scheduler::Options options;
   options.devices = {{.arch = &vgpu::A100Config(), .options = {}}};
-  options.trace.enabled = true;
   auto scheduler = Scheduler::Create(std::move(options)).value();
   scheduler->Submit(BfsJob(g, 0)).value().get();
   scheduler->Submit(BfsJob(g, 1)).value().get();
   scheduler->Drain();
   bool saw_miss = false;
   bool saw_hit = false;
-  for (const auto& event : scheduler->TraceEvents()) {
+  for (const auto& event : trace::GlobalEvents()) {
     if (event.name == "cache.miss") saw_miss = true;
     if (event.name == "cache.hit") saw_hit = true;
   }
@@ -1817,12 +1818,11 @@ TEST(FlightRecorderTest, ConcurrentRecordAndInspectHammer) {
 
 TEST(FlightRecorderTest, SchedulerRetainsSpanTreeAfterGlobalRingWrap) {
   auto g = TestGraph();
+  // A ring far too small for even one job's kernel spans: the window
+  // overwrites, the per-job captures must not.
+  TraceWindowGuard window({.path = "", .ring_capacity = 4});
   Scheduler::Options options;
   options.devices = {{.arch = &vgpu::A100Config(), .options = {}}};
-  options.trace.enabled = true;
-  // A session ring far too small for even one job's kernel spans: the
-  // collector overwrites, the per-job captures must not.
-  options.trace.ring_capacity = 4;
   options.flight_recorder.per_class_capacity = 3;
   auto scheduler = Scheduler::Create(std::move(options)).value();
 
@@ -1832,7 +1832,7 @@ TEST(FlightRecorderTest, SchedulerRetainsSpanTreeAfterGlobalRingWrap) {
     ASSERT_TRUE(outcomes.back().status.ok());
   }
   scheduler->Drain();
-  EXPECT_LE(scheduler->TraceEvents().size(), 4u) << "session ring wrapped";
+  EXPECT_LE(trace::GlobalEvents().size(), 4u) << "the ring wrapped";
 
   auto records = scheduler->flight_recorder()->Records();
   ASSERT_EQ(records.size(), 3u) << "K worst retained";

@@ -20,12 +20,13 @@
 #include "serve/job.h"
 #include "serve/scheduler.h"
 #include "trace/trace.h"
+#include "trace_window.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
 
 namespace {
 
-using adgraph::trace::Collector;
+using adgraph::TraceWindowGuard;
 using adgraph::trace::Span;
 using adgraph::trace::TraceEvent;
 
@@ -177,29 +178,34 @@ TEST(TraceTest, DisabledTracingIsInert) {
     EXPECT_FALSE(span.active());
     span.ArgNum("x", uint64_t{1});
   }
-  // Nothing reaches the global ring while no window is open.
-  Collector probe;
-  EXPECT_TRUE(adgraph::trace::Enabled()) << "a collector is a sink";
-  EXPECT_TRUE(probe.Events().empty());
+  // Nothing reaches the ring while no window is open.
+  for (const TraceEvent& event : adgraph::trace::GlobalEvents()) {
+    EXPECT_NE(event.name, "should_not_emit");
+  }
 }
 
-TEST(TraceTest, CollectorBoundedRingDropsOldest) {
-  Collector collector(/*ring_capacity=*/3);
-  for (int i = 0; i < 5; ++i) {
-    Span span(0, "span" + std::to_string(i), "test");
-    span.End();
+TEST(TraceTest, GlobalRingDropsOldestAndSummaryWarns) {
+  {
+    TraceWindowGuard window({.path = "", .ring_capacity = 4});
+    for (int i = 0; i < 6; ++i) {
+      Span span(0, "span" + std::to_string(i), "test");
+      span.End();
+    }
   }
-  auto events = collector.Events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(collector.dropped(), 2u);
+  auto events = adgraph::trace::GlobalEvents();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(adgraph::trace::GlobalDropped(), 2u);
   // Oldest-first order with the two oldest evicted.
   EXPECT_EQ(events[0].name, "span2");
-  EXPECT_EQ(events[2].name, "span4");
+  EXPECT_EQ(events[3].name, "span5");
+  std::string summary = adgraph::prof::FormatTraceSummary(
+      events, adgraph::trace::GlobalDropped());
+  EXPECT_NE(summary.find("WARNING: 2 spans were dropped"), std::string::npos)
+      << summary;
 }
 
 TEST(TraceTest, GlobalWindowLifecycle) {
   adgraph::trace::TraceOptions options;
-  options.enabled = true;
   ASSERT_TRUE(adgraph::trace::Start(options).ok());
   EXPECT_TRUE(adgraph::trace::GlobalActive());
   EXPECT_FALSE(adgraph::trace::Start(options).ok())
@@ -216,12 +222,25 @@ TEST(TraceTest, GlobalWindowLifecycle) {
   EXPECT_TRUE(adgraph::trace::Stop().ok()) << "Stop is idempotent";
 }
 
+TEST(TraceTest, StopClosesTheWindowWhenTheWriteFails) {
+  ASSERT_TRUE(
+      adgraph::trace::Start({.path = TempPath("no-such-dir/trace.json")})
+          .ok());
+  { Span span(0, "unwritten", "test"); }
+  const adgraph::Status status = adgraph::trace::Stop();
+  EXPECT_EQ(status.code(), adgraph::StatusCode::kIOError) << status.ToString();
+  EXPECT_FALSE(adgraph::trace::GlobalActive());
+  EXPECT_FALSE(adgraph::trace::Enabled());
+  // The process can open its next window.
+  ASSERT_TRUE(adgraph::trace::Start({}).ok());
+  EXPECT_TRUE(adgraph::trace::Stop().ok());
+}
+
 // --- golden export: single-device algorithm run ----------------------------
 
 TEST(TraceTest, KernelSpansCarryCycleBreakdown) {
   const std::string path = TempPath("trace_bfs.json");
   adgraph::trace::TraceOptions options;
-  options.enabled = true;
   options.path = path;
   ASSERT_TRUE(adgraph::trace::Start(options).ok());
 
@@ -266,35 +285,37 @@ TEST(TraceTest, KernelSpansCarryCycleBreakdown) {
 
 TEST(TraceTest, ServeTraceNestsJobAlgoKernelWithPerDeviceTracks) {
   const std::string path = TempPath("trace_serve.json");
-  adgraph::serve::Scheduler::Options options;
-  options.devices.push_back({.arch = &adgraph::vgpu::A100Config()});
-  options.devices.push_back({.arch = &adgraph::vgpu::V100Config()});
-  options.trace.enabled = true;
-  options.trace.path = path;
-  auto scheduler = adgraph::serve::Scheduler::Create(std::move(options));
-  ASSERT_TRUE(scheduler.ok());
+  {
+    TraceWindowGuard window({.path = path});
+    adgraph::serve::Scheduler::Options options;
+    options.devices.push_back({.arch = &adgraph::vgpu::A100Config()});
+    options.devices.push_back({.arch = &adgraph::vgpu::V100Config()});
+    auto scheduler = adgraph::serve::Scheduler::Create(std::move(options));
+    ASSERT_TRUE(scheduler.ok());
 
-  auto shared = std::make_shared<const adgraph::graph::CsrGraph>(TestGraph(32));
-  std::vector<std::future<adgraph::serve::JobOutcome>> futures;
-  for (const char* arch : {"A100", "V100"}) {
-    adgraph::serve::JobSpec spec;
-    spec.graph = shared;
-    adgraph::core::BfsOptions bfs;
-    bfs.source = 0;
-    spec.params = bfs;
-    spec.arch_preference = arch;
-    auto submitted = (*scheduler)->Submit(std::move(spec));
-    ASSERT_TRUE(submitted.ok());
-    futures.push_back(std::move(*submitted));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().status.ok());
+    auto shared =
+        std::make_shared<const adgraph::graph::CsrGraph>(TestGraph(32));
+    std::vector<std::future<adgraph::serve::JobOutcome>> futures;
+    for (const char* arch : {"A100", "V100"}) {
+      adgraph::serve::JobSpec spec;
+      spec.graph = shared;
+      adgraph::core::BfsOptions bfs;
+      bfs.source = 0;
+      spec.params = bfs;
+      spec.arch_preference = arch;
+      auto submitted = (*scheduler)->Submit(std::move(spec));
+      ASSERT_TRUE(submitted.ok());
+      futures.push_back(std::move(*submitted));
+    }
+    for (auto& f : futures) ASSERT_TRUE(f.get().status.ok());
 
-  // The in-memory summary works while the session is still live.
-  std::string summary =
-      adgraph::prof::FormatTraceSummary((*scheduler)->TraceEvents());
-  EXPECT_NE(summary.find("Trace summary:"), std::string::npos);
+    // The in-memory summary works while the window is still open.
+    std::string summary = adgraph::prof::FormatTraceSummary(
+        adgraph::trace::GlobalEvents(), adgraph::trace::GlobalDropped());
+    EXPECT_NE(summary.find("Trace summary:"), std::string::npos);
 
-  (*scheduler)->Shutdown();  // joins workers and writes the JSON
+    (*scheduler)->Shutdown();  // joins the workers
+  }  // closing the window writes the JSON
   auto events = ParseTraceFile(path);
   std::remove(path.c_str());
   ASSERT_FALSE(events.empty());
@@ -425,18 +446,19 @@ TEST(TraceTest, SpanCaptureDropsNewestWhenFull) {
 }
 
 TEST(TraceTest, TraceSummaryRanksSpans) {
-  Collector collector;
   {
+    TraceWindowGuard window;
     Span a(0, "slow", "test");
     Span b(0, "fast", "test");
     b.End();
     a.End();
   }
-  std::string summary = adgraph::prof::FormatTraceSummary(collector.Events());
+  std::string summary =
+      adgraph::prof::FormatTraceSummary(adgraph::trace::GlobalEvents(), 0);
   EXPECT_NE(summary.find("2 spans"), std::string::npos) << summary;
   EXPECT_NE(summary.find("test:slow"), std::string::npos) << summary;
   EXPECT_EQ(
-      adgraph::prof::FormatTraceSummary({}).find("no spans recorded"), 15u);
+      adgraph::prof::FormatTraceSummary({}, 0).find("no spans recorded"), 15u);
 }
 
 }  // namespace

@@ -100,6 +100,15 @@ TEST(ArchConfigDeathTest, DeviceRefusesGeometryThatIsNotAPowerOfTwo) {
   EXPECT_DEATH(Device{segment}, "must be powers of two");
 }
 
+TEST(ArchConfigDeathTest, DeviceRefusesZeroSms) {
+  // The timing model and the block-to-SM mapping divide by num_sms: the
+  // device dies at construction, naming the config and the field, not
+  // with SIGFPE at its first launch.
+  ArchConfig no_sms = A100Config();
+  no_sms.num_sms = 0;
+  EXPECT_DEATH(Device{no_sms}, "'A100': num_sms must be positive");
+}
+
 TEST(TimingTest, FixedOverheadFloorsTinyKernels) {
   KernelStats stats = BaseStats();
   stats.counters.warp_inst_issued = 10;

@@ -524,7 +524,7 @@ Result<bool> BuildMutationLine(const ParsedJobLine& line, net::Json* updates) {
 }
 
 /// Builds the scheduler-pool options shared by `serve-batch` and `serve`
-/// (device list, queue, admission, cache, trace and metrics flags).
+/// (device list, queue, admission, cache and metrics flags).
 Result<serve::Scheduler::Options> BuildPoolOptions(const Flags& flags) {
   serve::Scheduler::Options options;
   // Shrinks every pool device's memory by this factor — the same knob the
@@ -555,10 +555,6 @@ Result<serve::Scheduler::Options> BuildPoolOptions(const Flags& flags) {
   // Per-worker graph residency cache (on by default; results are
   // byte-identical either way — off restores upload-per-job behavior).
   options.cache.enabled = flags.GetString("graph-cache", "on") == "on";
-  if (flags.Has("trace")) {
-    options.trace.enabled = true;
-    options.trace.path = flags.GetString("trace", "");
-  }
   ADGRAPH_ASSIGN_OR_RETURN(
       options.metrics.format,
       Named("metrics-format",
@@ -586,6 +582,35 @@ Result<serve::Scheduler::Options> BuildPoolOptions(const Flags& flags) {
     }
   }
   return options;
+}
+
+/// `--trace=FILE`, in every mode that runs jobs: opens the process's one
+/// trace window (DESIGN.md §2.5).  Opened before any device or pool
+/// exists, so every span of the run is in it.  False, after printing why,
+/// on an error.
+bool OpenTrace(const Flags& flags) {
+  if (!flags.Has("trace")) return true;
+  Status status = trace::Start({.path = flags.GetString("trace", "")});
+  if (!status.ok()) {
+    std::fprintf(stderr, "trace: %s\n", status.ToString().c_str());
+  }
+  return status.ok();
+}
+
+/// Closes the window OpenTrace opened, which writes FILE (an unwritable
+/// FILE is reported on stderr), and prints its summary, warning when the
+/// ring dropped spans.  Called once nothing emits any more.
+void CloseTrace(const Flags& flags) {
+  if (!flags.Has("trace")) return;
+  Status status = trace::Stop();
+  std::printf("\n%s", prof::FormatTraceSummary(trace::GlobalEvents(),
+                                               trace::GlobalDropped())
+                          .c_str());
+  if (status.ok()) {
+    std::printf("trace: %s\n", flags.GetString("trace", "").c_str());
+  } else {
+    std::fprintf(stderr, "trace: %s\n", status.ToString().c_str());
+  }
 }
 
 /// Starts the `serve-batch` / `serve` pool and prints its worker line; null,
@@ -658,21 +683,10 @@ int ServeBatch(const Flags& flags) {
   std::printf("graph: %u vertices, %llu edges%s\n", shared->num_vertices(),
               static_cast<unsigned long long>(shared->num_edges()),
               shared->has_weights() ? " (weighted)" : "");
-
-  auto pool = StartPool(std::move(*pool_options));
-  if (pool == nullptr) return 1;
-  auto& scheduler = *pool;
-  std::printf("\n");
-
-  // Ctrl-C / SIGTERM: stop submitting, let in-flight jobs finish, fail the
-  // still-queued ones, flush metrics + trace, then exit 128+signal.
-  InstallShutdownHandlers();
-
-  std::vector<std::future<serve::JobOutcome>> futures;
-  futures.reserve(lines->size());
-  int submit_failures = 0;
+  // Every line becomes a job before the pool starts, so a malformed line
+  // runs nothing.
+  std::vector<serve::JobSpec> specs;
   for (const ParsedJobLine& line : *lines) {
-    if (g_shutdown_signal.load() != 0) break;
     // Same key vocabulary as the TCP protocol (§2.10); `devices=N` on a
     // bfs/pagerank line runs it as a gang over N same-arch devices.
     auto spec = net::BuildJobSpec(line.algo, line.kv, shared);
@@ -684,12 +698,30 @@ int ServeBatch(const Flags& flags) {
     if (spec->tag.empty()) {
       spec->tag = "line" + std::to_string(line.line_number);
     }
-    std::string tag = spec->tag;
-    auto submitted = scheduler.Submit(std::move(*spec));
+    specs.push_back(std::move(*spec));
+  }
+
+  if (!OpenTrace(flags)) return 1;
+  auto pool = StartPool(std::move(*pool_options));
+  if (pool == nullptr) return 1;
+  auto& scheduler = *pool;
+  std::printf("\n");
+
+  // Ctrl-C / SIGTERM: stop submitting, let in-flight jobs finish, fail the
+  // still-queued ones, flush metrics + trace, then exit 128+signal.
+  InstallShutdownHandlers();
+
+  std::vector<std::future<serve::JobOutcome>> futures;
+  futures.reserve(specs.size());
+  int submit_failures = 0;
+  for (serve::JobSpec& spec : specs) {
+    if (g_shutdown_signal.load() != 0) break;
+    const std::string tag = spec.tag;
+    const serve::Algorithm algo = spec.algorithm();
+    auto submitted = scheduler.Submit(std::move(spec));
     if (!submitted.ok()) {
       std::printf("%-12s %-8s REJECTED AT SUBMIT: %s\n",
-                  ("[" + tag + "]").c_str(),
-                  serve::AlgorithmName(line.algo).data(),
+                  ("[" + tag + "]").c_str(), serve::AlgorithmName(algo).data(),
                   submitted.status().ToString().c_str());
       ++submit_failures;
       continue;
@@ -699,7 +731,6 @@ int ServeBatch(const Flags& flags) {
 
   int failures = 0;
   bool interrupted = false;
-  std::vector<trace::TraceEvent> trace_events;
   std::map<std::string, int> tally;
   if (submit_failures > 0) tally["rejected at submit"] = submit_failures;
   for (auto& future : futures) {
@@ -713,7 +744,6 @@ int ServeBatch(const Flags& flags) {
         std::printf("\nsignal %d: draining in-flight jobs, failing queued "
                     "ones\n",
                     g_shutdown_signal.load());
-        trace_events = scheduler.TraceEvents();
         scheduler.Shutdown();
         interrupted = true;
       }
@@ -753,22 +783,13 @@ int ServeBatch(const Flags& flags) {
   if (!interrupted) scheduler.Drain();
   std::printf("\n%s", prof::FormatServerStats(scheduler.Snapshot()).c_str());
   PrintTally(tally);
-  if (flags.Has("trace")) {
-    // After a signal-triggered Shutdown() the collector is detached, so
-    // use the events captured at interrupt time.
-    std::printf("\n%s", prof::FormatTraceSummary(
-                            interrupted ? trace_events
-                                        : scheduler.TraceEvents())
-                            .c_str());
-    std::printf("trace: %s\n", flags.GetString("trace", "").c_str());
-  }
-  if (metrics_on) {
-    // Shutdown here (rather than at scope exit) so the sampler's final
-    // sample is taken and --metrics-out is written before we report on
-    // the series (idempotent if the signal path already shut down).
-    scheduler.Shutdown();
-    PrintMetricsReport(flags, scheduler);
-  }
+  // Shutdown here (rather than at scope exit) so the sampler's final
+  // sample is taken and --metrics-out is written, and the trace holds
+  // every span, before we report on them (idempotent if the signal path
+  // already shut down).
+  scheduler.Shutdown();
+  CloseTrace(flags);
+  if (metrics_on) PrintMetricsReport(flags, scheduler);
   if (interrupted) return 128 + g_shutdown_signal.load();
   // Any job that resolved non-OK — admission rejection, device failure, or
   // submit-level rejection — makes the batch exit non-zero, so scripted
@@ -833,6 +854,7 @@ int Serve(const Flags& flags) {
               static_cast<unsigned long long>(graphs["default"]->num_edges()),
               graphs["default"]->has_weights() ? " (weighted)" : "");
 
+  if (!OpenTrace(flags)) return 1;
   auto pool = StartPool(std::move(*pool_options));
   if (pool == nullptr) return 1;
   auto& scheduler = *pool;
@@ -861,11 +883,10 @@ int Serve(const Flags& flags) {
 
   // Shutdown order matters: front door first (sessions closed, every
   // outstanding tenant charge released), then drain what the scheduler
-  // accepted, then Shutdown() to flush metrics exporters and trace JSON.
-  std::vector<trace::TraceEvent> trace_events;
+  // accepted, then Shutdown() to flush the metrics exporters; the trace
+  // closes once both are quiet.
   server.Shutdown();
   scheduler.Drain();
-  if (flags.Has("trace")) trace_events = scheduler.TraceEvents();
   scheduler.Shutdown();
 
   net::ServerCounters counters = server.Counters();
@@ -883,10 +904,7 @@ int Serve(const Flags& flags) {
                   counters.submits_rejected_scheduler),
               static_cast<unsigned long long>(counters.jobs_orphaned));
   std::printf("\n%s", prof::FormatServerStats(scheduler.Snapshot()).c_str());
-  if (flags.Has("trace")) {
-    std::printf("\n%s", prof::FormatTraceSummary(trace_events).c_str());
-    std::printf("trace: %s\n", flags.GetString("trace", "").c_str());
-  }
+  CloseTrace(flags);
   if (metrics_on) PrintMetricsReport(flags, scheduler);
   // A signal-triggered stop is the *intended* way to stop a server:
   // exit 0 so service managers and the CI smoke test see a clean stop.
@@ -1276,17 +1294,7 @@ int RunSingle(const Flags& flags) {
               static_cast<unsigned long long>(stats.num_edges),
               static_cast<unsigned long long>(stats.max_degree));
 
-  if (flags.Has("trace")) {
-    trace::TraceOptions trace_options;
-    trace_options.enabled = true;
-    trace_options.path = flags.GetString("trace", "");
-    Status trace_status = trace::Start(std::move(trace_options));
-    if (!trace_status.ok()) {
-      std::fprintf(stderr, "trace: %s\n", trace_status.ToString().c_str());
-      return 1;
-    }
-  }
-
+  if (!OpenTrace(flags)) return 1;
   vgpu::Device::Options device_options;
   device_options.memory_scale = flags.GetDouble("memory-scale", 1.0);
   vgpu::Device device(*run->arch, device_options);
@@ -1294,24 +1302,13 @@ int RunSingle(const Flags& flags) {
               device.arch().vendor.c_str());
 
   Status status = RunAlgo(*run, &device, g);
-  if (flags.Has("trace")) {
-    // Stop() writes the Chrome JSON; the ring stays readable for the
-    // summary below.
-    Status trace_status = trace::Stop();
-    if (!trace_status.ok()) {
-      std::fprintf(stderr, "trace: %s\n", trace_status.ToString().c_str());
-    }
+  if (status.ok() && flags.GetBool("profile", false)) {
+    std::cout << prof::FormatKernelLog(device);
   }
+  CloseTrace(flags);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
-  }
-  if (flags.GetBool("profile", false)) {
-    std::cout << prof::FormatKernelLog(device);
-  }
-  if (flags.Has("trace")) {
-    std::cout << prof::FormatTraceSummary(trace::GlobalEvents());
-    std::printf("trace: %s\n", flags.GetString("trace", "").c_str());
   }
   return 0;
 }
@@ -1344,7 +1341,7 @@ int Main(int argc, char** argv) {
       source,
       {F::String("gpus"), F::Int("queue", 0),
        F::Choice("overflow", {"block", "reject"}), F::Number("headroom", 0),
-       F::Number("occupancy-floor-ms", 0), F::Number("memory-scale", 0),
+       F::Number("occupancy-floor-ms", 0), F::Number("memory-scale", 1),
        F::Choice("graph-cache", {"on", "off"}), F::String("trace"),
        F::String("metrics-out"), F::String("metrics-format"),
        F::Number("metrics-interval-ms", 0), F::String("alert-rules")});
@@ -1376,7 +1373,7 @@ int Main(int argc, char** argv) {
               F::String("source"), F::String("iters"), F::String("k"),
               F::String("fraction"), F::Bool("no-orient"),
               F::Bool("profile"), F::String("trace"),
-              F::Number("memory-scale", 0), F::Bool("ooc"),
+              F::Number("memory-scale", 1), F::Bool("ooc"),
               F::Int("shard-bytes", 0),
               F::Int("devices", 1, core::kMaxGangDevices),
               F::String("interconnect"),

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Validates a Chrome-trace JSON file as emitted by the adgraph tracer.
 
-Used by CI against the --trace exports and the flight recorder's shutdown
-dump: the file must be an object with a `traceEvents` array; every event
+Used by CI against the `adgraph_cli --trace=FILE` exports of the
+single-run, serve-batch and serve modes (trace::Stop writes them): the
+file must be an object with a `traceEvents` array; every event
 must be a metadata ("M"), complete ("X"), or instant ("i") record with the
 fields Chrome's trace viewer needs; every referenced track (tid) must be
 named by a `thread_name` metadata record; complete events on one track
