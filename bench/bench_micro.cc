@@ -122,8 +122,7 @@ void BM_DeviceSpmv(benchmark::State& state) {
                .value();
   auto y = rt::DeviceBuffer<double>::Create(&dev, g.num_vertices()).value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::RunSpmvOnDevice(&dev, d, x.ptr(), y.ptr(), {}));
+    benchmark::DoNotOptimize(core::RunSpmvOnDevice(&dev, d, x.ptr(), y.ptr()));
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }

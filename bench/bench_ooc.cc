@@ -1,5 +1,6 @@
-// Out-of-core streamed execution benchmark (DESIGN.md §2.13): what the
-// device<->host<->disk tier costs and what transfer/compute overlap buys.
+// Out-of-core streamed execution benchmark (DESIGN.md §2.13): what
+// streaming a graph from host memory through a device too small for it
+// costs, and what transfer/compute overlap buys.
 //
 // For each dataset proxy the device is shrunk (memory_scale) until the
 // whole-graph PageRank working set no longer fits — today's hard

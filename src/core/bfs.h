@@ -26,9 +26,6 @@ struct BfsOptions {
   /// Caller's promise that the graph is symmetric (undirected).  Without
   /// it the traversal stays purely top-down.
   bool assume_symmetric = false;
-  /// Switch to bottom-up when frontier > n / alpha, and back to top-down
-  /// once it no longer is.
-  double alpha = 16.0;
   /// Also produce the BFS predecessor of every reached vertex (nvGRAPH's
   /// traversal emits both levels and predecessors).
   bool compute_parents = false;

@@ -249,39 +249,6 @@ std::vector<double> SpmvPlusTimes(const CsrGraph& g,
   return y;
 }
 
-std::vector<double> SpmvMinPlus(const CsrGraph& g,
-                                const std::vector<double>& x) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> y(g.num_vertices(), kInf);
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    auto adj = g.neighbors(u);
-    double acc = kInf;
-    for (size_t i = 0; i < adj.size(); ++i) {
-      double w = g.has_weights() ? g.edge_weights(u)[i] : 1.0;
-      acc = std::min(acc, w + x[adj[i]]);
-    }
-    y[u] = acc;
-  }
-  return y;
-}
-
-
-std::vector<double> SpmvOrAnd(const CsrGraph& g,
-                              const std::vector<double>& x) {
-  std::vector<double> y(g.num_vertices(), 0.0);
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    auto adj = g.neighbors(u);
-    for (size_t i = 0; i < adj.size(); ++i) {
-      double w = g.has_weights() ? g.edge_weights(u)[i] : 1.0;
-      if (w != 0.0 && x[adj[i]] != 0.0) {
-        y[u] = 1.0;
-        break;
-      }
-    }
-  }
-  return y;
-}
-
 std::vector<double> WidestPath(const CsrGraph& g, vid_t source) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> width(g.num_vertices(), 0.0);
@@ -304,39 +271,6 @@ std::vector<double> WidestPath(const CsrGraph& g, vid_t source) {
     if (!changed) break;
   }
   return width;
-}
-
-graph::CsrGraph ExtractSubgraphByEdge(const CsrGraph& g,
-                                      const std::vector<eid_t>& edges) {
-  // Map each edge index to its (src, dst, w).
-  std::vector<vid_t> src_of(g.num_edges());
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    for (eid_t e = g.row_offsets()[u]; e < g.row_offsets()[u + 1]; ++e) {
-      src_of[e] = u;
-    }
-  }
-  std::vector<uint8_t> flag(g.num_vertices(), 0);
-  for (eid_t e : edges) {
-    flag[src_of[e]] = 1;
-    flag[g.col_indices()[e]] = 1;
-  }
-  std::vector<vid_t> map(g.num_vertices(), 0);
-  vid_t next = 0;
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (flag[v]) map[v] = next++;
-  }
-  graph::CooGraph coo;
-  coo.num_vertices = next;
-  for (eid_t e : edges) {
-    if (g.has_weights()) {
-      coo.AddEdge(map[src_of[e]], map[g.col_indices()[e]], g.weights()[e]);
-    } else {
-      coo.AddEdge(map[src_of[e]], map[g.col_indices()[e]]);
-    }
-  }
-  graph::CsrBuildOptions options;
-  options.sort_neighbors = true;
-  return std::move(CsrGraph::FromCoo(coo, options)).value();
 }
 
 }  // namespace adgraph::core::host_ref

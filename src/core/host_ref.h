@@ -46,30 +46,14 @@ std::vector<double> JaccardPerEdge(const graph::CsrGraph& g);
 /// that the vertex survives in the k-core (0 for isolated vertices).
 std::vector<uint32_t> CoreNumbers(const graph::CsrGraph& g);
 
-/// y = semiring-SpMV(A, x) with plus-times semantics.
+/// y = A x: y[i] = sum over entries (w * x[col]), w = 1 when unweighted.
 std::vector<double> SpmvPlusTimes(const graph::CsrGraph& g,
                                   const std::vector<double>& x);
-
-/// y[i] = min over entries (w + x[col]) with min-plus semantics (identity =
-/// +infinity).
-std::vector<double> SpmvMinPlus(const graph::CsrGraph& g,
-                                const std::vector<double>& x);
-
-/// Boolean or-and step: y[i] = 1 iff some edge (i,j) with nonzero weight
-/// has x[j] != 0.
-std::vector<double> SpmvOrAnd(const graph::CsrGraph& g,
-                              const std::vector<double>& x);
 
 /// Single-source widest (max-min bottleneck) path; +infinity at the
 /// source, 0 for unreachable vertices.
 std::vector<double> WidestPath(const graph::CsrGraph& g,
                                graph::vid_t source);
-
-/// Edge-selected subgraph: keeps exactly the listed CSR edge indices,
-/// vertex set = endpoints renumbered ascending.  Duplicates each
-/// contribute one edge.
-graph::CsrGraph ExtractSubgraphByEdge(const graph::CsrGraph& g,
-                                      const std::vector<graph::eid_t>& edges);
 
 }  // namespace host_ref
 

@@ -31,20 +31,6 @@ Result<KCoreResult> RunKCore(vgpu::Device* device, const graph::CsrGraph& g,
                              const KCoreOptions& options,
                              GraphResidency* residency = nullptr);
 
-struct CoreDecompositionResult {
-  /// Per-vertex core number: the largest k whose k-core contains the
-  /// vertex (0 for isolated vertices).
-  std::vector<uint32_t> core_numbers;
-  uint32_t max_core = 0;
-  uint32_t peel_rounds = 0;
-  double time_ms = 0;
-};
-
-/// Full core decomposition: peels k = 1, 2, ... in sequence, recording the
-/// phase at which each vertex leaves (device-side Matula-Beck).
-Result<CoreDecompositionResult> RunCoreDecomposition(vgpu::Device* device,
-                                                     const graph::CsrGraph& g);
-
 }  // namespace adgraph::core
 
 #endif  // ADGRAPH_CORE_KCORE_H_

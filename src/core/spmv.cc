@@ -1,6 +1,5 @@
 #include "core/spmv.h"
 
-#include <limits>
 #include <string>
 
 #include "vgpu/ctx.h"
@@ -22,36 +21,18 @@ namespace detail {
 
 KernelTask SpmvRowSliceKernel(Ctx& c, DevPtr<eid_t> row, DevPtr<vid_t> col,
                               DevPtr<double> weights, DevPtr<double> x,
-                              DevPtr<double> y, uint32_t num_rows,
-                              Semiring semiring) {
+                              DevPtr<double> y, uint32_t num_rows) {
   const bool weighted = !weights.is_null();
-  const double identity = semiring == Semiring::kMinPlus
-                              ? std::numeric_limits<double>::infinity()
-                              : 0.0;
   auto u = c.GlobalThreadId();
   c.If(c.Lt(u, num_rows), [&](Ctx& c) {
     auto begin = c.Load(row, u);
     auto end = c.Load(row, c.Add(u, 1u));
-    auto acc = c.Splat(identity);
+    auto acc = c.Splat(0.0);
     c.For(begin, end, [&](Ctx& c, const Lanes<eid_t>& e) {
       auto v = c.Load(col, e);
       auto xv = c.Load(x, v);
       auto w = weighted ? c.Load(weights, e) : c.Splat(1.0);
-      switch (semiring) {
-        case Semiring::kPlusTimes:
-          c.Assign(&acc, c.Add(acc, c.Mul(w, xv)));
-          break;
-        case Semiring::kMinPlus:
-          c.Assign(&acc, c.Min(acc, c.Add(w, xv)));
-          break;
-        case Semiring::kOrAnd: {
-          // acc |= (w != 0) & (x != 0), on doubles: max of 0/1 products.
-          auto w_nz = c.Select(c.Ne(w, 0.0), c.Splat(1.0), c.Splat(0.0));
-          auto x_nz = c.Select(c.Ne(xv, 0.0), c.Splat(1.0), c.Splat(0.0));
-          c.Assign(&acc, c.Max(acc, c.Mul(w_nz, x_nz)));
-          break;
-        }
-      }
+      c.Assign(&acc, c.Add(acc, c.Mul(w, xv)));
     });
     c.Store(y, u, acc);
   });
@@ -61,8 +42,7 @@ KernelTask SpmvRowSliceKernel(Ctx& c, DevPtr<eid_t> row, DevPtr<vid_t> col,
 }  // namespace detail
 
 Status RunSpmvOnDevice(vgpu::Device* device, const DeviceCsr& g,
-                       DevPtr<double> x, DevPtr<double> y,
-                       const SpmvOptions& options) {
+                       DevPtr<double> x, DevPtr<double> y) {
   if (x.addr == y.addr) {
     return Status::InvalidArgument("SpMV output may not alias input");
   }
@@ -72,15 +52,14 @@ Status RunSpmvOnDevice(vgpu::Device* device, const DeviceCsr& g,
         return detail::SpmvRowSliceKernel(
             c, g.row_offsets.ptr(), g.col_indices.ptr(),
             g.has_weights() ? g.weights.ptr() : DevPtr<double>{}, x, y,
-            g.num_vertices, options.semiring);
+            g.num_vertices);
       });
   return stats.ok() ? Status::OK() : stats.status();
 }
 
 Result<std::vector<double>> RunSpmv(vgpu::Device* device,
                                     const graph::CsrGraph& g,
-                                    const std::vector<double>& x,
-                                    const SpmvOptions& options) {
+                                    const std::vector<double>& x) {
   if (x.size() != g.num_vertices()) {
     return Status::InvalidArgument("x has " + std::to_string(x.size()) +
                                    " entries; graph has " +
@@ -92,8 +71,7 @@ Result<std::vector<double>> RunSpmv(vgpu::Device* device,
                            rt::DeviceBuffer<double>::FromHost(device, x));
   ADGRAPH_ASSIGN_OR_RETURN(
       auto dy, rt::DeviceBuffer<double>::Create(device, g.num_vertices()));
-  ADGRAPH_RETURN_NOT_OK(
-      RunSpmvOnDevice(device, d, dx.ptr(), dy.ptr(), options));
+  ADGRAPH_RETURN_NOT_OK(RunSpmvOnDevice(device, d, dx.ptr(), dy.ptr()));
   return dy.ToHost();
 }
 

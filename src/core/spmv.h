@@ -11,30 +11,16 @@
 
 namespace adgraph::core {
 
-/// Algebraic semiring of the SpMV (nvGRAPH's "semiring Sparse
-/// Matrix-Vector Product", paper §3.2.1).
-enum class Semiring {
-  kPlusTimes,  ///< classic (+, *, identity 0): PageRank, random walks
-  kMinPlus,    ///< tropical (min, +, identity +inf): shortest paths
-  kOrAnd,      ///< boolean (or, and, identity 0): one reachability step
-};
-
-struct SpmvOptions {
-  Semiring semiring = Semiring::kPlusTimes;
-};
-
-/// y = A (semiring-) * x on the device.  A is `g` (CSR); missing weights
-/// act as 1.0.  x and y are device vectors of length num_vertices; y may
-/// not alias x.
+/// y = A * x on the device, over (+, *) (nvGRAPH's SpMV, paper §3.2.1).
+/// A is `g` (CSR); missing weights act as 1.0.  x and y are device vectors
+/// of length num_vertices; y may not alias x.
 Status RunSpmvOnDevice(vgpu::Device* device, const DeviceCsr& g,
-                       vgpu::DevPtr<double> x, vgpu::DevPtr<double> y,
-                       const SpmvOptions& options);
+                       vgpu::DevPtr<double> x, vgpu::DevPtr<double> y);
 
 /// Convenience host-to-host wrapper (uploads g and x, downloads y).
 Result<std::vector<double>> RunSpmv(vgpu::Device* device,
                                     const graph::CsrGraph& g,
-                                    const std::vector<double>& x,
-                                    const SpmvOptions& options);
+                                    const std::vector<double>& x);
 
 namespace detail {
 
@@ -51,7 +37,7 @@ vgpu::KernelTask SpmvRowSliceKernel(vgpu::Ctx& c,
                                     vgpu::DevPtr<double> weights,
                                     vgpu::DevPtr<double> x,
                                     vgpu::DevPtr<double> y,
-                                    uint32_t num_rows, Semiring semiring);
+                                    uint32_t num_rows);
 
 }  // namespace detail
 

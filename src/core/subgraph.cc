@@ -132,69 +132,6 @@ KernelTask CooGatherKernel(Ctx& c, DevPtr<uint32_t> perm,
   co_return;
 }
 
-/// Finds the source vertex of each selected edge by binary search over the
-/// row offsets (the CSR has no reverse edge->src map), then marks both
-/// endpoints.  Per-lane divergent search — the extraction family's
-/// signature branching.
-KernelTask EsbeMarkKernel(Ctx& c, DevPtr<eid_t> row, DevPtr<vid_t> col,
-                          DevPtr<uint32_t> edge_list, DevPtr<vid_t> edge_src,
-                          DevPtr<uint32_t> flags, uint32_t num_vertices,
-                          uint64_t num_selected) {
-  auto tid = c.Cast<uint64_t>(c.GlobalThreadId());
-  c.If(c.Lt(tid, num_selected), [&](Ctx& c) {
-    auto e = c.Cast<eid_t>(c.Load(edge_list, tid));
-    // src = last u with row[u] <= e: binary search for upper bound.
-    auto lo = c.Splat<uint32_t>(0);
-    auto hi = c.Splat<uint32_t>(num_vertices);
-    c.While(
-        [&](Ctx& c) {
-          return c.Lt(c.Add(lo, 1u), hi);
-        },
-        [&](Ctx& c) {
-          auto mid = c.Add(lo, c.Shr(c.Sub(hi, lo), 1u));
-          auto off = c.Load(row, mid);
-          c.IfElse(
-              c.Le(off, e), [&](Ctx& c) { c.Assign(&lo, mid); },
-              [&](Ctx& c) { c.Assign(&hi, mid); });
-        });
-    auto dst = c.Load(col, e);
-    c.Store(edge_src, tid, lo);
-    c.Store(flags, lo, c.Splat<uint32_t>(1));
-    c.Store(flags, dst, c.Splat<uint32_t>(1));
-  });
-  co_return;
-}
-
-/// Per-output-vertex degree of the selected edges.
-KernelTask EsbeCountKernel(Ctx& c, DevPtr<vid_t> edge_src, DevPtr<uint32_t> map,
-                           DevPtr<uint32_t> deg, uint64_t num_selected) {
-  auto tid = c.Cast<uint64_t>(c.GlobalThreadId());
-  c.If(c.Lt(tid, num_selected), [&](Ctx& c) {
-    auto src = c.Load(edge_src, tid);
-    auto new_src = c.Load(map, src);
-    c.AtomicAdd(deg, new_src, c.Splat<uint32_t>(1));
-  });
-  co_return;
-}
-
-/// Scatters the selected edges into the output CSR (renumbered).
-KernelTask EsbeScatterKernel(Ctx& c, DevPtr<vid_t> col, DevPtr<weight_t> w,
-                             DevPtr<uint32_t> edge_list, DevPtr<vid_t> edge_src,
-                             DevPtr<uint32_t> map, DevPtr<uint32_t> cursor,
-                             DevPtr<vid_t> out_col, DevPtr<weight_t> out_w,
-                             uint64_t num_selected) {
-  const bool weighted = !w.is_null();
-  auto tid = c.Cast<uint64_t>(c.GlobalThreadId());
-  c.If(c.Lt(tid, num_selected), [&](Ctx& c) {
-    auto e = c.Cast<eid_t>(c.Load(edge_list, tid));
-    auto new_src = c.Load(map, c.Load(edge_src, tid));
-    auto pos = c.AtomicAdd(cursor, new_src, c.Splat<uint32_t>(1));
-    c.Store(out_col, pos, c.Load(map, c.Load(col, e)));
-    if (weighted) c.Store(out_w, pos, c.Load(w, e));
-  });
-  co_return;
-}
-
 }  // namespace
 
 std::vector<vid_t> SelectPseudoCluster(vid_t num_vertices, double fraction,
@@ -395,129 +332,6 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
   ADGRAPH_ASSIGN_OR_RETURN(std::vector<vid_t> h_col, out_col.ToHost());
   ADGRAPH_ASSIGN_OR_RETURN(std::vector<weight_t> h_w, out_w.ToHost());
   std::vector<eid_t> h_row(h_row32.begin(), h_row32.end());
-  ADGRAPH_ASSIGN_OR_RETURN(
-      result.subgraph,
-      graph::CsrGraph::FromArrays(static_cast<vid_t>(k), std::move(h_row),
-                                  std::move(h_col), std::move(h_w)));
-  return result;
-}
-
-
-Result<EsbeResult> ExtractSubgraphByEdge(vgpu::Device* device,
-                                         const graph::CsrGraph& g,
-                                         const EsbeOptions& options) {
-  const vid_t n = g.num_vertices();
-  const eid_t m = g.num_edges();
-  if (n == 0) return Status::InvalidArgument("ESBE on empty graph");
-  if (m > 0xFFFFFFFFull) {
-    return Status::InvalidArgument("ESBE device path limited to 2^32 edges");
-  }
-  for (eid_t e : options.edges) {
-    if (e >= m) return Status::InvalidArgument("selected edge out of range");
-  }
-  const uint64_t num_selected = options.edges.size();
-  std::vector<uint32_t> edges32(options.edges.begin(), options.edges.end());
-
-  ADGRAPH_ASSIGN_OR_RETURN(DeviceCsr input, DeviceCsr::Upload(device, g));
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto edge_list, rt::DeviceBuffer<uint32_t>::FromHost(device, edges32));
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto edge_src,
-      rt::DeviceBuffer<vid_t>::Create(device, std::max<uint64_t>(num_selected, 1)));
-  ADGRAPH_ASSIGN_OR_RETURN(auto flags,
-                           rt::DeviceBuffer<uint32_t>::Create(device, n));
-  ADGRAPH_ASSIGN_OR_RETURN(auto map,
-                           rt::DeviceBuffer<uint32_t>::Create(device, n));
-
-  rt::DeviceTimer timer(device);
-  ADGRAPH_RETURN_NOT_OK(primitives::Fill<uint32_t>(device, flags.ptr(), n, 0));
-  if (num_selected > 0) {
-    ADGRAPH_RETURN_NOT_OK(
-        device
-            ->Launch("esbe_mark", rt::CoverThreads(num_selected),
-                     [&](Ctx& c) {
-                       return EsbeMarkKernel(c, input.row_offsets.ptr(),
-                                             input.col_indices.ptr(),
-                                             edge_list.ptr(), edge_src.ptr(),
-                                             flags.ptr(), n, num_selected);
-                     })
-            .status());
-  }
-  ADGRAPH_ASSIGN_OR_RETURN(
-      uint64_t k,
-      primitives::ExclusiveScanU32(device, flags.ptr(), map.ptr(), n));
-
-  ADGRAPH_ASSIGN_OR_RETURN(auto out_row32,
-                           rt::DeviceBuffer<uint32_t>::Create(device, k + 1));
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto out_col,
-      rt::DeviceBuffer<vid_t>::Create(device, std::max<uint64_t>(num_selected, 1)));
-  rt::DeviceBuffer<weight_t> out_w;
-  if (g.has_weights()) {
-    ADGRAPH_ASSIGN_OR_RETURN(
-        out_w, rt::DeviceBuffer<weight_t>::Create(
-                   device, std::max<uint64_t>(num_selected, 1)));
-  }
-  ADGRAPH_ASSIGN_OR_RETURN(
-      auto out_cursor,
-      rt::DeviceBuffer<uint32_t>::Create(device, std::max<uint64_t>(k, 1)));
-  ADGRAPH_RETURN_NOT_OK(
-      primitives::Fill<uint32_t>(device, out_cursor.ptr(), k, 0));
-  if (num_selected > 0) {
-    ADGRAPH_RETURN_NOT_OK(
-        device
-            ->Launch("esbe_count", rt::CoverThreads(num_selected),
-                     [&](Ctx& c) {
-                       return EsbeCountKernel(c, edge_src.ptr(), map.ptr(),
-                                              out_cursor.ptr(), num_selected);
-                     })
-            .status());
-  }
-  ADGRAPH_ASSIGN_OR_RETURN(
-      uint64_t total,
-      primitives::ExclusiveScanU32(device, out_cursor.ptr(), out_row32.ptr(),
-                                   k));
-  if (total != num_selected) {
-    return Status::Internal("ESBE edge-count mismatch");
-  }
-  ADGRAPH_RETURN_NOT_OK(primitives::SetElement<uint32_t>(
-      device, out_row32.ptr(), k, static_cast<uint32_t>(num_selected)));
-  ADGRAPH_RETURN_NOT_OK(
-      device->CopyDeviceToDevice(out_cursor.ptr(), out_row32.ptr(), k));
-  if (num_selected > 0) {
-    ADGRAPH_RETURN_NOT_OK(
-        device
-            ->Launch("esbe_scatter", rt::CoverThreads(num_selected),
-                     [&](Ctx& c) {
-                       return EsbeScatterKernel(
-                           c, input.col_indices.ptr(),
-                           g.has_weights() ? input.weights.ptr()
-                                           : DevPtr<weight_t>{},
-                           edge_list.ptr(), edge_src.ptr(), map.ptr(),
-                           out_cursor.ptr(), out_col.ptr(),
-                           g.has_weights() ? out_w.ptr()
-                                           : DevPtr<weight_t>{},
-                           num_selected);
-                     })
-            .status());
-  }
-
-  EsbeResult result;
-  result.time_ms = timer.ElapsedMs();
-  result.subgraph_vertices = k;
-  result.subgraph_edges = num_selected;
-
-  ADGRAPH_ASSIGN_OR_RETURN(std::vector<uint32_t> h_row32, out_row32.ToHost());
-  std::vector<eid_t> h_row(h_row32.begin(), h_row32.end());
-  std::vector<vid_t> h_col(num_selected);
-  std::vector<weight_t> h_w;
-  if (num_selected > 0) {
-    ADGRAPH_RETURN_NOT_OK(out_col.Download(h_col.data(), num_selected));
-    if (g.has_weights()) {
-      h_w.resize(num_selected);
-      ADGRAPH_RETURN_NOT_OK(out_w.Download(h_w.data(), num_selected));
-    }
-  }
   ADGRAPH_ASSIGN_OR_RETURN(
       result.subgraph,
       graph::CsrGraph::FromArrays(static_cast<vid_t>(k), std::move(h_row),

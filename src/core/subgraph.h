@@ -53,30 +53,6 @@ Result<EsbvResult> ExtractSubgraphByVertex(vgpu::Device* device,
 std::vector<graph::vid_t> SelectPseudoCluster(graph::vid_t num_vertices,
                                               double fraction, uint64_t seed);
 
-/// Options of Extract-Subgraph-By-Edge (the companion nvGRAPH API):
-/// keeps exactly the listed edges; the subgraph's vertex set is their
-/// endpoints, renumbered in ascending original order.
-struct EsbeOptions {
-  /// CSR edge indices to keep (need not be sorted; duplicates each
-  /// contribute one output edge, matching nvGRAPH).
-  std::vector<graph::eid_t> edges;
-};
-
-struct EsbeResult {
-  graph::CsrGraph subgraph;
-  uint64_t subgraph_vertices = 0;
-  uint64_t subgraph_edges = 0;
-  double time_ms = 0;
-};
-
-/// Extracts the edge-selected subgraph of `g` on the device.  Each kernel
-/// locates an edge's source row by binary search over the row offsets
-/// (branch-heavy, like the rest of the extraction family).  Weights are
-/// carried over when `g` has them; unweighted graphs are accepted.
-Result<EsbeResult> ExtractSubgraphByEdge(vgpu::Device* device,
-                                         const graph::CsrGraph& g,
-                                         const EsbeOptions& options);
-
 }  // namespace adgraph::core
 
 #endif  // ADGRAPH_CORE_SUBGRAPH_H_

@@ -120,8 +120,7 @@ Result<core::BcResult> RunBetweenness(vgpu::Device* device,
   ADGRAPH_RETURN_NOT_OK(cur.InitSource(options.source));
 
   CsrView view = MakeView(d);
-  DirectionEngine director(device, engine.direction, DirectionHeuristic{},
-                           /*can_pull=*/false);
+  DirectionEngine director(device, engine.direction, /*can_pull=*/false);
   const LoadBalance lb = ResolveLoadBalance(
       engine.load_balance, d.num_edges, n, device->arch().warp_width);
 

@@ -123,11 +123,9 @@ Result<core::BfsResult> RunBfs(vgpu::Device* device, const graph::CsrGraph& g,
   // honored.
   const bool warp_gather = engine.load_balance == LoadBalance::kWarpPerVertex;
 
-  DirectionHeuristic heuristic;
-  heuristic.alpha = options.alpha;
   const bool can_pull =
       options.direction_optimizing && options.assume_symmetric;
-  DirectionEngine director(device, engine.direction, heuristic, can_pull);
+  DirectionEngine director(device, engine.direction, can_pull);
 
   core::BfsResult result;
   uint32_t frontier_size = 1;

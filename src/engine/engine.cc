@@ -3,14 +3,27 @@
 #include "trace/trace.h"
 
 namespace adgraph::engine {
+namespace {
+
+/// Beamer's switch thresholds: a frontier is dense (pull, dense bitmap)
+/// when it holds more than n / kPullAlpha vertices and more than
+/// kMinPullFrontier.
+constexpr double kPullAlpha = 16.0;
+constexpr uint32_t kMinPullFrontier = 64;
+
+bool IsDense(uint32_t frontier_size, uint32_t num_vertices) {
+  return frontier_size > kMinPullFrontier &&
+         static_cast<double>(frontier_size) > num_vertices / kPullAlpha;
+}
+
+}  // namespace
 
 Result<Direction> DirectionEngine::Choose(uint32_t frontier_size,
                                           uint32_t num_vertices,
                                           uint32_t round) {
-  Direction dir;
+  Direction dir = Direction::kPush;
   switch (policy_) {
     case DirectionPolicy::kPushOnly:
-      dir = Direction::kPush;
       break;
     case DirectionPolicy::kPullOnly:
       if (!can_pull_) {
@@ -20,15 +33,12 @@ Result<Direction> DirectionEngine::Choose(uint32_t frontier_size,
       }
       dir = Direction::kPull;
       break;
-    case DirectionPolicy::kAuto: {
-      // Beamer's switch: bottom-up while the frontier holds more than
-      // n/alpha vertices (and clears the absolute floor).
-      const bool pull =
-          can_pull_ && frontier_size > heuristic_.min_pull_frontier &&
-          static_cast<double>(frontier_size) > num_vertices / heuristic_.alpha;
-      dir = pull ? Direction::kPull : Direction::kPush;
+    case DirectionPolicy::kAuto:
+      // Beamer's switch: bottom-up while the frontier is dense.
+      if (can_pull_ && IsDense(frontier_size, num_vertices)) {
+        dir = Direction::kPull;
+      }
       break;
-    }
   }
 
   if (dir == Direction::kPull) {
@@ -60,8 +70,7 @@ void DirectionEngine::RecordConversion(Frontier::Rep from, Frontier::Rep to) {
 void DirectionEngine::ChooseRep(const Frontier& cur, Frontier* next,
                                 uint32_t produced, uint32_t num_vertices) {
   next->set_rep(Frontier::Rep::kSparse);
-  if (produced > heuristic_.min_pull_frontier &&
-      static_cast<double>(produced) > num_vertices / heuristic_.alpha) {
+  if (IsDense(produced, num_vertices)) {
     RecordConversion(Frontier::Rep::kSparse, Frontier::Rep::kDense);
     next->set_rep(Frontier::Rep::kDense);
   } else if (cur.rep() == Frontier::Rep::kDense) {

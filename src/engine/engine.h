@@ -24,17 +24,6 @@ enum class DirectionPolicy {
   kPullOnly,  ///< always pull; fails when the algorithm cannot pull
 };
 
-/// The frontier-density switch thresholds.  Defaults equal BfsOptions
-/// alpha plus a 64-entry floor, the decisions the golden BFS digests were
-/// frozen with.  The switch back to push re-evaluates the same condition on
-/// the shrunken frontier.
-struct DirectionHeuristic {
-  /// Pull when frontier_size > n / alpha.
-  double alpha = 16.0;
-  /// Never pull below this frontier size.
-  uint32_t min_pull_frontier = 64;
-};
-
 /// Counters of every decision the engine made during one algorithm run —
 /// the observable record of the direction optimization.
 struct DirectionStats {
@@ -46,17 +35,16 @@ struct DirectionStats {
 };
 
 /// \brief Per-run direction chooser: applies the density heuristic each
-/// round, traces the decision, and keeps the stats.
+/// round, traces the decision, and keeps the stats.  Its thresholds are
+/// constants (engine.cc), the values the golden BFS digests were frozen
+/// with; the switch back to push re-evaluates the same condition on the
+/// shrunken frontier.
 class DirectionEngine {
  public:
   /// `can_pull`: whether the algorithm has a pull formulation available on
   /// this input (e.g. BFS bottom-up needs a symmetric adjacency).
-  DirectionEngine(vgpu::Device* device, DirectionPolicy policy,
-                  DirectionHeuristic heuristic, bool can_pull)
-      : device_(device),
-        policy_(policy),
-        heuristic_(heuristic),
-        can_pull_(can_pull) {}
+  DirectionEngine(vgpu::Device* device, DirectionPolicy policy, bool can_pull)
+      : device_(device), policy_(policy), can_pull_(can_pull) {}
 
   /// Picks the round's direction from the frontier density.  Emits an
   /// "engine.direction" trace span carrying round, frontier size, and the
@@ -80,7 +68,6 @@ class DirectionEngine {
  private:
   vgpu::Device* device_;
   DirectionPolicy policy_;
-  DirectionHeuristic heuristic_;
   bool can_pull_;
   DirectionStats stats_;
   bool has_prior_ = false;

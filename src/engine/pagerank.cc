@@ -82,12 +82,9 @@ Result<core::PageRankResult> RunPageRank(
 
   // Every vertex pulls every round: the frontier is dense and full-width
   // for the entire run, and the direction engine records a pull per round.
-  DirectionEngine director(device, engine.direction, DirectionHeuristic{},
-                           /*can_pull=*/true);
+  DirectionEngine director(device, engine.direction, /*can_pull=*/true);
 
   core::PageRankResult result;
-  core::SpmvOptions spmv_options;
-  spmv_options.semiring = core::Semiring::kPlusTimes;
 
   for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
     trace::Span sweep(device->trace_track(), "pagerank.iteration", "phase");
@@ -109,8 +106,8 @@ Result<core::PageRankResult> RunPageRank(
         double dangling,
         core::primitives::GetElement<double>(device, scalars.ptr(), 0));
 
-    ADGRAPH_RETURN_NOT_OK(core::RunSpmvOnDevice(device, d_gt, ranks.ptr(),
-                                                next.ptr(), spmv_options));
+    ADGRAPH_RETURN_NOT_OK(
+        core::RunSpmvOnDevice(device, d_gt, ranks.ptr(), next.ptr()));
 
     double base = (1.0 - options.alpha) / n +
                   options.alpha * dangling / static_cast<double>(n);

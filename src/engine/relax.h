@@ -119,8 +119,7 @@ Result<Fixpoint<typename Semiring::Value>> RelaxToFixpoint(
 
   rt::DeviceTimer timer(device);
   ADGRAPH_RETURN_NOT_OK(start(values, cur));
-  DirectionEngine director(device, engine.direction, DirectionHeuristic{},
-                           /*can_pull=*/false);
+  DirectionEngine director(device, engine.direction, /*can_pull=*/false);
   const LoadBalance lb = ResolveLoadBalance(
       engine.load_balance, staged->num_edges, n, device->arch().warp_width);
   Fixpoint<Value> fixpoint;

@@ -1,13 +1,7 @@
 #include "graph/io.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -15,13 +9,6 @@
 
 namespace adgraph::graph {
 namespace {
-
-constexpr uint64_t kBinaryMagic = 0x4852474441ull;  // "ADGRH"
-/// v2 reorders the array sections to row_offsets, weights, col_indices so
-/// every section (count + payload) starts 8-byte aligned for mmap use.
-constexpr uint32_t kBinaryVersion = 2;
-/// magic (8) + version (4) + num_vertices (4).
-constexpr uint64_t kBinaryHeaderBytes = 16;
 
 /// Largest raw vertex id a text loader may accept: ids are stored as vid_t
 /// and the implied vertex count is max_id + 1, so the id itself must stay
@@ -126,10 +113,9 @@ Result<CooGraph> ReadMatrixMarket(const std::string& path) {
         " exceeds the supported maximum " + std::to_string(kMaxVertexId + 1));
   }
   CooGraph coo;
+  // No reserve(nnz): the size line is outside input, and a claimed 10^18
+  // entries must end as a truncated-entry error, not a failed allocation.
   coo.num_vertices = static_cast<vid_t>(std::max(rows, cols));
-  coo.src.reserve(nnz);
-  coo.dst.reserve(nnz);
-  if (!pattern) coo.weights.reserve(nnz);
   for (uint64_t i = 0; i < nnz; ++i) {
     uint64_t r, c;
     double w = 1.0;
@@ -177,246 +163,6 @@ Status WriteMatrixMarket(const CooGraph& coo, const std::string& path) {
   }
   if (!out) return Status::IOError("failed writing " + path);
   return Status::OK();
-}
-
-namespace {
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-void WriteVec(std::ofstream& out, const std::vector<T>& vec) {
-  uint64_t count = vec.size();
-  WritePod(out, count);
-  out.write(reinterpret_cast<const char*>(vec.data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-/// Reads a (count, payload) section.  The declared count is validated
-/// against the bytes actually left in the file BEFORE resizing, so a
-/// corrupt or truncated header yields a clean failure instead of a
-/// multi-terabyte allocation attempt.
-template <typename T>
-bool ReadVec(std::ifstream& in, uint64_t file_size, std::vector<T>* vec) {
-  uint64_t count;
-  if (!ReadPod(in, &count)) return false;
-  const auto pos = static_cast<uint64_t>(in.tellg());
-  if (pos > file_size) return false;
-  const uint64_t remaining = file_size - pos;
-  if (count > remaining / sizeof(T)) return false;
-  vec->resize(count);
-  in.read(reinterpret_cast<char*>(vec->data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return static_cast<bool>(in);
-}
-
-Result<uint64_t> FileSize(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::IOError("cannot stat " + path + ": " +
-                           std::strerror(errno));
-  }
-  return static_cast<uint64_t>(st.st_size);
-}
-
-}  // namespace
-
-Status WriteBinaryCsr(const CsrGraph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  WritePod(out, kBinaryMagic);
-  WritePod(out, kBinaryVersion);
-  WritePod(out, graph.num_vertices());
-  // v2 section order: 8-byte elements first so everything stays aligned.
-  WriteVec(out, graph.row_offsets());
-  WriteVec(out, graph.weights());
-  WriteVec(out, graph.col_indices());
-  if (!out) return Status::IOError("failed writing " + path);
-  return Status::OK();
-}
-
-Result<CsrGraph> ReadBinaryCsr(const std::string& path) {
-  ADGRAPH_ASSIGN_OR_RETURN(uint64_t file_size, FileSize(path));
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  uint64_t magic;
-  uint32_t version;
-  vid_t n;
-  if (!ReadPod(in, &magic) || magic != kBinaryMagic) {
-    return Status::IOError(path + ": not an adgraph binary CSR file");
-  }
-  if (!ReadPod(in, &version) || version != kBinaryVersion) {
-    return Status::IOError(path + ": unsupported binary CSR version");
-  }
-  if (!ReadPod(in, &n)) return Status::IOError(path + ": truncated");
-  std::vector<eid_t> row_offsets;
-  std::vector<vid_t> col_indices;
-  std::vector<weight_t> weights;
-  if (!ReadVec(in, file_size, &row_offsets) ||
-      !ReadVec(in, file_size, &weights) ||
-      !ReadVec(in, file_size, &col_indices)) {
-    return Status::IOError(path +
-                           ": truncated or length-corrupted array section");
-  }
-  return CsrGraph::FromArrays(n, std::move(row_offsets),
-                              std::move(col_indices), std::move(weights));
-}
-
-// --- MappedCsr --------------------------------------------------------------
-
-void MappedCsr::Reset() noexcept {
-  if (base_ != nullptr) ::munmap(base_, static_cast<size_t>(map_len_));
-  base_ = nullptr;
-  map_len_ = 0;
-  num_vertices_ = 0;
-  num_edges_ = 0;
-  weights_count_ = 0;
-  row_offsets_ = nullptr;
-  col_indices_ = nullptr;
-  weights_ = nullptr;
-}
-
-MappedCsr::~MappedCsr() { Reset(); }
-
-MappedCsr::MappedCsr(MappedCsr&& other) noexcept
-    : base_(other.base_),
-      map_len_(other.map_len_),
-      num_vertices_(other.num_vertices_),
-      num_edges_(other.num_edges_),
-      weights_count_(other.weights_count_),
-      row_offsets_(other.row_offsets_),
-      col_indices_(other.col_indices_),
-      weights_(other.weights_) {
-  other.base_ = nullptr;
-  other.Reset();
-}
-
-MappedCsr& MappedCsr::operator=(MappedCsr&& other) noexcept {
-  if (this == &other) return *this;
-  Reset();
-  base_ = other.base_;
-  map_len_ = other.map_len_;
-  num_vertices_ = other.num_vertices_;
-  num_edges_ = other.num_edges_;
-  weights_count_ = other.weights_count_;
-  row_offsets_ = other.row_offsets_;
-  col_indices_ = other.col_indices_;
-  weights_ = other.weights_;
-  other.base_ = nullptr;
-  other.Reset();
-  return *this;
-}
-
-Result<MappedCsr> MappedCsr::Open(const std::string& path) {
-  ADGRAPH_ASSIGN_OR_RETURN(uint64_t file_size, FileSize(path));
-  if (file_size < kBinaryHeaderBytes) {
-    return Status::IOError(path + ": too small for a binary CSR header (" +
-                           std::to_string(file_size) + " bytes)");
-  }
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IOError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  void* base = ::mmap(nullptr, static_cast<size_t>(file_size), PROT_READ,
-                      MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping holds its own reference
-  if (base == MAP_FAILED) {
-    return Status::IOError("mmap failed for " + path + ": " +
-                           std::strerror(errno));
-  }
-  MappedCsr m;
-  m.base_ = base;
-  m.map_len_ = file_size;
-
-  const auto* bytes = static_cast<const unsigned char*>(base);
-  uint64_t magic;
-  uint32_t version;
-  std::memcpy(&magic, bytes, sizeof(magic));
-  std::memcpy(&version, bytes + 8, sizeof(version));
-  std::memcpy(&m.num_vertices_, bytes + 12, sizeof(m.num_vertices_));
-  if (magic != kBinaryMagic) {
-    return Status::IOError(path + ": not an adgraph binary CSR file");
-  }
-  if (version != kBinaryVersion) {
-    return Status::IOError(path + ": unsupported binary CSR version " +
-                           std::to_string(version) + " (mmap needs v" +
-                           std::to_string(kBinaryVersion) + ")");
-  }
-
-  // Walks a (count, payload) section without ever dereferencing past the
-  // mapped extent; `count` is bounds-checked before use.
-  uint64_t off = kBinaryHeaderBytes;
-  auto take = [&](size_t elem_size, uint64_t* count,
-                  const void** data) -> bool {
-    if (off + sizeof(uint64_t) > file_size) return false;
-    std::memcpy(count, bytes + off, sizeof(uint64_t));
-    off += sizeof(uint64_t);
-    if (*count > (file_size - off) / elem_size) return false;
-    *data = bytes + off;
-    off += *count * elem_size;
-    return true;
-  };
-
-  uint64_t row_count = 0, weight_count = 0, col_count = 0;
-  const void* rows = nullptr;
-  const void* weights = nullptr;
-  const void* cols = nullptr;
-  if (!take(sizeof(eid_t), &row_count, &rows) ||
-      !take(sizeof(weight_t), &weight_count, &weights) ||
-      !take(sizeof(vid_t), &col_count, &cols)) {
-    return Status::IOError(path +
-                           ": truncated or length-corrupted array section");
-  }
-  if (off != file_size) {
-    return Status::IOError(path + ": trailing bytes after CSR sections");
-  }
-  if (row_count != static_cast<uint64_t>(m.num_vertices_) + 1) {
-    return Status::IOError(path + ": row_offsets has " +
-                           std::to_string(row_count) + " entries, expected " +
-                           std::to_string(m.num_vertices_) + "+1");
-  }
-  m.row_offsets_ = static_cast<const eid_t*>(rows);
-  if (m.row_offsets_[0] != 0) {
-    return Status::IOError(path + ": row_offsets[0] != 0");
-  }
-  for (uint64_t i = 1; i < row_count; ++i) {
-    if (m.row_offsets_[i] < m.row_offsets_[i - 1]) {
-      return Status::IOError(path + ": row_offsets not monotone at index " +
-                             std::to_string(i));
-    }
-  }
-  m.num_edges_ = m.row_offsets_[row_count - 1];
-  if (col_count != m.num_edges_) {
-    return Status::IOError(path + ": col_indices has " +
-                           std::to_string(col_count) + " entries, expected " +
-                           std::to_string(m.num_edges_));
-  }
-  if (weight_count != 0 && weight_count != m.num_edges_) {
-    return Status::IOError(path + ": weights has " +
-                           std::to_string(weight_count) +
-                           " entries, expected 0 or " +
-                           std::to_string(m.num_edges_));
-  }
-  m.col_indices_ = static_cast<const vid_t*>(cols);
-  for (uint64_t e = 0; e < col_count; ++e) {
-    if (m.col_indices_[e] >= m.num_vertices_) {
-      return Status::IOError(path + ": col index out of range at edge " +
-                             std::to_string(e));
-    }
-  }
-  m.weights_count_ = weight_count;
-  m.weights_ = weight_count != 0 ? static_cast<const weight_t*>(weights)
-                                 : nullptr;
-  return m;
 }
 
 }  // namespace adgraph::graph

@@ -1,12 +1,9 @@
 #ifndef ADGRAPH_GRAPH_IO_H_
 #define ADGRAPH_GRAPH_IO_H_
 
-#include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/coo.h"
-#include "graph/csr.h"
 #include "util/status.h"
 
 namespace adgraph::graph {
@@ -27,61 +24,6 @@ Result<CooGraph> ReadMatrixMarket(const std::string& path);
 /// Writes a MatrixMarket coordinate file (general; real if weighted,
 /// pattern otherwise).
 Status WriteMatrixMarket(const CooGraph& coo, const std::string& path);
-
-/// Compact binary CSR snapshot (magic + counts + arrays, little-endian).
-/// Round-trips exactly; used to cache generated proxy datasets and to spill
-/// graphs for out-of-core streaming.  Format v2 orders the sections
-/// row_offsets, weights, col_indices so that every section sits at an
-/// 8-byte-aligned offset — a page-aligned mmap of the file can hand out
-/// properly aligned eid_t/weight_t pointers directly.
-Status WriteBinaryCsr(const CsrGraph& graph, const std::string& path);
-Result<CsrGraph> ReadBinaryCsr(const std::string& path);
-
-/// Read-only memory-mapped view of a binary CSR v2 file.  The backing pages
-/// stay on disk and are faulted in on demand, so a graph much larger than
-/// host RAM budget can be sliced into shards without materializing it.
-/// All section extents are validated against the mapped file size at Open —
-/// a truncated or length-corrupted file yields a structured IOError without
-/// allocating anything.  Offsets are 64-bit throughout (>2^31-edge safe).
-class MappedCsr {
- public:
-  MappedCsr() = default;
-  ~MappedCsr();
-  MappedCsr(const MappedCsr&) = delete;
-  MappedCsr& operator=(const MappedCsr&) = delete;
-  MappedCsr(MappedCsr&& other) noexcept;
-  MappedCsr& operator=(MappedCsr&& other) noexcept;
-
-  /// Maps `path` and validates header, section bounds, row-offset
-  /// monotonicity, and column-index range.
-  static Result<MappedCsr> Open(const std::string& path);
-
-  vid_t num_vertices() const { return num_vertices_; }
-  eid_t num_edges() const { return num_edges_; }
-  bool has_weights() const { return weights_count_ != 0; }
-
-  std::span<const eid_t> row_offsets() const {
-    return {row_offsets_, static_cast<size_t>(num_vertices_) + 1};
-  }
-  std::span<const vid_t> col_indices() const {
-    return {col_indices_, static_cast<size_t>(num_edges_)};
-  }
-  std::span<const weight_t> weights() const {
-    return {weights_, static_cast<size_t>(weights_count_)};
-  }
-
- private:
-  void Reset() noexcept;
-
-  void* base_ = nullptr;
-  uint64_t map_len_ = 0;
-  vid_t num_vertices_ = 0;
-  eid_t num_edges_ = 0;
-  uint64_t weights_count_ = 0;
-  const eid_t* row_offsets_ = nullptr;
-  const vid_t* col_indices_ = nullptr;
-  const weight_t* weights_ = nullptr;
-};
 
 }  // namespace adgraph::graph
 

@@ -58,16 +58,6 @@ Result<uint64_t> SlotPairBytes(std::span<const eid_t> row_offsets,
 
 }  // namespace
 
-Status OocCsr::Init(uint64_t shard_bytes) {
-  ADGRAPH_ASSIGN_OR_RETURN(
-      plan_, part::MakeByteBoundedPlan(
-                 row_offsets_, has_weights(),
-                 shard_bytes == 0 ? kDefaultShardBytes : shard_bytes));
-  std::tie(max_shard_rows_, max_shard_edges_) =
-      LargestShard(plan_, row_offsets_);
-  return Status::OK();
-}
-
 uint64_t OocCsr::slot_bytes() const {
   return SlotDeviceBytes(max_shard_rows_, max_shard_edges_, has_weights());
 }
@@ -81,31 +71,13 @@ Result<OocCsr> OocCsr::FromMemory(const graph::CsrGraph& g,
   csr.row_offsets_ = g.row_offsets();
   csr.col_indices_ = g.col_indices();
   csr.weights_ = g.weights();
-  ADGRAPH_RETURN_NOT_OK(csr.Init(shard_bytes));
+  ADGRAPH_ASSIGN_OR_RETURN(
+      csr.plan_, part::MakeByteBoundedPlan(
+                     csr.row_offsets_, csr.has_weights(),
+                     shard_bytes == 0 ? kDefaultShardBytes : shard_bytes));
+  std::tie(csr.max_shard_rows_, csr.max_shard_edges_) =
+      LargestShard(csr.plan_, csr.row_offsets_);
   return csr;
-}
-
-Result<OocCsr> OocCsr::Open(const std::string& path, uint64_t shard_bytes) {
-  ADGRAPH_ASSIGN_OR_RETURN(graph::MappedCsr mapped,
-                           graph::MappedCsr::Open(path));
-  if (mapped.num_vertices() == 0) {
-    return Status::InvalidArgument(path + ": out-of-core open of an empty "
-                                          "graph");
-  }
-  OocCsr csr;
-  csr.disk_backed_ = true;
-  csr.mapped_ = std::move(mapped);
-  csr.row_offsets_ = csr.mapped_.row_offsets();
-  csr.col_indices_ = csr.mapped_.col_indices();
-  csr.weights_ = csr.mapped_.weights();
-  ADGRAPH_RETURN_NOT_OK(csr.Init(shard_bytes));
-  return csr;
-}
-
-Result<OocCsr> OocCsr::Spill(const graph::CsrGraph& g, const std::string& path,
-                             uint64_t shard_bytes) {
-  ADGRAPH_RETURN_NOT_OK(graph::WriteBinaryCsr(g, path));
-  return Open(path, shard_bytes);
 }
 
 Result<uint64_t> EstimateStreamedBytes(const core::Params& params,

@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "core/api.h"
 #include "graph/csr.h"
-#include "graph/io.h"
 #include "part/partition.h"
 #include "util/status.h"
 
@@ -30,13 +28,9 @@ struct ShardView {
 /// \brief A chunked host CSR that is never whole-graph device-resident:
 /// the out-of-core operand (DESIGN.md §2.13).
 ///
-/// Two backings share one interface:
-///  - FromMemory borrows an in-memory CsrGraph (the serve path: the graph
-///    already lives on the host; the *device* is what it does not fit).
-///    The caller keeps the graph alive while the OocCsr is in use.
-///  - Open / Spill memory-map a binary CSR v2 file (graph/io MappedCsr), so
-///    the adjacency pages live on disk and fault in per shard — the
-///    device <-> host <-> disk tier.
+/// It borrows an in-memory CsrGraph: the graph lives on the host, and the
+/// *device* is what it does not fit.  The caller keeps the graph alive
+/// while the OocCsr is in use.
 ///
 /// Construction partitions [0, n) into contiguous vertex-range shards whose
 /// device footprint (rebased row slice + columns + optional weights) stays
@@ -50,20 +44,11 @@ class OocCsr {
   static Result<OocCsr> FromMemory(const graph::CsrGraph& g,
                                    uint64_t shard_bytes);
 
-  /// Memory-maps an existing binary CSR v2 file.
-  static Result<OocCsr> Open(const std::string& path, uint64_t shard_bytes);
-
-  /// Writes `g` to `path` (binary CSR v2) and reopens it memory-mapped —
-  /// the spill half of the tiering decision.
-  static Result<OocCsr> Spill(const graph::CsrGraph& g,
-                              const std::string& path, uint64_t shard_bytes);
-
   graph::vid_t num_vertices() const {
     return static_cast<graph::vid_t>(row_offsets_.size()) - 1;
   }
   graph::eid_t num_edges() const { return row_offsets_.back(); }
   bool has_weights() const { return !weights_.empty(); }
-  bool disk_backed() const { return disk_backed_; }
 
   std::span<const graph::eid_t> row_offsets() const { return row_offsets_; }
   std::span<const graph::vid_t> col_indices() const { return col_indices_; }
@@ -88,10 +73,6 @@ class OocCsr {
   uint64_t slot_bytes() const;
 
  private:
-  Status Init(uint64_t shard_bytes);
-
-  bool disk_backed_ = false;
-  graph::MappedCsr mapped_;
   std::span<const graph::eid_t> row_offsets_;
   std::span<const graph::vid_t> col_indices_;
   std::span<const graph::weight_t> weights_;

@@ -370,8 +370,7 @@ Result<core::PageRankResult> RunStreamedPageRank(
                      return core::detail::SpmvRowSliceKernel(
                          c, pipe.rows(slot), pipe.cols(slot),
                          weighted ? pipe.weights(slot) : DevPtr<double>{},
-                         ranks.ptr(), next.ptr() + v.lo, v.num_rows(),
-                         core::Semiring::kPlusTimes);
+                         ranks.ptr(), next.ptr() + v.lo, v.num_rows());
                    })
           .status();
     }));

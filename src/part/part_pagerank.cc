@@ -110,8 +110,6 @@ Result<core::PageRankResult> RunPartitionedPageRank(
 
   core::PageRankResult result;
   core::ExchangeStats exchange_stats;
-  core::SpmvOptions spmv_options;
-  spmv_options.semiring = core::Semiring::kPlusTimes;
 
   engine->StartRounds();
 
@@ -153,10 +151,8 @@ Result<core::PageRankResult> RunPartitionedPageRank(
     // --- (b) Local SpMV: partial_d = A_d^T * ranks.
     for (uint32_t d = 0; d < P; ++d) {
       ShardState& s = shards[d];
-      ADGRAPH_RETURN_NOT_OK(core::RunSpmvOnDevice(engine->device(d), s.pull,
-                                                  s.ranks.ptr(),
-                                                  s.partial.ptr(),
-                                                  spmv_options));
+      ADGRAPH_RETURN_NOT_OK(core::RunSpmvOnDevice(
+          engine->device(d), s.pull, s.ranks.ptr(), s.partial.ptr()));
     }
 
     // --- (c) Reduce-scatter: every peer's boundary contribution for the

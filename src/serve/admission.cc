@@ -52,7 +52,7 @@ AdmissionDecision CheckAdmission(const vgpu::Device& device,
     // Whole-graph working set does not fit even after eviction.  Before
     // rejecting, try the out-of-core tier: the streamed path keeps only
     // O(n) iteration state plus two staging slots device-resident and
-    // streams the adjacency from host (or disk) through them.
+    // streams the adjacency from host memory through them.
     if (auto streamed = StreamedEstimate(spec); streamed.has_value()) {
       uint64_t streamed_padded = static_cast<uint64_t>(
           static_cast<double>(*streamed) * (headroom < 1.0 ? 1.0 : headroom));

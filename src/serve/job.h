@@ -81,7 +81,7 @@ struct JobSpec {
   /// whole-graph working set fails admission is admitted anyway iff the
   /// streamed working set — O(n) iteration state plus two staging slots —
   /// fits, and runs in the streamed placement with byte-identical results.
-  /// Evict-to-admit thereby becomes a device<->host<->disk tiering decision
+  /// Evict-to-admit thereby becomes a device<->host tiering decision
   /// instead of a hard reject.
   bool allow_streamed = false;
   /// Per staging slot byte budget of the streamed path (0 = ooc default).

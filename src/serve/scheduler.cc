@@ -829,9 +829,6 @@ void Scheduler::Shutdown() {
   std::vector<PendingJob> orphans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (shutdown_) {
-      // Already requested; fall through to join below (idempotent).
-    }
     shutdown_ = true;
     while (!queue_.empty()) {
       orphans.push_back(std::move(queue_.front()));

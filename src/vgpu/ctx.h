@@ -100,11 +100,6 @@ class Ctx {
     return out;
   }
 
-  /// Total threads in the grid (host scalar).
-  uint64_t GridThreads() const {
-    return static_cast<uint64_t>(grid_dim_) * block_dim_;
-  }
-
   // ====================== Constants ====================================
 
   /// Broadcast of an immediate; free (folded into consuming instructions).
@@ -258,11 +253,6 @@ class Ctx {
     CountValu();
     return (m & active_) == active_;
   }
-  /// The predicate mask itself (like __ballot_sync).
-  LaneMask Ballot(LaneMask m) {
-    CountValu();
-    return m & active_;
-  }
 
   /// Butterfly reduction over active lanes; result broadcast host-side.
   template <typename T>
@@ -271,28 +261,6 @@ class Ctx {
     T sum{};
     ADGRAPH_VGPU_FOR_ACTIVE(i) { sum += a[i]; }
     return sum;
-  }
-  template <typename T>
-  T ReduceMax(const Lanes<T>& a) {
-    CountReduction();
-    bool first = true;
-    T best{};
-    ADGRAPH_VGPU_FOR_ACTIVE(i) {
-      best = first ? a[i] : std::max(best, a[i]);
-      first = false;
-    }
-    return best;
-  }
-  template <typename T>
-  T ReduceMin(const Lanes<T>& a) {
-    CountReduction();
-    bool first = true;
-    T best{};
-    ADGRAPH_VGPU_FOR_ACTIVE(i) {
-      best = first ? a[i] : std::min(best, a[i]);
-      first = false;
-    }
-    return best;
   }
 
   /// First-active-lane value read back to the host side of the kernel
@@ -303,26 +271,6 @@ class Ctx {
     counters_->scalar_inst += 1;
     ADGRAPH_CHECK(active_ != 0) << "ScalarOf with no active lanes";
     return a[static_cast<uint32_t>(std::countr_zero(active_))];
-  }
-
-  /// Rank of each active lane among the active lanes (0-based), e.g. for
-  /// warp-aggregated queue reservation.  Counts one instruction (computed
-  /// from a ballot + popc on hardware).
-  Lanes<uint32_t> RankAmong(LaneMask m) {
-    CountValu();
-    Lanes<uint32_t> out;
-    uint32_t rank = 0;
-    for (uint32_t i = 0; i < width_; ++i) {
-      if (LaneActive(m & active_, i)) out[i] = rank++;
-    }
-    return out;
-  }
-
-  /// Value held by `src_lane`, broadcast to all active lanes (__shfl).
-  template <typename T>
-  Lanes<T> BroadcastLane(const Lanes<T>& a, uint32_t src_lane) {
-    CountValu();
-    return Splat(a[src_lane]);
   }
 
   // ====================== Global memory ==================================
@@ -368,13 +316,6 @@ class Ctx {
     return AtomicRmw(base, idx, val, [](T old_value, T operand) {
       return std::max(old_value, operand);
     });
-  }
-  template <typename T, typename I>
-  Lanes<T> AtomicOr(DevPtr<T> base, const Lanes<I>& idx,
-                    const Lanes<T>& val) {
-    static_assert(std::is_integral_v<T>);
-    return AtomicRmw(base, idx, val,
-                     [](T old_value, T operand) { return old_value | operand; });
   }
   template <typename T, typename I>
   Lanes<T> AtomicExch(DevPtr<T> base, const Lanes<I>& idx,
@@ -438,44 +379,6 @@ class Ctx {
       T old_value = smem_->Load<T>(off);
       out[i] = old_value;
       smem_->Store<T>(off, static_cast<T>(old_value + val[i]));
-    }
-    return out;
-  }
-
-  /// Atomic compare-and-swap on shared memory (hash-table insertion, e.g.
-  /// the TC adjacency set); returns per-lane old values.  Same-word lanes
-  /// serialize in lane order.
-  template <typename T, typename I>
-  Lanes<T> SharedAtomicCas(SmemPtr<T> base, const Lanes<I>& idx,
-                           const Lanes<T>& expected, const Lanes<T>& desired) {
-    static_assert(std::is_integral_v<T> && std::is_integral_v<I>);
-    ADGRAPH_CHECK(smem_ != nullptr) << "kernel launched without shared memory";
-    Lanes<uint64_t> offs = LaneAddrs(base.offset, idx, sizeof(T));
-    AccountShared(offs, sizeof(T), /*is_store=*/true);
-    Lanes<T> out;
-    ADGRAPH_VGPU_FOR_ACTIVE(i) {
-      uint32_t off = static_cast<uint32_t>(offs[i]);
-      T old_value = smem_->Load<T>(off);
-      out[i] = old_value;
-      if (old_value == expected[i]) smem_->Store<T>(off, desired[i]);
-    }
-    return out;
-  }
-
-  /// Atomic bitwise-or on shared memory (bitmap building, e.g. TC).
-  template <typename T, typename I>
-  Lanes<T> SharedAtomicOr(SmemPtr<T> base, const Lanes<I>& idx,
-                          const Lanes<T>& val) {
-    static_assert(std::is_integral_v<T> && std::is_integral_v<I>);
-    ADGRAPH_CHECK(smem_ != nullptr) << "kernel launched without shared memory";
-    Lanes<uint64_t> offs = LaneAddrs(base.offset, idx, sizeof(T));
-    AccountShared(offs, sizeof(T), /*is_store=*/true);
-    Lanes<T> out;
-    ADGRAPH_VGPU_FOR_ACTIVE(i) {
-      uint32_t off = static_cast<uint32_t>(offs[i]);
-      T old_value = smem_->Load<T>(off);
-      out[i] = old_value;
-      smem_->Store<T>(off, static_cast<T>(old_value | val[i]));
     }
     return out;
   }

@@ -158,9 +158,8 @@ class Device {
 
   // ====================== Introspection ==================================
 
-  /// Total modeled kernel time since construction / ResetElapsed().
+  /// Total modeled kernel time since construction / ResetCounters().
   double elapsed_ms() const { return elapsed_ms_; }
-  void ResetElapsed() { elapsed_ms_ = 0; }
 
   /// Modeled host<->device transfer time (not part of elapsed_ms; the paper
   /// reports on-device algorithm runtimes).
@@ -168,7 +167,6 @@ class Device {
 
   /// Per-launch records in launch order (ground truth for profiling).
   const std::vector<KernelStats>& kernel_log() const { return kernel_log_; }
-  void ClearKernelLog() { kernel_log_.clear(); }
 
   /// Empties L1/L2 (fresh-cache experiment conditions between algorithms)
   /// in O(1) per cache.

@@ -145,7 +145,6 @@ TEST(BfsTest, BottomUpUsedOnDenseFrontiers) {
   auto g = b.Build().value();
   BfsOptions options;
   options.source = 0;
-  options.alpha = 16;
   options.assume_symmetric = true;
   auto result = core::Run<Algo::kBfs>(&dev, g, options).value();
   EXPECT_GT(result.bottom_up_iterations, 0u);

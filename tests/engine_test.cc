@@ -94,7 +94,7 @@ TEST(FrontierTest, SwapExchangesBuffersAndState) {
 
 TEST(DirectionEngineTest, PullOnlyWithoutPullFormulationFails) {
   Device dev(A100Config());
-  DirectionEngine director(&dev, DirectionPolicy::kPullOnly, {},
+  DirectionEngine director(&dev, DirectionPolicy::kPullOnly,
                            /*can_pull=*/false);
   auto d = director.Choose(10, 1000, 0);
   ASSERT_FALSE(d.ok());
@@ -103,21 +103,20 @@ TEST(DirectionEngineTest, PullOnlyWithoutPullFormulationFails) {
 
 TEST(DirectionEngineTest, AutoMatchesSeedHeuristicThresholds) {
   Device dev(A100Config());
-  DirectionEngine director(&dev, DirectionPolicy::kAuto, {},
-                           /*can_pull=*/true);
-  // Seed BFS condition: frontier > 64 AND frontier > n / alpha (alpha=16).
-  // n=1000 => n/alpha = 62.5.
+  DirectionEngine director(&dev, DirectionPolicy::kAuto, /*can_pull=*/true);
+  // Seed BFS condition: frontier > 64 AND frontier > n / 16.
+  // n=1000 => n/16 = 62.5.
   EXPECT_EQ(director.Choose(64, 1000, 0).value(), Direction::kPush)
-      << "64 is not > min_pull_frontier";
+      << "64 is not above the 64-vertex floor";
   EXPECT_EQ(director.Choose(65, 1000, 1).value(), Direction::kPull);
-  // n=2000 => n/alpha = 125: 65 clears the floor but not the density bar.
+  // n=2000 => n/16 = 125: 65 clears the floor but not the density bar.
   EXPECT_EQ(director.Choose(65, 2000, 2).value(), Direction::kPush);
   EXPECT_EQ(director.Choose(126, 2000, 3).value(), Direction::kPull);
 }
 
 TEST(DirectionEngineTest, PushOnlyNeverPulls) {
   Device dev(A100Config());
-  DirectionEngine director(&dev, DirectionPolicy::kPushOnly, {},
+  DirectionEngine director(&dev, DirectionPolicy::kPushOnly,
                            /*can_pull=*/true);
   EXPECT_EQ(director.Choose(900, 1000, 0).value(), Direction::kPush);
   EXPECT_EQ(director.Choose(1000, 1000, 1).value(), Direction::kPush);
@@ -127,15 +126,13 @@ TEST(DirectionEngineTest, PushOnlyNeverPulls) {
 
 TEST(DirectionEngineTest, AutoWithoutPullFallsBackToPush) {
   Device dev(A100Config());
-  DirectionEngine director(&dev, DirectionPolicy::kAuto, {},
-                           /*can_pull=*/false);
+  DirectionEngine director(&dev, DirectionPolicy::kAuto, /*can_pull=*/false);
   EXPECT_EQ(director.Choose(999, 1000, 0).value(), Direction::kPush);
 }
 
 TEST(DirectionEngineTest, StatsCountRoundsFlipsAndConversions) {
   Device dev(A100Config());
-  DirectionEngine director(&dev, DirectionPolicy::kAuto, {},
-                           /*can_pull=*/true);
+  DirectionEngine director(&dev, DirectionPolicy::kAuto, /*can_pull=*/true);
   // push, pull, pull, push: two flips.
   ASSERT_EQ(director.Choose(10, 1000, 0).value(), Direction::kPush);
   ASSERT_EQ(director.Choose(500, 1000, 1).value(), Direction::kPull);
@@ -150,16 +147,6 @@ TEST(DirectionEngineTest, StatsCountRoundsFlipsAndConversions) {
   director.RecordConversion(Frontier::Rep::kSparse, Frontier::Rep::kDense);
   EXPECT_EQ(director.stats().sparse_to_dense, 2u);
   EXPECT_EQ(director.stats().dense_to_sparse, 1u);
-}
-
-TEST(DirectionEngineTest, CustomHeuristicShiftsTheSwitchPoint) {
-  Device dev(A100Config());
-  DirectionHeuristic h;
-  h.alpha = 2.0;  // pull only above n/2
-  h.min_pull_frontier = 0;
-  DirectionEngine director(&dev, DirectionPolicy::kAuto, h, /*can_pull=*/true);
-  EXPECT_EQ(director.Choose(400, 1000, 0).value(), Direction::kPush);
-  EXPECT_EQ(director.Choose(501, 1000, 1).value(), Direction::kPull);
 }
 
 // ------------------------------------------------- Advance on tiny graphs

@@ -626,88 +626,15 @@ TEST(IoTest, MatrixMarketRejectsOversizedDimensions) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
-TEST(IoTest, BinaryCsrRoundTripsExactly) {
-  auto coo = GenerateRmat({.scale = 9, .edge_factor = 6, .seed = 17}).value();
-  AttachRandomWeights(&coo, 0.0, 1.0, 18);
-  auto g = CsrGraph::FromCoo(coo).value();
-  std::string path = TempPath("adgraph_bin.csr");
-  ASSERT_TRUE(WriteBinaryCsr(g, path).ok());
-  auto back = ReadBinaryCsr(path).value();
-  EXPECT_EQ(back.num_vertices(), g.num_vertices());
-  EXPECT_EQ(back.row_offsets(), g.row_offsets());
-  EXPECT_EQ(back.col_indices(), g.col_indices());
-  EXPECT_EQ(back.weights(), g.weights());
-  std::remove(path.c_str());
-}
-
-TEST(IoTest, BinaryCsrRejectsWrongMagic) {
-  std::string path = TempPath("adgraph_bad.csr");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "garbage bytes here";
-  }
-  EXPECT_FALSE(ReadBinaryCsr(path).ok());
-  std::remove(path.c_str());
-}
-
-// Synthetic overflow: a well-formed header whose section counts claim
-// orders of magnitude more data than the file holds.  Both loaders must
-// bounds-check the declared counts against the file size *before* sizing
-// any allocation — the old path handed the count straight to resize() and
-// died attempting a multi-terabyte vector.
-
-void WriteBinaryCsrHeader(std::ofstream& out, vid_t num_vertices) {
-  const uint64_t magic = 0x4852474441ull;  // "ADGRH"
-  const uint32_t version = 2;
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(reinterpret_cast<const char*>(&num_vertices),
-            sizeof(num_vertices));
-}
-
-TEST(IoTest, BinaryCsrRejectsHugeDeclaredCountsWithoutAllocating) {
-  std::string path = TempPath("adgraph_huge.csr");
-  {
-    std::ofstream out(path, std::ios::binary);
-    WriteBinaryCsrHeader(out, 0xFFFFFFFFu);
-    // row_offsets section claiming 2^61 entries (16 EiB) with no payload.
-    const uint64_t huge_count = 1ull << 61;
-    out.write(reinterpret_cast<const char*>(&huge_count),
-              sizeof(huge_count));
-  }
-  auto read = ReadBinaryCsr(path);
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kIOError)
-      << read.status().ToString();
-  auto mapped = MappedCsr::Open(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kIOError)
-      << mapped.status().ToString();
-  std::remove(path.c_str());
-}
-
-TEST(IoTest, BinaryCsrRejectsOverflowingEdgeCount) {
-  // Structurally complete tiny file whose final row offset claims 2^40
-  // edges: the col_indices section cannot back that claim, and neither
-  // loader may size a buffer from it.
-  std::string path = TempPath("adgraph_overflow.csr");
-  {
-    std::ofstream out(path, std::ios::binary);
-    WriteBinaryCsrHeader(out, 1);
-    const eid_t offsets[2] = {0, 1ull << 40};
-    const uint64_t row_count = 2;
-    const uint64_t empty = 0;
-    out.write(reinterpret_cast<const char*>(&row_count), sizeof(row_count));
-    out.write(reinterpret_cast<const char*>(offsets), sizeof(offsets));
-    out.write(reinterpret_cast<const char*>(&empty), sizeof(empty));  // w
-    out.write(reinterpret_cast<const char*>(&empty), sizeof(empty));  // col
-  }
-  EXPECT_FALSE(ReadBinaryCsr(path).ok());
-  auto mapped = MappedCsr::Open(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kIOError)
-      << mapped.status().ToString();
-  std::remove(path.c_str());
+// A size line is outside input: a claimed 10^18 entries behind one real
+// entry must fail as a truncated file, not as a failed up-front allocation.
+TEST(IoTest, MatrixMarketRejectsHugeClaimedEntryCount) {
+  auto result = ReadMtxText("adgraph_bad10.mtx",
+                            "%%MatrixMarket matrix coordinate pattern "
+                            "general\n3 3 1000000000000000000\n1 2\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 // Tests of src/ooc/: byte-bounded partition plans, the OocCsr wrapper over
-// in-memory and memory-mapped backings, and the streamed BFS / PageRank
-// drivers — including the load-bearing acceptance property that a graph too
-// large for the device completes out-of-core with results byte-identical to
-// the in-memory path, and the fault-injection contract (a failed staged
-// copy or a truncated shard file yields a structured error, no partial
-// results, no leaked device bytes, and a still-usable device).
+// an in-memory graph, and the streamed BFS / PageRank drivers — including
+// the load-bearing acceptance property that a graph too large for the
+// device completes out-of-core with results byte-identical to the
+// in-memory path, and the fault-injection contract (a failed staged copy
+// yields a structured error, no partial results, no leaked device bytes,
+// and a still-usable device).
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <cstring>
 #include <string>
@@ -19,7 +17,6 @@
 #include "graph/csr.h"
 #include "graph/datasets.h"
 #include "graph/generate.h"
-#include "graph/io.h"
 #include "ooc/ooc_csr.h"
 #include "ooc/streamed.h"
 #include "part/partition.h"
@@ -127,7 +124,6 @@ TEST(ByteBoundedPlanTest, RejectsZeroBudgetAndEmptyOffsets) {
 TEST(OocCsrTest, FromMemoryExposesShardsAndMaxima) {
   auto g = Shared(TestGraph());
   OocCsr ooc = OocCsr::FromMemory(*g, 4 << 10).value();
-  EXPECT_FALSE(ooc.disk_backed());
   EXPECT_EQ(ooc.num_vertices(), g->num_vertices());
   EXPECT_EQ(ooc.num_edges(), g->num_edges());
   ASSERT_GE(ooc.num_shards(), 2u);
@@ -140,33 +136,6 @@ TEST(OocCsrTest, FromMemoryExposesShardsAndMaxima) {
   }
   EXPECT_EQ(edges, g->num_edges());
   EXPECT_GT(ooc.slot_bytes(), 0u);
-}
-
-TEST(OocCsrTest, SpillRoundTripsThroughDisk) {
-  CsrGraph g = TestGraph(8);
-  const std::string path = testing::TempDir() + "/ooc_spill.bin";
-  OocCsr ooc = OocCsr::Spill(g, path, 32 << 10).value();
-  EXPECT_TRUE(ooc.disk_backed());
-  ASSERT_EQ(ooc.num_vertices(), g.num_vertices());
-  ASSERT_EQ(ooc.num_edges(), g.num_edges());
-  EXPECT_EQ(0, std::memcmp(ooc.row_offsets().data(), g.row_offsets().data(),
-                           (g.num_vertices() + 1) * sizeof(eid_t)));
-  EXPECT_EQ(0, std::memcmp(ooc.col_indices().data(), g.col_indices().data(),
-                           g.num_edges() * sizeof(vid_t)));
-  ::unlink(path.c_str());
-}
-
-TEST(OocCsrTest, TruncatedShardFileFailsStructured) {
-  CsrGraph g = TestGraph(8);
-  const std::string path = testing::TempDir() + "/ooc_truncated.bin";
-  ASSERT_TRUE(graph::WriteBinaryCsr(g, path).ok());
-  struct stat st;
-  ASSERT_EQ(0, ::stat(path.c_str(), &st));
-  ASSERT_EQ(0, ::truncate(path.c_str(), st.st_size - 7));
-  auto opened = OocCsr::Open(path, 32 << 10);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
-  ::unlink(path.c_str());
 }
 
 TEST(EstimateStreamedBytesTest, OnlyBfsAndPageRankStream) {
@@ -280,29 +249,6 @@ TEST_P(StreamedIdentityTest, OverBudgetGraphMatchesInMemoryByteForByte) {
 INSTANTIATE_TEST_SUITE_P(Proxies, StreamedIdentityTest,
                          testing::Values("web-Google", "soc-liveJournal1",
                                          "cit-Patents"));
-
-TEST(StreamedTest, DiskBackedRunMatchesInMemory) {
-  auto g = Shared(TestGraph());
-  const std::string path = testing::TempDir() + "/ooc_disk_run.bin";
-  CsrGraph pull =
-      core::BuildHostVariant(*g, core::GraphVariant::kPullTranspose).value();
-  OocCsr disk_pull = OocCsr::Spill(pull, path, 24 << 10).value();
-  ASSERT_TRUE(disk_pull.disk_backed());
-
-  vgpu::Device roomy(vgpu::A100Config());
-  core::PageRankOptions options;
-  auto want = core::Run<core::Algo::kPageRank>(&roomy, *g, options).value();
-
-  vgpu::Device small = SmallDevice(*g, 24 << 10);
-  auto got = RunStreamedPageRank(&small, disk_pull, g->row_offsets(), options,
-                                 {});
-  ASSERT_TRUE(got.ok()) << got.status().message();
-  ASSERT_EQ(got->ranks.size(), want.ranks.size());
-  EXPECT_EQ(0, std::memcmp(got->ranks.data(), want.ranks.data(),
-                           want.ranks.size() * sizeof(double)));
-  EXPECT_EQ(got->iterations, want.iterations);
-  ::unlink(path.c_str());
-}
 
 TEST(StreamedTest, ZeroEdgeShardsStillWriteIdentity) {
   // Star graph: after the hub's shard, every shard is pure zero-edge rows;

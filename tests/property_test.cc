@@ -246,11 +246,11 @@ TEST_P(SpmvPropertyTest, PlusTimesIsLinear) {
   for (auto& v : x) v = rng.NextDouble();
   for (auto& v : y) v = rng.NextDouble();
   vgpu::Device dev(vgpu::A100Config());
-  auto ax = core::RunSpmv(&dev, g, x, {}).value();
-  auto ay = core::RunSpmv(&dev, g, y, {}).value();
+  auto ax = core::RunSpmv(&dev, g, x).value();
+  auto ay = core::RunSpmv(&dev, g, y).value();
   std::vector<double> xy(g.num_vertices());
   for (size_t i = 0; i < xy.size(); ++i) xy[i] = 2 * x[i] + 3 * y[i];
-  auto axy = core::RunSpmv(&dev, g, xy, {}).value();
+  auto axy = core::RunSpmv(&dev, g, xy).value();
   for (size_t i = 0; i < xy.size(); ++i) {
     EXPECT_NEAR(axy[i], 2 * ax[i] + 3 * ay[i], 1e-8) << "row " << i;
   }

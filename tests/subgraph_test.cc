@@ -157,80 +157,6 @@ TEST(EsbvTest, OomOnTightDevice) {
   EXPECT_TRUE(result.status().IsOutOfMemory());
 }
 
-
-// ------------------------------------------------------------------ ESBE
-
-TEST(EsbeTest, KeepsExactlySelectedEdges) {
-  GraphBuilder b(6);
-  b.AddEdge(0, 1, 1.0).AddEdge(0, 2, 2.0).AddEdge(3, 4, 3.0)
-      .AddEdge(4, 5, 4.0);
-  Device dev(A100Config());
-  auto g = b.Build().value();
-  EsbeOptions options;
-  options.edges = {0, 2};  // (0,1) and (3,4)
-  auto result = ExtractSubgraphByEdge(&dev, g, options).value();
-  EXPECT_EQ(result.subgraph_vertices, 4u);  // 0,1,3,4
-  EXPECT_EQ(result.subgraph_edges, 2u);
-  auto canon = Canonicalize(result.subgraph);
-  ASSERT_EQ(canon.edges.size(), 2u);
-  EXPECT_EQ(canon.edges[0], std::make_tuple(0u, 1u, 1.0));
-  EXPECT_EQ(canon.edges[1], std::make_tuple(2u, 3u, 3.0));
-}
-
-TEST(EsbeTest, MatchesHostReferenceOnRmat) {
-  Device dev(A100Config());
-  auto g = WeightedTestGraph(9, 48);
-  // Every third edge.
-  EsbeOptions options;
-  for (graph::eid_t e = 0; e < g.num_edges(); e += 3) {
-    options.edges.push_back(e);
-  }
-  auto result = ExtractSubgraphByEdge(&dev, g, options).value();
-  auto expected = host_ref::ExtractSubgraphByEdge(g, options.edges);
-  EXPECT_EQ(result.subgraph_vertices, expected.num_vertices());
-  EXPECT_EQ(result.subgraph_edges, expected.num_edges());
-  EXPECT_EQ(Canonicalize(result.subgraph).edges,
-            Canonicalize(expected).edges);
-}
-
-TEST(EsbeTest, UnweightedGraphAccepted) {
-  GraphBuilder b(4);
-  b.AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3);
-  Device dev(A100Config());
-  EsbeOptions options;
-  options.edges = {1};
-  auto result = ExtractSubgraphByEdge(&dev, b.Build().value(), options)
-                    .value();
-  EXPECT_EQ(result.subgraph_vertices, 2u);
-  EXPECT_EQ(result.subgraph_edges, 1u);
-  EXPECT_FALSE(result.subgraph.has_weights());
-}
-
-TEST(EsbeTest, EmptySelectionAndValidation) {
-  Device dev(A100Config());
-  auto g = WeightedTestGraph(8, 49);
-  EsbeOptions empty;
-  auto result = ExtractSubgraphByEdge(&dev, g, empty).value();
-  EXPECT_EQ(result.subgraph_vertices, 0u);
-  EXPECT_EQ(result.subgraph_edges, 0u);
-  EsbeOptions bad;
-  bad.edges = {g.num_edges()};
-  EXPECT_FALSE(ExtractSubgraphByEdge(&dev, g, bad).ok());
-}
-
-TEST(EsbeTest, MatchesOnAmdLikeDevice) {
-  Device dev(Z100LConfig());
-  auto g = WeightedTestGraph(8, 50);
-  EsbeOptions options;
-  for (graph::eid_t e = 1; e < g.num_edges(); e += 5) {
-    options.edges.push_back(e);
-  }
-  auto result = ExtractSubgraphByEdge(&dev, g, options).value();
-  auto expected = host_ref::ExtractSubgraphByEdge(g, options.edges);
-  EXPECT_EQ(Canonicalize(result.subgraph).edges,
-            Canonicalize(expected).edges);
-}
-
 TEST(SelectPseudoClusterTest, FractionRoughlyHonored) {
   auto sel = SelectPseudoCluster(100000, 0.6, 3);
   EXPECT_NEAR(static_cast<double>(sel.size()) / 100000, 0.6, 0.02);

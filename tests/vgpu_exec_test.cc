@@ -269,48 +269,23 @@ TEST_F(ExecTest, SelectPredicatesWithoutBranch) {
 // ------------------------------------------------------------ collectives
 
 TEST_F(ExecTest, ReductionsAndVotes) {
-  auto dout = dev().Alloc<uint32_t>(4).value();
+  auto dout = dev().Alloc<uint32_t>(2).value();
   auto stats = dev().Launch("reduce", {1, 8}, [&](Ctx& c) -> KernelTask {
     auto tid = c.GlobalThreadId();
     uint32_t sum = c.ReduceAdd(tid);
-    uint32_t mx = c.ReduceMax(tid);
-    uint32_t mn = c.ReduceMin(c.Add(tid, 3u));
     bool any_big = c.Any(c.Gt(tid, 6u));
     bool all_big = c.All(c.Gt(tid, 6u));
     c.If(c.Eq(c.LaneId(), 0u), [&](Ctx& c) {
       c.Store(dout, c.Splat<uint32_t>(0), c.Splat(sum));
-      c.Store(dout, c.Splat<uint32_t>(1), c.Splat(mx));
-      c.Store(dout, c.Splat<uint32_t>(2), c.Splat(mn));
-      c.Store(dout, c.Splat<uint32_t>(3),
+      c.Store(dout, c.Splat<uint32_t>(1),
               c.Splat<uint32_t>((any_big ? 1u : 0u) | (all_big ? 2u : 0u)));
     });
     co_return;
   });
   ASSERT_TRUE(stats.ok());
-  auto out = Download(&dev(), dout, 4);
+  auto out = Download(&dev(), dout, 2);
   EXPECT_EQ(out[0], 28u);  // 0+..+7
-  EXPECT_EQ(out[1], 7u);
-  EXPECT_EQ(out[2], 3u);
-  EXPECT_EQ(out[3], 1u);  // any but not all
-}
-
-TEST_F(ExecTest, RankAmongAndBroadcast) {
-  auto dout = dev().Alloc<uint32_t>(8).value();
-  ASSERT_TRUE(dev().Memset(dout, 0xFF, 8).ok());
-  auto stats = dev().Launch("rank", {1, 8}, [&](Ctx& c) -> KernelTask {
-    auto tid = c.GlobalThreadId();
-    auto odd = c.Eq(c.Rem(tid, 2u), 1u);
-    auto rank = c.RankAmong(odd);
-    c.If(odd, [&](Ctx& c) { c.Store(dout, tid, rank); });
-    co_return;
-  });
-  ASSERT_TRUE(stats.ok());
-  auto out = Download(&dev(), dout, 8);
-  EXPECT_EQ(out[1], 0u);
-  EXPECT_EQ(out[3], 1u);
-  EXPECT_EQ(out[5], 2u);
-  EXPECT_EQ(out[7], 3u);
-  EXPECT_EQ(out[0], 0xFFFFFFFFu);  // untouched
+  EXPECT_EQ(out[1], 1u);  // any but not all
 }
 
 // -------------------------------------------------------------- atomics
@@ -364,19 +339,16 @@ TEST_F(ExecTest, AtomicCasAndMin) {
   EXPECT_EQ(out[1], 5u);
 }
 
-TEST_F(ExecTest, AtomicExchAndOr) {
-  std::vector<uint32_t> init{0, 0};
+TEST_F(ExecTest, AtomicExchLastLaneWins) {
+  std::vector<uint32_t> init{0};
   auto data = Upload(&dev(), init);
-  auto stats = dev().Launch("exchor", {1, 4}, [&](Ctx& c) -> KernelTask {
+  auto stats = dev().Launch("exch", {1, 4}, [&](Ctx& c) -> KernelTask {
     auto tid = c.GlobalThreadId();
-    c.AtomicOr(data, c.Splat<uint32_t>(0), c.Shl(c.Splat<uint32_t>(1), tid));
-    c.AtomicExch(data, c.Splat<uint32_t>(1), c.Add(tid, 1u));
+    c.AtomicExch(data, c.Splat<uint32_t>(0), c.Add(tid, 1u));
     co_return;
   });
   ASSERT_TRUE(stats.ok());
-  auto out = Download(&dev(), data, 2);
-  EXPECT_EQ(out[0], 0b1111u);
-  EXPECT_EQ(out[1], 4u);  // lane order: last lane wins
+  EXPECT_EQ(Download(&dev(), data, 1)[0], 4u);  // lane order: last lane wins
 }
 
 // ---------------------------------------------------- shared mem + sync
@@ -420,32 +392,6 @@ TEST_F(ExecTest, SharedAtomicsAccumulate) {
   });
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(Download(&dev(), dout, 1)[0], 128u);
-}
-
-TEST_F(ExecTest, SharedAtomicCasInsertsOnce) {
-  auto dout = dev().Alloc<uint32_t>(2).value();
-  vgpu::LaunchDims dims{1, 32, 16};
-  auto stats = dev().Launch("scas", dims, [&](Ctx& c) -> KernelTask {
-    SmemPtr<uint32_t> slot{0};
-    auto zero = c.Splat<uint32_t>(0);
-    c.SharedStore(slot, zero, c.Splat<uint32_t>(0xFFFFFFFFu));
-    auto tid = c.BlockThreadId();
-    auto old = c.SharedAtomicCas(slot, zero, c.Splat<uint32_t>(0xFFFFFFFFu),
-                                 c.Add(tid, 1u));
-    // Exactly one lane sees EMPTY.
-    auto winner = c.Eq(old, 0xFFFFFFFFu);
-    auto wins = c.Select(winner, c.Splat<uint32_t>(1), c.Splat<uint32_t>(0));
-    uint32_t total = c.ReduceAdd(wins);
-    c.If(c.Eq(c.LaneId(), 0u), [&](Ctx& c) {
-      c.Store(dout, zero, c.Splat(total));
-      c.Store(dout, c.Splat<uint32_t>(1), c.SharedLoad(slot, zero));
-    });
-    co_return;
-  });
-  ASSERT_TRUE(stats.ok());
-  auto out = Download(&dev(), dout, 2);
-  EXPECT_EQ(out[0], 1u);
-  EXPECT_EQ(out[1], 1u);  // lane 0 won (lane order)
 }
 
 TEST_F(ExecTest, BarrierDeadlockDetected) {
@@ -601,20 +547,6 @@ TEST(WideWarpTest, PartialWavefrontMasksAndReduces) {
   EXPECT_EQ(out[0], 64u * 63u / 2u);                 // 0..63
   EXPECT_EQ(out[1], (64u + 79u) * 16u / 2u);         // 64..79
   EXPECT_EQ(stats->counters.warps_launched, 2u);
-}
-
-TEST_F(ExecTest, GridThreadsAndRemInLoop) {
-  auto counter = dev().Alloc<uint32_t>(1).value();
-  ASSERT_TRUE(dev().Memset(counter, 0, 1).ok());
-  auto stats = dev().Launch("gridthreads", {4, 96}, [&](Ctx& c) -> KernelTask {
-    // Every thread checks the host-visible grid size.
-    if (c.GridThreads() == 4 * 96) {
-      c.AtomicAdd(counter, c.Splat<uint32_t>(0), c.Splat<uint32_t>(1));
-    }
-    co_return;
-  });
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(Download(&dev(), counter, 1)[0], 4u * 96u);
 }
 
 // ------------------------------------------------ paradigm counter deltas
