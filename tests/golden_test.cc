@@ -15,6 +15,10 @@
 #include "engine/algorithms.h"
 #include "graph/datasets.h"
 #include "graph/delta.h"
+#include "part/engine.h"
+#include "part/part_bfs.h"
+#include "part/part_pagerank.h"
+#include "part/partition.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
 
@@ -182,6 +186,25 @@ uint64_t ModeledDigest(double time_ms, const Device& dev) {
   return d.value();
 }
 
+/// The modeled side of a gang run: the payload's time and the exchange
+/// statistics, then, per gang device in device order, its kernel log and
+/// both of its clocks.
+uint64_t GangDigest(double time_ms, const core::ExchangeStats& exchange,
+                    part::PartitionedEngine& engine) {
+  Digest d;
+  d.F64(time_ms);
+  d.U64(exchange.rounds);
+  d.U64(exchange.bytes);
+  d.F64(exchange.compute_ms);
+  d.F64(exchange.exchange_ms);
+  for (uint32_t i = 0; i < engine.num_devices(); ++i) {
+    const Device& dev = *engine.device(i);
+    d.U64(ModeledDigest(dev.elapsed_ms(), dev));
+    d.F64(dev.transfer_ms());
+  }
+  return d.value();
+}
+
 /// One frozen golden row: a case on one proxy and one GPU.
 struct Frozen {
   std::string_view dataset;
@@ -196,8 +219,10 @@ struct Frozen {
 // core::Run with a WarmStart for the warm start) and, in the `-warp` rows,
 // the engine drivers under warp-per-vertex gather.  The TC, ESBV, k-core,
 // coloring, Jaccard and `reused-` rows pin the simulator's heaviest kernels
-// and a device reset between jobs.  Any change to a row is a change to
-// modeled output and must be named as one.  A mismatch prints the actual
+// and a device reset between jobs.  The `-gangN` rows freeze the
+// partitioned drivers, every gang device's kernel log and clocks included
+// (GangDigest).  Any change to a row is a change to modeled output and must
+// be named as one.  A mismatch prints the actual
 // row in this format.
 constexpr Frozen kFrozen[] = {
   {"web-Stanford", "A100", "bfs-parents", 0xce35d9b0d8634c25, 0x4bd055064c5c35bb},
@@ -411,7 +436,174 @@ constexpr Frozen kFrozen[] = {
   {"web-Google", "Z100L", "reused-tc", 0x1cd5a3e62fbe6247, 0x692880b1d8b28400},
   {"web-Google", "Z100L", "reused-esbv", 0x3e02518be5fc4975, 0x29b209957c40c38e},
   {"web-Google", "Z100L", "reused-bfs", 0x8bc4bcf3b4d6b669, 0x0ae8a9e3949a57c0},
-  {"web-Google", "Z100L", "reused-pagerank", 0x65ce8ff81b9959cf, 0xf6ab6ec8a67bb2e6},
+  {"web-Google", "Z100L", "reused-pagerank", 0x65ce8ff81b9959cf, 0xf6ab6ec8a67bb2e6},  {"web-Stanford", "A100", "bfs-gang2", 0x682667769ff6a348, 0xae788d6b85a02d82},
+  {"web-Stanford", "A100", "bfs-gang2-degree", 0x682667769ff6a348, 0x2f02bf3d21245cfb},
+  {"web-Stanford", "A100", "bfs-gang4", 0x682667769ff6a348, 0xf6dc31abf2c37363},
+  {"web-Stanford", "A100", "bfs-gang4-degree", 0x682667769ff6a348, 0x2724c1e75c5eb063},
+  {"web-Stanford", "A100", "bfs-gang8", 0x682667769ff6a348, 0xd5ab6fe59a5e6deb},
+  {"web-Stanford", "A100", "bfs-gang8-degree", 0x682667769ff6a348, 0x15529cd0a0a36bcf},
+  {"web-Stanford", "Z100L", "bfs-gang2", 0x682667769ff6a348, 0xec31cc57f0ec1daf},
+  {"web-Stanford", "Z100L", "bfs-gang2-degree", 0x682667769ff6a348, 0xa9f065c2d97ab9c2},
+  {"web-Stanford", "Z100L", "bfs-gang4", 0x682667769ff6a348, 0x8d0e6d293f3e0a7d},
+  {"web-Stanford", "Z100L", "bfs-gang4-degree", 0x682667769ff6a348, 0x306b6b091e6793e2},
+  {"web-Stanford", "Z100L", "bfs-gang8", 0x682667769ff6a348, 0xa69bcfb7b1ab0bbc},
+  {"web-Stanford", "Z100L", "bfs-gang8-degree", 0x682667769ff6a348, 0xfb264f79428d853b},
+  {"web-Google", "A100", "bfs-gang2", 0x6cd67cd1237289d8, 0xe3ec879e5eb25c72},
+  {"web-Google", "A100", "bfs-gang2-degree", 0x6cd67cd1237289d8, 0xf03b55a8c08551e7},
+  {"web-Google", "A100", "bfs-gang4", 0x6cd67cd1237289d8, 0x9fa4a90a079b085b},
+  {"web-Google", "A100", "bfs-gang4-degree", 0x6cd67cd1237289d8, 0xe1d2cdd38b57e2a4},
+  {"web-Google", "A100", "bfs-gang8", 0x6cd67cd1237289d8, 0x049b6f8f7a5a700c},
+  {"web-Google", "A100", "bfs-gang8-degree", 0x6cd67cd1237289d8, 0x4f435d13aaa4ab9b},
+  {"web-Google", "Z100L", "bfs-gang2", 0x6cd67cd1237289d8, 0x6b14ae9697f964f1},
+  {"web-Google", "Z100L", "bfs-gang2-degree", 0x6cd67cd1237289d8, 0xa8c9e12624c93cf9},
+  {"web-Google", "Z100L", "bfs-gang4", 0x6cd67cd1237289d8, 0xd398950049295ca4},
+  {"web-Google", "Z100L", "bfs-gang4-degree", 0x6cd67cd1237289d8, 0x1f1b1cbae42ad100},
+  {"web-Google", "Z100L", "bfs-gang8", 0x6cd67cd1237289d8, 0x288f4db584f7ad3f},
+  {"web-Google", "Z100L", "bfs-gang8-degree", 0x6cd67cd1237289d8, 0xef9b132107d35128},
+  {"cit-Patents", "A100", "bfs-gang2", 0x061fda1240b06637, 0xcf02d2f6e7913da1},
+  {"cit-Patents", "A100", "bfs-gang2-degree", 0x061fda1240b06637, 0xb8b79e7d2a0d93fe},
+  {"cit-Patents", "A100", "bfs-gang4", 0x061fda1240b06637, 0x32708c6d65e0b64f},
+  {"cit-Patents", "A100", "bfs-gang4-degree", 0x061fda1240b06637, 0x437b6943431be92e},
+  {"cit-Patents", "A100", "bfs-gang8", 0x061fda1240b06637, 0xb41a571acfc23859},
+  {"cit-Patents", "A100", "bfs-gang8-degree", 0x061fda1240b06637, 0xe6a73ce31ddfec3d},
+  {"cit-Patents", "Z100L", "bfs-gang2", 0x061fda1240b06637, 0x53ff0c2b462d292e},
+  {"cit-Patents", "Z100L", "bfs-gang2-degree", 0x061fda1240b06637, 0xf61f21bed25fef86},
+  {"cit-Patents", "Z100L", "bfs-gang4", 0x061fda1240b06637, 0x7df78b4cab557184},
+  {"cit-Patents", "Z100L", "bfs-gang4-degree", 0x061fda1240b06637, 0x7d3e82fad33182fd},
+  {"cit-Patents", "Z100L", "bfs-gang8", 0x061fda1240b06637, 0x4fc66856111ef60e},
+  {"cit-Patents", "Z100L", "bfs-gang8-degree", 0x061fda1240b06637, 0x8cde2b379b54cbd9},
+  {"soc-liveJournal1", "A100", "bfs-gang2", 0xb091817b4cdfaf85, 0xa8dfb05c033e7aaa},
+  {"soc-liveJournal1", "A100", "bfs-gang2-degree", 0xb091817b4cdfaf85, 0x61c3a2f9eee00bf4},
+  {"soc-liveJournal1", "A100", "bfs-gang4", 0xb091817b4cdfaf85, 0xfec0ff40fc7a4201},
+  {"soc-liveJournal1", "A100", "bfs-gang4-degree", 0xb091817b4cdfaf85, 0xcbb1f0c71750e598},
+  {"soc-liveJournal1", "A100", "bfs-gang8", 0xb091817b4cdfaf85, 0xbd416f9a055987ec},
+  {"soc-liveJournal1", "A100", "bfs-gang8-degree", 0xb091817b4cdfaf85, 0x28b495ae6c4db1d5},
+  {"soc-liveJournal1", "Z100L", "bfs-gang2", 0xb091817b4cdfaf85, 0x634bc3edc747bf78},
+  {"soc-liveJournal1", "Z100L", "bfs-gang2-degree", 0xb091817b4cdfaf85, 0xddf0ec2d8b1738fd},
+  {"soc-liveJournal1", "Z100L", "bfs-gang4", 0xb091817b4cdfaf85, 0x1f579c181bebf08c},
+  {"soc-liveJournal1", "Z100L", "bfs-gang4-degree", 0xb091817b4cdfaf85, 0xd22726d4b0e897b8},
+  {"soc-liveJournal1", "Z100L", "bfs-gang8", 0xb091817b4cdfaf85, 0x59fb84312a1af9d1},
+  {"soc-liveJournal1", "Z100L", "bfs-gang8-degree", 0xb091817b4cdfaf85, 0x3efb866b2579c44a},
+  {"soc-sinaweibo", "A100", "bfs-gang2", 0xea5f629da26d1bca, 0xd7f353c57865d3cd},
+  {"soc-sinaweibo", "A100", "bfs-gang2-degree", 0xea5f629da26d1bca, 0x6e4299bb81dee54f},
+  {"soc-sinaweibo", "A100", "bfs-gang4", 0xea5f629da26d1bca, 0xc4333593beedad55},
+  {"soc-sinaweibo", "A100", "bfs-gang4-degree", 0xea5f629da26d1bca, 0xdd022e1e9e87bcf8},
+  {"soc-sinaweibo", "A100", "bfs-gang8", 0xea5f629da26d1bca, 0x7994544ab0cb1f48},
+  {"soc-sinaweibo", "A100", "bfs-gang8-degree", 0xea5f629da26d1bca, 0x37582f7165997b60},
+  {"soc-sinaweibo", "Z100L", "bfs-gang2", 0xea5f629da26d1bca, 0xcb2e7b87fad31180},
+  {"soc-sinaweibo", "Z100L", "bfs-gang2-degree", 0xea5f629da26d1bca, 0x861469daa7a5093c},
+  {"soc-sinaweibo", "Z100L", "bfs-gang4", 0xea5f629da26d1bca, 0xb9cd3e2a32dbc90a},
+  {"soc-sinaweibo", "Z100L", "bfs-gang4-degree", 0xea5f629da26d1bca, 0xd1a3122ba33e9e88},
+  {"soc-sinaweibo", "Z100L", "bfs-gang8", 0xea5f629da26d1bca, 0xb91ce32ab29f2c0f},
+  {"soc-sinaweibo", "Z100L", "bfs-gang8-degree", 0xea5f629da26d1bca, 0x278e6772147cc397},
+  {"web-uk-2002-all", "A100", "bfs-gang2", 0xb0d83ffc8bb50993, 0x8bd5a74f4aeb8729},
+  {"web-uk-2002-all", "A100", "bfs-gang2-degree", 0xb0d83ffc8bb50993, 0x1d103b36927d0d4d},
+  {"web-uk-2002-all", "A100", "bfs-gang4", 0xb0d83ffc8bb50993, 0x820efdc226d8c6a3},
+  {"web-uk-2002-all", "A100", "bfs-gang4-degree", 0xb0d83ffc8bb50993, 0x29dafd81ecc3a241},
+  {"web-uk-2002-all", "A100", "bfs-gang8", 0xb0d83ffc8bb50993, 0x7edfb500b4838987},
+  {"web-uk-2002-all", "A100", "bfs-gang8-degree", 0xb0d83ffc8bb50993, 0x08702b58ec3f02fc},
+  {"web-uk-2002-all", "Z100L", "bfs-gang2", 0xb0d83ffc8bb50993, 0xfccec717922315e4},
+  {"web-uk-2002-all", "Z100L", "bfs-gang2-degree", 0xb0d83ffc8bb50993, 0x387dbae12a370728},
+  {"web-uk-2002-all", "Z100L", "bfs-gang4", 0xb0d83ffc8bb50993, 0x08e3a0b0d09720c9},
+  {"web-uk-2002-all", "Z100L", "bfs-gang4-degree", 0xb0d83ffc8bb50993, 0x086aec8f4f43443c},
+  {"web-uk-2002-all", "Z100L", "bfs-gang8", 0xb0d83ffc8bb50993, 0xbf92565be4c443af},
+  {"web-uk-2002-all", "Z100L", "bfs-gang8-degree", 0xb0d83ffc8bb50993, 0x44dbdfbc1cc37bbc},
+  {"twitter-mpi", "A100", "bfs-gang2", 0xa647df738a49eb5f, 0x3b60494ba57c1e4f},
+  {"twitter-mpi", "A100", "bfs-gang2-degree", 0xa647df738a49eb5f, 0xdcaac307859ca1f2},
+  {"twitter-mpi", "A100", "bfs-gang4", 0xa647df738a49eb5f, 0xc4891f39a225f572},
+  {"twitter-mpi", "A100", "bfs-gang4-degree", 0xa647df738a49eb5f, 0x40a91d1b16ec2952},
+  {"twitter-mpi", "A100", "bfs-gang8", 0xa647df738a49eb5f, 0x416d93434c1ae0fe},
+  {"twitter-mpi", "A100", "bfs-gang8-degree", 0xa647df738a49eb5f, 0xe356ea35067eb087},
+  {"twitter-mpi", "Z100L", "bfs-gang2", 0xa647df738a49eb5f, 0x6f028c6e2878f7e3},
+  {"twitter-mpi", "Z100L", "bfs-gang2-degree", 0xa647df738a49eb5f, 0x8daba9831fb2754e},
+  {"twitter-mpi", "Z100L", "bfs-gang4", 0xa647df738a49eb5f, 0xd60f0bf1d880abc1},
+  {"twitter-mpi", "Z100L", "bfs-gang4-degree", 0xa647df738a49eb5f, 0xa3a5cceb8cc5b0ef},
+  {"twitter-mpi", "Z100L", "bfs-gang8", 0xa647df738a49eb5f, 0x35ff7889036fc298},
+  {"twitter-mpi", "Z100L", "bfs-gang8-degree", 0xa647df738a49eb5f, 0x93f3c8ef7ccf6fe2},
+  {"web-Stanford", "A100", "pagerank-gang2", 0xc86c1dbdeb010673, 0x353c2dbd717f074a},
+  {"web-Stanford", "A100", "pagerank-gang2-degree", 0xf297e551e373e713, 0xe200de64b6162e49},
+  {"web-Stanford", "A100", "pagerank-gang4", 0x3a60342676f8dfbe, 0x052b5cf0eeb893bd},
+  {"web-Stanford", "A100", "pagerank-gang4-degree", 0x2cc98c53cdc2ed6d, 0x980fa114df759640},
+  {"web-Stanford", "A100", "pagerank-gang8", 0x2b5b6dd0b885d164, 0x99ab34aa98989216},
+  {"web-Stanford", "A100", "pagerank-gang8-degree", 0x1880ab15e7149090, 0x80293492f3c65f8c},
+  {"web-Stanford", "Z100L", "pagerank-gang2", 0x859e636e856c0fc3, 0xe1b39098ba0aaf16},
+  {"web-Stanford", "Z100L", "pagerank-gang2-degree", 0xb9568f67f83ad866, 0x1ca14fb32a56316c},
+  {"web-Stanford", "Z100L", "pagerank-gang4", 0xeda2ed2b0d5de72d, 0x9a599e421c2cdf69},
+  {"web-Stanford", "Z100L", "pagerank-gang4-degree", 0x4a1743b81390f43e, 0x132024b29953ef3f},
+  {"web-Stanford", "Z100L", "pagerank-gang8", 0x8db7f87055041166, 0x5c7c91ca06ef18d4},
+  {"web-Stanford", "Z100L", "pagerank-gang8-degree", 0x5c353d76a5c2f0ab, 0xc675aeb820c5db07},
+  {"web-Google", "A100", "pagerank-gang2", 0xe81346421bbb3e00, 0x6694b98ed5763312},
+  {"web-Google", "A100", "pagerank-gang2-degree", 0x40bbe398e89ee377, 0xf6a7ea80c53ad91e},
+  {"web-Google", "A100", "pagerank-gang4", 0x8b5655d5b260caed, 0xf66126d1d7e188c4},
+  {"web-Google", "A100", "pagerank-gang4-degree", 0x272b95982bf0796f, 0x591856c766513de9},
+  {"web-Google", "A100", "pagerank-gang8", 0x47d4a2a40d2b8b7d, 0x569cb95f3928e453},
+  {"web-Google", "A100", "pagerank-gang8-degree", 0xa6729dd54e9051be, 0x3091638754e3553c},
+  {"web-Google", "Z100L", "pagerank-gang2", 0x0eea692da4026811, 0xdd55cd6a6d7b4c9d},
+  {"web-Google", "Z100L", "pagerank-gang2-degree", 0x40bbe398e89ee377, 0x4e6b23cb03ebb652},
+  {"web-Google", "Z100L", "pagerank-gang4", 0x8b5655d5b260caed, 0xb5a6d5123806e610},
+  {"web-Google", "Z100L", "pagerank-gang4-degree", 0x3b1ff0eb74a2f86c, 0xeb020e8689d244ce},
+  {"web-Google", "Z100L", "pagerank-gang8", 0x47d4a2a40d2b8b7d, 0xd7d232a562460c55},
+  {"web-Google", "Z100L", "pagerank-gang8-degree", 0xa6729dd54e9051be, 0xe7a458051fb8750a},
+  {"cit-Patents", "A100", "pagerank-gang2", 0xf6339b646bc005a5, 0x10b0251e7ecf0864},
+  {"cit-Patents", "A100", "pagerank-gang2-degree", 0xf8824e1c262fb99f, 0xdb057cd237142486},
+  {"cit-Patents", "A100", "pagerank-gang4", 0x2b270db334d166c9, 0x8df9584daafd0fc0},
+  {"cit-Patents", "A100", "pagerank-gang4-degree", 0xd355bd4739af4324, 0x17c9f9e6aa8642ae},
+  {"cit-Patents", "A100", "pagerank-gang8", 0xf3f9f0d499fa76f6, 0x15b817ccbb03f7a0},
+  {"cit-Patents", "A100", "pagerank-gang8-degree", 0x38840b20cbdfca23, 0x6cdb3a96b80038ce},
+  {"cit-Patents", "Z100L", "pagerank-gang2", 0x3386c67a1a3b56aa, 0x64213742ec85157f},
+  {"cit-Patents", "Z100L", "pagerank-gang2-degree", 0xf821158e407da612, 0x1a5caec6aab72f0d},
+  {"cit-Patents", "Z100L", "pagerank-gang4", 0x72c44ba28b1af8ad, 0x085be590a45151be},
+  {"cit-Patents", "Z100L", "pagerank-gang4-degree", 0xb347915ce0b6a00a, 0x14dd09096a726f1e},
+  {"cit-Patents", "Z100L", "pagerank-gang8", 0xaeb99e6c1a48c2bb, 0xeb496c17c140f146},
+  {"cit-Patents", "Z100L", "pagerank-gang8-degree", 0xd77719e3910ea9d9, 0x4bfcf87f9d70c729},
+  {"soc-liveJournal1", "A100", "pagerank-gang2", 0xa3cdd4ceb8247c6f, 0x9afc4126972bb97d},
+  {"soc-liveJournal1", "A100", "pagerank-gang2-degree", 0x5c980dcdec765901, 0x135765fd3fe33e53},
+  {"soc-liveJournal1", "A100", "pagerank-gang4", 0x6f3bbd731133e4c9, 0xa0950d9ed3ee2b5b},
+  {"soc-liveJournal1", "A100", "pagerank-gang4-degree", 0xf5bcfcd245d9cdd5, 0x7dac92206f7485f9},
+  {"soc-liveJournal1", "A100", "pagerank-gang8", 0xe76007f9c933f830, 0xb83c89f87df5d329},
+  {"soc-liveJournal1", "A100", "pagerank-gang8-degree", 0x676b0ee3b9d49377, 0xeb7cf2f7137b9475},
+  {"soc-liveJournal1", "Z100L", "pagerank-gang2", 0xeee951315bd2050a, 0x85b390be4e672e12},
+  {"soc-liveJournal1", "Z100L", "pagerank-gang2-degree", 0x6c24eced0c28a4fc, 0x3f196f1b57592c7a},
+  {"soc-liveJournal1", "Z100L", "pagerank-gang4", 0x6f3bbd731133e4c9, 0x48492bab5bbcbff9},
+  {"soc-liveJournal1", "Z100L", "pagerank-gang4-degree", 0xf5bcfcd245d9cdd5, 0x8d9383b1d8003906},
+  {"soc-liveJournal1", "Z100L", "pagerank-gang8", 0xe76007f9c933f830, 0xedf5d7461c808796},
+  {"soc-liveJournal1", "Z100L", "pagerank-gang8-degree", 0x676b0ee3b9d49377, 0x00d8fd5af06b8db3},
+  {"soc-sinaweibo", "A100", "pagerank-gang2", 0x4530d9c55a182273, 0xbbca976cdfd6adf5},
+  {"soc-sinaweibo", "A100", "pagerank-gang2-degree", 0xd799b8d5dcccc306, 0xeeb054b7c971a0da},
+  {"soc-sinaweibo", "A100", "pagerank-gang4", 0xffe4559b01e28fab, 0xb9e2792c35b37f74},
+  {"soc-sinaweibo", "A100", "pagerank-gang4-degree", 0x8b6db8f287ac5173, 0x1d37c5078ef2f0d8},
+  {"soc-sinaweibo", "A100", "pagerank-gang8", 0x98817954c7c8485a, 0x4e1ecf7288578c06},
+  {"soc-sinaweibo", "A100", "pagerank-gang8-degree", 0x29357e275b55a7fb, 0xa7e80c8874b8279e},
+  {"soc-sinaweibo", "Z100L", "pagerank-gang2", 0x05d7f679a963112c, 0xccf6bfbc4091cd93},
+  {"soc-sinaweibo", "Z100L", "pagerank-gang2-degree", 0xbaa030e5bbecb288, 0x4c6e61eb8d5f065e},
+  {"soc-sinaweibo", "Z100L", "pagerank-gang4", 0xdfe8ac0b1ec774d0, 0xab3be4fc21754cd3},
+  {"soc-sinaweibo", "Z100L", "pagerank-gang4-degree", 0xa6bb8bc9daa3f47c, 0x75f79bc2a26d466b},
+  {"soc-sinaweibo", "Z100L", "pagerank-gang8", 0x83373472ab63c20e, 0x9b4c959261af1a7f},
+  {"soc-sinaweibo", "Z100L", "pagerank-gang8-degree", 0xcb85f69be048aac4, 0xc333c3cd546df90e},
+  {"web-uk-2002-all", "A100", "pagerank-gang2", 0x94cc784e2474e158, 0x906a94812025f448},
+  {"web-uk-2002-all", "A100", "pagerank-gang2-degree", 0x10daca7458df6e27, 0x6ba9159a3bb7fecc},
+  {"web-uk-2002-all", "A100", "pagerank-gang4", 0x2ede38d7b7e63c67, 0xe1c4239528938187},
+  {"web-uk-2002-all", "A100", "pagerank-gang4-degree", 0xc0a3b5f2f97c28a7, 0xcae7e8c4d56d1e81},
+  {"web-uk-2002-all", "A100", "pagerank-gang8", 0x34fa61f61f309130, 0x079aa77df194dad4},
+  {"web-uk-2002-all", "A100", "pagerank-gang8-degree", 0xec09881d47bca546, 0x7dbf11c2e764ea96},
+  {"web-uk-2002-all", "Z100L", "pagerank-gang2", 0xfb3dd3b81b12eb5f, 0x452581d1fbc27b7f},
+  {"web-uk-2002-all", "Z100L", "pagerank-gang2-degree", 0xa9284e8a95e902d5, 0x492cbc7401443c54},
+  {"web-uk-2002-all", "Z100L", "pagerank-gang4", 0xe1ce6978bcbb4b40, 0x8bd6756fb1add099},
+  {"web-uk-2002-all", "Z100L", "pagerank-gang4-degree", 0x6399295ccb0c9b55, 0xd79dcabbd705153a},
+  {"web-uk-2002-all", "Z100L", "pagerank-gang8", 0x34fa61f61f309130, 0xa5cdbaa056be3015},
+  {"web-uk-2002-all", "Z100L", "pagerank-gang8-degree", 0xb4163828ec82e343, 0x3fce988df7420faf},
+  {"twitter-mpi", "A100", "pagerank-gang2", 0xb3b7dfd07eedf8cb, 0x208d3d86aea42606},
+  {"twitter-mpi", "A100", "pagerank-gang2-degree", 0x2daa8252448447e6, 0xf7f9db642e84df2a},
+  {"twitter-mpi", "A100", "pagerank-gang4", 0x9e58ff433eb61194, 0x54004c3e4f6fdbaf},
+  {"twitter-mpi", "A100", "pagerank-gang4-degree", 0x9e8da1ea44f1d321, 0xa49753c2f9dc4fff},
+  {"twitter-mpi", "A100", "pagerank-gang8", 0xe733651181ae99b1, 0x51efd874770b2c56},
+  {"twitter-mpi", "A100", "pagerank-gang8-degree", 0x4d2094fdd9a76dd1, 0xac6c724d8b063058},
+  {"twitter-mpi", "Z100L", "pagerank-gang2", 0x0b9f723185b750a5, 0xc1948584d4b4290e},
+  {"twitter-mpi", "Z100L", "pagerank-gang2-degree", 0x54645f58d8f1660d, 0xb70885ad21777641},
+  {"twitter-mpi", "Z100L", "pagerank-gang4", 0xab56e50d4e215685, 0xac1d8604f83efff4},
+  {"twitter-mpi", "Z100L", "pagerank-gang4-degree", 0xb3aa4a6ae9c4efe6, 0x83f06834d29fc339},
+  {"twitter-mpi", "Z100L", "pagerank-gang8", 0xe733651181ae99b1, 0x76d8ddbb009bad44},
+  {"twitter-mpi", "Z100L", "pagerank-gang8-degree", 0x1d9316ab4a4f6a8a, 0xeb5263b67cf23d81},
 };
 
 void ExpectFrozen(std::string_view dataset, const Device& dev,
@@ -890,6 +1082,83 @@ TEST_F(GoldenTest, CoreRunDispatchesThroughTheEngine) {
     expect("widest", [&](Device* d) {
       return engine::RunWidestPath(d, gg.weighted, {.source = 0});
     });
+  }
+}
+
+// Gang rows: BFS and five-iteration PageRank as gangs of 2, 4 and 8 devices
+// of each golden GPU, over uniform and degree-balanced shards.  A gang's
+// devices are simulated side by side on host threads, so these rows pin
+// every device's kernel log and clocks, not only the roll-up.
+class GangGoldenTest : public GoldenTest {
+ protected:
+  /// Runs `run(engine, plan, &exchange)` on a fresh gang for every size,
+  /// strategy and golden GPU, checks the frozen row `algo-gangN[-degree]`
+  /// and hands the result to `check`.
+  template <typename RunFn, typename Check>
+  static void RunGangs(const GoldenGraphs& gg, std::string_view algo,
+                       RunFn run, Check check) {
+    for (const vgpu::ArchConfig* arch :
+         {&vgpu::A100Config(), &vgpu::Z100LConfig()}) {
+      for (uint32_t devices : {2u, 4u, 8u}) {
+        for (core::PartitionStrategy strategy :
+             {core::PartitionStrategy::kUniform,
+              core::PartitionStrategy::kDegreeBalanced}) {
+          const std::string kase =
+              std::string(algo) + "-gang" + std::to_string(devices) +
+              (strategy == core::PartitionStrategy::kDegreeBalanced
+                   ? "-degree"
+                   : "");
+          part::PartitionedEngine::Options options;
+          options.num_devices = devices;
+          auto engine = part::PartitionedEngine::Create(*arch, options);
+          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+          auto plan = part::MakePartitionPlan(gg.directed, devices, strategy);
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          core::ExchangeStats exchange;
+          auto r = run(engine->get(), *plan, &exchange);
+          ASSERT_TRUE(r.ok()) << gg.name << " " << kase << ": "
+                              << r.status().ToString();
+          ExpectFrozen(gg.name, *(*engine)->device(0), kase,
+                       ResultDigest(*r),
+                       GangDigest(r->time_ms, exchange, **engine));
+          check(*r);
+        }
+      }
+    }
+  }
+};
+
+TEST_F(GangGoldenTest, BfsGangsMatchFrozenDigests) {
+  core::BfsOptions options;
+  options.source = 0;
+  for (const auto& gg : *graphs_) {
+    const auto want = core::host_ref::BfsLevels(gg.directed, 0);
+    RunGangs(
+        gg, "bfs",
+        [&](part::PartitionedEngine* engine, const part::PartitionPlan& plan,
+            core::ExchangeStats* exchange) {
+          return part::RunPartitionedBfs(engine, gg.directed, plan, options,
+                                         exchange);
+        },
+        [&](const core::BfsResult& r) { EXPECT_EQ(r.levels, want) << gg.name; });
+  }
+}
+
+TEST_F(GangGoldenTest, PageRankGangsMatchFrozenDigests) {
+  const core::PageRankOptions options = FiveIterationPageRank();
+  for (const auto& gg : *graphs_) {
+    const auto want = core::host_ref::PageRank(gg.directed, options.alpha,
+                                               options.max_iterations);
+    RunGangs(
+        gg, "pagerank",
+        [&](part::PartitionedEngine* engine, const part::PartitionPlan& plan,
+            core::ExchangeStats* exchange) {
+          return part::RunPartitionedPageRank(engine, gg.directed, plan,
+                                              options, exchange);
+        },
+        [&](const core::PageRankResult& r) {
+          EXPECT_LE(L1(r.ranks, want), kPageRankL1Tolerance) << gg.name;
+        });
   }
 }
 
