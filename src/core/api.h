@@ -22,6 +22,7 @@
 #include "core/widest_path.h"
 #include "graph/csr.h"
 #include "graph/delta.h"
+#include "prof/metrics.h"
 #include "util/status.h"
 #include "vgpu/device.h"
 
@@ -116,6 +117,10 @@ struct RunReport {
   ExchangeStats exchange;
   StagingStats staging;
   IncrementalInfo incremental;
+  /// A gang's kernel profile: one window over its devices' kernel logs,
+  /// concatenated in device order.  Empty for the other placements, whose
+  /// kernels run on the caller's device.
+  prof::JobProfile gang_profile;
 };
 
 /// Which algorithm a Run call dispatches, where, and from what start.
@@ -170,10 +175,10 @@ class GraphResidency;
 /// does not have, parents, a deletion for BFS or CC, or an algorithm
 /// without a delta path.
 ///
-/// `report`, when set, receives the gang's exchange or the stream's
-/// staging statistics and what the warm start did.  Defined in
-/// src/engine/run.cc — callers link adgraph_engine (every in-tree consumer
-/// already does).
+/// `report`, when set, receives the gang's exchange statistics and kernel
+/// profile or the stream's staging statistics, and what the warm start
+/// did.  Defined in src/engine/run.cc — callers link adgraph_engine (every
+/// in-tree consumer already does).
 Result<AlgoResult> Run(vgpu::Device* device, const AlgoSpec& spec,
                        const graph::CsrGraph& g, const Params& params,
                        GraphResidency* residency = nullptr,

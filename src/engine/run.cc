@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "core/api.h"
 #include "core/residency.h"
@@ -12,6 +13,7 @@
 #include "part/part_bfs.h"
 #include "part/part_pagerank.h"
 #include "part/partition.h"
+#include "prof/metrics.h"
 
 // core::Run lives in the engine library (not adgraph_core) because six of
 // the algorithms dispatch into the frontier/operator engine, and the gang
@@ -27,7 +29,7 @@ namespace {
 /// A gang of fresh devices like `device` over vertex-range shards.
 Result<AlgoResult> RunInGang(vgpu::Device* device, const Placement& placement,
                              const graph::CsrGraph& g, const Params& params,
-                             ExchangeStats* stats) {
+                             RunReport* report) {
   ADGRAPH_ASSIGN_OR_RETURN(
       auto engine, part::PartitionedEngine::Create(
                        device->arch(),
@@ -37,17 +39,25 @@ Result<AlgoResult> RunInGang(vgpu::Device* device, const Placement& placement,
   ADGRAPH_ASSIGN_OR_RETURN(
       part::PartitionPlan plan,
       part::MakePartitionPlan(g, placement.gang_devices, placement.strategy));
+  AlgoResult result;
   if (const auto* bfs = std::get_if<BfsOptions>(&params)) {
     ADGRAPH_ASSIGN_OR_RETURN(
-        BfsResult r,
-        part::RunPartitionedBfs(engine.get(), g, plan, *bfs, stats));
-    return AlgoResult(std::move(r));
+        result, part::RunPartitionedBfs(engine.get(), g, plan, *bfs,
+                                        &report->exchange));
+  } else {
+    ADGRAPH_ASSIGN_OR_RETURN(
+        result, part::RunPartitionedPageRank(engine.get(), g, plan,
+                                             std::get<PageRankOptions>(params),
+                                             &report->exchange));
   }
-  ADGRAPH_ASSIGN_OR_RETURN(
-      PageRankResult r,
-      part::RunPartitionedPageRank(engine.get(), g, plan,
-                                   std::get<PageRankOptions>(params), stats));
-  return AlgoResult(std::move(r));
+  std::vector<vgpu::KernelStats> log;
+  for (uint32_t d = 0; d < engine->num_devices(); ++d) {
+    const std::vector<vgpu::KernelStats>& device_log =
+        engine->device(d)->kernel_log();
+    log.insert(log.end(), device_log.begin(), device_log.end());
+  }
+  report->gang_profile = prof::ProfileWindow(log, 0);
+  return result;
 }
 
 /// `device` streaming shards of the host-resident `g` (for PageRank, of its
@@ -167,7 +177,7 @@ Result<AlgoResult> Run(vgpu::Device* device, const AlgoSpec& spec,
   }
   switch (spec.placement.kind) {
     case Placement::Kind::kGang:
-      return RunInGang(device, spec.placement, g, params, &report->exchange);
+      return RunInGang(device, spec.placement, g, params, report);
     case Placement::Kind::kStreamed:
       return RunThroughStream(device, spec.placement, g, params,
                               &report->staging);

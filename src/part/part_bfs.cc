@@ -165,7 +165,7 @@ Result<core::BfsResult> RunPartitionedBfs(PartitionedEngine* engine,
   // ---- Per-device setup (graph staging excluded from timing, as the
   // single-device drivers exclude upload). -------------------------------
   std::vector<ShardState> shards(P);
-  for (uint32_t d = 0; d < P; ++d) {
+  ADGRAPH_RETURN_NOT_OK(engine->ForEachDevice([&](uint32_t d) -> Status {
     vgpu::Device* dev = engine->device(d);
     ShardState& s = shards[d];
     ADGRAPH_ASSIGN_OR_RETURN(graph::CsrGraph shard_graph,
@@ -185,9 +185,9 @@ Result<core::BfsResult> RunPartitionedBfs(PartitionedEngine* engine,
         dev, s.levels.ptr(), n, kUnreachedLevel));
     // Every replica knows the source's level: no device ever "discovers"
     // the source, so it is never re-enqueued or shipped.
-    ADGRAPH_RETURN_NOT_OK(core::primitives::SetElement<uint32_t>(
-        dev, s.levels.ptr(), options.source, 0));
-  }
+    return core::primitives::SetElement<uint32_t>(dev, s.levels.ptr(),
+                                                  options.source, 0);
+  }));
   {
     // The source's owner seeds its frontier.
     const uint32_t owner = plan.OwnerOf(options.source);
@@ -214,13 +214,15 @@ Result<core::BfsResult> RunPartitionedBfs(PartitionedEngine* engine,
     round_span.ArgNum("level", static_cast<uint64_t>(level));
     round_span.ArgNum("frontier", total_frontier);
 
-    // --- Local expansion + owner routing, one fused launch per device
-    // (modeled as concurrent across devices).
-    for (uint32_t d = 0; d < P; ++d) {
+    // --- Local expansion + owner routing, one fused launch per device,
+    // then host routing: download the device's remote queue and bucket the
+    // vertices by owner into the device's own outboxes.
+    ADGRAPH_RETURN_NOT_OK(engine->ForEachDevice([&](uint32_t d) -> Status {
       ShardState& s = shards[d];
       vgpu::Device* dev = engine->device(d);
       ADGRAPH_RETURN_NOT_OK(s.counters.Upload(zeros, kNumCounters));
-      if (s.frontier_size == 0) continue;
+      for (auto& bucket : outboxes[d]) bucket.clear();
+      if (s.frontier_size == 0) return Status::OK();
 
       ExpandState state;
       state.row = s.csr.row_offsets.ptr();
@@ -241,73 +243,67 @@ Result<core::BfsResult> RunPartitionedBfs(PartitionedEngine* engine,
                                             s.counters.ptr() + kRemoteSize);
                       })
               .status());
-    }
 
-    // --- Host routing: download each device's remote queue and bucket the
-    // vertices by owner.
-    for (uint32_t src = 0; src < P; ++src) {
-      ShardState& s = shards[src];
-      vgpu::Device* dev = engine->device(src);
-      for (auto& bucket : outboxes[src]) bucket.clear();
-      if (s.frontier_size == 0) continue;
       ADGRAPH_ASSIGN_OR_RETURN(
           uint32_t remote_count,
           core::primitives::GetElement<uint32_t>(dev, s.counters.ptr(),
                                                  kRemoteSize));
-      if (remote_count == 0) continue;
+      if (remote_count == 0) return Status::OK();
       std::vector<vid_t> remote(remote_count);
       ADGRAPH_RETURN_NOT_OK(s.remote_queue.Download(remote.data(),
                                                     remote_count));
-      for (vid_t v : remote) outboxes[src][plan.OwnerOf(v)].push_back(v);
-    }
+      for (vid_t v : remote) outboxes[d][plan.OwnerOf(v)].push_back(v);
+      return Status::OK();
+    }));
 
     // --- Exchange: ship each (src, dst) message over the interconnect
-    // (byte accounting per link) and apply the arrivals on the owner during
-    // routing — first arrival (or an earlier local discovery) wins, exactly
-    // the CAS-ingest order a device kernel would resolve, applied in fixed
-    // ascending (src, payload) order so the owner's frontier append order
-    // is deterministic.  The claim writes ride the host-routed exchange, so
-    // their cost is part of the modeled exchange phase (EndRound latency +
-    // busiest-link bytes), not device compute — the BSP round stays at one
-    // kernel launch per device, same as the single-device driver.
+    // (byte accounting per link, on this thread).
     for (uint32_t dst = 0; dst < P; ++dst) {
-      ShardState& t = shards[dst];
-      vgpu::Device* dst_dev = engine->device(dst);
-      winners[dst].clear();
       for (uint32_t src = 0; src < P; ++src) {
-        const std::vector<vid_t>& payload = outboxes[src][dst];
-        if (payload.empty()) continue;
-        ic.AccountTransfer(src, dst, payload.size() * sizeof(vid_t));
-        for (vid_t v : payload) {
-          ADGRAPH_ASSIGN_OR_RETURN(
-              uint32_t current,
-              core::primitives::GetElement<uint32_t>(dst_dev, t.levels.ptr(),
-                                                     v));
-          if (current != kUnreachedLevel) continue;  // duplicate arrival
-          ADGRAPH_RETURN_NOT_OK(core::primitives::SetElement<uint32_t>(
-              dst_dev, t.levels.ptr(), v, level));
-          winners[dst].push_back(v);
-        }
+        ic.AccountTransfer(src, dst, outboxes[src][dst].size() * sizeof(vid_t));
       }
     }
 
-    // --- Close the round: new frontiers (locally discovered owned vertices
-    // + ingested arrivals), modeled round time.
-    total_frontier = 0;
-    for (uint32_t d = 0; d < P; ++d) {
-      ShardState& s = shards[d];
+    // --- Each owner applies its arrivals — first arrival (or an earlier
+    // local discovery) wins, exactly the CAS-ingest order a device kernel
+    // would resolve, applied in fixed ascending (src, payload) order so the
+    // owner's frontier append order is deterministic — then closes its
+    // round: the new frontier is the locally discovered owned vertices plus
+    // the ingested arrivals.  The claim writes ride the host-routed
+    // exchange, so their cost is part of the modeled exchange phase
+    // (EndRound latency + busiest-link bytes), not device compute — the
+    // BSP round stays at one kernel launch per device, same as the
+    // single-device driver.
+    ADGRAPH_RETURN_NOT_OK(engine->ForEachDevice([&](uint32_t d) -> Status {
+      ShardState& t = shards[d];
+      vgpu::Device* dev = engine->device(d);
+      std::vector<vid_t>& won = winners[d];
+      won.clear();
+      for (uint32_t src = 0; src < P; ++src) {
+        for (vid_t v : outboxes[src][d]) {
+          ADGRAPH_ASSIGN_OR_RETURN(
+              uint32_t current,
+              core::primitives::GetElement<uint32_t>(dev, t.levels.ptr(), v));
+          if (current != kUnreachedLevel) continue;  // duplicate arrival
+          ADGRAPH_RETURN_NOT_OK(core::primitives::SetElement<uint32_t>(
+              dev, t.levels.ptr(), v, level));
+          won.push_back(v);
+        }
+      }
       ADGRAPH_ASSIGN_OR_RETURN(
           uint32_t owned,
-          core::primitives::GetElement<uint32_t>(engine->device(d),
-                                                 s.counters.ptr(), kOwnedSize));
-      std::swap(s.frontier, s.owned_queue);
-      if (!winners[d].empty()) {
-        ADGRAPH_RETURN_NOT_OK(s.frontier.Upload(
-            winners[d].data(), winners[d].size(), /*dst_offset=*/owned));
+          core::primitives::GetElement<uint32_t>(dev, t.counters.ptr(),
+                                                 kOwnedSize));
+      std::swap(t.frontier, t.owned_queue);
+      if (!won.empty()) {
+        ADGRAPH_RETURN_NOT_OK(
+            t.frontier.Upload(won.data(), won.size(), /*dst_offset=*/owned));
       }
-      s.frontier_size = owned + static_cast<uint32_t>(winners[d].size());
-      total_frontier += s.frontier_size;
-    }
+      t.frontier_size = owned + static_cast<uint32_t>(won.size());
+      return Status::OK();
+    }));
+    total_frontier = 0;
+    for (const ShardState& s : shards) total_frontier += s.frontier_size;
 
     result.time_ms += engine->EndRound(
         "bfs:level=" + std::to_string(level), &exchange_stats);

@@ -78,7 +78,7 @@ Result<core::PageRankResult> RunPartitionedPageRank(
 
   // ---- Per-device setup (staging excluded from timing). ----------------
   std::vector<ShardState> shards(P);
-  for (uint32_t d = 0; d < P; ++d) {
+  ADGRAPH_RETURN_NOT_OK(engine->ForEachDevice([&](uint32_t d) -> Status {
     vgpu::Device* dev = engine->device(d);
     ShardState& s = shards[d];
     ADGRAPH_ASSIGN_OR_RETURN(graph::CsrGraph shard_graph,
@@ -104,9 +104,8 @@ Result<core::PageRankResult> RunPartitionedPageRank(
                      1, static_cast<uint64_t>(P - 1) * plan.shard_size(d))));
     ADGRAPH_ASSIGN_OR_RETURN(s.scalars,
                              rt::DeviceBuffer<double>::Create(dev, 2));
-    ADGRAPH_RETURN_NOT_OK(
-        core::primitives::Fill<double>(dev, s.ranks.ptr(), n, 1.0 / n));
-  }
+    return core::primitives::Fill<double>(dev, s.ranks.ptr(), n, 1.0 / n);
+  }));
 
   core::PageRankResult result;
   core::ExchangeStats exchange_stats;
@@ -117,10 +116,10 @@ Result<core::PageRankResult> RunPartitionedPageRank(
     trace::Span sweep(ic.trace_track(), "part_pagerank.iteration", "phase");
     sweep.ArgNum("iteration", static_cast<uint64_t>(iter + 1));
 
-    // --- (a) Dangling mass: local partial sums over owned ranges, host
-    // combine (modeled as an 8-byte all-to-all scalar exchange).
-    double dangling = 0;
-    for (uint32_t d = 0; d < P; ++d) {
+    // --- (a) Dangling mass: local partial sums over owned ranges, then
+    // (b) the local SpMV: partial_d = A_d^T * ranks.
+    std::vector<double> local(P);
+    ADGRAPH_RETURN_NOT_OK(engine->ForEachDevice([&](uint32_t d) -> Status {
       ShardState& s = shards[d];
       vgpu::Device* dev = engine->device(d);
       const vid_t lo = plan.lo(d);
@@ -138,66 +137,65 @@ Result<core::PageRankResult> RunPartitionedPageRank(
                 .status());
       }
       ADGRAPH_ASSIGN_OR_RETURN(
-          double local,
+          local[d],
           core::primitives::GetElement<double>(dev, s.scalars.ptr(), 0));
-      dangling += local;
-    }
+      return core::RunSpmvOnDevice(dev, s.pull, s.ranks.ptr(),
+                                   s.partial.ptr());
+    }));
+    // The partial sums combine on the host, in device order (modeled as an
+    // 8-byte all-to-all scalar exchange).
+    double dangling = 0;
+    for (double partial : local) dangling += partial;
     for (uint32_t src = 0; src < P; ++src) {
       for (uint32_t dst = 0; dst < P; ++dst) {
         if (src != dst) ic.AccountTransfer(src, dst, sizeof(double));
       }
     }
 
-    // --- (b) Local SpMV: partial_d = A_d^T * ranks.
-    for (uint32_t d = 0; d < P; ++d) {
-      ShardState& s = shards[d];
-      ADGRAPH_RETURN_NOT_OK(core::RunSpmvOnDevice(
-          engine->device(d), s.pull, s.ranks.ptr(), s.partial.ptr()));
-    }
-
     // --- (c) Reduce-scatter: every peer's boundary contribution for the
     // owner's range lands in its slot of the stacked inbox (src-ascending,
-    // so the fixed summation order is deterministic), then one combine
-    // launch folds them all into the owner's partial.
+    // so the fixed summation order is deterministic).  The copies read
+    // other owners' ranges of a partial, never the owner's own, so they can
+    // all go first, on this thread.
     for (uint32_t owner = 0; owner < P; ++owner) {
-      ShardState& o = shards[owner];
-      vgpu::Device* owner_dev = engine->device(owner);
       const vid_t lo = plan.lo(owner);
       const vid_t count = plan.shard_size(owner);
       if (count == 0) continue;
       uint32_t boxes = 0;
       for (uint32_t src = 0; src < P; ++src) {
         if (src == owner) continue;
-        ShardState& s = shards[src];
         ADGRAPH_RETURN_NOT_OK(rt::PeerCopy<double>(
-            engine->device(src), s.partial.ptr() + lo, owner_dev,
-            o.inbox.ptr() + static_cast<uint64_t>(boxes) * count, count, &ic,
-            src, owner));
+            engine->device(src), shards[src].partial.ptr() + lo,
+            engine->device(owner),
+            shards[owner].inbox.ptr() + static_cast<uint64_t>(boxes) * count,
+            count, &ic, src, owner));
         ++boxes;
       }
-      if (boxes == 0) continue;
-      ADGRAPH_RETURN_NOT_OK(
-          owner_dev
-              ->Launch("pagerank_combine", rt::CoverThreads(count),
-                       [&](Ctx& c) {
-                         return CombineStackedKernel(c, o.partial.ptr() + lo,
-                                                     o.inbox.ptr(), count,
-                                                     boxes);
-                       })
-              .status());
     }
 
-    // --- (d) Damping update on owned ranges; per-owner L1 deltas combine
-    // on the host (8-byte all-to-all, as the dangling pass).
+    // --- Then each owner folds its inbox into its partial with one
+    // combine launch and (d) applies the damping update on its range; the
+    // per-owner L1 deltas combine on the host, in device order (8-byte
+    // all-to-all, as the dangling pass).
     const double base = (1.0 - options.alpha) / n +
                         options.alpha * dangling / static_cast<double>(n);
-    double l1_delta = 0;
-    for (uint32_t owner = 0; owner < P; ++owner) {
-      ShardState& o = shards[owner];
-      vgpu::Device* dev = engine->device(owner);
-      const vid_t lo = plan.lo(owner);
-      const vid_t count = plan.shard_size(owner);
-      if (count == 0) continue;
+    ADGRAPH_RETURN_NOT_OK(engine->ForEachDevice([&](uint32_t d) -> Status {
+      ShardState& o = shards[d];
+      vgpu::Device* dev = engine->device(d);
+      const vid_t lo = plan.lo(d);
+      const vid_t count = plan.shard_size(d);
+      local[d] = 0;
+      if (count == 0) return Status::OK();
+      if (P > 1) {
+        ADGRAPH_RETURN_NOT_OK(
+            dev->Launch("pagerank_combine", rt::CoverThreads(count),
+                        [&](Ctx& c) {
+                          return CombineStackedKernel(c, o.partial.ptr() + lo,
+                                                      o.inbox.ptr(), count,
+                                                      P - 1);
+                        })
+                .status());
+      }
       ADGRAPH_RETURN_NOT_OK(
           core::primitives::SetElement<double>(dev, o.scalars.ptr(), 1, 0.0));
       ADGRAPH_RETURN_NOT_OK(
@@ -210,10 +208,12 @@ Result<core::PageRankResult> RunPartitionedPageRank(
                       })
               .status());
       ADGRAPH_ASSIGN_OR_RETURN(
-          double local,
+          local[d],
           core::primitives::GetElement<double>(dev, o.scalars.ptr(), 1));
-      l1_delta += local;
-    }
+      return Status::OK();
+    }));
+    double l1_delta = 0;
+    for (double partial : local) l1_delta += partial;
     for (uint32_t src = 0; src < P; ++src) {
       for (uint32_t dst = 0; dst < P; ++dst) {
         if (src != dst) ic.AccountTransfer(src, dst, sizeof(double));

@@ -40,30 +40,6 @@ Status PeerCopy(vgpu::Device* src_device, vgpu::DevPtr<T> src,
   return Status::OK();
 }
 
-/// \brief Host-staged peer send for irregular (scatter-shaped) exchanges.
-///
-/// The BFS remote-frontier exchange splits a mixed device queue by owner on
-/// the host; the per-owner payloads are then "shipped" from `src_index` to
-/// the destination device with the same interconnect accounting as
-/// PeerCopy — the host array is the simulator's transport for data that
-/// logically crosses the src->dst link.
-template <typename T>
-Status PeerSend(const T* host_payload, uint64_t count,
-                vgpu::Device* dst_device, vgpu::DevPtr<T> dst,
-                vgpu::Interconnect* interconnect, uint32_t src_index,
-                uint32_t dst_index) {
-  if (count == 0) return Status::OK();
-  trace::Span span(interconnect->trace_track(), "peer_send", "exchange");
-  ADGRAPH_RETURN_NOT_OK(dst_device->WriteFromPeer(dst, host_payload, count));
-  interconnect->AccountTransfer(src_index, dst_index, count * sizeof(T));
-  if (span.active()) {
-    span.ArgNum("bytes", count * sizeof(T));
-    span.ArgNum("src", static_cast<uint64_t>(src_index));
-    span.ArgNum("dst", static_cast<uint64_t>(dst_index));
-  }
-  return Status::OK();
-}
-
 }  // namespace adgraph::rt
 
 #endif  // ADGRAPH_RUNTIME_PEER_COPY_H_

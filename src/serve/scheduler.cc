@@ -767,9 +767,11 @@ JobOutcome Scheduler::Execute(Worker* worker, vgpu::Device* device,
   }
 
   // Per-job attribution (DESIGN.md §2.14): profile this job's kernel
-  // window *before* the counter reset below wipes the log.
+  // window *before* the counter reset below wipes the log.  A gang's
+  // kernels ran on its own devices, so core::Run profiled them.
   if (outcome.status.ok()) {
-    outcome.job_profile = session.Finish();
+    outcome.job_profile =
+        gang ? std::move(report.gang_profile) : session.Finish();
     const vgpu::KernelCounters& kc = outcome.job_profile.counters;
     WorkerMetricHandles& m = worker->metrics;
     m.warp_inst->Increment(kc.warp_inst_issued);

@@ -46,7 +46,8 @@ Status ValidateInterconnectConfig(const InterconnectConfig& config);
 ///
 /// Single-threaded, like vgpu::Device: one BSP driver owns it.  Usage per
 /// exchange round: any number of AccountTransfer(src, dst, bytes) calls
-/// (the functional copy happens elsewhere — rt::PeerCopy / PeerSend), then
+/// (the functional copy happens elsewhere: rt::PeerCopy, or the driver's
+/// own host routing), then
 /// EndRound(label), which computes the round's modeled time as
 /// latency + max over directed pairs of bytes/bandwidth, emits one span on
 /// the dedicated "interconnect" trace track, and folds the round into the

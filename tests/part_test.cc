@@ -10,11 +10,14 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/api.h"
 #include "graph/csr.h"
 #include "graph/generate.h"
+#include "growing_shards.h"
 #include "part/engine.h"
 #include "part/part_bfs.h"
 #include "part/part_pagerank.h"
@@ -262,6 +265,39 @@ TEST(EngineTest, CreateBuildsPool) {
   EXPECT_EQ((*engine)->ElapsedSnapshot().size(), 4u);
 }
 
+// Every device's step runs, also after another device failed, and the
+// failure reported is the first in device order, as a loop over the
+// devices would report it; an exception reaches the caller's thread.
+TEST(EngineTest, ForEachDeviceReportsTheFirstFailureInDeviceOrder) {
+  PartitionedEngine::Options options;
+  options.num_devices = 8;
+  auto engine = PartitionedEngine::Create(vgpu::A100Config(), options).value();
+  std::vector<uint32_t> ran(8, 0);
+  const Status status = engine->ForEachDevice([&](uint32_t d) -> Status {
+    ran[d] += 1;
+    if (d < 5) return Status::OK();
+    return Status::Internal("device " + std::to_string(d));
+  });
+  EXPECT_EQ(status.message(), "device 5");
+  EXPECT_EQ(ran, std::vector<uint32_t>(8, 1));
+
+  EXPECT_THROW(
+      (void)engine->ForEachDevice([](uint32_t d) -> Status {
+        if (d == 6) throw std::runtime_error("device 6");
+        return d == 7 ? Status::Internal("device 7") : Status::OK();
+      }),
+      std::runtime_error);
+  EXPECT_EQ(engine
+                ->ForEachDevice([](uint32_t d) -> Status {
+                  if (d == 7) throw std::runtime_error("device 7");
+                  return d == 3 ? Status::Internal("device 3") : Status::OK();
+                })
+                .message(),
+            "device 3");
+  EXPECT_TRUE(
+      engine->ForEachDevice([](uint32_t) { return Status::OK(); }).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Partitioned BFS: byte-identity property
 // ---------------------------------------------------------------------------
@@ -506,6 +542,42 @@ TEST(GangPlacementTest, CoreRunIsTheDriverOnFreshDevicesLikeTheCaller) {
     EXPECT_EQ(report.exchange.rounds, direct_exchange.rounds);
     EXPECT_EQ(report.exchange.exchange_ms, direct_exchange.exchange_ms);
     EXPECT_EQ(report.staging.num_shards, 0u) << "a gang stages nothing";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A gang device that runs out of memory
+// ---------------------------------------------------------------------------
+
+TEST(GangFailureTest, LaterShardOomIsDeviceOnesStatusAndFreesEveryDevice) {
+  const CsrGraph g = GrowingShards();
+  auto plan = MakePartitionPlan(g, 4, PartitionStrategy::kUniform).value();
+  PartitionedEngine::Options options;
+  options.num_devices = 4;
+  // A100s shrunk to 32 KiB.
+  options.device_options.memory_scale =
+      static_cast<double>(vgpu::A100Config().dram_capacity_bytes) / 32768;
+  core::PageRankOptions pr;
+  pr.max_iterations = 2;
+  for (const core::Algo algo : {core::Algo::kBfs, core::Algo::kPageRank}) {
+    auto engine = PartitionedEngine::Create(vgpu::A100Config(), options);
+    ASSERT_TRUE(engine.ok());
+    const Status status =
+        algo == core::Algo::kBfs
+            ? RunPartitionedBfs(engine->get(), g, plan, {}).status()
+            : RunPartitionedPageRank(engine->get(), g, plan, pr).status();
+    // Devices 1, 2 and 3 each fail on their own column array; the status
+    // is device 1's, as when the devices ran one after another.
+    EXPECT_EQ(status.code(), StatusCode::kOutOfMemory)
+        << core::AlgorithmName(algo);
+    EXPECT_EQ(status.message(),
+              "device allocation of 40960 bytes exceeds 32768-byte capacity "
+              "(4352 in use)")
+        << core::AlgorithmName(algo);
+    for (uint32_t d = 0; d < 4; ++d) {
+      EXPECT_EQ((*engine)->device(d)->memory_used_bytes(), 0u)
+          << core::AlgorithmName(algo) << " device " << d;
+    }
   }
 }
 

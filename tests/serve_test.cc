@@ -11,6 +11,7 @@
 #include <future>
 #include <map>
 #include <random>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,8 +28,13 @@
 #include "graph/datasets.h"
 #include "graph/delta.h"
 #include "graph/generate.h"
+#include "growing_shards.h"
 #include "obs/registry.h"
 #include "ooc/ooc_csr.h"
+#include "part/engine.h"
+#include "part/part_bfs.h"
+#include "part/part_pagerank.h"
+#include "part/partition.h"
 #include "prof/report.h"
 #include "serve/admission.h"
 #include "serve/graph_cache.h"
@@ -1616,6 +1622,89 @@ TEST(PlacementTest, GangJobsHonorTheOccupancyFloor) {
   EXPECT_GE(outcome.exec_wall_ms, 50.0);
 }
 
+// A gang's devices run side by side: a failure on device 1 or later must
+// still surface as that device's status, free everything and leave the
+// pool serving.
+TEST(PlacementTest, GangOomOnALaterDeviceKeepsItsStatusAndThePoolServes) {
+  Scheduler::Options options;
+  for (int i = 0; i < 4; ++i) options.devices.push_back(BudgetedSlot(32768));
+  auto scheduler = Scheduler::Create(std::move(options)).value();
+  core::BfsOptions bfs;
+  bfs.direction_optimizing = false;
+
+  // At 32 KiB, shard 0 fits and no later shard's columns do.
+  JobSpec too_big;
+  too_big.graph = std::make_shared<const CsrGraph>(GrowingShards());
+  too_big.params = bfs;
+  too_big.gang_devices = 4;
+  JobOutcome failed = scheduler->Submit(too_big).value().get();
+  EXPECT_EQ(failed.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(failed.status.message(),
+            "device OOM past admission (estimate 0 bytes): device allocation "
+            "of 40960 bytes exceeds 32768-byte capacity (4352 in use)");
+  EXPECT_EQ(failed.job_profile.num_kernels, 0u);
+
+  graph::CooGraph ring_coo;
+  ring_coo.num_vertices = 64;
+  for (graph::vid_t u = 0; u < 64; ++u) ring_coo.AddEdge(u, (u + 1) % 64);
+  auto ring =
+      std::make_shared<const CsrGraph>(CsrGraph::FromCoo(ring_coo, {}).value());
+  JobSpec spec;
+  spec.graph = ring;
+  spec.params = bfs;
+  spec.gang_devices = 4;
+  JobOutcome gang_outcome = scheduler->Submit(spec).value().get();
+  EXPECT_TRUE(gang_outcome.status.ok()) << gang_outcome.status.ToString();
+  spec.gang_devices = 1;
+  JobOutcome single = scheduler->Submit(spec).value().get();
+  EXPECT_TRUE(single.status.ok()) << single.status.ToString();
+  EXPECT_EQ(std::get<core::BfsResult>(gang_outcome.payload).levels,
+            std::get<core::BfsResult>(single.payload).levels);
+  scheduler->Drain();
+  const prof::ServerStats stats = scheduler->Snapshot();
+  EXPECT_EQ(stats.jobs_rejected_admission, 1u);
+  EXPECT_EQ(stats.jobs_completed, 2u);
+}
+
+// Spans emitted on a gang's helper threads keep the job's identity and
+// land in the job's capture.
+TEST(PlacementTest, GangCaptureHoldsKernelSpansFromEveryGangDevice) {
+  auto g = TestGraph(8);
+  Scheduler::Options options;
+  for (int i = 0; i < 4; ++i) {
+    options.devices.push_back({.arch = &vgpu::A100Config(), .options = {}});
+  }
+  auto scheduler = Scheduler::Create(std::move(options)).value();
+  core::PageRankOptions pr;
+  pr.max_iterations = 2;
+  JobSpec spec;
+  spec.graph = g;
+  spec.params = pr;
+  spec.gang_devices = 4;
+  auto capture = std::make_shared<trace::SpanCapture>();
+  spec.capture = capture;
+  JobOutcome outcome = scheduler->Submit(spec).value().get();
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(capture->dropped(), 0u);
+
+  const std::vector<std::string> tracks = trace::TrackNames();
+  std::set<uint64_t> kernel_tracks;
+  for (const trace::TraceEvent& event : capture->Events()) {
+    std::map<std::string, std::string> args;
+    for (const trace::TraceArg& arg : event.args) args[arg.key] = arg.value;
+    EXPECT_EQ(args["trace_id"], trace::TraceIdHex(outcome.trace_id))
+        << event.name;
+    EXPECT_EQ(args["sched_job_id"], std::to_string(outcome.job_id))
+        << event.name;
+    if (event.category == "kernel") kernel_tracks.insert(event.track);
+  }
+  ASSERT_EQ(kernel_tracks.size(), 4u) << "one kernel track per gang device";
+  for (uint64_t track : kernel_tracks) {
+    ASSERT_LT(track, tracks.size());
+    EXPECT_EQ(tracks[track].rfind("device A100", 0), 0u) << tracks[track];
+  }
+}
+
 // --- per-job observability (§2.14) -----------------------------------------
 
 TEST(JobProfileTest, OutcomeCarriesKernelAttribution) {
@@ -1652,6 +1741,63 @@ TEST(JobProfileTest, OutcomeCarriesKernelAttribution) {
     }
   }
   EXPECT_LE(launches, p.num_kernels);
+}
+
+// A gang's kernels run on its own devices; its profile is one window over
+// their logs, concatenated in device order.
+TEST(JobProfileTest, GangProfileSumsEveryGangDevicesLog) {
+  auto g = TestGraph(9);
+  Scheduler::Options options;
+  for (int i = 0; i < 4; ++i) {
+    options.devices.push_back({.arch = &vgpu::A100Config(), .options = {}});
+  }
+  auto scheduler = Scheduler::Create(std::move(options)).value();
+  core::BfsOptions bfs;
+  bfs.direction_optimizing = false;
+  core::PageRankOptions pr;
+  pr.max_iterations = 3;
+  uint64_t served_warp_inst = 0;
+  for (const core::Params& params : {core::Params(bfs), core::Params(pr)}) {
+    for (uint32_t devices : {2u, 4u}) {
+      JobSpec spec;
+      spec.graph = g;
+      spec.params = params;
+      spec.gang_devices = devices;
+      JobOutcome outcome = scheduler->Submit(spec).value().get();
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+
+      // The same gang, driven directly.
+      part::PartitionedEngine::Options gang;
+      gang.num_devices = devices;
+      auto engine =
+          part::PartitionedEngine::Create(vgpu::A100Config(), gang).value();
+      auto plan = part::MakePartitionPlan(*g, devices,
+                                          core::PartitionStrategy::kUniform)
+                      .value();
+      const bool ran =
+          params.index() == 0
+              ? part::RunPartitionedBfs(engine.get(), *g, plan, bfs).ok()
+              : part::RunPartitionedPageRank(engine.get(), *g, plan, pr).ok();
+      ASSERT_TRUE(ran);
+      uint64_t warp_inst = 0;
+      uint64_t kernels = 0;
+      for (uint32_t d = 0; d < devices; ++d) {
+        for (const vgpu::KernelStats& k : engine->device(d)->kernel_log()) {
+          warp_inst += k.counters.warp_inst_issued;
+          kernels += 1;
+        }
+      }
+      const prof::JobProfile& p = outcome.job_profile;
+      EXPECT_GT(warp_inst, 0u);
+      EXPECT_EQ(p.warp_inst_issued, warp_inst) << devices << " devices";
+      EXPECT_EQ(p.num_kernels, kernels) << devices << " devices";
+      served_warp_inst += p.warp_inst_issued;
+    }
+  }
+  scheduler->Drain();
+  EXPECT_EQ(SeriesTotal(scheduler->metrics_registry(),
+                        "adgraph_device_warp_inst_total"),
+            static_cast<double>(served_warp_inst));
 }
 
 // The metrics sampler, per-job profiles and the flight recorder are host
