@@ -108,7 +108,7 @@ struct JobSpec {
   /// rounds, kernels) is also appended here — the flight recorder's and
   /// INSPECT's source of the per-job span tree.  Capturing works even
   /// when no global trace window is open.
-  std::shared_ptr<trace::SpanCapture> capture;
+  std::shared_ptr<trace::SpanCapture> capture = nullptr;
 
   Algorithm algorithm() const {
     return static_cast<Algorithm>(params.index());

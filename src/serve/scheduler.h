@@ -45,7 +45,7 @@ class Scheduler {
   /// One device slot = one worker thread owning one simulated GPU.
   struct DeviceSlot {
     const vgpu::ArchConfig* arch = nullptr;
-    vgpu::Device::Options options;
+    vgpu::Device::Options options = {};
   };
 
   /// What Submit() does when the bounded queue is full.

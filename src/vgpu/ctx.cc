@@ -39,9 +39,19 @@ void Ctx::AccumulateLatency(double cycles) {
 
 void Ctx::AccountGlobal(const Lanes<uint64_t>& addrs, uint32_t access_bytes,
                         bool is_store) {
+  AccountSegments(
+      Coalesce(addrs, active_, access_bytes, arch_->mem_segment_bytes),
+      is_store);
+}
+
+void Ctx::AccountUniformLoad(uint64_t addr, uint32_t access_bytes) {
+  AccountSegments(CoalesceUniform(addr, PopCount(active_), access_bytes,
+                                  arch_->mem_segment_bytes),
+                  /*is_store=*/false);
+}
+
+void Ctx::AccountSegments(const CoalesceResult& co, bool is_store) {
   counters_->warp_inst_issued += 1;
-  CoalesceResult co =
-      Coalesce(addrs, active_, access_bytes, arch_->mem_segment_bytes);
   if (is_store) {
     counters_->global_store_inst += 1;
     counters_->global_st_transactions += co.size();
@@ -211,17 +221,34 @@ LaneMask Ctx::SharedHashProbe(SmemPtr<uint32_t> table, uint32_t capacity,
 void Ctx::SharedBlockFill(SmemPtr<uint32_t> base, uint32_t count,
                           uint32_t value) {
   ADGRAPH_CHECK(smem_ != nullptr) << "kernel launched without shared memory";
+  // Lane i fills elements first + i + k * block_dim_ below `count`.  Every
+  // active lane starts below block_dim_, so no two start a block apart: the
+  // lowest active lane's round count is the warp's, every active lane
+  // stores in each round but the last, and in the last only the lanes
+  // below `tail` do.  Each run of consecutive active lanes stores one
+  // contiguous slice per round.
+  const uint64_t first = uint64_t{warp_in_block_} * width_;
   uint64_t rounds = 0;
   uint64_t lane_stores = 0;
-  ADGRAPH_VGPU_FOR_ACTIVE(i) {
-    uint64_t mine = 0;
-    for (uint32_t idx = warp_in_block_ * width_ + i; idx < count;
-         idx += block_dim_) {
-      smem_->Store<uint32_t>(base.offset + idx * 4, value);
-      ++mine;
+  if (active_ != 0 && first + std::countr_zero(active_) < count) {
+    const uint64_t low = first + std::countr_zero(active_);
+    rounds = (count - low + block_dim_ - 1) / block_dim_;
+    const uint64_t tail = count - first - (rounds - 1) * block_dim_;
+    const LaneMask last =
+        active_ & FullMask(static_cast<uint32_t>(std::min<uint64_t>(tail, 64)));
+    lane_stores = (rounds - 1) * PopCount(active_) + PopCount(last);
+    for (uint64_t k = 0; k < rounds; ++k) {
+      const uint64_t start = first + k * block_dim_;
+      for (LaneMask m = k + 1 < rounds ? active_ : last; m != 0;) {
+        const uint32_t lane = static_cast<uint32_t>(std::countr_zero(m));
+        const uint32_t lanes =
+            static_cast<uint32_t>(std::countr_one(m >> lane));
+        smem_->StoreRun<uint32_t>(
+            static_cast<uint32_t>(base.offset + (start + lane) * 4), value,
+            lanes);
+        m = lane + lanes >= 64 ? 0 : m & (~0ull << (lane + lanes));
+      }
     }
-    rounds = std::max(rounds, mine);
-    lane_stores += mine;
   }
   // Per round: one LDS store + one index-increment VALU, conflict-free
   // (consecutive lanes hit distinct banks).

@@ -17,6 +17,8 @@
 
 namespace adgraph::vgpu {
 
+struct CoalesceResult;
+
 /// Iterates `i` over the set bits of the current active mask (hot path:
 /// every DSL op touches only live lanes instead of scanning the full warp).
 #define ADGRAPH_VGPU_FOR_ACTIVE(i)                                        \
@@ -275,13 +277,24 @@ class Ctx {
 
   // ====================== Global memory ==================================
 
-  /// Gather: per-lane load of base[idx[lane]].
+  /// Gather: per-lane load of base[idx[lane]].  When every active lane
+  /// holds one index the load is charged and read once, with the counts
+  /// the per-lane walk gives.
   template <typename T, typename I>
   Lanes<T> Load(DevPtr<T> base, const Lanes<I>& idx) {
     static_assert(std::is_integral_v<I>);
+    Lanes<T> out;
+    if (UniformIndex(idx)) {
+      const uint64_t addr =
+          base.addr +
+          static_cast<uint64_t>(idx[std::countr_zero(active_)]) * sizeof(T);
+      AccountUniformLoad(addr, sizeof(T));
+      const T value = global_->Load<T>(addr);
+      ADGRAPH_VGPU_FOR_ACTIVE(i) { out[i] = value; }
+      return out;
+    }
     Lanes<uint64_t> addrs = LaneAddrs(base.addr, idx, sizeof(T));
     AccountGlobal(addrs, sizeof(T), /*is_store=*/false);
-    Lanes<T> out;
     ADGRAPH_VGPU_FOR_ACTIVE(i) { out[i] = global_->Load<T>(addrs[i]); }
     return out;
   }
@@ -411,7 +424,8 @@ class Ctx {
   /// Block-cooperative fill: this warp stores `value` to elements
   /// base[warp_in_block*width + lane + k*block_dim] below `count`.  Called
   /// from every warp (uniform control flow) + Sync, the block covers the
-  /// whole range — the fused equivalent of the strided clear loop.
+  /// whole range — the fused equivalent of the strided clear loop, charged
+  /// as that loop would be.
   void SharedBlockFill(SmemPtr<uint32_t> base, uint32_t count, uint32_t value);
 
   // ====================== Structured control flow ========================
@@ -529,6 +543,18 @@ class Ctx {
   void ClearBarrier() { at_barrier_ = false; }
 
  private:
+  /// True when a lane is active and every active lane holds the lowest
+  /// active lane's index; stops at the first lane that differs.
+  template <typename I>
+  bool UniformIndex(const Lanes<I>& idx) const {
+    if (active_ == 0) return false;
+    const I first = idx[std::countr_zero(active_)];
+    for (LaneMask m = active_ & (active_ - 1); m != 0; m &= m - 1) {
+      if (idx[std::countr_zero(m)] != first) return false;
+    }
+    return true;
+  }
+
   template <typename I>
   Lanes<uint64_t> LaneAddrs(uint64_t base, const Lanes<I>& idx,
                             uint64_t elem_size) const {
@@ -585,6 +611,9 @@ class Ctx {
   void AccountBranch(bool divergent);
   void AccountGlobal(const Lanes<uint64_t>& addrs, uint32_t access_bytes,
                      bool is_store);
+  /// AccountGlobal for a load whose active lanes all read `addr`.
+  void AccountUniformLoad(uint64_t addr, uint32_t access_bytes);
+  void AccountSegments(const CoalesceResult& co, bool is_store);
   void AccountAtomic(const Lanes<uint64_t>& addrs, uint32_t access_bytes);
   void AccountShared(const Lanes<uint64_t>& offsets, uint32_t access_bytes,
                      bool is_store);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <vector>
 
 #include "util/logging.h"
 #include "util/status.h"
@@ -49,17 +48,25 @@ constexpr uint64_t AllocatedBytes(uint64_t bytes) {
 /// Capacity enforcement is what reproduces the paper's ESBV/twitter-mpi OOM
 /// rows: allocations beyond the (scaled) Table 3 RAM volume fail with
 /// StatusCode::kOutOfMemory.
+///
+/// The backing store is one anonymous host mapping that covers every
+/// address handed out so far.  It grows by mremap, which moves page tables
+/// and copies no bytes, and the host faults in a page only when a kernel or
+/// copy first touches it; a never-written byte reads as zero.
 class AddressSpace {
  public:
   /// `capacity_bytes` is the enforced device RAM volume.  Backing host
   /// memory grows lazily up to that size.
   explicit AddressSpace(uint64_t capacity_bytes);
+  ~AddressSpace();
 
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
   /// Allocates `bytes` (256-byte aligned).  Zero-byte requests allocate one
-  /// alignment unit so every allocation has a unique address.
+  /// alignment unit so every allocation has a unique address.  Fails with
+  /// kOutOfMemory past the capacity, and also when the host refuses to grow
+  /// the backing mapping; a failed call changes nothing.
   Result<uint64_t> Allocate(uint64_t bytes);
 
   /// Frees a previous allocation.  Freeing address 0 is a no-op; freeing an
@@ -76,7 +83,7 @@ class AddressSpace {
   size_t num_allocations() const { return live_.size(); }
 
   /// Raw byte access used by kernels and memcpy.  Addresses must lie inside
-  /// a live allocation region (checked in debug builds).
+  /// the backed range (checked; Load and Store check in debug builds only).
   void Read(uint64_t addr, void* out, uint64_t bytes) const;
   void Write(uint64_t addr, const void* data, uint64_t bytes);
   void Fill(uint64_t addr, uint8_t value, uint64_t bytes);
@@ -84,15 +91,15 @@ class AddressSpace {
   /// Typed single-element accessors for kernel lane operations.
   template <typename T>
   T Load(uint64_t addr) const {
-    ADGRAPH_DCHECK(addr + sizeof(T) <= backing_.size());
+    ADGRAPH_DCHECK(addr + sizeof(T) <= mapped_);
     T value;
-    std::memcpy(&value, backing_.data() + addr, sizeof(T));
+    std::memcpy(&value, base_ + addr, sizeof(T));
     return value;
   }
   template <typename T>
   void Store(uint64_t addr, T value) {
-    ADGRAPH_DCHECK(addr + sizeof(T) <= backing_.size());
-    std::memcpy(backing_.data() + addr, &value, sizeof(T));
+    ADGRAPH_DCHECK(addr + sizeof(T) <= mapped_);
+    std::memcpy(base_ + addr, &value, sizeof(T));
   }
 
  private:
@@ -100,7 +107,9 @@ class AddressSpace {
     uint64_t size;
   };
 
-  void EnsureBacking(uint64_t end);
+  /// Grows the mapping to cover [0, end); false when the host refuses.
+  bool EnsureBacking(uint64_t end);
+  void CheckBacked(uint64_t addr, uint64_t bytes) const;
 
   uint64_t capacity_;
   uint64_t used_ = 0;
@@ -108,7 +117,8 @@ class AddressSpace {
   uint64_t bump_ = 256;  // address 0..255 reserved (null page)
   std::map<uint64_t, Block> live_;  // addr -> block
   std::map<uint64_t, uint64_t> free_;  // addr -> size, coalesced
-  std::vector<uint8_t> backing_;
+  uint8_t* base_ = nullptr;  // anonymous mapping of mapped_ bytes
+  uint64_t mapped_ = 0;
 };
 
 }  // namespace adgraph::vgpu

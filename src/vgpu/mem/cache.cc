@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <new>
 
 #include "util/logging.h"
 
@@ -27,7 +28,12 @@ CacheModel::CacheModel(uint64_t size_bytes, uint32_t line_bytes,
   if (!pow2_sets_ && num_sets_ > 0 && num_sets_ <= kMax32) {
     set_magic_ = std::numeric_limits<uint64_t>::max() / num_sets_ + 1;
   }
-  ways_.resize(num_sets_ * assoc_);
+  if (num_sets_ > 0) {
+    // A zeroed way is invalid: its stamp 0 is not above valid_after_.
+    ways_.reset(
+        static_cast<Way*>(std::calloc(num_sets_ * assoc_, sizeof(Way))));
+    if (!ways_) throw std::bad_alloc();
+  }
 }
 
 uint64_t CacheModel::SetOf(uint64_t line) const {

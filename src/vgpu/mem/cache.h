@@ -2,7 +2,8 @@
 #define ADGRAPH_VGPU_MEM_CACHE_H_
 
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
 namespace adgraph::vgpu {
 
@@ -17,7 +18,8 @@ namespace adgraph::vgpu {
 /// has no division: the line size is a power of two (a shift), the set
 /// index is a mask when the set count is a power of two and a
 /// multiply-based exact modulus otherwise, and each way is tagged with its
-/// full line number.
+/// full line number.  The ways come zeroed from calloc, so a large cache
+/// costs host pages only for the sets a kernel touches.
 class CacheModel {
  public:
   /// `size_bytes` is rounded down to a whole number of sets; a zero-sized
@@ -64,7 +66,10 @@ class CacheModel {
   uint64_t valid_after_ = 0;  ///< stamp_ at the last Clear()
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  std::vector<Way> ways_;  // num_sets_ x assoc_
+  struct FreeWays {
+    void operator()(Way* ways) const { std::free(ways); }
+  };
+  std::unique_ptr<Way[], FreeWays> ways_;  // num_sets_ x assoc_, calloc'd
 };
 
 }  // namespace adgraph::vgpu

@@ -34,4 +34,19 @@ CoalesceResult Coalesce(const Lanes<uint64_t>& addrs, LaneMask active,
   return result;
 }
 
+CoalesceResult CoalesceUniform(uint64_t addr, uint32_t lanes,
+                               uint32_t access_bytes, uint32_t segment_bytes) {
+  CoalesceResult result;
+  if (lanes == 0) return result;
+  const uint32_t shift = static_cast<uint32_t>(std::countr_zero(segment_bytes));
+  for (uint64_t seg = addr >> shift; seg <= (addr + access_bytes - 1) >> shift;
+       ++seg) {
+    result.segment_addrs[result.num_segments++] = seg << shift;
+  }
+  result.bytes_requested = static_cast<uint64_t>(lanes) * access_bytes;
+  result.bytes_transferred = static_cast<uint64_t>(result.num_segments)
+                             << shift;
+  return result;
+}
+
 }  // namespace adgraph::vgpu

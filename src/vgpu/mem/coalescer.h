@@ -42,6 +42,11 @@ struct CoalesceResult {
 CoalesceResult Coalesce(const Lanes<uint64_t>& addrs, LaneMask active,
                         uint32_t access_bytes, uint32_t segment_bytes);
 
+/// What Coalesce gives when `lanes` active lanes all access `addr`: the
+/// one or two segments the access spans, computed once.
+CoalesceResult CoalesceUniform(uint64_t addr, uint32_t lanes,
+                               uint32_t access_bytes, uint32_t segment_bytes);
+
 }  // namespace adgraph::vgpu
 
 #endif  // ADGRAPH_VGPU_MEM_COALESCER_H_

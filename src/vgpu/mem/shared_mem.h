@@ -51,6 +51,16 @@ class SharedMemory {
     std::memcpy(data_.data() + offset, &value, sizeof(T));
   }
 
+  /// Stores `value` into the `n` consecutive T elements from `offset`.
+  template <typename T>
+  void StoreRun(uint32_t offset, T value, uint32_t n) {
+    ADGRAPH_DCHECK(offset + uint64_t{n} * sizeof(T) <= data_.size());
+    uint8_t* out = data_.data() + offset;
+    for (uint32_t k = 0; k < n; ++k) {
+      std::memcpy(out + k * sizeof(T), &value, sizeof(T));
+    }
+  }
+
   void Fill(uint8_t value) { std::fill(data_.begin(), data_.end(), value); }
 
   /// Number of serialized passes needed for one warp access with the given

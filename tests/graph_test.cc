@@ -225,8 +225,12 @@ TEST(CsrTest, TransposeReversesEdges) {
   auto n1 = t.neighbors(1);
   auto w1 = t.edge_weights(1);
   for (size_t i = 0; i < n1.size(); ++i) {
-    if (n1[i] == 2) EXPECT_EQ(w1[i], 3.0);
-    if (n1[i] == 0) EXPECT_EQ(w1[i], 1.0);
+    if (n1[i] == 2) {
+      EXPECT_EQ(w1[i], 3.0);
+    }
+    if (n1[i] == 0) {
+      EXPECT_EQ(w1[i], 1.0);
+    }
   }
 }
 

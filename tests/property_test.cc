@@ -212,7 +212,9 @@ TEST_P(CoalescerPropertyTest, TransferredCoversRequestedAndIsMinimal) {
     // Segments sorted, unique, aligned.
     for (uint32_t i = 0; i < result.size(); ++i) {
       EXPECT_EQ(result[i] % 32, 0u);
-      if (i > 0) EXPECT_LT(result[i - 1], result[i]);
+      if (i > 0) {
+        EXPECT_LT(result[i - 1], result[i]);
+      }
     }
     // Every lane's access is covered by some segment.
     for (uint32_t lane = 0; lane < width; ++lane) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "vgpu/arch.h"
@@ -670,6 +671,257 @@ TEST_F(ExecTest, InstructionCountersTrackClasses) {
   EXPECT_EQ(k.warp_inst_issued,
             k.valu_warp_inst + k.global_load_inst + k.global_store_inst +
                 k.shared_load_inst + k.shared_store_inst);
+}
+
+// ------------------------------------------- uniform loads, counted by hand
+
+/// Counters of one launch of `body` on a fresh test GPU whose first
+/// allocation, 64 words at address 256, is handed to `body`.  Lines are
+/// 128 B and segments 32 B (ArchConfig defaults).
+template <typename F>
+KernelCounters CountersOfLoads(F&& body) {
+  Device device(TestArch(Paradigm::kSimt, 32));
+  auto data = device.Alloc<uint32_t>(64).value();
+  EXPECT_EQ(data.addr, 256u);
+  std::vector<uint64_t> host(32);
+  for (uint32_t i = 0; i < host.size(); ++i) host[i] = 1000 + i;
+  EXPECT_TRUE(device.CopyToDevice(data.Cast<uint64_t>(), host.data(), 32).ok());
+  auto stats = device.Launch("loads", {1, 32}, [&](Ctx& c) -> KernelTask {
+    body(c, data);
+    co_return;
+  });
+  EXPECT_TRUE(stats.ok());
+  return stats.ok() ? stats->counters : KernelCounters{};
+}
+
+/// The counters of a one-warp launch before any instruction.
+KernelCounters OneWarpLaunch() {
+  KernelCounters k;
+  k.blocks_launched = 1;
+  k.warps_launched = 1;
+  return k;
+}
+
+TEST(UniformLoadTest, EveryLaneOnOneIndex) {
+  const ArchConfig arch = TestArch(Paradigm::kSimt, 32);
+  Lanes<uint32_t> got1;
+  Lanes<uint32_t> got2;
+  const KernelCounters counters =
+      CountersOfLoads([&](Ctx& c, DevPtr<uint32_t> data) {
+        // Word 4 at byte 272: segment 256, line 2.  Cold, then warm.
+        got1 = c.Load(data, Lanes<uint32_t>::Splat(4));
+        got2 = c.Load(data, Lanes<uint32_t>::Splat(4));
+      });
+  KernelCounters want = OneWarpLaunch();
+  want.warp_inst_issued = 2;
+  want.global_load_inst = 2;
+  want.global_ld_transactions = 2;
+  want.global_ld_bytes_requested = 2 * 32 * 4;
+  want.global_ld_bytes_transferred = 2 * 32;
+  want.l1_misses = 1;
+  want.l1_hits = 1;
+  want.l2_misses = 1;
+  want.dram_read_bytes = 32;
+  want.memory_latency_cycles =
+      arch.dram_latency_cycles + arch.l1_latency_cycles;
+  EXPECT_TRUE(counters == want);
+  EXPECT_EQ(counters.l1_hits, want.l1_hits);
+  EXPECT_EQ(counters.dram_read_bytes, want.dram_read_bytes);
+  // Word 4 is the low half of host element 2.
+  for (uint32_t lane = 0; lane < 32; ++lane) {
+    EXPECT_EQ(got1[lane], 1002u);
+    EXPECT_EQ(got2[lane], 1002u);
+  }
+}
+
+TEST(UniformLoadTest, OneLaneOnAnotherIndex) {
+  const ArchConfig arch = TestArch(Paradigm::kSimt, 32);
+  Lanes<uint32_t> got;
+  const KernelCounters counters =
+      CountersOfLoads([&](Ctx& c, DevPtr<uint32_t> data) {
+        // Lane 7 reads word 40 (byte 416: segment 416, line 3), the rest
+        // word 4 (byte 272: segment 256, line 2).
+        Lanes<uint32_t> idx = Lanes<uint32_t>::Splat(4);
+        idx[7] = 40;
+        got = c.Load(data, idx);
+      });
+  KernelCounters want = OneWarpLaunch();
+  want.warp_inst_issued = 1;
+  want.global_load_inst = 1;
+  want.global_ld_transactions = 2;
+  want.global_ld_bytes_requested = 32 * 4;
+  want.global_ld_bytes_transferred = 2 * 32;
+  want.l1_misses = 2;
+  want.l2_misses = 2;
+  want.dram_read_bytes = 2 * 32;
+  want.memory_latency_cycles = arch.dram_latency_cycles;
+  EXPECT_TRUE(counters == want);
+  EXPECT_EQ(counters.global_ld_transactions, want.global_ld_transactions);
+  for (uint32_t lane = 0; lane < 32; ++lane) {
+    EXPECT_EQ(got[lane], lane == 7 ? 1020u : 1002u) << "lane " << lane;
+  }
+}
+
+TEST(UniformLoadTest, StraddlingEveryLaneOnOneIndex) {
+  const ArchConfig arch = TestArch(Paradigm::kSimt, 32);
+  Lanes<uint64_t> got;
+  const KernelCounters counters =
+      CountersOfLoads([&](Ctx& c, DevPtr<uint32_t> data) {
+        // 8 bytes at byte 284 span segments 256 and 288 of line 2: two
+        // transactions, one line touched twice (a miss, then a hit).
+        DevPtr<uint64_t> skewed{data.addr + 28};
+        got = c.Load(skewed, Lanes<uint32_t>::Splat(0));
+      });
+  KernelCounters want = OneWarpLaunch();
+  want.warp_inst_issued = 1;
+  want.global_load_inst = 1;
+  want.global_ld_transactions = 2;
+  want.global_ld_bytes_requested = 32 * 8;
+  want.global_ld_bytes_transferred = 2 * 32;
+  want.l1_misses = 1;
+  want.l1_hits = 1;
+  want.l2_misses = 1;
+  want.dram_read_bytes = 32;
+  want.memory_latency_cycles = arch.dram_latency_cycles;
+  EXPECT_TRUE(counters == want);
+  EXPECT_EQ(counters.l1_hits, want.l1_hits);
+  // Bytes 284..291: the high word of element 3 and the low word of 4.
+  for (uint32_t lane = 0; lane < 32; ++lane) {
+    EXPECT_EQ(got[lane], (uint64_t{1004} << 32) | 0) << "lane " << lane;
+  }
+}
+
+TEST(UniformLoadTest, StraddlingOneLaneOnAnotherIndex) {
+  const ArchConfig arch = TestArch(Paradigm::kSimt, 32);
+  const KernelCounters counters =
+      CountersOfLoads([&](Ctx& c, DevPtr<uint32_t> data) {
+        // Lane 3 reads 8 bytes at byte 380 (segments 352 and 384, lines 2
+        // and 3); the rest at byte 284 (segments 256 and 288, line 2).
+        DevPtr<uint64_t> skewed{data.addr + 28};
+        Lanes<uint32_t> idx = Lanes<uint32_t>::Splat(0);
+        idx[3] = 12;
+        c.Load(skewed, idx);
+      });
+  KernelCounters want = OneWarpLaunch();
+  want.warp_inst_issued = 1;
+  want.global_load_inst = 1;
+  want.global_ld_transactions = 4;
+  want.global_ld_bytes_requested = 32 * 8;
+  want.global_ld_bytes_transferred = 4 * 32;
+  want.l1_misses = 2;  // line 2 (first of three touches) and line 3
+  want.l1_hits = 2;
+  want.l2_misses = 2;
+  want.dram_read_bytes = 2 * 32;
+  want.memory_latency_cycles = arch.dram_latency_cycles;
+  EXPECT_TRUE(counters == want);
+  EXPECT_EQ(counters.l1_hits, want.l1_hits);
+  EXPECT_EQ(counters.l1_misses, want.l1_misses);
+}
+
+// ----------------------------------------------- block fill vs per-lane loop
+
+/// What the per-lane strided clear loop does: lane i of warp `warp` stores
+/// to elements warp*width + i + k*block_dim below `count`.
+struct StridedFill {
+  uint64_t rounds = 0;
+  uint64_t lane_stores = 0;
+  std::vector<bool> written;
+};
+
+StridedFill StridedFillReference(uint32_t warp, uint32_t width,
+                                 uint32_t block_dim, LaneMask active,
+                                 uint32_t count) {
+  StridedFill out;
+  out.written.assign(count, false);
+  for (uint32_t lane = 0; lane < width; ++lane) {
+    if (!LaneActive(active, lane)) continue;
+    uint64_t mine = 0;
+    for (uint32_t idx = warp * width + lane; idx < count; idx += block_dim) {
+      out.written[idx] = true;
+      ++mine;
+    }
+    out.rounds = std::max(out.rounds, mine);
+    out.lane_stores += mine;
+  }
+  return out;
+}
+
+TEST(SharedBlockFillTest, MatchesPerLaneStridedLoop) {
+  constexpr uint32_t kOffset = 8;  // bytes before the filled array
+  constexpr uint32_t kSentinel = 0xCDCDCDCDu;
+  constexpr uint32_t kValue = 0xFFFFFFFFu;
+  uint64_t cases = 0;
+  for (uint32_t width : {32u, 64u}) {
+    const ArchConfig arch = TestArch(
+        width == 32 ? Paradigm::kSimt : Paradigm::kSimd, width);
+    const TimingParams params{};
+    AddressSpace global(1 << 20);
+    CacheModel l1(arch.l1_size_bytes, arch.cache_line_bytes, arch.l1_assoc);
+    CacheModel l2(arch.l2_size_bytes, arch.cache_line_bytes, arch.l2_assoc);
+    for (uint32_t block_dim : {width / 2, width, 3 * width / 2, 4 * width}) {
+      const uint32_t warps = (block_dim + width - 1) / width;
+      // Below, at and between multiples of the block size, and zero.
+      for (uint32_t count :
+           {0u, 1u, block_dim / 2 + 3, block_dim, block_dim + 1,
+            2 * block_dim, 2 * block_dim + 5, 3 * block_dim - 1,
+            8 * block_dim}) {
+        for (uint32_t warp = 0; warp < warps; ++warp) {
+          const LaneMask entry =
+              FullMask(std::min(width, block_dim - warp * width));
+          // Full, partial (a contiguous low or high part) and
+          // non-contiguous masks.
+          const LaneMask masks[] = {
+              entry,
+              entry & 0xFF,
+              entry & ~LaneMask{0xF},
+              entry & 0x5555555555555555,
+              entry & 0x0F0F00FFF0F000F1,
+              entry & (LaneMask{1} << (width / 2 + 1)),
+              entry & ~LaneMask{2}};
+          for (LaneMask mask : masks) {
+            if (mask == 0) continue;
+            SharedMemory smem(kOffset + 8 * block_dim * 4 + 64,
+                              arch.smem_banks);
+            smem.Fill(0xCD);
+            KernelCounters counters;
+            Ctx ctx(&arch, &params, &global, &l1, &l2, &smem, &counters,
+                    /*grid_dim=*/1, block_dim, /*block_id=*/0, warp);
+            ctx.If(mask, [&](Ctx& c) {
+              KernelCounters want = counters;
+              c.SharedBlockFill(SmemPtr<uint32_t>{kOffset}, count, kValue);
+              const StridedFill ref =
+                  StridedFillReference(warp, width, block_dim, mask, count);
+              want.warp_inst_issued += 2 * ref.rounds;
+              want.valu_warp_inst += ref.rounds;
+              want.shared_store_inst += ref.rounds;
+              want.smem_accesses += ref.rounds;
+              want.lane_ops += ref.lane_stores;
+              want.smem_bytes += ref.lane_stores * 4;
+              EXPECT_TRUE(counters == want)
+                  << "width " << width << ", block " << block_dim
+                  << ", count " << count << ", warp " << warp << ", mask "
+                  << std::hex << mask;
+              EXPECT_EQ(counters.lane_ops, want.lane_ops);
+              EXPECT_EQ(counters.warp_inst_issued, want.warp_inst_issued);
+              const uint32_t words = (smem.size_bytes() - kOffset) / 4;
+              for (uint32_t idx = 0; idx < words; ++idx) {
+                const bool written = idx < count && ref.written[idx];
+                ASSERT_EQ(smem.Load<uint32_t>(kOffset + idx * 4),
+                          written ? kValue : kSentinel)
+                    << "element " << idx << ", width " << width << ", block "
+                    << block_dim << ", count " << count << ", warp " << warp
+                    << ", mask " << std::hex << mask;
+              }
+              ASSERT_EQ(smem.Load<uint32_t>(0), kSentinel);
+              ASSERT_EQ(smem.Load<uint32_t>(4), kSentinel);
+              ++cases;
+            });
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 300u);
 }
 
 // ------------------------------------------------------------ job reuse

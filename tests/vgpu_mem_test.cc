@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "util/random.h"
@@ -112,6 +116,82 @@ TEST(AddressSpaceTest, ZeroByteAllocationGetsUniqueAddress) {
   uint64_t a = mem.Allocate(0).value();
   uint64_t b = mem.Allocate(0).value();
   EXPECT_NE(a, b);
+}
+
+TEST(AddressSpaceTest, GrowthKeepsWrittenBytesAndZeroesTheRest) {
+  AddressSpace mem(256ull << 20);
+  const uint64_t first = mem.Allocate(1 << 20).value();
+  std::vector<uint8_t> pattern(1 << 20);
+  for (size_t i = 0; i < pattern.size(); ++i) pattern[i] = uint8_t(i * 131);
+  mem.Write(first, pattern.data(), pattern.size());
+  // Each 5 MiB allocation passes the backing's 4 MiB growth step.
+  std::vector<uint8_t> back(pattern.size());
+  std::vector<uint8_t> zeros(64 << 10);
+  std::vector<uint8_t> got(zeros.size());
+  for (int grow = 0; grow < 6; ++grow) {
+    const uint64_t chunk = mem.Allocate(5 << 20).value();
+    for (uint64_t at :
+         {chunk, chunk + (5 << 19), chunk + (5 << 20) - got.size()}) {
+      mem.Read(at, got.data(), got.size());
+      ASSERT_EQ(got, zeros) << "growth " << grow << ", address " << at;
+    }
+    mem.Read(first, back.data(), back.size());
+    ASSERT_EQ(back, pattern) << "growth " << grow;
+  }
+}
+
+TEST(AddressSpaceTest, FixedScriptYieldsFixedAddresses) {
+  AddressSpace mem(64ull << 20);
+  auto alloc = [&](uint64_t bytes) { return mem.Allocate(bytes).value(); };
+  const uint64_t a = alloc(100);
+  const uint64_t b = alloc(5000);
+  EXPECT_EQ(a, 256u);
+  EXPECT_EQ(b, 512u);
+  EXPECT_EQ(alloc(0), 5632u);
+  ASSERT_TRUE(mem.Free(b).ok());
+  const uint64_t d = alloc(1000);
+  const uint64_t e = alloc(10ull << 20);
+  EXPECT_EQ(d, 512u);
+  EXPECT_EQ(e, 5888u);
+  EXPECT_EQ(alloc(4096), 1536u);
+  ASSERT_TRUE(mem.Free(a).ok());
+  ASSERT_TRUE(mem.Free(d).ok());
+  EXPECT_EQ(alloc(1280), 256u);
+  EXPECT_EQ(alloc(300), 10491648u);
+  ASSERT_TRUE(mem.Free(e).ok());
+  EXPECT_EQ(alloc(6ull << 20), 5888u);
+  EXPECT_EQ(alloc(5ull << 20), 10492160u);
+}
+
+/// Lowers this process's address-space limit to its current size plus
+/// `headroom` bytes; false when the size cannot be read.
+bool LimitAddressSpace(uint64_t headroom) {
+  FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return false;
+  unsigned long long pages = 0;
+  const bool read = std::fscanf(statm, "%llu", &pages) == 1;
+  std::fclose(statm);
+  if (!read) return false;
+  rlimit limit;
+  if (getrlimit(RLIMIT_AS, &limit) != 0) return false;
+  limit.rlim_cur =
+      pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) + headroom;
+  return setrlimit(RLIMIT_AS, &limit) == 0;
+}
+
+TEST(AddressSpaceDeathTest, RefusedBackingIsOutOfMemory) {
+  EXPECT_EXIT(
+      {
+        if (!LimitAddressSpace(256ull << 20)) std::exit(2);
+        AddressSpace mem(1ull << 40);
+        if (!mem.Allocate(1 << 20).ok()) std::exit(3);
+        auto refused = mem.Allocate(64ull << 30);
+        if (refused.ok() || !refused.status().IsOutOfMemory()) std::exit(4);
+        if (mem.used_bytes() != (1u << 20)) std::exit(5);
+        if (!mem.Allocate(1 << 20).ok()) std::exit(6);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // ---------------------------------------------------------------- Cache
@@ -422,6 +502,72 @@ TEST(CoalescerReferenceTest, MatchesDivisionCoalescing) {
         << "round " << round;
   }
   EXPECT_GT(straddles, 10000u);
+}
+
+/// Lane addresses of one warp access pattern around `base`.
+enum class WarpPattern { kUniform, kUnitStride, kStraddling, kDuplicateLanes };
+
+Lanes<uint64_t> PatternAddrs(WarpPattern pattern, uint64_t base,
+                             uint32_t access_bytes, uint32_t segment_bytes) {
+  Lanes<uint64_t> addrs;
+  for (uint32_t lane = 0; lane < kMaxWarpWidth; ++lane) {
+    switch (pattern) {
+      case WarpPattern::kUniform:
+        addrs[lane] = base;
+        break;
+      case WarpPattern::kUnitStride:
+        addrs[lane] = base + uint64_t{lane} * access_bytes;
+        break;
+      case WarpPattern::kStraddling:
+        // One byte short of a segment's end: every access wider than a
+        // byte spans two segments.
+        addrs[lane] = (base & ~uint64_t{segment_bytes - 1}) +
+                      uint64_t{lane + 1} * segment_bytes - 1;
+        break;
+      case WarpPattern::kDuplicateLanes:
+        // Lane pairs share an address; pairs step down, so the list
+        // arrives out of order.
+        addrs[lane] =
+            base + uint64_t{(kMaxWarpWidth - lane) / 2} * access_bytes;
+        break;
+    }
+  }
+  return addrs;
+}
+
+TEST(CoalescerReferenceTest, MatchesDivisionCoalescingOnWarpPatterns) {
+  Rng rng(28);
+  for (WarpPattern pattern :
+       {WarpPattern::kUniform, WarpPattern::kUnitStride,
+        WarpPattern::kStraddling, WarpPattern::kDuplicateLanes}) {
+    for (int round = 0; round < 4000; ++round) {
+      const uint32_t access_bytes = 1u << rng.Uniform(5);  // 1 .. 16
+      const uint32_t segment_bytes = 16u << rng.Uniform(4);  // 16 .. 128
+      const LaneMask width_mask = FullMask(rng.Bernoulli(0.5) ? 32 : 64);
+      const LaneMask active =
+          rng.Bernoulli(0.5) ? width_mask : rng.Next64() & width_mask;
+      // Uniform accesses straddle a boundary when `base` sits near one.
+      const uint64_t base = rng.Uniform(uint64_t{1} << 40);
+      const Lanes<uint64_t> addrs =
+          PatternAddrs(pattern, base, access_bytes, segment_bytes);
+      const DivisionCoalesced want =
+          DivisionCoalesce(addrs, active, access_bytes, segment_bytes);
+      const CoalesceResult got =
+          Coalesce(addrs, active, access_bytes, segment_bytes);
+      ASSERT_EQ(std::vector<uint64_t>(got.begin(), got.end()), want.segments)
+          << "pattern " << int(pattern) << ", round " << round;
+      ASSERT_EQ(got.bytes_requested, want.bytes_requested);
+      ASSERT_EQ(got.bytes_transferred, want.bytes_transferred);
+      if (pattern != WarpPattern::kUniform) continue;
+      const CoalesceResult uniform =
+          CoalesceUniform(base, PopCount(active), access_bytes, segment_bytes);
+      ASSERT_EQ(std::vector<uint64_t>(uniform.begin(), uniform.end()),
+                want.segments)
+          << "round " << round;
+      ASSERT_EQ(uniform.bytes_requested, want.bytes_requested);
+      ASSERT_EQ(uniform.bytes_transferred, want.bytes_transferred);
+    }
+  }
 }
 
 // ---------------------------------------------------------- SharedMemory
